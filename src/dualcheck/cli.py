@@ -8,13 +8,17 @@
 Exit codes: 0 success; 1 some corpus entry failed its expectations
 (corpus run only); 2 parse/validation error, unknown id, or any other
 package error; 3 internal inconsistency detected by the implication graph
-(analyze only); 4 undecidable values (solve only).  A detected duality gap
-is a finding, not an error.
+(analyze only); 4 undecidable values (solve only); 5 an exact LP ran out
+of its pivot budget (``DUALCHECK_MAX_PIVOTS``); 141 the reader of standard
+output went away, as in ``dualcheck corpus run | head -1`` (128 + SIGPIPE,
+what a shell reports for a command that SIGPIPE ended).  A detected
+duality gap is a finding, not an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -25,6 +29,7 @@ from .errors import (
     MalformedInputError,
     NotFoundError,
     ParseError,
+    SolverLimitError,
     UndecidableValueError,
 )
 from .engine import value_report
@@ -42,6 +47,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INCONSISTENT = 3
 EXIT_UNDECIDABLE = 4
+EXIT_SOLVER_LIMIT = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,10 +163,23 @@ def main(argv=None) -> int:
         random.seed(args.seed)
     try:
         if args.command == "analyze":
-            return cmd_analyze(args.path, args.format)
-        if args.command == "solve":
-            return cmd_solve(args.path, args.format)
-        return cmd_corpus(args.action, args.entry)
+            code = cmd_analyze(args.path, args.format)
+        elif args.command == "solve":
+            code = cmd_solve(args.path, args.format)
+        else:
+            code = cmd_corpus(args.action, args.entry)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except SolverLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_LIMIT
     except DualcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

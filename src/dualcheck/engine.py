@@ -204,8 +204,6 @@ class PerturbationView:
     epi_pr_poly: Optional[Polyhedron]
     vp: Optional[ExtReal]
     vp_attained: Optional[bool]
-    conj_template: str
-    closure_note: str = ""
 
 
 @dataclass(frozen=True)
@@ -333,9 +331,6 @@ def to_perturbation(instance: Instance) -> PerturbationView:
 
 
 def _fenchel_view(instance: FenchelInstance) -> PerturbationView:
-    template = "Phi*(x*, y*) = f*(x* + A*y*) + g*(-y*)" if instance.amap is not None else (
-        "Phi*(x*, y*) = f*(x* + y*) + g*(-y*)"
-    )
     if is_numeric(instance):
         pf_f, pf_g = _fenchel_polyfuncs(instance)
         dom_f = fx.pf_domain(pf_f)
@@ -376,19 +371,14 @@ def _fenchel_view(instance: FenchelInstance) -> PerturbationView:
             epi_pr_poly=epi_poly,
             vp=vp,
             vp_attained=attained,
-            conj_template=template,
         )
     dom_f = fx.domain(instance.f, instance.space)
     dom_g = fx.domain(instance.g, instance.space)
     pr_dom = normalize(se.MinkSum((dom_f, se.Neg(dom_g))))
     vp, vp_att = _declared_vp(instance)
     epi = None
-    note = ""
     if vp is not None and vp.is_finite():
         epi = fx.epi_diff_set(instance.f, instance.g, vp.value, instance.space).realized
-    closure = normalize(se.Closure(pr_dom))
-    if isinstance(closure, se.WholeSpace):
-        note = "the closure of the projected domain is the whole space"
     return PerturbationView(
         pr_dom=pr_dom,
         pr_dom_poly=None,
@@ -396,8 +386,6 @@ def _fenchel_view(instance: FenchelInstance) -> PerturbationView:
         epi_pr_poly=None,
         vp=vp,
         vp_attained=vp_att,
-        conj_template=template,
-        closure_note=note,
     )
 
 
@@ -453,7 +441,6 @@ def _fenchel_epi_diff_poly(instance: FenchelInstance, v: Fraction) -> Polyhedron
 
 
 def _lagrange_view(instance: LagrangeInstance) -> PerturbationView:
-    template = "Phi*(x*, z*) = (f + (-z* g) + delta_S)*(x*) + delta_{-C*}(z*)"
     if is_numeric(instance):
         pf_f, s_poly, c_poly, gmap = _lagrange_ground(instance)
         nx, m = instance.xspace.dim, instance.zspace.dim
@@ -484,7 +471,6 @@ def _lagrange_view(instance: LagrangeInstance) -> PerturbationView:
             epi_pr_poly=epi_poly,
             vp=vp,
             vp_attained=x_opt is not None,
-            conj_template=template,
         )
     dom_f = fx.domain(instance.f, instance.xspace)
     ground = normalize(se.Intersect(dom_f, instance.sset))
@@ -503,7 +489,6 @@ def _lagrange_view(instance: LagrangeInstance) -> PerturbationView:
         epi_pr_poly=None,
         vp=vp,
         vp_attained=vp_att,
-        conj_template=template,
     )
 
 
@@ -566,7 +551,6 @@ def _phi_view(instance: PerturbationInstance) -> PerturbationView:
         epi_pr_poly=epi_poly,
         vp=vp,
         vp_attained=x_opt is not None,
-        conj_template="dual objective: -Phi*(0, y*)",
     )
 
 
@@ -953,23 +937,13 @@ def scalarize(z_star, gmap: GMap, cone: SetExpr) -> FunctionExpr:
                 f"{z_star.name} lies outside the dual space"
             )
         if "zero" in z_star.attrs or z_star.name == "0":
-            dom = _gmap_domain(gmap)
-            return fx.IndicatorOf(dom) if dom is not None else fx.Affine(
-                fx.SymVec("0", frozenset({"zero", "continuous"})), ZERO
-            )
+            return fx.Affine(fx.SymVec("0", frozenset({"zero", "continuous"})), ZERO)
         if "nonneg" in z_star.attrs:
             return fx.Affine(fx.SymVec(f"({z_star.name} . g)", z_star.attrs), ZERO)
         raise ConeMembershipError("membership in the dual cone is undecided")
     if isinstance(z_star, se._Origin):
-        dom = _gmap_domain(gmap)
-        return fx.IndicatorOf(dom) if dom is not None else fx.Affine(
-            fx.SymVec("0", frozenset({"zero", "continuous"})), ZERO
-        )
+        return fx.Affine(fx.SymVec("0", frozenset({"zero", "continuous"})), ZERO)
     raise MalformedInputError("unsupported multiplier representation")
-
-
-def _gmap_domain(gmap: GMap) -> Optional[SetExpr]:
-    return None  # the catalog maps are total; partial maps would land here
 
 
 # -- report assembly ----------------------------------------------------------------

@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 from . import funcexpr as fx
 from . import polyhedra as pg
 from . import setexpr as se
+from .errors import RegimeError
 from .polyhedra import Notion
 from .setexpr import (
     FAILS,
@@ -694,7 +695,7 @@ def meets_qri(engine: Engine, a: SetExpr, b: SetExpr, n: Optional[int] = None) -
         try:
             pa = fx.lower_set(a, n)
             pb = fx.lower_set(b, n)
-        except Exception:
+        except RegimeError:
             return Fact(UNKNOWN, ())
         if pg.is_empty(pb):
             return Fact(FAILS, (Step("finite-dim", "the set is empty"),))

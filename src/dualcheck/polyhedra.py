@@ -11,7 +11,14 @@ to a handful of exact LPs:
   interior test (Int, Core, Qi) and the relative-interior test (Sqri,
   Icr, Qri),
 * normal cones from active rows, duals of finitely generated cones,
-* projections by Fourier-Motzkin with LP-backed redundancy pruning,
+* projections by Fourier-Motzkin with LP-backed redundancy pruning.  Each
+  step eliminates a coordinate that an equality contains (a substitution)
+  if there is one, else the one whose Fourier-Motzkin step makes the fewest
+  new rows, ``|pos|*|neg| - |pos| - |neg|``, lowest index first.  A row is
+  kept exactly when a witness point satisfies the equalities and every
+  other kept row but violates it.  A row's LP supplies its witness, and
+  witnesses carry through later steps wherever the step itself proves them
+  still valid; a row that has one skips its LP,
 * Minkowski sums via an extended system and projection.
 """
 
@@ -60,19 +67,14 @@ def _fvec(xs: Sequence) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def _primitive(coeffs: Vec, rhs: Fraction) -> tuple[Vec, Fraction]:
-    """Scale a row to coprime integer entries with a positive leading sign."""
-    dens = [c.denominator for c in coeffs] + [rhs.denominator]
+def _primitive(row: Sequence) -> tuple[int, ...]:
+    """Scale rational entries by a positive factor to coprime integers."""
     mul = 1
-    for d in dens:
-        mul = mul * d // gcd(mul, d)
-    ints = [int(c * mul) for c in coeffs] + [int(rhs * mul)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+    for c in row:
+        mul = mul * c.denominator // gcd(mul, c.denominator)
+    ints = [c.numerator * (mul // c.denominator) for c in row]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -368,42 +370,81 @@ def dual_cone(k: FinitelyGeneratedCone) -> Polyhedron:
 # -- projection ------------------------------------------------------------
 
 
-def _dedupe(rows: list[tuple[Vec, Fraction]]) -> list[tuple[Vec, Fraction]]:
+def _dedupe(rows):
+    """Scale rows to primitive form, dropping vacuous and repeated ones.
+
+    Rows are ``(a, b, witness)``; each surviving row keeps its witness.
+    """
     seen = set()
     out = []
-    for a, b in rows:
-        a, b = _primitive(a, b)
-        if all(c == 0 for c in a) and b >= 0:
+    for a, b, w in rows:
+        key = _primitive((*a, b))
+        if key in seen or (not any(key[:-1]) and key[-1] >= 0):
             continue
-        key = (a, b)
-        if key not in seen:
-            seen.add(key)
-            out.append((a, b))
+        seen.add(key)
+        out.append((tuple(Fraction(c) for c in key[:-1]), Fraction(key[-1]), w))
     return out
 
 
-def _prune_lp(ineqs: list[tuple[Vec, Fraction]], eqs: list[tuple[Vec, Fraction]], n: int):
-    """Drop rows implied by the rest (one max-LP per candidate row)."""
-    kept = list(ineqs)
+def _prune_lp(rows, eqs, n: int):
+    """Drop rows implied by the rest, in order.
+
+    Row i stays exactly when some point satisfies the equalities and every
+    other kept row but violates row i.  Rows are ``(a, b, witness)``: a row
+    whose witness is such a point stays without an LP, and every other row
+    gets one max-LP over the rest, whose optimum or ray supplies the
+    witness it carries on.  Dropping a row only enlarges the set the
+    others must satisfy, so a witness stays valid to the end of the loop.
+    """
+    kept = list(rows)
     i = 0
     while i < len(kept):
-        a, b = kept[i]
-        others = kept[:i] + kept[i + 1 :]
-        q = Polyhedron(n, tuple(others), tuple(eqs))
-        res = _solve_over(q, a, "max")
-        if isinstance(res, Optimal) and res.value <= b:
-            kept.pop(i)
-        elif isinstance(res, Optimal):
+        a, b, w = kept[i]
+        if w is not None:
+            i += 1
+            continue
+        others = tuple((a2, b2) for a2, b2, _ in kept[:i] + kept[i + 1 :])
+        res = _solve_over(Polyhedron(n, others, tuple(eqs)), a, "max")
+        if isinstance(res, Optimal) and res.value > b:
+            kept[i] = (a, b, res.point)
             i += 1
         elif isinstance(res, Unbounded):
+            # a.ray > 0, so a step of t past the LP point crosses a.x = b
+            t = max(ZERO, (b - dot(a, res.point)) / dot(a, res.ray)) + 1
+            kept[i] = (a, b, tuple(x + t * r for x, r in zip(res.point, res.ray)))
             i += 1
-        else:  # remaining system already infeasible; the row adds nothing
+        else:  # implied by the rest, or the rest is already infeasible
             kept.pop(i)
     return kept
 
 
-def _eliminate(ineqs, eqs, k, n):
-    """Remove variable k from the system (substitution or Fourier-Motzkin)."""
+def _next_var(rows, eqs, drop: Sequence[int]) -> int:
+    """The dropped coordinate to eliminate next.
+
+    One that an equality contains is a pure substitution; otherwise the one
+    whose Fourier-Motzkin step makes the fewest new rows, lowest index first.
+    """
+    for k in drop:
+        if any(e[k] != 0 for e, _ in eqs):
+            return k
+
+    def growth(k):
+        pos = sum(1 for a, _, _ in rows if a[k] > 0)
+        neg = sum(1 for a, _, _ in rows if a[k] < 0)
+        return pos * neg - pos - neg
+
+    return min(drop, key=lambda k: (growth(k), k))
+
+
+def _eliminate(rows, eqs, k):
+    """Remove variable k from the system (substitution or Fourier-Motzkin).
+
+    A substitution rewrites every row by a multiple of an equality, which
+    leaves its value unchanged on the equalities, so every witness stays
+    valid.  A Fourier-Motzkin step keeps the rows without k, with their
+    witnesses: each new row is a nonnegative combination of other rows,
+    which such a witness satisfies.  The new rows have none.
+    """
     for idx, (e, d) in enumerate(eqs):
         if e[k] != 0:
             piv, pd = e, d
@@ -415,35 +456,70 @@ def _eliminate(ineqs, eqs, k, n):
                     e2 = tuple(x - f * y for x, y in zip(e2, piv))
                     d2 = d2 - f * pd
                 new_eqs.append((e2, d2))
-            new_in = []
-            for a, b in ineqs:
+            new_rows = []
+            for a, b, w in rows:
                 if a[k] != 0:
                     f = a[k] / piv[k]
                     a = tuple(x - f * y for x, y in zip(a, piv))
                     b = b - f * pd
-                new_in.append((a, b))
-            return new_in, new_eqs
-    pos = [(a, b) for a, b in ineqs if a[k] > 0]
-    neg = [(a, b) for a, b in ineqs if a[k] < 0]
-    zero = [(a, b) for a, b in ineqs if a[k] == 0]
-    combined = list(zero)
-    for ap, bp in pos:
-        for an, bn in neg:
-            coeff = tuple(x / ap[k] - y / an[k] for x, y in zip(ap, an))
-            rhs = bp / ap[k] - bn / an[k]
-            combined.append((coeff, rhs))
+                new_rows.append((a, b, w))
+            return new_rows, new_eqs
+    pos = [row for row in rows if row[0][k] > 0]
+    neg = [row for row in rows if row[0][k] < 0]
+    combined = [row for row in rows if row[0][k] == 0]
+    heirs = _heirs(pos, neg, k)
+    # the rows are primitive, so each combination is taken in integers;
+    # _dedupe scales it back to primitive form
+    for i, (ap, bp, _) in enumerate(pos):
+        mp = ap[k].numerator
+        for j, (an, bn, _) in enumerate(neg):
+            mn = -an[k].numerator
+            coeff = tuple(mn * x.numerator + mp * y.numerator for x, y in zip(ap, an))
+            combined.append((coeff, mn * bp.numerator + mp * bn.numerator, heirs.get((i, j))))
     return combined, list(eqs)
 
 
-def _project_full(ineqs, eqs, drop: Sequence[int], n: int, prune: bool = True):
-    ineqs = _dedupe(list(ineqs))
+def _heirs(pos, neg, k):
+    """Witnesses that pass to the new rows of a Fourier-Motzkin step on k.
+
+    Let w witness row p of one side, and let row q of the other side have
+    slack s_q at w; p exceeds its bound at w by e.  The combination of p
+    and q is violated at w exactly when s_q / |q_k| < e / |p_k|.  Every
+    other new row is a nonnegative combination of rows w satisfies, so
+    when exactly one q passes that test, w witnesses the combination of p
+    and q.  Rows are primitive, so the test runs on integers.
+    """
+    out = {}
+    for mine, theirs, swap in ((pos, neg, False), (neg, pos, True)):
+        for i, (a, b, w) in enumerate(mine):
+            if w is None:
+                continue
+            *pt, den = _primitive((*w, ONE))
+            excess = sum(c.numerator * x for c, x in zip(a, pt)) - b.numerator * den
+            pk = abs(a[k].numerator)
+            hits = [
+                j
+                for j, (a2, b2, _) in enumerate(theirs)
+                if (b2.numerator * den - sum(c.numerator * x for c, x in zip(a2, pt))) * pk
+                < excess * abs(a2[k].numerator)
+            ]
+            if len(hits) == 1:
+                out.setdefault((hits[0], i) if swap else (i, hits[0]), w)
+    return out
+
+
+def _project_full(ineqs, eqs, drop: Sequence[int], n: int):
+    rows = _dedupe([(a, b, None) for a, b in ineqs])
     eqs = list(eqs)
-    for k in drop:
-        ineqs, eqs = _eliminate(ineqs, eqs, k, n)
-        ineqs = _dedupe(ineqs)
-        if prune and len(ineqs) > 1:
-            ineqs = _prune_lp(ineqs, eqs, n)
-    return ineqs, eqs
+    drop = sorted(drop)
+    while drop:
+        k = _next_var(rows, eqs, drop)
+        drop.remove(k)
+        rows, eqs = _eliminate(rows, eqs, k)
+        rows = _dedupe(rows)
+        if len(rows) > 1:
+            rows = _prune_lp(rows, eqs, n)
+    return [(a, b) for a, b, _ in rows], eqs
 
 
 def project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:

@@ -505,10 +505,6 @@ _PAIR_FACTS = {
 }
 
 
-def catalog_pair_fact(a: str, b: str):
-    return _PAIR_FACTS.get(frozenset({a, b}))
-
-
 def catalog_cite(cid: str):
     return _CATALOG_CITES.get(cid)
 

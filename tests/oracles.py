@@ -3,7 +3,9 @@
 Nothing here touches the solver machinery under test: vertex enumeration
 goes through plain Gaussian elimination, membership checks are direct
 arithmetic, and the reference simplex runs on a textbook ``Fraction``
-tableau.
+tableau.  The one exception is ``prune_lp_reference``, which asks the
+package's exact LP one question per row; what it checks is the pruning
+logic around the LP, not the LP.
 """
 
 from fractions import Fraction
@@ -161,3 +163,31 @@ def rational_bland_simplex(sense, objective, rows):
         return ("unbounded", point(), point(enter))
     y = duals(cost2, z)
     return ("optimal", point(), -flip * z[-1], tuple(flip * v for v in y))
+
+
+def prune_lp_reference(ineqs, eqs, n):
+    """Redundancy pruning with one max-LP per candidate row, in order.
+
+    The loop ``dualcheck.polyhedra._prune_lp`` ran before it carried
+    irredundancy witnesses; with witnesses it must keep the same rows in
+    the same order.  ``ineqs`` are ``(a, b)`` pairs.
+    """
+    from dualcheck.exactlp import Optimal, Unbounded
+    from dualcheck.polyhedra import Polyhedron, _solve_over
+
+    kept = list(ineqs)
+    i = 0
+    while i < len(kept):
+        a, b = kept[i]
+        others = kept[:i] + kept[i + 1 :]
+        q = Polyhedron(n, tuple(others), tuple(eqs))
+        res = _solve_over(q, a, "max")
+        if isinstance(res, Optimal) and res.value <= b:
+            kept.pop(i)
+        elif isinstance(res, Optimal):
+            i += 1
+        elif isinstance(res, Unbounded):
+            i += 1
+        else:  # remaining system already infeasible; the row adds nothing
+            kept.pop(i)
+    return kept

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -149,3 +150,34 @@ def test_analyze_sets_entry_via_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "holds" in out and "fails" in out
+
+
+def test_pivot_budget_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DUALCHECK_MAX_PIVOTS", "1")
+    code = main(["analyze", _write(tmp_path, NUMERIC_FILE)])
+    assert code == 5
+    assert "pivot budget" in capsys.readouterr().err
+
+
+class _ClosedPipe:
+    """A standard output whose reader went away, as under ``| head -1``."""
+
+    def __init__(self, file):
+        self._file = file
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._file.fileno()
+
+
+def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch):
+    with open(tmp_path / "out", "w") as file:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(file))
+        code = main(["corpus", "run", "ex-5.1"])
+    assert code == 141
+    assert capsys.readouterr().err == ""

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from dualcheck import funcexpr as fx
 from dualcheck import setexpr as se
+from dualcheck.errors import RegimeError
 from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum, SymVec
 from dualcheck.inference import (
     DeclaredFact,
@@ -172,6 +176,22 @@ def test_meets_qri():
     assert meets_qri(Engine(), a, b, n=1).status is HOLDS
     c = se.PolyAtom(interval(2, 3))
     assert meets_qri(Engine(), c, b, n=1).status is FAILS
+
+
+def test_meets_qri_turns_only_regime_errors_into_unknown(monkeypatch):
+    def raising(exc):
+        def lower_set(s, n):
+            raise exc
+
+        return lower_set
+
+    a = se.PolyAtom(interval(2, 3))
+    b = se.PolyAtom(interval(-1, F(1, 2)))
+    monkeypatch.setattr(fx, "lower_set", raising(RegimeError("no finite-dimensional realization")))
+    assert meets_qri(Engine(), a, b, n=1).status is UNKNOWN
+    monkeypatch.setattr(fx, "lower_set", raising(ArithmeticError("slip")))
+    with pytest.raises(ArithmeticError):
+        meets_qri(Engine(), a, b, n=1)
 
 
 def test_chain_monotonicity_randomized():

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dualcheck import polyhedra as pg
 from dualcheck.errors import EmptyPolyhedronError, MembershipError
 from dualcheck.exactlp import Optimal, dot
 from dualcheck.polyhedra import (
@@ -33,7 +36,7 @@ from dualcheck.polyhedra import (
     zero_in,
 )
 
-from oracles import enumerate_vertices
+from oracles import enumerate_vertices, prune_lp_reference
 
 F = Fraction
 
@@ -207,6 +210,73 @@ def test_project_matches_lp_bounds():
     assert b / a[0] == 1 and a[0] > 0
     lo = extremum(p, (1, 0), "min")
     assert not isinstance(lo, Optimal)  # unbounded below, so one-sided H-rep
+
+    # x2 makes fewer Fourier-Motzkin rows than x1, so it goes first
+    p = poly(
+        4,
+        ineqs=[
+            ((1, 1, 0, 0), 3),
+            ((-1, 1, 0, 1), 3),
+            ((0, 1, 1, 0), 2),
+            ((1, -1, 0, -1), 3),
+            ((-1, -1, 0, 0), 3),
+            ((0, 0, -1, 1), 1),
+            ((0, 0, 0, -1), 2),
+        ],
+    )
+    rows = pg._dedupe([(a, b, None) for a, b in p.ineqs])
+    assert pg._next_var(rows, [], [1, 2]) == 2
+    q = project(p, [0, 3])
+    for d in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, -1), (-1, -3)]:
+        for sense in ("max", "min"):
+            got = extremum(q, d, sense)
+            want = extremum(p, (d[0], 0, 0, d[1]), sense)
+            assert type(got) is type(want)
+            if isinstance(want, Optimal):
+                assert got.value == want.value
+
+
+def _violates_only(rows, eqs, i, w):
+    """Does w satisfy the equalities and every row but row i, which it violates?"""
+    return all(dot(e, w) == d for e, d in eqs) and all(
+        (dot(a, w) <= b) != (j == i) for j, (a, b, _) in enumerate(rows)
+    )
+
+
+@st.composite
+def _int_systems(draw):
+    n = draw(st.integers(1, 4))
+
+    def rows(coeff, rhs, most):
+        row = st.tuples(st.tuples(*[st.integers(-coeff, coeff)] * n), st.integers(-rhs, rhs))
+        return st.lists(row, max_size=most)
+
+    return n, draw(rows(3, 4, 8)), draw(rows(2, 2, 2)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_int_systems())
+@example((2, [((1, 0), -1), ((-1, 0), 0), ((0, 1), 1), ((1, 1), 2)], [], 1))  # empty
+@example((2, [((1, 1), 1), ((1, -1), 1), ((0, 1), 2), ((1, 2), 4)], [], 1))  # unbounded
+@example((3, [((1, 0, 0), 1), ((0, 1, 0), 1), ((-1, -1, 1), 0), ((0, 0, -1), 0)], [((1, 1, 1), 1)], 0))
+def test_prune_with_witnesses_matches_lp_per_row(system):
+    # prune once for witnesses, eliminate x_k carrying them, prune again:
+    # every carried witness must be valid, and the second prune must keep
+    # exactly the rows, in order, that one LP per row keeps
+    n, ineqs, eqs, k = system
+    p = poly(n, ineqs, eqs)
+    rows = pg._dedupe([(a, b, None) for a, b in p.ineqs])
+    eqs = list(p.eqs)
+    if len(rows) > 1:
+        rows = pg._prune_lp(rows, eqs, n)
+    rows, eqs = pg._eliminate(rows, eqs, k)
+    rows = pg._dedupe(rows)
+    for i, (_, _, w) in enumerate(rows):
+        assert w is None or _violates_only(rows, eqs, i, w)
+    got = pg._prune_lp(rows, eqs, n)
+    assert [(a, b) for a, b, _ in got] == prune_lp_reference([(a, b) for a, b, _ in rows], eqs, n)
+    for i, (_, _, w) in enumerate(got):
+        assert _violates_only(got, eqs, i, w)
 
 
 def test_minkowski_interval_sums():

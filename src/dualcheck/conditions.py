@@ -22,6 +22,7 @@ from . import inference as inf
 from . import polyhedra as pg
 from . import setexpr as se
 from .errors import ApplicabilityError, MalformedInputError
+from .exactlp import EQ, LE, LinearProgram, Optimal, Row, solve_lp
 from .funcexpr import MINF, PINF, er, er_lt
 from .inference import DeclaredFact, Engine, Step
 from .polyhedra import Notion
@@ -39,6 +40,9 @@ from .setexpr import (
 FAMILY_PHI = "phi"
 FAMILY_FENCHEL = "fenchel"
 FAMILY_LAGRANGE = "lagrange"
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 INDEX_ORDER = ("1", "2", "3", "4", "5", "6'", "6", "7", "8")
 
@@ -147,6 +151,8 @@ _SUFFICIENCY_HYPS = {
     "8": frozenset({"lsc", "convex"}),
 }
 
+_AFFINE_MAPS = (eng.AffineMap, eng.IdentityMap, eng.NegIdentityMap, eng.ShiftMap)
+
 # the ambient hypotheses that edges and sufficiency results may require
 HYPOTHESES = ("frechet", "finite_dim", "lsc", "convex")
 
@@ -164,8 +170,9 @@ class DiagnosisContext:
         else:
             self.family = FAMILY_PHI
         self.numeric = eng.is_numeric(instance)
-        self.values = eng.value_report(instance)
-        self.view = eng.to_perturbation(instance)
+        self.model = eng.NumericModel(instance) if self.numeric else None
+        self.values = eng.value_report(instance, self.model)
+        self.view = eng.to_perturbation(instance, self.model)
         self.engine = self._build_engine()
         self._check_precondition()
 
@@ -214,19 +221,11 @@ class DiagnosisContext:
         return Engine(facts)
 
     def _resolve_ref(self, ref):
-        if isinstance(ref, str):
-            if ref in ("epidiff", "conic"):
-                return self.view.epi_pr
-            if ref == "prdom":
-                return self.view.pr_dom
-            if ref == "domf":
-                dom_f, _ = self._domains()
-                return dom_f
-            if ref == "domg":
-                _, dom_g = self._domains()
-                return dom_g
-            return None
-        return ref
+        if not isinstance(ref, str):
+            return ref
+        if ref in ("domf", "domg"):
+            return self._domains()[ref == "domg"]
+        return {"epidiff": self.view.epi_pr, "conic": self.view.epi_pr, "prdom": self.view.pr_dom}.get(ref)
 
     # -- ambient hypothesis predicates --------------------------------------
 
@@ -273,7 +272,7 @@ class DiagnosisContext:
         declared = instance.flag("g_epiclosed")
         if declared is not None:
             return HOLDS if declared else FAILS
-        if isinstance(instance.gmap, (eng.AffineMap, eng.IdentityMap, eng.NegIdentityMap, eng.ShiftMap)):
+        if isinstance(instance.gmap, _AFFINE_MAPS):
             return HOLDS  # continuous affine maps have closed epigraphs
         return UNKNOWN
 
@@ -285,9 +284,7 @@ class DiagnosisContext:
         if isinstance(instance, eng.FenchelInstance):
             return and3(fx.is_convex(instance.f), fx.is_convex(instance.g))
         if isinstance(instance, eng.LagrangeInstance):
-            linear_map = isinstance(
-                instance.gmap, (eng.AffineMap, eng.IdentityMap, eng.NegIdentityMap, eng.ShiftMap)
-            )
+            linear_map = isinstance(instance.gmap, _AFFINE_MAPS)
             return and3(
                 fx.is_convex(instance.f),
                 se.attrs(normalize(instance.sset)).convex,
@@ -377,20 +374,9 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     instance = ctx.instance
     if ctx.family == FAMILY_FENCHEL:
         if ctx.numeric:
-            pf_f, pf_g = eng._fenchel_polyfuncs(instance)
-            dom_f, dom_g = fx.pf_domain(pf_f), fx.pf_domain(pf_g)
-            amap = eng._amap_rows(instance)
-            if amap is None:
-                hit = pg.strictly_feasible_point(dom_f, dom_g) or pg.strictly_feasible_point(
-                    dom_g, dom_f
-                )
-            else:
-                # continuity of g at Ax' (or of f at x') over the coupled domain
-                n = instance.space.dim
-                pre_g = _preimage(dom_g, amap, n)
-                hit = pg.strictly_feasible_point(dom_f, pre_g) or pg.strictly_feasible_point(
-                    pre_g, dom_f
-                )
+            # continuity of f at x', or of g at Ax', over the joint domain
+            dom_f, dom_g = ctx.model.at_zero(0), ctx.model.at_zero(1)
+            hit = pg.strictly_feasible_point(dom_f, dom_g) or pg.strictly_feasible_point(dom_g, dom_f)
             return _status_clause(
                 text,
                 HOLDS if hit is not None else FAILS,
@@ -409,10 +395,7 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     if ctx.family == FAMILY_LAGRANGE:
         return _slater_clause(ctx)
     # perturbation family: continuity of Phi(x', .) at 0
-    instance = ctx.instance
-    pf = fx.lower(instance.phi, instance.nx + instance.ny)
-    dom = fx.pf_domain(pf)
-    hit = _slice_interior_point(dom, instance.nx, instance.ny)
+    hit = _slice_interior_point(ctx.model.domain(0), instance.nx, instance.ny)
     return _status_clause(
         "some x' with the slice y -> Phi(x', y) continuous at 0",
         HOLDS if hit else FAILS,
@@ -420,65 +403,35 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     )
 
 
-def _preimage(p: pg.Polyhedron, amap, n: int) -> pg.Polyhedron:
-    rows = []
-    eqs = []
-    m = len(amap)
-    for a, b in p.ineqs:
-        coeff = [Fraction(0)] * n
-        for i in range(m):
-            for j in range(n):
-                coeff[j] += a[i] * amap[i][j]
-        rows.append((tuple(coeff), b))
-    for e, d in p.eqs:
-        coeff = [Fraction(0)] * n
-        for i in range(m):
-            for j in range(n):
-                coeff[j] += e[i] * amap[i][j]
-        eqs.append((tuple(coeff), d))
-    return pg.poly(n, rows, eqs)
-
-
 def _slice_interior_point(dom: pg.Polyhedron, nx: int, ny: int) -> bool:
-    """Is there x' with (x', y) in dom for all y in a small box around 0?"""
-    from itertools import product as iproduct
+    """Is there x' with (x', y) in dom for all y in a small box around 0?
 
-    from .exactlp import LE, LinearProgram, Optimal, Row, solve_lp
-
-    rows = []
-    for signs in iproduct((Fraction(1), Fraction(-1)), repeat=ny):
-        for a, b in dom.ineqs:
-            drift = sum(a[nx + j] * signs[j] for j in range(ny))
-            rows.append(Row(a[:nx] + (drift,), LE, b))
-    for e, d in dom.eqs:
-        if any(e[nx + j] != 0 for j in range(ny)):
-            return False  # an equality in y kills the slice interior
-        rows.append(Row(e[:nx] + (Fraction(0),), "=", d))
-    t_up = tuple(Fraction(0) for _ in range(nx)) + (Fraction(1),)
-    rows.append(Row(t_up, LE, Fraction(1)))
+    Over the box |y_j| <= t, t > 0, a row a.(x, y) <= b holds everywhere
+    exactly when a_x.x + |a_y|_1 t <= b, so one row per domain row decides.
+    """
+    if any(any(e[nx:]) for e, _ in dom.eqs):
+        return False  # an equality in y kills the slice interior
+    rows = [Row(a[:nx] + (sum(abs(c) for c in a[nx:]),), LE, b) for a, b in dom.ineqs]
+    rows += [Row(e[:nx] + (ZERO,), EQ, d) for e, d in dom.eqs]
+    t_up = (ZERO,) * nx + (ONE,)
+    rows.append(Row(t_up, LE, ONE))
     out = solve_lp(LinearProgram(nx + 1, t_up, "max", tuple(rows)))
     return isinstance(out, Optimal) and out.value > 0
+
+
+def _cone_rows(ctx: DiagnosisContext) -> tuple[pg.Polyhedron, pg.Polyhedron]:
+    """The ground set dom f ∩ S, and the rows of C at -(Gx + h), both over x."""
+    return ctx.model.at_zero(0, 1), ctx.model.at_zero(2)
 
 
 def _slater_clause(ctx: DiagnosisContext) -> Clause:
     text = "a feasible point maps into the negative interior of the ordering cone"
     instance = ctx.instance
     if ctx.numeric:
-        pf_f, s_poly, c_poly, gmap = eng._lagrange_ground(instance)
-        if c_poly.eqs:
+        ground, cone_rows = _cone_rows(ctx)
+        if cone_rows.eqs:
             return _status_clause(text, FAILS, "the cone carries equalities, so its interior is empty")
-        ground = pg.intersect(fx.pf_domain(pf_f), s_poly)
-        nx = s_poly.n
-        strict_rows = []
-        for a, b in c_poly.ineqs:
-            coeff = [Fraction(0)] * nx
-            rhs = b
-            for i, ai in enumerate(a):
-                for j in range(nx):
-                    coeff[j] += -ai * gmap.rows[i][j]
-                rhs += ai * gmap.shift[i]
-            strict_rows.append((tuple(coeff), rhs))
-        strict = pg.Polyhedron(nx, tuple(strict_rows), ())
+        strict = pg.Polyhedron(cone_rows.n, cone_rows.ineqs, ())
         hit = pg.strictly_feasible_point(strict, ground)
         return _status_clause(text, HOLDS if hit is not None else FAILS, "strict-feasibility LP")
     cone = normalize(instance.cone)
@@ -495,35 +448,13 @@ def _slater_qri_clause(ctx: DiagnosisContext) -> Clause:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
     cone = normalize(instance.cone)
     if ctx.numeric:
-        pf_f, s_poly, c_poly, gmap = eng._lagrange_ground(instance)
-        ground = pg.intersect(fx.pf_domain(pf_f), s_poly)
-        nx = s_poly.n
+        ground, cone_rows = _cone_rows(ctx)
+        c_poly = ctx.model.cone
         imp = set(pg.implicit_rows(c_poly)) if not pg.is_empty(c_poly) else set()
-        strict_rows = []
-        weak_rows = list(ground.ineqs)
-        weak_eqs = list(ground.eqs)
-        for idx, (a, b) in enumerate(c_poly.ineqs):
-            coeff = [Fraction(0)] * nx
-            rhs = b
-            for i, ai in enumerate(a):
-                for j in range(nx):
-                    coeff[j] += -ai * gmap.rows[i][j]
-                rhs += ai * gmap.shift[i]
-            if idx in imp:
-                weak_eqs.append((tuple(coeff), rhs))
-            else:
-                strict_rows.append((tuple(coeff), rhs))
-        for e, d in c_poly.eqs:
-            coeff = [Fraction(0)] * nx
-            rhs = d
-            for i, ei in enumerate(e):
-                for j in range(nx):
-                    coeff[j] += -ei * gmap.rows[i][j]
-                rhs += ei * gmap.shift[i]
-            weak_eqs.append((tuple(coeff), rhs))
-        strict = pg.Polyhedron(nx, tuple(strict_rows), ())
-        weak = pg.Polyhedron(nx, tuple(weak_rows), tuple(weak_eqs))
-        hit = pg.strictly_feasible_point(strict, weak)
+        strict = [row for i, row in enumerate(cone_rows.ineqs) if i not in imp]
+        tight = [row for i, row in enumerate(cone_rows.ineqs) if i in imp]
+        weak = pg.Polyhedron(cone_rows.n, ground.ineqs, ground.eqs + tuple(tight) + cone_rows.eqs)
+        hit = pg.strictly_feasible_point(pg.Polyhedron(cone_rows.n, tuple(strict), ()), weak)
         return _status_clause(text, HOLDS if hit is not None else FAILS, "relative-interior LP on the cone rows")
     flat = cone
     while isinstance(flat, (se.Neg, se.Translate, se.Scale)):

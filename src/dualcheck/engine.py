@@ -3,15 +3,23 @@
 Three instance families: the sum problem inf f + g (optionally with a
 linear operator, inf f + g∘A), the cone-constrained problem
 inf {f(x) : x in S, g(x) in -C}, and a raw bivariate perturbation
-function.  In the numeric regime every value is an exact LP; dual
-solutions can be recovered constructively by separating the origin from
-the projected shifted epigraph and rescaling the separator.  In the
-symbolic regime values come from declared certificates.
+function Phi.  In the numeric regime an instance becomes one
+:class:`NumericModel`, which lowers its functions once and states Phi as
+pieces over the blocks x, y and one epigraph variable per function.  All
+three families then share one code path, built from the pieces with
+``polyhedra.BlockRows``: the primal LP inf Phi(x, 0), the projected domain
+pr_y dom Phi, the projected shifted epigraph, and the dual objective at a
+point, one LP inf Phi(x, y) + <±y*, y>.  The dual-value LPs keep each
+family's own formulation.  Dual solutions can be recovered constructively
+by separating the origin from the projected shifted epigraph and
+rescaling the separator.  In the symbolic regime values come from
+declared certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import ClassVar, Optional, Sequence, Union
 
@@ -21,27 +29,24 @@ from . import setexpr as se
 from .errors import (
     ConeMembershipError,
     DegenerateSeparationError,
+    ImproperFunctionError,
     InconsistencyError,
     MalformedInputError,
     QriMembershipError,
     RegimeError,
     UndecidableValueError,
 )
-from .exactlp import EQ, LE, LinearProgram, Optimal, Row, Unbounded, dot, solve_lp
+from .exactlp import LE, LinearProgram, Optimal, Unbounded, dot, solve_lp
 from .funcexpr import (
     ExtReal,
     FunctionExpr,
     MINF,
     PINF,
-    PolyFunc,
     conjugate_polyfunc,
     er,
-    er_add,
-    er_neg,
     er_sub,
     lower,
     lower_set,
-    pf_value,
 )
 from .polyhedra import Notion, Polyhedron
 from .setexpr import FactStatus, Point, SetExpr, normalize
@@ -122,8 +127,13 @@ class DeclaredValues:
     cites: tuple[tuple[str, str], ...] = ()
 
 
+class _Flagged:
+    def flag(self, name: str) -> Optional[bool]:
+        return next((v for k, v in self.flags if k == name), None)
+
+
 @dataclass(frozen=True)
-class FenchelInstance:
+class FenchelInstance(_Flagged):
     instance_id: str
     space: SpaceTag
     f: FunctionExpr
@@ -136,19 +146,13 @@ class FenchelInstance:
     rc8_fact: Optional[SpecialFact] = None
     values: DeclaredValues = DeclaredValues()
 
-    def flag(self, name: str) -> Optional[bool]:
-        for k, v in self.flags:
-            if k == name:
-                return v
-        return None
-
     @property
     def yspace(self) -> SpaceTag:
         return self.gspace if self.gspace is not None else self.space
 
 
 @dataclass(frozen=True)
-class LagrangeInstance:
+class LagrangeInstance(_Flagged):
     instance_id: str
     xspace: SpaceTag
     zspace: SpaceTag
@@ -162,27 +166,15 @@ class LagrangeInstance:
     rc8_fact: Optional[SpecialFact] = None
     values: DeclaredValues = DeclaredValues()
 
-    def flag(self, name: str) -> Optional[bool]:
-        for k, v in self.flags:
-            if k == name:
-                return v
-        return None
-
 
 @dataclass(frozen=True)
-class PerturbationInstance:
+class PerturbationInstance(_Flagged):
     instance_id: str
     nx: int
     ny: int
     phi: FunctionExpr  # on R^{nx+ny}
     flags: tuple[tuple[str, bool], ...] = ()
     values: DeclaredValues = DeclaredValues()
-
-    def flag(self, name: str) -> Optional[bool]:
-        for k, v in self.flags:
-            if k == name:
-                return v
-        return None
 
 
 Instance = Union[FenchelInstance, LagrangeInstance, PerturbationInstance]
@@ -218,553 +210,262 @@ class ValueReport:
     gap_applicable: bool = True
 
 
-# -- numeric builders ------------------------------------------------------------
+# -- the numeric model ---------------------------------------------------------------
 
 
-def _rows_of(p: Polyhedron):
-    out = [Row(a, LE, b) for a, b in p.ineqs]
-    out += [Row(e, EQ, d) for e, d in p.eqs]
-    return out
+def _as_affine(gmap: GMap, nx: int, m: int) -> AffineMap:
+    """The constraint map as x -> Gx + h."""
+    if isinstance(gmap, AffineMap):
+        return gmap
+    unit = tuple(tuple(ONE if i == j else ZERO for j in range(nx)) for i in range(m))
+    if isinstance(gmap, IdentityMap):
+        return AffineMap(unit, (ZERO,) * m)
+    if isinstance(gmap, NegIdentityMap):
+        return AffineMap(tuple(tuple(-c for c in row) for row in unit), (ZERO,) * m)
+    if isinstance(gmap, ShiftMap) and isinstance(gmap.offset, se.VecPoint):
+        return AffineMap(unit, gmap.offset.coords)
+    raise RegimeError("constraint map has no affine realization")
 
 
-def _embed_row(coeffs, positions, total):
-    full = [ZERO] * total
-    for pos, c in zip(positions, coeffs):
-        full[pos] += c
-    return tuple(full)
+def _check_cone(c: Polyhedron) -> None:
+    """C must be a convex cone: it holds 0, and a row with b > 0 stays
+    at most 0 on C (a row with b = 0 already is a cone's row)."""
+    if not pg.contains(c, (ZERO,) * c.n):
+        raise MalformedInputError("the ordering set C does not contain the origin, so it is no cone")
+    for a, b in c.ineqs:
+        if b > 0:
+            out = pg.extremum(c, a, "max")
+            if not isinstance(out, Optimal) or out.value > 0:
+                raise MalformedInputError("the ordering set C is not a cone")
 
 
-def _amap_rows(instance: FenchelInstance) -> Optional[tuple]:
-    if instance.amap is None:
-        return None
-    return tuple(tuple(Fraction(c) for c in row) for row in instance.amap)
+class NumericModel:
+    """One numeric instance as its perturbation function Phi, lowered once.
 
+    Phi is a sum of pieces over the blocks x (nx), y (ny) and one epigraph
+    variable per function.  A piece is ``(p, slices, t, shift)``: the
+    polyhedron p pulled back along ``slices`` (see ``polyhedra.BlockRows``),
+    an epigraph whose last coordinate is the block ``t``, or a set when
+    ``t`` is None, whose argument is moved by ``shift``:
 
-def _fenchel_polyfuncs(instance: FenchelInstance) -> tuple[PolyFunc, PolyFunc]:
-    n = instance.space.dim
-    m = instance.yspace.dim
-    return lower(instance.f, n), lower(instance.g, m)
+    * the sum problem:        Phi(x, y) = f(x) + g(Ax - y);
+    * the cone-constrained:   Phi(x, y) = f(x) + delta_S(x) + delta_C(y - Gx - h);
+    * a perturbation function: Phi itself.
 
+    The dual objective at a dual point q is inf Phi(x, y) + pairing * <q, y>,
+    that is -Phi*(0, -pairing * q).  ``conjugated`` lists the functions
+    whose conjugates the dual value is built from, with their arguments in
+    the dual point y; a cone-constrained model has none and keeps C.
+    """
 
-def _lagrange_ground(instance: LagrangeInstance):
-    nx = instance.xspace.dim
-    m = instance.zspace.dim
-    pf_f = lower(instance.f, nx)
-    s_poly = lower_set(instance.sset, nx)
-    c_poly = lower_set(instance.cone, m)
-    if not isinstance(instance.gmap, AffineMap):
-        if isinstance(instance.gmap, IdentityMap):
-            gmap = AffineMap(
-                tuple(tuple(ONE if i == j else ZERO for j in range(nx)) for i in range(m)),
-                tuple(ZERO for _ in range(m)),
+    def __init__(self, instance: Instance):
+        if not is_numeric(instance):
+            raise RegimeError("the numeric model needs a finite-dimensional instance")
+        self.cone: Optional[Polyhedron] = None
+        self.gmap: Optional[AffineMap] = None
+        self.conjugated: tuple = ()
+        if isinstance(instance, FenchelInstance):
+            n, m = instance.space.dim, instance.yspace.dim
+            pf_f, pf_g = lower(instance.f, n), lower(instance.g, m)
+            amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
+            adjoint = -ONE if amap is ONE else tuple(tuple(-r[j] for r in amap) for j in range(n))
+            self.nx, self.ny, self.pairing = n, m, ONE
+            self.pieces = (
+                (pf_f.epi, ((n, {"x": ONE}),), "tf", None),
+                (pf_g.epi, ((m, {"x": amap, "y": -ONE}),), "tg", None),
             )
-        elif isinstance(instance.gmap, NegIdentityMap):
-            gmap = AffineMap(
-                tuple(tuple(-ONE if i == j else ZERO for j in range(nx)) for i in range(m)),
-                tuple(ZERO for _ in range(m)),
-            )
-        elif isinstance(instance.gmap, ShiftMap) and isinstance(instance.gmap.offset, se.VecPoint):
-            gmap = AffineMap(
-                tuple(tuple(ONE if i == j else ZERO for j in range(nx)) for i in range(m)),
-                instance.gmap.offset.coords,
+            self.conjugated = ((pf_f, ((n, {"y": adjoint}),)), (pf_g, ((m, {"y": ONE}),)))
+        elif isinstance(instance, LagrangeInstance):
+            nx, m = instance.xspace.dim, instance.zspace.dim
+            pf_f = lower(instance.f, nx)
+            s_poly = lower_set(instance.sset, nx)
+            self.cone = lower_set(instance.cone, m)
+            _check_cone(self.cone)
+            g = self.gmap = _as_affine(instance.gmap, nx, m)
+            minus_g = tuple(tuple(-c for c in row) for row in g.rows)
+            self.nx, self.ny, self.pairing = nx, m, ONE
+            self.pieces = (
+                (pf_f.epi, ((nx, {"x": ONE}),), "t", None),
+                (s_poly, ((nx, {"x": ONE}),), None, None),
+                (self.cone, ((m, {"y": ONE, "x": minus_g}),), None, tuple(-c for c in g.shift)),
             )
         else:
-            raise RegimeError("constraint map has no affine realization")
-    else:
-        gmap = instance.gmap
-    return pf_f, s_poly, c_poly, gmap
+            nx, ny = instance.nx, instance.ny
+            pf = lower(instance.phi, nx + ny)
+            self.nx, self.ny, self.pairing = nx, ny, -ONE
+            args = ((nx, {"x": ONE}), (ny, {"y": ONE}))
+            self.pieces = ((pf.epi, args, "t", None),)
+            self.conjugated = ((pf, args),)
+        self.epis = tuple((t, 1) for _, _, t, _ in self.pieces if t is not None)
+        self._domains: dict[int, Polyhedron] = {}
+
+    def domain(self, i: int) -> Polyhedron:
+        """The domain of piece i, over the piece's own coordinates."""
+        if i not in self._domains:
+            p, slices, t, _ = self.pieces[i]
+            self._domains[i] = pg.project(p, range(p.n - 1)) if t is not None else p
+        return self._domains[i]
+
+    def system(self, *blocks, pieces: Optional[Sequence[int]] = None, domains: bool = False) -> pg.BlockRows:
+        """The rows of Phi's pieces (their domains when asked) over blocks."""
+        b = pg.BlockRows(*blocks)
+        for i in range(len(self.pieces)) if pieces is None else pieces:
+            p, slices, t, shift = self.pieces[i]
+            if t is None:
+                b.pull(p, *slices, shift=shift)
+            elif domains:
+                b.pull(self.domain(i), *slices)
+            else:
+                b.pull(p, *slices, (1, {t: ONE}))
+        return b
+
+    def at_zero(self, *pieces: int) -> Polyhedron:
+        """The domains of the given pieces over x, at y = 0."""
+        return self.system(("x", self.nx), pieces=pieces, domains=True).polyhedron()
+
+    @cached_property
+    def primal(self) -> tuple[ExtReal, Optional[tuple]]:
+        """inf Phi(x, 0) and a minimizer."""
+        b = self.system(("x", self.nx), *self.epis)
+        obj = (ZERO,) * self.nx + (ONE,) * len(self.epis)
+        out = solve_lp(LinearProgram(b.n, obj, "min", b.lp_rows()))
+        if isinstance(out, Optimal):
+            return er(out.value), out.point[: self.nx]
+        return (MINF if isinstance(out, Unbounded) else PINF), None
+
+    @cached_property
+    def pr_dom(self) -> Polyhedron:
+        """dom Phi projected onto y."""
+        b = self.system(("y", self.ny), ("x", self.nx), domains=True)
+        return pg.project(b.polyhedron(), range(self.ny))
+
+    def shifted_epi(self, v: Fraction) -> Polyhedron:
+        """{(y, r) : Phi(x, y) - v <= r for some x}."""
+        b = self.system(("y", self.ny), ("r", 1), ("x", self.nx), *self.epis)
+        b.pull(pg.at_most(v), (1, {"r": -ONE, **{t: ONE for t, _ in self.epis}}))
+        return pg.project(b.polyhedron(), range(self.ny + 1))
+
+    def dual(self) -> tuple[ExtReal, Optional[tuple]]:
+        """The dual value and an optimal dual point."""
+        if self.cone is not None:
+            return self._cone_dual()
+        names = tuple(f"s{i}" for i in range(len(self.conjugated)))
+        b = pg.BlockRows(("y", self.ny), *((s, 1) for s in names))
+        for (pf, slices), s in zip(self.conjugated, names):
+            b.pull(conjugate_polyfunc(pf).epi, *slices, (1, {s: ONE}))
+        obj = (ZERO,) * self.ny + (-ONE,) * len(names)
+        return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), self.ny)
+
+    def _cone_dual(self) -> tuple[ExtReal, Optional[tuple]]:
+        """sup over z* in C* of the inner LP value, folded into one LP via the
+        inner problem's dual: multipliers y of the rows of epi f and S."""
+        nx, m, c = self.nx, self.ny, self.cone
+        inner = self.system(("x", nx), ("t", 1), pieces=(0, 1)).rows
+        g_t = tuple(tuple(-row[j] for row in self.gmap.rows) for j in range(nx))
+        cols = pg.columns(inner, nx + 1)
+        b = pg.BlockRows(("z", m), ("y", len(inner)), ("lam", len(c.ineqs)), ("mu", len(c.eqs)))
+        # the inner multipliers: y <= 0 on <=-rows (min sense), lam >= 0
+        sign = tuple((tuple(ONE if k == i else ZERO for k in range(len(inner))), ZERO)
+                     for i, (_, rel, _) in enumerate(inner) if rel == LE)
+        b.pull(Polyhedron(len(inner), sign, ()), (len(inner), {"y": ONE}))
+        b.pull(pg.orthant(len(c.ineqs)), (len(c.ineqs), {"lam": ONE}))
+        # sum_i y_i row_i = (G^T z, 1)
+        b.pull(pg.singleton((ZERO,) * nx + (ONE,)), (nx, {"y": cols[:nx], "z": g_t}), (1, {"y": cols[nx:]}))
+        # z in C*: z + A^T lam + E^T mu = 0 for the H-form C = {Au <= 0, Eu = 0}
+        dual_cone = {"z": ONE, "lam": pg.columns(c.ineqs, m), "mu": pg.columns(c.eqs, m)}
+        b.pull(pg.singleton((ZERO,) * m), (m, dual_cone))
+        obj = tuple(self.gmap.shift) + tuple(r for _, _, r in inner) + (ZERO,) * (len(c.ineqs) + len(c.eqs))
+        return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), m)
+
+    def dual_value(self, q: Sequence[Fraction]) -> ExtReal:
+        """The dual objective at q: one LP, inf Phi(x, y) + pairing * <q, y>."""
+        q = tuple(Fraction(c) for c in q)
+        if self.cone is not None and not _in_dual_cone(self.cone, q):
+            raise ConeMembershipError("multiplier outside the dual cone")
+        if any(fx.pf_falls_forever(pf) for pf, _ in self.conjugated):
+            raise ImproperFunctionError("conjugate of an improper polyhedral function")
+        b = self.system(("x", self.nx), ("y", self.ny), *self.epis)
+        obj = (ZERO,) * self.nx + tuple(self.pairing * c for c in q) + (ONE,) * len(self.epis)
+        out = solve_lp(LinearProgram(b.n, obj, "min", b.lp_rows()))
+        if isinstance(out, Optimal):
+            return er(out.value)
+        if isinstance(out, Unbounded):
+            return MINF
+        if self.conjugated:  # some epigraph is empty
+            raise ImproperFunctionError("conjugate of an improper polyhedral function")
+        return PINF
 
 
-def _feasible_rows_lagrange(pf_f, s_poly, c_poly, gmap, with_epi=True):
-    """Rows over (x, t) (or (x,) when with_epi is False) describing
-    dom-f/epigraph, S, and g(x) in -C."""
-    nx = s_poly.n
-    total = nx + (1 if with_epi else 0)
-    rows = []
-    if with_epi:
-        for a, b in pf_f.epi.ineqs:
-            rows.append(Row(a, LE, b))
-        for e, d in pf_f.epi.eqs:
-            rows.append(Row(e, EQ, d))
-        for a, b in s_poly.ineqs:
-            rows.append(Row(a + (ZERO,), LE, b))
-        for e, d in s_poly.eqs:
-            rows.append(Row(e + (ZERO,), EQ, d))
-    else:
-        for a, b in s_poly.ineqs:
-            rows.append(Row(a, LE, b))
-        for e, d in s_poly.eqs:
-            rows.append(Row(e, EQ, d))
-    # -(Gx + h) in C: apply every C row to -(Gx + h)
-    for a, b in c_poly.ineqs:
-        coeff = [ZERO] * total
-        rhs = b
-        for i, ai in enumerate(a):
-            for j in range(nx):
-                coeff[j] += -ai * gmap.rows[i][j]
-            rhs += ai * gmap.shift[i]
-        rows.append(Row(tuple(coeff), LE, rhs))
-    for e, d in c_poly.eqs:
-        coeff = [ZERO] * total
-        rhs = d
-        for i, ei in enumerate(e):
-            for j in range(nx):
-                coeff[j] += -ei * gmap.rows[i][j]
-            rhs += ei * gmap.shift[i]
-        rows.append(Row(tuple(coeff), EQ, rhs))
-    return rows
+def _sup(out, k: int) -> tuple[ExtReal, Optional[tuple]]:
+    if isinstance(out, Optimal):
+        return er(out.value), out.point[:k]
+    return (PINF if isinstance(out, Unbounded) else MINF), None
 
 
 # -- perturbation views ------------------------------------------------------------
 
 
-def _declared_vp(instance) -> tuple[Optional[ExtReal], Optional[bool]]:
-    return instance.values.vp, instance.values.vp_attained
-
-
-def to_perturbation(instance: Instance) -> PerturbationView:
-    if isinstance(instance, FenchelInstance):
-        return _fenchel_view(instance)
-    if isinstance(instance, LagrangeInstance):
-        return _lagrange_view(instance)
-    return _phi_view(instance)
-
-
-def _fenchel_view(instance: FenchelInstance) -> PerturbationView:
+def to_perturbation(instance: Instance, model: Optional[NumericModel] = None) -> PerturbationView:
     if is_numeric(instance):
-        pf_f, pf_g = _fenchel_polyfuncs(instance)
-        dom_f = fx.pf_domain(pf_f)
-        dom_g = fx.pf_domain(pf_g)
-        amap = _amap_rows(instance)
-        if amap is None:
-            pr_poly = pg.minkowski_sum(dom_f, pg.neg(dom_g))
-        else:
-            m, n = len(amap), instance.space.dim
-            total = m + n + m
-            rows = []
-            for a, b in dom_f.ineqs:
-                rows.append((_embed_row(a, range(m, m + n), total), b))
-            for a, b in dom_g.ineqs:
-                rows.append((_embed_row(a, range(m + n, total), total), b))
-            eqs = []
-            for e, d in dom_f.eqs:
-                eqs.append((_embed_row(e, range(m, m + n), total), d))
-            for e, d in dom_g.eqs:
-                eqs.append((_embed_row(e, range(m + n, total), total), d))
-            for i in range(m):
-                coeff = [ZERO] * total
-                coeff[i] = ONE
-                coeff[m + n + i] = ONE  # z = Ax - y
-                for j in range(n):
-                    coeff[m + j] = -amap[i][j]
-                eqs.append((tuple(coeff), ZERO))
-            pr_poly = pg.project(pg.poly(total, rows, eqs), range(m))
-        vp, x_opt = solve_primal(instance)
-        attained = x_opt is not None
-        epi_poly = None
-        if vp is not None and vp.is_finite():
-            epi_poly = _fenchel_epi_diff_poly(instance, vp.value)
+        model = model or NumericModel(instance)
+        vp, x_opt = model.primal
+        epi = model.shifted_epi(vp.value) if vp.is_finite() else None
         return PerturbationView(
-            pr_dom=se.PolyAtom(pr_poly),
-            pr_dom_poly=pr_poly,
-            epi_pr=se.PolyAtom(epi_poly) if epi_poly is not None else None,
-            epi_pr_poly=epi_poly,
-            vp=vp,
-            vp_attained=attained,
-        )
-    dom_f = fx.domain(instance.f, instance.space)
-    dom_g = fx.domain(instance.g, instance.space)
-    pr_dom = normalize(se.MinkSum((dom_f, se.Neg(dom_g))))
-    vp, vp_att = _declared_vp(instance)
-    epi = None
-    if vp is not None and vp.is_finite():
-        epi = fx.epi_diff_set(instance.f, instance.g, vp.value, instance.space).realized
-    return PerturbationView(
-        pr_dom=pr_dom,
-        pr_dom_poly=None,
-        epi_pr=epi,
-        epi_pr_poly=None,
-        vp=vp,
-        vp_attained=vp_att,
-    )
-
-
-def _fenchel_epi_diff_poly(instance: FenchelInstance, v: Fraction) -> Polyhedron:
-    pf_f, pf_g = _fenchel_polyfuncs(instance)
-    amap = _amap_rows(instance)
-    if amap is None:
-        return fx.epi_diff_poly(pf_f, pf_g, v)
-    n = instance.space.dim
-    m = instance.yspace.dim
-    # coordinates: w (m), r, x (n), y (m), tf, tg
-    total = m + 1 + n + m + 2
-    W, R, X, Y, TF, TG = 0, m, m + 1, m + 1 + n, m + 1 + n + m, m + 1 + n + m + 1
-    rows = []
-    eqs = []
-    for a, b in pf_f.epi.ineqs:
-        coeff = [ZERO] * total
-        for j in range(n):
-            coeff[X + j] = a[j]
-        coeff[TF] = a[n]
-        rows.append((tuple(coeff), b))
-    for e, d in pf_f.epi.eqs:
-        coeff = [ZERO] * total
-        for j in range(n):
-            coeff[X + j] = e[j]
-        coeff[TF] = e[n]
-        eqs.append((tuple(coeff), d))
-    for a, b in pf_g.epi.ineqs:
-        coeff = [ZERO] * total
-        for j in range(m):
-            coeff[Y + j] = a[j]
-        coeff[TG] = a[m]
-        rows.append((tuple(coeff), b))
-    for e, d in pf_g.epi.eqs:
-        coeff = [ZERO] * total
-        for j in range(m):
-            coeff[Y + j] = e[j]
-        coeff[TG] = e[m]
-        eqs.append((tuple(coeff), d))
-    for i in range(m):  # w = Ax - y
-        coeff = [ZERO] * total
-        coeff[W + i] = ONE
-        coeff[Y + i] = ONE
-        for j in range(n):
-            coeff[X + j] = -amap[i][j]
-        eqs.append((tuple(coeff), ZERO))
-    coeff = [ZERO] * total  # eps >= 0
-    coeff[R] = -ONE
-    coeff[TF] = ONE
-    coeff[TG] = ONE
-    rows.append((tuple(coeff), v))
-    return pg.project(pg.poly(total, rows, eqs), range(m + 1))
-
-
-def _lagrange_view(instance: LagrangeInstance) -> PerturbationView:
-    if is_numeric(instance):
-        pf_f, s_poly, c_poly, gmap = _lagrange_ground(instance)
-        nx, m = instance.xspace.dim, instance.zspace.dim
-        dom_f = fx.pf_domain(pf_f)
-        ground = pg.intersect(dom_f, s_poly)
-        # z = Gx + h + u, x in dom f cap S, u in C
-        total = m + nx + m
-        rows = [(_embed_row(a, range(m, m + nx), total), b) for a, b in ground.ineqs]
-        rows += [(_embed_row(a, range(m + nx, total), total), b) for a, b in c_poly.ineqs]
-        eqs = [(_embed_row(e, range(m, m + nx), total), d) for e, d in ground.eqs]
-        eqs += [(_embed_row(e, range(m + nx, total), total), d) for e, d in c_poly.eqs]
-        for i in range(m):
-            coeff = [ZERO] * total
-            coeff[i] = ONE
-            coeff[m + nx + i] = -ONE
-            for j in range(nx):
-                coeff[m + j] = -gmap.rows[i][j]
-            eqs.append((tuple(coeff), gmap.shift[i]))
-        pr_poly = pg.project(pg.poly(total, rows, eqs), range(m))
-        vp, x_opt = solve_primal(instance)
-        epi_poly = None
-        if vp is not None and vp.is_finite():
-            epi_poly = _lagrange_conic_extension_poly(instance, vp.value)
-        return PerturbationView(
-            pr_dom=se.PolyAtom(pr_poly),
-            pr_dom_poly=pr_poly,
-            epi_pr=se.PolyAtom(epi_poly) if epi_poly is not None else None,
-            epi_pr_poly=epi_poly,
+            pr_dom=se.PolyAtom(model.pr_dom),
+            pr_dom_poly=model.pr_dom,
+            epi_pr=se.PolyAtom(epi) if epi is not None else None,
+            epi_pr_poly=epi,
             vp=vp,
             vp_attained=x_opt is not None,
         )
-    dom_f = fx.domain(instance.f, instance.xspace)
-    ground = normalize(se.Intersect(dom_f, instance.sset))
-    image = se.ImageSet(instance.gmap, ground, instance.zspace)
-    pr_dom = normalize(se.MinkSum((image, instance.cone)))
-    vp, vp_att = _declared_vp(instance)
+    vp = instance.values.vp
     epi = None
-    if vp is not None and vp.is_finite():
-        epi = se.ConicExtension(
-            instance.f, ground, instance.gmap, instance.cone, vp.value, instance.zspace
-        )
+    if isinstance(instance, FenchelInstance):
+        dom_f = fx.domain(instance.f, instance.space)
+        dom_g = fx.domain(instance.g, instance.space)
+        pr_dom = normalize(se.MinkSum((dom_f, se.Neg(dom_g))))
+        if vp is not None and vp.is_finite():
+            epi = fx.epi_diff_set(instance.f, instance.g, vp.value, instance.space).realized
+    else:
+        dom_f = fx.domain(instance.f, instance.xspace)
+        ground = normalize(se.Intersect(dom_f, instance.sset))
+        image = se.ImageSet(instance.gmap, ground, instance.zspace)
+        pr_dom = normalize(se.MinkSum((image, instance.cone)))
+        if vp is not None and vp.is_finite():
+            epi = se.ConicExtension(
+                instance.f, ground, instance.gmap, instance.cone, vp.value, instance.zspace
+            )
     return PerturbationView(
         pr_dom=pr_dom,
         pr_dom_poly=None,
         epi_pr=epi,
         epi_pr_poly=None,
         vp=vp,
-        vp_attained=vp_att,
-    )
-
-
-def _lagrange_conic_extension_poly(instance: LagrangeInstance, v: Fraction) -> Polyhedron:
-    pf_f, s_poly, c_poly, gmap = _lagrange_ground(instance)
-    nx, m = instance.xspace.dim, instance.zspace.dim
-    # coordinates: w (m), r, x (nx), t, u (m): w = Gx + h + u, r >= t - v
-    total = m + 1 + nx + 1 + m
-    W, R, X, T, U = 0, m, m + 1, m + 1 + nx, m + 2 + nx
-    rows = []
-    eqs = []
-    for a, b in pf_f.epi.ineqs:
-        coeff = [ZERO] * total
-        for j in range(nx):
-            coeff[X + j] = a[j]
-        coeff[T] = a[nx]
-        rows.append((tuple(coeff), b))
-    for e, d in pf_f.epi.eqs:
-        coeff = [ZERO] * total
-        for j in range(nx):
-            coeff[X + j] = e[j]
-        coeff[T] = e[nx]
-        eqs.append((tuple(coeff), d))
-    for a, b in s_poly.ineqs:
-        rows.append((_embed_row(a, range(X, X + nx), total), b))
-    for e, d in s_poly.eqs:
-        eqs.append((_embed_row(e, range(X, X + nx), total), d))
-    for a, b in c_poly.ineqs:
-        rows.append((_embed_row(a, range(U, U + m), total), b))
-    for e, d in c_poly.eqs:
-        eqs.append((_embed_row(e, range(U, U + m), total), d))
-    for i in range(m):
-        coeff = [ZERO] * total
-        coeff[W + i] = ONE
-        coeff[U + i] = -ONE
-        for j in range(nx):
-            coeff[X + j] = -gmap.rows[i][j]
-        eqs.append((tuple(coeff), gmap.shift[i]))
-    coeff = [ZERO] * total  # r >= t - v
-    coeff[R] = -ONE
-    coeff[T] = ONE
-    rows.append((tuple(coeff), v))
-    return pg.project(pg.poly(total, rows, eqs), range(m + 1))
-
-
-def _phi_view(instance: PerturbationInstance) -> PerturbationView:
-    nx, ny = instance.nx, instance.ny
-    pf = lower(instance.phi, nx + ny)
-    dom = fx.pf_domain(pf)
-    pr_poly = pg.project(dom, range(nx, nx + ny))
-    vp, x_opt = solve_primal(instance)
-    epi_poly = None
-    if vp is not None and vp.is_finite():
-        shifted = pg.translate(pf.epi, tuple(ZERO for _ in range(nx + ny)) + (-vp.value,))
-        epi_poly = pg.project(shifted, range(nx, nx + ny + 1))
-    return PerturbationView(
-        pr_dom=se.PolyAtom(pr_poly),
-        pr_dom_poly=pr_poly,
-        epi_pr=se.PolyAtom(epi_poly) if epi_poly is not None else None,
-        epi_pr_poly=epi_poly,
-        vp=vp,
-        vp_attained=x_opt is not None,
+        vp_attained=instance.values.vp_attained,
     )
 
 
 # -- solving ------------------------------------------------------------------------
 
 
-def solve_primal(instance: Instance) -> tuple[ExtReal, Optional[object]]:
-    if not is_numeric(instance):
-        vp = instance.values.vp
-        if vp is None:
-            raise UndecidableValueError("no declared primal value for a symbolic instance")
-        sol = instance.values.vp_solution or None
-        return vp, (sol if instance.values.vp_attained else None)
-    if isinstance(instance, FenchelInstance):
-        pf_f, pf_g = _fenchel_polyfuncs(instance)
-        amap = _amap_rows(instance)
-        n = instance.space.dim
-        m = instance.yspace.dim
-        total = n + 2  # x, tf, tg
-        rows = []
-        for a, b in pf_f.epi.ineqs:
-            rows.append(Row(a[:n] + (a[n], ZERO), LE, b))
-        for e, d in pf_f.epi.eqs:
-            rows.append(Row(e[:n] + (e[n], ZERO), EQ, d))
-        for a, b in pf_g.epi.ineqs:
-            if amap is None:
-                coeff = list(a[:m])
-            else:
-                coeff = [ZERO] * n
-                for i in range(m):
-                    for j in range(n):
-                        coeff[j] += a[i] * amap[i][j]
-            rows.append(Row(tuple(coeff) + (ZERO, a[m]), LE, b))
-        for e, d in pf_g.epi.eqs:
-            if amap is None:
-                coeff = list(e[:m])
-            else:
-                coeff = [ZERO] * n
-                for i in range(m):
-                    for j in range(n):
-                        coeff[j] += e[i] * amap[i][j]
-            rows.append(Row(tuple(coeff) + (ZERO, e[m]), EQ, d))
-        obj = tuple(ZERO for _ in range(n)) + (ONE, ONE)
-        out = solve_lp(LinearProgram(total, obj, "min", tuple(rows)))
-        if isinstance(out, Optimal):
-            return er(out.value), out.point[:n]
-        if isinstance(out, Unbounded):
-            return MINF, None
-        return PINF, None
-    if isinstance(instance, LagrangeInstance):
-        pf_f, s_poly, c_poly, gmap = _lagrange_ground(instance)
-        nx = instance.xspace.dim
-        rows = _feasible_rows_lagrange(pf_f, s_poly, c_poly, gmap, with_epi=True)
-        obj = tuple(ZERO for _ in range(nx)) + (ONE,)
-        out = solve_lp(LinearProgram(nx + 1, obj, "min", tuple(rows)))
-        if isinstance(out, Optimal):
-            return er(out.value), out.point[:nx]
-        if isinstance(out, Unbounded):
-            return MINF, None
-        return PINF, None
-    pf = lower(instance.phi, instance.nx + instance.ny)
-    nx, ny = instance.nx, instance.ny
-    rows = []
-    for a, b in pf.epi.ineqs:
-        rows.append(Row(a[:nx] + (a[nx + ny],), LE, b))  # y fixed to 0
-        # y-part contributes nothing at y = 0
-    for e, d in pf.epi.eqs:
-        rows.append(Row(e[:nx] + (e[nx + ny],), EQ, d))
-    obj = tuple(ZERO for _ in range(nx)) + (ONE,)
-    out = solve_lp(LinearProgram(nx + 1, obj, "min", tuple(rows)))
-    if isinstance(out, Optimal):
-        return er(out.value), out.point[:nx]
-    if isinstance(out, Unbounded):
-        return MINF, None
-    return PINF, None
+def solve_primal(instance: Instance, model: Optional[NumericModel] = None) -> tuple[ExtReal, object]:
+    if is_numeric(instance):
+        return (model or NumericModel(instance)).primal
+    vp = instance.values.vp
+    if vp is None:
+        raise UndecidableValueError("no declared primal value for a symbolic instance")
+    sol = instance.values.vp_solution or None
+    return vp, (sol if instance.values.vp_attained else None)
 
 
-def solve_dual(instance: Instance) -> tuple[ExtReal, Optional[object]]:
-    if not is_numeric(instance):
-        vd = instance.values.vd
-        if vd is None:
-            raise UndecidableValueError("no declared dual value for a symbolic instance")
-        sol = instance.values.vd_solution or None
-        return vd, (sol if instance.values.vd_attained else None)
-    if isinstance(instance, FenchelInstance):
-        pf_f, pf_g = _fenchel_polyfuncs(instance)
-        star_f = conjugate_polyfunc(pf_f)
-        star_g = conjugate_polyfunc(pf_g)
-        amap = _amap_rows(instance)
-        n = instance.space.dim
-        m = instance.yspace.dim
-        total = m + 2  # y, s1, s2
-        rows = []
-        for a, b in star_f.epi.ineqs:  # at (-A* y, s1)
-            coeff = [ZERO] * total
-            for j in range(n):
-                if amap is None:
-                    coeff[j] += -a[j]
-                else:
-                    for i in range(m):
-                        coeff[i] += -a[j] * amap[i][j]
-            coeff[m] = a[n]
-            rows.append(Row(tuple(coeff), LE, b))
-        for e, d in star_f.epi.eqs:
-            coeff = [ZERO] * total
-            for j in range(n):
-                if amap is None:
-                    coeff[j] += -e[j]
-                else:
-                    for i in range(m):
-                        coeff[i] += -e[j] * amap[i][j]
-            coeff[m] = e[n]
-            rows.append(Row(tuple(coeff), EQ, d))
-        for a, b in star_g.epi.ineqs:  # at (y, s2)
-            rows.append(Row(a[:m] + (ZERO, a[m]), LE, b))
-        for e, d in star_g.epi.eqs:
-            rows.append(Row(e[:m] + (ZERO, e[m]), EQ, d))
-        obj = tuple(ZERO for _ in range(m)) + (-ONE, -ONE)
-        out = solve_lp(LinearProgram(total, obj, "max", tuple(rows)))
-        if isinstance(out, Optimal):
-            return er(out.value), out.point[:m]
-        if isinstance(out, Unbounded):
-            return PINF, None
-        return MINF, None
-    if isinstance(instance, LagrangeInstance):
-        return _solve_dual_lagrange(instance)
-    # perturbation: sup_y -Phi*(0, y*)
-    pf = lower(instance.phi, instance.nx + instance.ny)
-    star = conjugate_polyfunc(pf)
-    nx, ny = instance.nx, instance.ny
-    total = ny + 1  # y, s
-    rows = []
-    for a, b in star.epi.ineqs:  # at (0, y, s)
-        rows.append(Row(a[nx : nx + ny] + (a[nx + ny],), LE, b))
-    for e, d in star.epi.eqs:
-        rows.append(Row(e[nx : nx + ny] + (e[nx + ny],), EQ, d))
-    obj = tuple(ZERO for _ in range(ny)) + (-ONE,)
-    out = solve_lp(LinearProgram(total, obj, "max", tuple(rows)))
-    if isinstance(out, Optimal):
-        return er(out.value), out.point[:ny]
-    if isinstance(out, Unbounded):
-        return PINF, None
-    return MINF, None
-
-
-def _solve_dual_lagrange(instance: LagrangeInstance) -> tuple[ExtReal, Optional[object]]:
-    """sup over z* in C* of the inner LP value, folded into one LP via the
-    inner problem's dual."""
-    pf_f, s_poly, c_poly, gmap = _lagrange_ground(instance)
-    nx, m = instance.xspace.dim, instance.zspace.dim
-    inner_rows = []
-    for a, b in pf_f.epi.ineqs:
-        inner_rows.append((a, LE, b))
-    for e, d in pf_f.epi.eqs:
-        inner_rows.append((e, EQ, d))
-    for a, b in s_poly.ineqs:
-        inner_rows.append((a + (ZERO,), LE, b))
-    for e, d in s_poly.eqs:
-        inner_rows.append((e + (ZERO,), EQ, d))
-    k = len(inner_rows)
-    # variables: z (m), y (k), lam (#C-ineqs), mu (#C-eqs); z = -A^T lam - E^T mu in C*
-    kc, lc = len(c_poly.ineqs), len(c_poly.eqs)
-    total = m + k + kc + lc
-    rows = []
-    eqs = []
-    # sum_i y_i row_i = (G^T z, 1)
-    for j in range(nx):
-        coeff = [ZERO] * total
-        for i, (a, _, _) in enumerate(inner_rows):
-            coeff[m + i] = a[j]
-        for zi in range(m):
-            coeff[zi] -= gmap.rows[zi][j]
-        eqs.append((tuple(coeff), ZERO))
-    coeff = [ZERO] * total
-    for i, (a, _, _) in enumerate(inner_rows):
-        coeff[m + i] = a[nx]
-    eqs.append((tuple(coeff), ONE))
-    # sign conditions on the inner multipliers (min sense: y <= 0 on <=-rows)
-    for i, (_, rel, _) in enumerate(inner_rows):
-        if rel == LE:
-            coeff = [ZERO] * total
-            coeff[m + i] = ONE
-            rows.append((tuple(coeff), ZERO))
-    # z in C* via the polar representation of the H-form cone
-    for zi in range(m):
-        coeff = [ZERO] * total
-        coeff[zi] = ONE
-        for i, (a, _) in enumerate(c_poly.ineqs):
-            coeff[m + k + i] += a[zi]
-        for j, (e, _) in enumerate(c_poly.eqs):
-            coeff[m + k + kc + j] += e[zi]
-        eqs.append((tuple(coeff), ZERO))  # z + A^T lam + E^T mu = 0
-    for i in range(kc):
-        coeff = [ZERO] * total
-        coeff[m + k + i] = -ONE
-        rows.append((tuple(coeff), ZERO))  # lam >= 0
-    # objective: y.b + z.h
-    obj = [ZERO] * total
-    for i, (_, _, b) in enumerate(inner_rows):
-        obj[m + i] = b
-    for zi in range(m):
-        obj[zi] = gmap.shift[zi]
-    prog = LinearProgram(
-        total,
-        tuple(obj),
-        "max",
-        tuple(Row(a, LE, b) for a, b in rows) + tuple(Row(e, EQ, d) for e, d in eqs),
-    )
-    out = solve_lp(prog)
-    if isinstance(out, Optimal):
-        return er(out.value), out.point[:m]
-    if isinstance(out, Unbounded):
-        return PINF, None
-    return MINF, None
+def solve_dual(instance: Instance, model: Optional[NumericModel] = None) -> tuple[ExtReal, object]:
+    if is_numeric(instance):
+        return (model or NumericModel(instance)).dual()
+    vd = instance.values.vd
+    if vd is None:
+        raise UndecidableValueError("no declared dual value for a symbolic instance")
+    sol = instance.values.vd_solution or None
+    return vd, (sol if instance.values.vd_attained else None)
 
 
 # -- separation-based dual recovery ---------------------------------------------
@@ -772,31 +473,12 @@ def _solve_dual_lagrange(instance: LagrangeInstance) -> tuple[ExtReal, Optional[
 
 def _polar_of_hull(e_poly: Polyhedron) -> Polyhedron:
     """{u : <u, p> <= 0 for every p in E}, via LP-dual multipliers."""
-    d = e_poly.n
-    G, E = e_poly.ineqs, e_poly.eqs
-    k, l = len(G), len(E)
-    total = d + k + l
-    eqs = []
-    for coord in range(d):
-        coeff = [ZERO] * total
-        coeff[coord] = -ONE
-        for i, (a, _) in enumerate(G):
-            coeff[d + i] = a[coord]
-        for j, (e, _) in enumerate(E):
-            coeff[d + k + j] = e[coord]
-        eqs.append((tuple(coeff), ZERO))
-    rows = []
-    coeff = [ZERO] * total
-    for i, (_, b) in enumerate(G):
-        coeff[d + i] = b
-    for j, (_, dd) in enumerate(E):
-        coeff[d + k + j] = dd
-    rows.append((tuple(coeff), ZERO))  # lam.h + mu.d <= 0
-    for i in range(k):
-        coeff = [ZERO] * total
-        coeff[d + i] = -ONE
-        rows.append((tuple(coeff), ZERO))
-    return pg.project(pg.poly(total, rows, eqs), range(d))
+    d, G, E = e_poly.n, e_poly.ineqs, e_poly.eqs
+    b = pg.BlockRows(("u", d), ("lam", len(G)), ("mu", len(E)))
+    b.pull(pg.singleton((ZERO,) * d), (d, {"u": -ONE, "lam": pg.columns(G, d), "mu": pg.columns(E, d)}))
+    b.pull(pg.at_most(0), (1, {"lam": (tuple(h for _, h in G),), "mu": (tuple(h for _, h in E),)}))
+    b.pull(pg.orthant(len(G)), (len(G), {"lam": ONE}))
+    return pg.project(b.polyhedron(), range(d))
 
 
 def recover_dual_via_separation(instance: Instance, vp) -> tuple:
@@ -805,108 +487,38 @@ def recover_dual_via_separation(instance: Instance, vp) -> tuple:
     vp = Fraction(vp)
     if not is_numeric(instance):
         raise RegimeError("separation recovery runs in the numeric regime")
-    if isinstance(instance, FenchelInstance):
-        e_poly = _fenchel_epi_diff_poly(instance, vp)
-    elif isinstance(instance, LagrangeInstance):
-        e_poly = _lagrange_conic_extension_poly(instance, vp)
-    else:
-        view = _phi_view(instance)
-        e_poly = view.epi_pr_poly
-        if e_poly is None:
-            raise UndecidableValueError("no finite primal value to shift by")
+    model = NumericModel(instance)
+    e_poly = model.shifted_epi(vp)
     d = e_poly.n
     polar = _polar_of_hull(e_poly)
-    box = [(tuple(ONE if j == i else ZERO for j in range(d)), ONE) for i in range(d)]
-    box += [(tuple(-ONE if j == i else ZERO for j in range(d)), ONE) for i in range(d)]
+    eye = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)]
+    box = [(e, ONE) for e in eye] + [(tuple(-c for c in e), ONE) for e in eye]
     boxed = pg.poly(d, tuple(polar.ineqs) + tuple(box), polar.eqs)
-    obj = tuple(ZERO for _ in range(d - 1)) + (-ONE,)
-    out = pg.extremum(boxed, obj, "max")
+    out = pg.extremum(boxed, tuple(-c for c in eye[-1]), "max")
     assert isinstance(out, Optimal)
     if out.value > 0:
         sep = out.point
         r_star = sep[d - 1]
-        # the perturbation dual optimizer is -y*/r*; the sum and
-        # cone-constrained conventions flip the variable once more
-        if isinstance(instance, PerturbationInstance):
-            dual = tuple(-c / r_star for c in sep[: d - 1])
-        else:
-            dual = tuple(c / r_star for c in sep[: d - 1])
-        _verify_recovered(instance, vp, dual)
+        # the perturbation dual optimizer is -y*/r*; the family's dual point
+        # is that times -pairing
+        dual = tuple(model.pairing * c / r_star for c in sep[: d - 1])
+        val = model.dual_value(dual)
+        if val != er(vp):
+            raise InconsistencyError(f"recovered dual point misses the primal value: {val} != {vp}")
         return dual
     # no separator with negative last component; classify the failure
+    flat = pg.poly(d, boxed.ineqs, boxed.eqs + ((eye[-1], ZERO),))
     for i in range(d - 1):
         for sense in ("max", "min"):
-            o = tuple(ONE if j == i else ZERO for j in range(d))
-            probe = pg.extremum(
-                pg.poly(d, boxed.ineqs, boxed.eqs + ((tuple(ZERO for _ in range(d - 1)) + (ONE,), ZERO),)),
-                o,
-                sense,
-            )
+            probe = pg.extremum(flat, eye[i], sense)
             if isinstance(probe, Optimal) and probe.value != 0:
-                raise DegenerateSeparationError(
-                    "only separators with vanishing value component exist"
-                )
+                raise DegenerateSeparationError("only separators with vanishing value component exist")
     raise QriMembershipError("the origin admits no nonzero separator")
-
-
-def _verify_recovered(instance, vp: Fraction, dual: tuple):
-    val = dual_objective_value(instance, dual)
-    if val != er(vp):
-        raise InconsistencyError(
-            f"recovered dual point misses the primal value: {val} != {vp}"
-        )
 
 
 def dual_objective_value(instance: Instance, point: Sequence[Fraction]) -> ExtReal:
     """Exact dual objective at a concrete dual point."""
-    point = tuple(Fraction(c) for c in point)
-    if isinstance(instance, FenchelInstance):
-        pf_f, pf_g = _fenchel_polyfuncs(instance)
-        star_f = conjugate_polyfunc(pf_f)
-        star_g = conjugate_polyfunc(pf_g)
-        amap = _amap_rows(instance)
-        if amap is None:
-            minus_arg = tuple(-c for c in point)
-        else:
-            n = instance.space.dim
-            minus_arg = tuple(
-                -sum(amap[i][j] * point[i] for i in range(len(amap))) for j in range(n)
-            )
-        a = pf_value(star_f, minus_arg)
-        b = pf_value(star_g, point)
-        return er_neg(er_add(a, b))
-    if isinstance(instance, LagrangeInstance):
-        pf_f, s_poly, c_poly, gmap = _lagrange_ground(instance)
-        if not _in_dual_cone(c_poly, point):
-            raise ConeMembershipError("multiplier outside the dual cone")
-        nx = instance.xspace.dim
-        rows = []
-        for a, b in pf_f.epi.ineqs:
-            rows.append(Row(a, LE, b))
-        for e, d in pf_f.epi.eqs:
-            rows.append(Row(e, EQ, d))
-        for a, b in s_poly.ineqs:
-            rows.append(Row(a + (ZERO,), LE, b))
-        for e, d in s_poly.eqs:
-            rows.append(Row(e + (ZERO,), EQ, d))
-        lin = [ZERO] * nx
-        const = ZERO
-        for i in range(len(point)):
-            for j in range(nx):
-                lin[j] += point[i] * gmap.rows[i][j]
-            const += point[i] * gmap.shift[i]
-        obj = tuple(lin) + (ONE,)
-        out = solve_lp(LinearProgram(nx + 1, obj, "min", tuple(rows)))
-        if isinstance(out, Optimal):
-            return er(out.value + const)
-        if isinstance(out, Unbounded):
-            return MINF
-        return PINF
-    # perturbation family: -Phi*(0, y*)
-    pf = lower(instance.phi, instance.nx + instance.ny)
-    star = conjugate_polyfunc(pf)
-    arg = tuple(ZERO for _ in range(instance.nx)) + point
-    return er_neg(pf_value(star, arg))
+    return NumericModel(instance).dual_value(point)
 
 
 def _in_dual_cone(c_poly: Polyhedron, z: Sequence[Fraction]) -> bool:
@@ -925,12 +537,7 @@ def scalarize(z_star, gmap: GMap, cone: SetExpr) -> FunctionExpr:
         c_poly = lower_set(cone, len(z))
         if not _in_dual_cone(c_poly, z):
             raise ConeMembershipError("multiplier outside the dual cone")
-        n = len(gmap.rows[0]) if gmap.rows else 0
-        lin = tuple(
-            sum(z[i] * gmap.rows[i][j] for i in range(len(z))) for j in range(n)
-        )
-        const = sum((z[i] * gmap.shift[i] for i in range(len(z))), ZERO)
-        return fx.Affine(lin, const)
+        return fx.Affine(tuple(dot(z, col) for col in zip(*gmap.rows)), dot(z, gmap.shift))
     if isinstance(z_star, se.SymPoint):
         if "not_in_space" in z_star.attrs:
             raise ConeMembershipError(
@@ -949,13 +556,15 @@ def scalarize(z_star, gmap: GMap, cone: SetExpr) -> FunctionExpr:
 # -- report assembly ----------------------------------------------------------------
 
 
-def value_report(instance: Instance) -> ValueReport:
+def value_report(instance: Instance, model: Optional[NumericModel] = None) -> ValueReport:
+    if model is None and is_numeric(instance):
+        model = NumericModel(instance)
     try:
-        vp, xsol = solve_primal(instance)
+        vp, xsol = solve_primal(instance, model)
     except UndecidableValueError:
         vp, xsol = None, None
     try:
-        vd, ysol = solve_dual(instance)
+        vd, ysol = solve_dual(instance, model)
     except UndecidableValueError:
         vd, ysol = None, None
     gap = None

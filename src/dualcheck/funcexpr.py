@@ -94,16 +94,6 @@ def er_sub(a: ExtReal, b: ExtReal) -> ExtReal:
     return er_add(a, er_neg(b))
 
 
-def er_scale(lam: Fraction, a: ExtReal) -> ExtReal:
-    if lam == 0:
-        return PINF if a.kind == "pinf" else ExtReal("num", ZERO)
-    if a.kind == "num":
-        return ExtReal("num", lam * a.value)
-    if lam > 0:
-        return a
-    return er_neg(a)
-
-
 def er_le(a: ExtReal, b: ExtReal) -> bool:
     order = {"minf": 0, "num": 1, "pinf": 2}
     if a.kind == "num" and b.kind == "num":
@@ -548,19 +538,10 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
         fa = lower(f.a, n)
         fb = lower(f.b, n)
         # (x, t, u): (x, u) in epi a, (x, t - u) in epi b; drop u
-        total = n + 2
-        rows = []
-        for a, b in fa.epi.ineqs:
-            rows.append((a[:n] + (ZERO, a[n]), b))
-        for a, b in fb.epi.ineqs:
-            rows.append((a[:n] + (a[n], -a[n]), b))
-        eqs = []
-        for e, d in fa.epi.eqs:
-            eqs.append((e[:n] + (ZERO, e[n]), d))
-        for e, d in fb.epi.eqs:
-            eqs.append((e[:n] + (e[n], -e[n]), d))
-        big = pg.poly(total, rows, eqs)
-        return PolyFunc(n, pg.project(big, range(n + 1)))
+        big = pg.BlockRows(("x", n), ("t", 1), ("u", 1))
+        big.pull(fa.epi, (n, {"x": 1}), (1, {"u": 1}))
+        big.pull(fb.epi, (n, {"x": 1}), (1, {"t": 1, "u": -1}))
+        return PolyFunc(n, pg.project(big.polyhedron(), range(n + 1)))
     if isinstance(f, InfConv):
         fa = lower(f.a, n)
         fb = lower(f.b, n)
@@ -578,21 +559,9 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
     if isinstance(f, PrecomposeLinear):
         m = len(f.matrix)  # map R^n -> R^m, inner function on R^m
         base = lower(f.f, m)
-        rows = []
-        for a, b in base.epi.ineqs:
-            coeff = [ZERO] * n
-            for i in range(m):
-                for j in range(n):
-                    coeff[j] += a[i] * Fraction(f.matrix[i][j])
-            rows.append((tuple(coeff) + (a[m],), b))
-        eqs = []
-        for e, d in base.epi.eqs:
-            coeff = [ZERO] * n
-            for i in range(m):
-                for j in range(n):
-                    coeff[j] += e[i] * Fraction(f.matrix[i][j])
-            eqs.append((tuple(coeff) + (e[m],), d))
-        return PolyFunc(n, pg.poly(n + 1, rows, eqs))
+        matrix = tuple(tuple(Fraction(c) for c in row) for row in f.matrix)
+        out = pg.BlockRows(("x", n), ("t", 1)).pull(base.epi, (m, {"x": matrix}), (1, {"t": 1})).polyhedron()
+        return PolyFunc(n, pg.poly(n + 1, out.ineqs, out.eqs))  # the map may zero out a row
     if isinstance(f, ConjugateOf):
         base = lower(f.f, n)
         return conjugate_polyfunc(base)
@@ -639,12 +608,14 @@ def pf_value(pf: PolyFunc, x: Sequence) -> ExtReal:
     return ExtReal("num", lo)
 
 
-def pf_is_improper(pf: PolyFunc) -> bool:
-    if pg.is_empty(pf.epi):
-        return True  # identically +inf
+def pf_falls_forever(pf: PolyFunc) -> bool:
+    """(0, ..., 0, -1) is a recession direction: the value is -inf wherever it is finite."""
     n = pf.n
-    down = all(a[n] >= 0 for a, _ in pf.epi.ineqs) and all(e[n] == 0 for e, _ in pf.epi.eqs)
-    return down  # (0,...,0,-1) is a recession direction: value -inf somewhere
+    return all(a[n] >= 0 for a, _ in pf.epi.ineqs) and all(e[n] == 0 for e, _ in pf.epi.eqs)
+
+
+def pf_is_improper(pf: PolyFunc) -> bool:
+    return pg.is_empty(pf.epi) or pf_falls_forever(pf)  # identically +inf, or -inf somewhere
 
 
 def conjugate_polyfunc(pf: PolyFunc) -> PolyFunc:
@@ -658,36 +629,17 @@ def conjugate_polyfunc(pf: PolyFunc) -> PolyFunc:
     if pf_is_improper(pf):
         raise ImproperFunctionError("conjugate of an improper polyhedral function")
     n = pf.n
-    G = pf.epi.ineqs
-    E = pf.epi.eqs
-    k, l = len(G), len(E)
-    total = n + 1 + k + l  # (y, s, lam, mu)
-    eqs = []
-    for coord in range(n + 1):
-        coeff = [ZERO] * total
-        for i, (a, _) in enumerate(G):
-            coeff[n + 1 + i] = a[coord]
-        for j, (e, _) in enumerate(E):
-            coeff[n + 1 + k + j] = e[coord]
-        if coord < n:
-            coeff[coord] = -ONE
-            eqs.append((tuple(coeff), ZERO))
-        else:
-            eqs.append((tuple(coeff), -ONE))
-    rows = []
-    cost = [ZERO] * total
-    cost[n] = -ONE
-    for i, (_, b) in enumerate(G):
-        cost[n + 1 + i] = b
-    for j, (_, d) in enumerate(E):
-        cost[n + 1 + k + j] = d
-    rows.append((tuple(cost), ZERO))  # lam.h + mu.d - s <= 0
-    for i in range(k):
-        coeff = [ZERO] * total
-        coeff[n + 1 + i] = -ONE
-        rows.append((tuple(coeff), ZERO))  # lam >= 0
-    big = pg.poly(total, rows, eqs)
-    return PolyFunc(n, pg.project(big, range(n + 1)))
+    G, E = pf.epi.ineqs, pf.epi.eqs
+    big = pg.BlockRows(("y", n), ("s", 1), ("lam", len(G)), ("mu", len(E)))
+    gt, et = pg.columns(G, n + 1), pg.columns(E, n + 1)
+    big.pull(  # lam^T G + mu^T E = (y, -1)
+        pg.singleton((ZERO,) * n + (-ONE,)),
+        (n, {"y": -1, "lam": gt[:n], "mu": et[:n]}),
+        (1, {"lam": gt[n:], "mu": et[n:]}),
+    )
+    big.pull(pg.at_most(0), (1, {"s": -1, "lam": (tuple(b for _, b in G),), "mu": (tuple(d for _, d in E),)}))
+    big.pull(pg.orthant(len(G)), (len(G), {"lam": 1}))
+    return PolyFunc(n, pg.project(big.polyhedron(), range(n + 1)))
 
 
 def evaluate(f: FunctionExpr, x, space: Optional[SpaceTag] = None) -> ExtReal:
@@ -806,46 +758,12 @@ def _both_indicators(f: FunctionExpr, g: FunctionExpr):
 def epi_diff_poly(pf_f: PolyFunc, pf_g: PolyFunc, v: Fraction) -> pg.Polyhedron:
     """{(x - y, f(x) + g(y) - v + eps) : eps >= 0} as an exact H-rep."""
     n = pf_f.n
-    # coordinates: w (n), r (1), y (n), tf (1), tg (1); x = w + y,
-    # eps = r + v - tf - tg >= 0
-    total = 2 * n + 3
-    W, R, Y, TF, TG = 0, n, n + 1, 2 * n + 1, 2 * n + 2
-    rows = []
-    for a, b in pf_f.epi.ineqs:  # rows on (x, tf) with x = w + y
-        coeff = [ZERO] * total
-        for j in range(n):
-            coeff[W + j] = a[j]
-            coeff[Y + j] = a[j]
-        coeff[TF] = a[n]
-        rows.append((tuple(coeff), b))
-    eqs = []
-    for e, d in pf_f.epi.eqs:
-        coeff = [ZERO] * total
-        for j in range(n):
-            coeff[W + j] = e[j]
-            coeff[Y + j] = e[j]
-        coeff[TF] = e[n]
-        eqs.append((tuple(coeff), d))
-    for a, b in pf_g.epi.ineqs:  # rows on (y, tg)
-        coeff = [ZERO] * total
-        for j in range(n):
-            coeff[Y + j] = a[j]
-        coeff[TG] = a[n]
-        rows.append((tuple(coeff), b))
-    for e, d in pf_g.epi.eqs:
-        coeff = [ZERO] * total
-        for j in range(n):
-            coeff[Y + j] = e[j]
-        coeff[TG] = e[n]
-        eqs.append((tuple(coeff), d))
-    # eps >= 0 : -r + tf + tg <= v
-    coeff = [ZERO] * total
-    coeff[R] = -ONE
-    coeff[TF] = ONE
-    coeff[TG] = ONE
-    rows.append((tuple(coeff), v))
-    big = pg.poly(total, rows, eqs)
-    return pg.project(big, range(n + 1))
+    # eps = r + v - tf - tg >= 0, with x = w + y
+    big = pg.BlockRows(("w", n), ("r", 1), ("y", n), ("tf", 1), ("tg", 1))
+    big.pull(pf_f.epi, (n, {"w": 1, "y": 1}), (1, {"tf": 1}))
+    big.pull(pf_g.epi, (n, {"y": 1}), (1, {"tg": 1}))
+    big.pull(pg.at_most(v), (1, {"r": -1, "tf": 1, "tg": 1}))
+    return pg.project(big.polyhedron(), range(n + 1))
 
 
 def epi_diff_set(

@@ -20,6 +20,13 @@ to a handful of exact LPs:
   witnesses carry through later steps wherever the step itself proves them
   still valid; a row that has one skips its LP,
 * Minkowski sums via an extended system and projection.
+
+Lifted systems are written with :class:`BlockRows`, which lays out named
+blocks of variables and pulls a polyhedron back along an affine map of
+them, keeping rows in insertion order and pinning undeclared blocks to
+zero.  The Minkowski sums and products here, the lowering of sums and the
+conjugates in ``funcexpr``, and every LP and projection of the numeric
+model in ``engine`` are built that way.
 """
 
 from __future__ import annotations
@@ -136,6 +143,71 @@ def contains(p: Polyhedron, x: Sequence) -> bool:
     )
 
 
+def at_most(b) -> Polyhedron:
+    """The half-line {s : s <= b} of R^1."""
+    return Polyhedron(1, (((ONE,), Fraction(b)),), ())
+
+
+def columns(rows: Sequence, n: int) -> tuple[Vec, ...]:
+    """The n columns of the coefficient vectors of rows ``(a, ...)``."""
+    return tuple(tuple(r[0][c] for r in rows) for c in range(n))
+
+
+class BlockRows:
+    """Rows over named blocks of variables, kept in insertion order.
+
+    ``BlockRows(("x", n), ("t", 1))`` lays its blocks out left to right.
+    ``pull(p, *slices, shift=c)`` adds every row of ``p`` (inequalities,
+    then equalities) at ``z = (s_1, ..., s_k) + c``: the pullback of ``p``
+    along that affine map.  A slice is ``(size, terms)``, where ``terms``
+    maps a block name to its coefficient, a scalar (that multiple of the
+    identity) or a matrix with ``size`` rows.  A block that this builder
+    does not declare is pinned to zero, so ``p`` restricted to ``y = 0``
+    is ``p`` pulled back by a builder without ``y``.  Nothing is dropped:
+    a row whose coefficients all vanish stays as it is.
+    """
+
+    def __init__(self, *blocks: tuple[str, int]):
+        self.at: dict[str, int] = {}
+        self.n = 0
+        for name, size in blocks:
+            self.at[name] = self.n
+            self.n += size
+        self.rows: list[tuple[Vec, str, Fraction]] = []
+
+    def pull(self, p: Polyhedron, *slices, shift: Optional[Sequence] = None) -> "BlockRows":
+        parts = []
+        start = 0
+        for size, terms in slices:
+            parts += [(start, size, self.at[k], c) for k, c in terms.items() if k in self.at]
+            start += size
+        if start != p.n:
+            raise DimensionMismatchError("slices do not cover the polyhedron")
+        for rows, rel in ((p.ineqs, LE), (p.eqs, EQ)):
+            for a, b in rows:
+                coeff = [ZERO] * self.n
+                for s, size, at, c in parts:
+                    seg = a[s : s + size]
+                    if isinstance(c, tuple):  # a matrix
+                        for j in range(len(c[0]) if c else 0):
+                            coeff[at + j] += sum(seg[i] * c[i][j] for i in range(size))
+                    else:
+                        for j in range(size):
+                            coeff[at + j] += seg[j] * c
+                self.rows.append((tuple(coeff), rel, b - dot(a, shift) if shift is not None else b))
+        return self
+
+    def lp_rows(self) -> tuple[Row, ...]:
+        return tuple(Row(a, rel, b) for a, rel, b in self.rows)
+
+    def polyhedron(self) -> Polyhedron:
+        return Polyhedron(
+            self.n,
+            tuple((a, b) for a, rel, b in self.rows if rel == LE),
+            tuple((a, b) for a, rel, b in self.rows if rel == EQ),
+        )
+
+
 def _rows(p: Polyhedron) -> list[tuple[Vec, str, Fraction]]:
     out = [(a, LE, b) for a, b in p.ineqs]
     out += [(e, EQ, d) for e, d in p.eqs]
@@ -150,15 +222,6 @@ def _solve_over(p: Polyhedron, obj: Vec, sense: str):
 def is_empty(p: Polyhedron) -> bool:
     out = _solve_over(p, tuple(ZERO for _ in range(p.n)), "min")
     return not isinstance(out, (Optimal, Unbounded))
-
-
-def feasible_point(p: Polyhedron) -> Optional[Vec]:
-    out = _solve_over(p, tuple(ZERO for _ in range(p.n)), "min")
-    if isinstance(out, Optimal):
-        return out.point
-    if isinstance(out, Unbounded):
-        return out.point
-    return None
 
 
 def extremum(p: Polyhedron, obj: Sequence, sense: str):
@@ -199,13 +262,6 @@ class AffineSubspace:
     def contains(self, x: Sequence) -> bool:
         x = _fvec(x)
         return all(dot(e, x) == d for e, d in self.eqs)
-
-    def basepoint(self) -> Vec:
-        x = [ZERO] * self.n
-        for e, d in self.eqs:
-            lead = next(j for j, c in enumerate(e) if c != 0)
-            x[lead] = d  # echelon: leading columns are disjoint and unit
-        return tuple(x)
 
     def basis(self) -> tuple[Vec, ...]:
         """Spanning directions of the subspace (null space of the rows)."""
@@ -538,32 +594,15 @@ def project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:
     return poly(len(keep), new_in, new_eq)
 
 
-def _embed(rows, n_total: int, offset: int):
-    out = []
-    for a, b in rows:
-        full = [ZERO] * n_total
-        for j, c in enumerate(a):
-            full[offset + j] = c
-        out.append((tuple(full), b))
-    return out
-
-
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     """H-representation of {u + v : u in p, v in q}."""
     if p.n != q.n:
         raise DimensionMismatchError("Minkowski sum needs equal dimensions")
     n = p.n
-    total = 3 * n  # (z, u, v)
-    ineqs = _embed(p.ineqs, total, n) + _embed(q.ineqs, total, 2 * n)
-    eqs = _embed(p.eqs, total, n) + _embed(q.eqs, total, 2 * n)
-    for j in range(n):
-        e = [ZERO] * total
-        e[j] = ONE
-        e[n + j] = -ONE
-        e[2 * n + j] = -ONE
-        eqs.append((tuple(e), ZERO))
-    big = Polyhedron(total, tuple(ineqs), tuple(eqs))
-    return project(big, range(n))
+    b = BlockRows(("z", n), ("u", n), ("v", n))
+    b.pull(p, (n, {"u": 1})).pull(q, (n, {"v": 1}))
+    b.pull(singleton((ZERO,) * n), (n, {"z": 1, "u": -1, "v": -1}))  # z = u + v
+    return project(b.polyhedron(), range(n))
 
 
 def neg(p: Polyhedron) -> Polyhedron:
@@ -601,12 +640,8 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 
 def product(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    total = p.n + q.n
-    return poly(
-        total,
-        _embed(p.ineqs, total, 0) + _embed(q.ineqs, total, p.n),
-        _embed(p.eqs, total, 0) + _embed(q.eqs, total, p.n),
-    )
+    b = BlockRows(("u", p.n), ("v", q.n))
+    return b.pull(p, (p.n, {"u": 1})).pull(q, (q.n, {"v": 1})).polyhedron()
 
 
 def strictly_feasible_point(strict: Polyhedron, weak: Optional[Polyhedron] = None) -> Optional[Vec]:

@@ -125,9 +125,6 @@ class _Stream:
         if not self.eat_punct(ch):
             raise ParseError(f"expected {ch!r}, found {self.peek()!r}")
 
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
-
 
 _ROW_RE = re.compile(
     r"^(?P<lhs>[^<>=]+)(?P<rel><=|>=|==)(?P<rhs>.+)$"
@@ -205,11 +202,6 @@ class Parser:
             rows.append(self._parse_vector(st))
             st.eat_punct(",")
         return tuple(rows)
-
-    def _ambient_dim(self) -> Optional[int]:
-        if self.space is not None and self.space.finite_dim:
-            return self.space.dim
-        return None
 
     # -- sets ---------------------------------------------------------------
 

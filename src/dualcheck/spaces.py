@@ -83,7 +83,3 @@ def lcs(label: str = "X") -> SpaceTag:
 
 def product(a: SpaceTag, b: SpaceTag) -> SpaceTag:
     return SpaceTag("product", factors=(a, b))
-
-
-def value_axis() -> SpaceTag:
-    return finite(1)

@@ -3,9 +3,10 @@
 Nothing here touches the solver machinery under test: vertex enumeration
 goes through plain Gaussian elimination, membership checks are direct
 arithmetic, and the reference simplex runs on a textbook ``Fraction``
-tableau.  The one exception is ``prune_lp_reference``, which asks the
-package's exact LP one question per row; what it checks is the pruning
-logic around the LP, not the LP.
+tableau.  The exceptions are ``prune_lp_reference``, which asks the
+package's exact LP one question per row, and
+``slice_interior_point_reference``, which asks it one question over all
+sign vectors; what they check is the logic around the LP, not the LP.
 """
 
 from fractions import Fraction
@@ -191,3 +192,30 @@ def prune_lp_reference(ineqs, eqs, n):
         else:  # remaining system already infeasible; the row adds nothing
             kept.pop(i)
     return kept
+
+
+def slice_interior_point_reference(dom, nx, ny):
+    """Is there x' with (x', y) in dom for all y in a small box around 0?
+
+    The enumeration ``dualcheck.conditions._slice_interior_point`` ran
+    before it wrote one row per domain row: each domain row is written out
+    at every sign vector of the box corner, 2^ny copies, and one max-LP asks
+    for a positive box half-width.
+    """
+    from itertools import product as iproduct
+
+    from dualcheck.exactlp import LE, LinearProgram, Optimal, Row, solve_lp
+
+    rows = []
+    for signs in iproduct((Fraction(1), Fraction(-1)), repeat=ny):
+        for a, b in dom.ineqs:
+            drift = sum(a[nx + j] * signs[j] for j in range(ny))
+            rows.append(Row(a[:nx] + (drift,), LE, b))
+    for e, d in dom.eqs:
+        if any(e[nx + j] != 0 for j in range(ny)):
+            return False  # an equality in y kills the slice interior
+        rows.append(Row(e[:nx] + (Fraction(0),), "=", d))
+    t_up = tuple(Fraction(0) for _ in range(nx)) + (Fraction(1),)
+    rows.append(Row(t_up, LE, Fraction(1)))
+    out = solve_lp(LinearProgram(nx + 1, t_up, "max", tuple(rows)))
+    return isinstance(out, Optimal) and out.value > 0

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualcheck import setexpr as se
 from dualcheck.conditions import (
@@ -9,6 +11,7 @@ from dualcheck.conditions import (
     ConditionVerdict,
     DiagnosisContext,
     FAMILY_FENCHEL,
+    _slice_interior_point,
     check_rc8,
     consistency_check,
     diagnose,
@@ -25,6 +28,8 @@ from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum, er
 from dualcheck.polyhedra import interval, orthant, poly
 from dualcheck.setexpr import FAILS, HOLDS, UNKNOWN
 from dualcheck.spaces import finite, lp_space
+
+from oracles import slice_interior_point_reference
 
 F = Fraction
 
@@ -266,3 +271,35 @@ def test_gap_propagates_failures():
     for idx, v in d.verdicts:
         assert v.status is FAILS, idx
     assert d.consistency[0]
+
+
+@st.composite
+def _slice_domains(draw):
+    nx, ny = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    n = nx + ny
+    row = st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-2, 4))
+    eq = st.tuples(st.tuples(*[st.integers(-1, 1)] * nx + [st.just(0)] * ny), st.integers(-1, 1))
+    return nx, ny, draw(st.lists(row, max_size=6)), draw(st.lists(eq, max_size=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_slice_domains())
+@example((1, 2, [((0, 1, 1), 0)], []))  # the slice is a half-plane through 0
+@example((1, 1, [((1, 0), 1)], [((0, 1), 0)]))  # an equality in y
+def test_slice_interior_point_matches_sign_enumeration(system):
+    nx, ny, ineqs, eqs = system
+    dom = poly(nx + ny, ineqs, eqs)
+    assert _slice_interior_point(dom, nx, ny) == slice_interior_point_reference(dom, nx, ny)
+
+
+def test_continuity_with_an_operator_needs_ax_in_the_interior_of_dom_g():
+    # f = indicator of {0}, g = indicator of (-inf, 0], A = 0: A x = 0 sits on
+    # the boundary of dom g, so neither summand is continuous anywhere on
+    # the joint domain; a vanishing row of dom g pulled back by A must stay
+    inst = FenchelInstance(
+        "zero-map", finite(1), ind(poly(1, eqs=[((1,), 0)])), ind(poly(1, ineqs=[((1,), 0)])),
+        amap=((F(0),),), gspace=finite(1),
+    )
+    d = diagnose(inst)
+    assert d.verdict("1").status is FAILS
+    assert d.consistency == (True, ())

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from dualcheck import setexpr as se
+from dualcheck.conditions import diagnose
 from dualcheck.engine import (
     AffineMap,
     FenchelInstance,
+    IdentityMap,
     LagrangeInstance,
     PerturbationInstance,
     dual_objective_value,
@@ -18,7 +20,12 @@ from dualcheck.engine import (
     to_perturbation,
     value_report,
 )
-from dualcheck.errors import ConeMembershipError, UndecidableValueError
+from dualcheck.errors import (
+    ConeMembershipError,
+    ImproperFunctionError,
+    MalformedInputError,
+    UndecidableValueError,
+)
 from dualcheck.funcexpr import (
     Affine,
     IndicatorOf,
@@ -306,3 +313,61 @@ def test_value_report_gap_not_applicable_for_doubly_infinite():
     rep = value_report(inst)
     assert rep.vp == MINF and rep.vd == MINF
     assert rep.gap is None and not rep.gap_applicable
+
+
+def _lagrange(cone, f=Affine((F(1),), F(0)), sset=interval(-1, 1), gmap=IdentityMap()):
+    return LagrangeInstance("lag", finite(1), finite(1), f, se.PolyAtom(sset), gmap, se.PolyAtom(cone))
+
+
+def test_lagrange_rejects_an_ordering_set_that_is_no_cone():
+    # inf x over [-1, 1] with x in -C, C = {z <= 1}: C holds 0 but is no
+    # cone, and reading it as one broke weak duality
+    inst = _lagrange(poly(1, ineqs=[((1,), 1)]))
+    with pytest.raises(MalformedInputError):
+        solve_primal(inst)
+    with pytest.raises(MalformedInputError):
+        diagnose(inst)
+    with pytest.raises(MalformedInputError):  # and one without the origin
+        solve_primal(_lagrange(poly(1, ineqs=[((-1,), -1)])))
+
+
+def test_dual_objective_keeps_its_typed_errors():
+    empty = interval(1, 0)
+    with pytest.raises(ImproperFunctionError):
+        dual_objective_value(fenchel(ind(empty), ind(interval(0, 1))), (F(0),))
+    with pytest.raises(ImproperFunctionError):
+        dual_objective_value(fenchel(ind(interval(0, 1)), ind(empty)), (F(0),))
+    phi = PerturbationInstance("phi", 1, 1, ind(poly(2, ineqs=[((1, 0), 0), ((-1, 0), -1)])))
+    with pytest.raises(ImproperFunctionError):
+        dual_objective_value(phi, (F(0),))
+    inst = _lagrange(orthant(1))  # C = R_+, so C* = R_+
+    assert dual_objective_value(inst, (F(0),)) == er(-1)
+    with pytest.raises(ConeMembershipError):
+        dual_objective_value(inst, (F(-1),))
+
+
+def test_one_diagnosis_lowers_each_function_once_and_solves_the_primal_once(monkeypatch):
+    from dualcheck import conditions, engine, funcexpr
+
+    f = Sum(Affine((F(2), F(0)), F(0)), ind(_unit_box2()))
+    inst = fenchel(f, NormAtom("l1"), n=2)
+    model = engine.NumericModel(inst)
+    rows = model.system(("x", 2), *model.epis).lp_rows()
+    lowered, programs = [], []
+    real_lower, real_solve = funcexpr.lower, engine.solve_lp
+
+    def counting_lower(h, n):
+        lowered.append(h)
+        return real_lower(h, n)
+
+    def recording_solve(p):
+        programs.append(p)
+        return real_solve(p)
+
+    for module in (funcexpr, engine, conditions.fx):
+        monkeypatch.setattr(module, "lower", counting_lower)
+    monkeypatch.setattr(engine, "solve_lp", recording_solve)
+    d = conditions.diagnose(inst)
+    assert d.values.vp == er(0)
+    assert lowered.count(f) == 1 and lowered.count(NormAtom("l1")) == 1
+    assert sum(1 for p in programs if p.rows == rows and p.sense == "min") == 1

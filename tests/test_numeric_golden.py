@@ -1,0 +1,173 @@
+"""Golden answers for fixed-seed numeric instances of every family.
+
+Each instance is diagnosed, rendered to the structured report, its dual
+point is recovered by separation where the primal value is finite, and the
+dual objective is evaluated at the reported dual solution.  The fixture
+``numeric_golden.json`` stores the sha256 of each report and the two
+points or values exactly, so any change of an answer shows here.
+
+The fixture is written by ``python tests/test_numeric_golden.py --write``
+(with ``src`` on the path); it is only ever rewritten on purpose.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from dualcheck import setexpr as se
+from dualcheck.conditions import diagnose
+from dualcheck.engine import (
+    AffineMap,
+    FenchelInstance,
+    IdentityMap,
+    LagrangeInstance,
+    NegIdentityMap,
+    PerturbationInstance,
+    ShiftMap,
+    dual_objective_value,
+    recover_dual_via_separation,
+)
+from dualcheck.errors import DualcheckError
+from dualcheck.exactlp import rat_str
+from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum, SupOfAffine
+from dualcheck.polyhedra import poly
+from dualcheck.reportfmt import diagnosis_to_structured, dumps_structured
+from dualcheck.spaces import finite
+
+F = Fraction
+FIXTURE = Path(__file__).resolve().parent / "numeric_golden.json"
+
+
+def _box(rng, n, lo=-3, hi=3):
+    rows = []
+    for j in range(n):
+        a = rng.randint(lo, 0)
+        b = rng.randint(max(a, 0), hi)
+        e = tuple(F(int(k == j)) for k in range(n))
+        rows.append((e, F(b)))
+        rows.append((tuple(-c for c in e), F(-a)))
+    return poly(n, rows)
+
+
+def _vec(rng, n, r=2):
+    return tuple(F(rng.randint(-r, r)) for _ in range(n))
+
+
+def _tilted_box(rng, n):
+    return Sum(Affine(_vec(rng, n), F(rng.randint(-1, 1))), IndicatorOf(se.PolyAtom(_box(rng, n))))
+
+
+def _g_function(rng, m, kind):
+    if kind == "indicator":
+        return IndicatorOf(se.PolyAtom(_box(rng, m)))
+    return NormAtom(kind)
+
+
+def _cone(rng, m):
+    """A polyhedral convex cone: the orthant, {0}, the whole space, or rays."""
+    kind = rng.choice(("orthant", "zero", "whole", "rays"))
+    if kind == "orthant":
+        return poly(m, [(tuple(-F(int(k == j)) for k in range(m)), F(0)) for j in range(m)])
+    if kind == "zero":
+        return poly(m, eqs=[(tuple(F(int(k == j)) for k in range(m)), F(0)) for j in range(m)])
+    if kind == "whole":
+        return poly(m)
+    return poly(m, [(_vec(rng, m), F(0)) for _ in range(rng.randint(1, m + 1))])
+
+
+def _instances():
+    out = []
+    rng = random.Random("golden:fenchel")
+    for i in range(24):
+        n = rng.randint(1, 2)
+        kind = ("indicator", "l1", "linf")[i % 3]
+        out.append(FenchelInstance(f"fen-{i}", finite(n), _tilted_box(rng, n), _g_function(rng, n, kind)))
+    rng = random.Random("golden:amap")
+    for i in range(18):
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        kind = ("indicator", "l1", "linf")[i % 3]
+        amap = tuple(_vec(rng, n) for _ in range(m))
+        f, g = _tilted_box(rng, n), _g_function(rng, m, kind)
+        out.append(FenchelInstance(f"amap-{i}", finite(n), f, g, amap=amap, gspace=finite(m)))
+    rng = random.Random("golden:lagrange")
+    for i in range(40):
+        n = rng.randint(1, 2)
+        kind = ("affine", "identity", "neg_identity", "shift")[i % 4]
+        if kind == "affine":
+            m = rng.randint(1, 2)
+            gmap = AffineMap(tuple(_vec(rng, n) for _ in range(m)), _vec(rng, m))
+        else:
+            m = n
+            gmap = {
+                "identity": IdentityMap(),
+                "neg_identity": NegIdentityMap(),
+                "shift": ShiftMap(se.VecPoint(_vec(rng, m))),
+            }[kind]
+        f = _tilted_box(rng, n) if rng.random() < 0.5 else Affine(_vec(rng, n), F(0))
+        out.append(
+            LagrangeInstance(
+                f"lag-{kind}-{i}",
+                finite(n),
+                finite(m),
+                f,
+                se.PolyAtom(_box(rng, n)),
+                gmap,
+                se.PolyAtom(_cone(rng, m)),
+            )
+        )
+    rng = random.Random("golden:phi")
+    for i in range(18):
+        nx, ny = rng.randint(1, 2), rng.randint(1, 2)
+        d = nx + ny
+        dom = poly(d, [(_vec(rng, d), F(rng.randint(0, 3))) for _ in range(rng.randint(1, d + 3))])
+        if i % 2:
+            pieces = tuple((_vec(rng, d), F(rng.randint(-1, 1))) for _ in range(2))
+            phi = Sum(SupOfAffine(pieces), IndicatorOf(se.PolyAtom(dom)))
+        else:
+            phi = Sum(Affine(_vec(rng, d), F(0)), IndicatorOf(se.PolyAtom(dom)))
+        out.append(PerturbationInstance(f"phi-{i}", nx, ny, phi))
+    return out
+
+
+def _point(p):
+    return None if p is None else [rat_str(c) for c in p]
+
+
+def _answer(inst) -> dict:
+    try:
+        d = diagnose(inst)
+    except DualcheckError as exc:
+        return {"error": type(exc).__name__}
+    doc = dumps_structured(diagnosis_to_structured(d))
+    out = {"report_sha256": hashlib.sha256(doc.encode()).hexdigest()}
+    vp = d.values.vp
+    if vp is not None and vp.is_finite():
+        try:
+            out["recovered"] = _point(recover_dual_via_separation(inst, vp.value))
+        except DualcheckError as exc:
+            out["recovered"] = type(exc).__name__
+    sol = d.values.dual_solution
+    if isinstance(sol, tuple):
+        out["dual_objective"] = repr(dual_objective_value(inst, sol))
+    return out
+
+
+def _answers() -> dict:
+    return {inst.instance_id: _answer(inst) for inst in _instances()}
+
+
+def test_numeric_answers_match_the_golden_fixture():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    got = _answers()
+    assert list(got) == list(expected)
+    diffs = [(k, expected[k], got[k]) for k in expected if got[k] != expected[k]]
+    assert not diffs, diffs[:3]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_numeric_golden.py --write")
+    FIXTURE.write_text(json.dumps(_answers(), indent=1) + "\n", encoding="utf-8")

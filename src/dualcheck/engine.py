@@ -12,7 +12,9 @@ pr_y dom Phi, the projected shifted epigraph, and the dual objective at a
 point, one LP inf Phi(x, y) + <±y*, y>.  The dual-value LPs keep each
 family's own formulation.  Dual solutions can be recovered constructively
 by separating the origin from the projected shifted epigraph and
-rescaling the separator.  In the symbolic regime values come from
+rescaling the separator.  The separator comes from one LP over the polar
+of the lifted shifted epigraph, written in the multipliers of its rows,
+so recovery projects nothing.  In the symbolic regime values come from
 declared certificates.
 """
 
@@ -36,7 +38,7 @@ from .errors import (
     RegimeError,
     UndecidableValueError,
 )
-from .exactlp import LE, LinearProgram, Optimal, Unbounded, dot, solve_lp
+from .exactlp import EQ, LE, LinearProgram, Optimal, Row, Unbounded, Vec, dot, solve_lp
 from .funcexpr import (
     ExtReal,
     FunctionExpr,
@@ -339,11 +341,16 @@ class NumericModel:
         b = self.system(("y", self.ny), ("x", self.nx), domains=True)
         return pg.project(b.polyhedron(), range(self.ny))
 
-    def shifted_epi(self, v: Fraction) -> Polyhedron:
-        """{(y, r) : Phi(x, y) - v <= r for some x}."""
+    def lifted_epi(self, v: Fraction) -> Polyhedron:
+        """The shifted epigraph over (y, r, x, t...), before projection:
+        the rows of Phi's pieces and sum(t) - r <= v."""
         b = self.system(("y", self.ny), ("r", 1), ("x", self.nx), *self.epis)
         b.pull(pg.at_most(v), (1, {"r": -ONE, **{t: ONE for t, _ in self.epis}}))
-        return pg.project(b.polyhedron(), range(self.ny + 1))
+        return b.polyhedron()
+
+    def shifted_epi(self, v: Fraction) -> Polyhedron:
+        """{(y, r) : Phi(x, y) - v <= r for some x}."""
+        return pg.project(self.lifted_epi(v), range(self.ny + 1))
 
     def dual(self) -> tuple[ExtReal, Optional[tuple]]:
         """The dual value and an optimal dual point."""
@@ -471,33 +478,40 @@ def solve_dual(instance: Instance, model: Optional[NumericModel] = None) -> tupl
 # -- separation-based dual recovery ---------------------------------------------
 
 
-def _polar_of_hull(e_poly: Polyhedron) -> Polyhedron:
-    """{u : <u, p> <= 0 for every p in E}, via LP-dual multipliers."""
-    d, G, E = e_poly.n, e_poly.ineqs, e_poly.eqs
-    b = pg.BlockRows(("u", d), ("lam", len(G)), ("mu", len(E)))
-    b.pull(pg.singleton((ZERO,) * d), (d, {"u": -ONE, "lam": pg.columns(G, d), "mu": pg.columns(E, d)}))
-    b.pull(pg.at_most(0), (1, {"lam": (tuple(h for _, h in G),), "mu": (tuple(h for _, h in E),)}))
-    b.pull(pg.orthant(len(G)), (len(G), {"lam": ONE}))
-    return pg.project(b.polyhedron(), range(d))
+def _boxed_polar(p: Polyhedron, d: int) -> tuple[tuple[Row, ...], tuple[Vec, ...]]:
+    """The polar of p's projection onto its first d coordinates, cut to the
+    box |u_i| <= 1, written over the LP-dual multipliers (lam, mu) of p's rows.
+
+    For p = {Gz <= h, Ez = e} nonempty, LP duality puts u in that polar
+    exactly when u = G_K^T lam + E_K^T mu for some lam >= 0 and mu with
+    G_D^T lam + E_D^T mu = 0 and h.lam + e.mu <= 0, where K marks the first
+    d (kept) columns and D the rest.  Returns the rows and u as d linear
+    forms in (lam, mu).
+    """
+    cg, ce = pg.columns(p.ineqs, p.n), pg.columns(p.eqs, p.n)
+    b = pg.BlockRows(("lam", len(p.ineqs)), ("mu", len(p.eqs)))
+    b.pull(pg.orthant(len(p.ineqs)), (len(p.ineqs), {"lam": ONE}))
+    b.pull(pg.singleton((ZERO,) * (p.n - d)), (p.n - d, {"lam": cg[d:], "mu": ce[d:]}))
+    b.pull(pg.at_most(0), (1, {"lam": (tuple(h for _, h in p.ineqs),), "mu": (tuple(e for _, e in p.eqs),)}))
+    b.pull(pg.cube(d), (d, {"lam": cg[:d], "mu": ce[:d]}))
+    return b.lp_rows(), tuple(g + e for g, e in zip(cg[:d], ce[:d]))
 
 
 def recover_dual_via_separation(instance: Instance, vp) -> tuple:
     """Constructive dual solution: separate the origin from the projected
-    shifted epigraph, certify a negative value component, rescale."""
+    shifted epigraph, certify a negative value component, rescale.  The
+    separator is an optimal point of one LP over the lifted polar (see
+    ``_boxed_polar``), so the shifted epigraph is never projected."""
     vp = Fraction(vp)
     if not is_numeric(instance):
         raise RegimeError("separation recovery runs in the numeric regime")
     model = NumericModel(instance)
-    e_poly = model.shifted_epi(vp)
-    d = e_poly.n
-    polar = _polar_of_hull(e_poly)
-    eye = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)]
-    box = [(e, ONE) for e in eye] + [(tuple(-c for c in e), ONE) for e in eye]
-    boxed = pg.poly(d, tuple(polar.ineqs) + tuple(box), polar.eqs)
-    out = pg.extremum(boxed, tuple(-c for c in eye[-1]), "max")
+    d = model.ny + 1
+    rows, u = _boxed_polar(model.lifted_epi(vp), d)
+    out = solve_lp(LinearProgram(len(u[-1]), tuple(-c for c in u[-1]), "max", rows))
     assert isinstance(out, Optimal)
     if out.value > 0:
-        sep = out.point
+        sep = tuple(dot(c, out.point) for c in u)
         r_star = sep[d - 1]
         # the perturbation dual optimizer is -y*/r*; the family's dual point
         # is that times -pairing
@@ -507,10 +521,10 @@ def recover_dual_via_separation(instance: Instance, vp) -> tuple:
             raise InconsistencyError(f"recovered dual point misses the primal value: {val} != {vp}")
         return dual
     # no separator with negative last component; classify the failure
-    flat = pg.poly(d, boxed.ineqs, boxed.eqs + ((eye[-1], ZERO),))
+    flat = rows + (Row(u[-1], EQ, ZERO),)
     for i in range(d - 1):
         for sense in ("max", "min"):
-            probe = pg.extremum(flat, eye[i], sense)
+            probe = solve_lp(LinearProgram(len(u[i]), u[i], sense, flat))
             if isinstance(probe, Optimal) and probe.value != 0:
                 raise DegenerateSeparationError("only separators with vanishing value component exist")
     raise QriMembershipError("the origin admits no nonzero separator")

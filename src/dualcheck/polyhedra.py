@@ -128,6 +128,12 @@ def orthant(n: int) -> Polyhedron:
     return poly(n, ineqs=[(tuple(-ONE if j == k else ZERO for j in range(n)), ZERO) for k in range(n)])
 
 
+def cube(n: int) -> Polyhedron:
+    """The box {x : |x_k| <= 1}: the rows x_k <= 1, then the rows -x_k <= 1."""
+    unit = [tuple(ONE if j == k else ZERO for j in range(n)) for k in range(n)]
+    return poly(n, ineqs=[(e, ONE) for e in unit] + [(tuple(-c for c in e), ONE) for e in unit])
+
+
 def singleton(pt: Sequence) -> Polyhedron:
     pt = _fvec(pt)
     n = len(pt)

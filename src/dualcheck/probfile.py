@@ -759,6 +759,8 @@ def parse_problem(text: str) -> ProblemFile:
     if kind == "fenchel":
         if f_expr is None or g_expr is None:
             raise ParseError("fenchel instances need f and g")
+        if amap is not None and regime != "numeric":
+            raise ParseError("the linear map 'A' is numeric-only")
         inst = eng.FenchelInstance(
             instance_id=problem_id,
             space=parser.space,

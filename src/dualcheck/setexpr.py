@@ -520,7 +520,16 @@ def catalog_notion_set(cid: str, notion: str, params=()) -> Optional[str]:
 
 # -- attributes ---------------------------------------------------------------
 
+# The attribute and normalization memos are process-global, so each holds
+# at most MEMO_CAPACITY entries and evicts its oldest entry when full.
+MEMO_CAPACITY = 4096
 _ATTR_MEMO: dict = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    if key not in memo and len(memo) >= MEMO_CAPACITY:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 def attrs(s: SetExpr) -> SetAttrs:
@@ -528,7 +537,7 @@ def attrs(s: SetExpr) -> SetAttrs:
     if cached is not None:
         return cached
     out = _attrs(s)
-    _ATTR_MEMO[s] = out
+    _remember(_ATTR_MEMO, s, out)
     return out
 
 
@@ -744,8 +753,8 @@ def normalize(s: SetExpr) -> SetExpr:
     if cached is not None:
         return cached
     out = _normalize(s)
-    _NORM_MEMO[s] = out
-    _NORM_MEMO[out] = out
+    _remember(_NORM_MEMO, s, out)
+    _remember(_NORM_MEMO, out, out)
     return out
 
 

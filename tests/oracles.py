@@ -4,9 +4,11 @@ Nothing here touches the solver machinery under test: vertex enumeration
 goes through plain Gaussian elimination, membership checks are direct
 arithmetic, and the reference simplex runs on a textbook ``Fraction``
 tableau.  The exceptions are ``prune_lp_reference``, which asks the
-package's exact LP one question per row, and
+package's exact LP one question per row,
 ``slice_interior_point_reference``, which asks it one question over all
-sign vectors; what they check is the logic around the LP, not the LP.
+sign vectors, and ``recover_dual_reference``, which projects with the
+package's polyhedra; what they check is the logic around the LP, not the
+LP.
 """
 
 from fractions import Fraction
@@ -219,3 +221,66 @@ def slice_interior_point_reference(dom, nx, ny):
     rows.append(Row(t_up, LE, Fraction(1)))
     out = solve_lp(LinearProgram(nx + 1, t_up, "max", tuple(rows)))
     return isinstance(out, Optimal) and out.value > 0
+
+
+def recover_dual_reference(instance, vp):
+    """Separation recovery through two projections.
+
+    The route ``dualcheck.engine.recover_dual_via_separation`` took before
+    it solved its LP over the lifted polar: project the shifted epigraph,
+    project the polar of that projection, and optimize over the boxed
+    polar.  Both routes find a separator of the same value, so they agree
+    on the outcome class and on max(1, ||y||_inf) of the recovered point.
+    """
+    from dualcheck import polyhedra as pg
+    from dualcheck.engine import NumericModel, is_numeric
+    from dualcheck.errors import (
+        DegenerateSeparationError,
+        InconsistencyError,
+        QriMembershipError,
+        RegimeError,
+    )
+    from dualcheck.exactlp import Optimal
+    from dualcheck.funcexpr import er
+
+    ONE = Fraction(1)
+
+    def _polar_of_hull(e_poly):
+        """{u : <u, p> <= 0 for every p in E}, via LP-dual multipliers."""
+        d, G, E = e_poly.n, e_poly.ineqs, e_poly.eqs
+        b = pg.BlockRows(("u", d), ("lam", len(G)), ("mu", len(E)))
+        b.pull(pg.singleton((ZERO,) * d), (d, {"u": -ONE, "lam": pg.columns(G, d), "mu": pg.columns(E, d)}))
+        b.pull(pg.at_most(0), (1, {"lam": (tuple(h for _, h in G),), "mu": (tuple(h for _, h in E),)}))
+        b.pull(pg.orthant(len(G)), (len(G), {"lam": ONE}))
+        return pg.project(b.polyhedron(), range(d))
+
+    vp = Fraction(vp)
+    if not is_numeric(instance):
+        raise RegimeError("separation recovery runs in the numeric regime")
+    model = NumericModel(instance)
+    e_poly = model.shifted_epi(vp)
+    d = e_poly.n
+    polar = _polar_of_hull(e_poly)
+    eye = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)]
+    box = [(e, ONE) for e in eye] + [(tuple(-c for c in e), ONE) for e in eye]
+    boxed = pg.poly(d, tuple(polar.ineqs) + tuple(box), polar.eqs)
+    out = pg.extremum(boxed, tuple(-c for c in eye[-1]), "max")
+    assert isinstance(out, Optimal)
+    if out.value > 0:
+        sep = out.point
+        r_star = sep[d - 1]
+        # the perturbation dual optimizer is -y*/r*; the family's dual point
+        # is that times -pairing
+        dual = tuple(model.pairing * c / r_star for c in sep[: d - 1])
+        val = model.dual_value(dual)
+        if val != er(vp):
+            raise InconsistencyError(f"recovered dual point misses the primal value: {val} != {vp}")
+        return dual
+    # no separator with negative last component; classify the failure
+    flat = pg.poly(d, boxed.ineqs, boxed.eqs + ((eye[-1], ZERO),))
+    for i in range(d - 1):
+        for sense in ("max", "min"):
+            probe = pg.extremum(flat, eye[i], sense)
+            if isinstance(probe, Optimal) and probe.value != 0:
+                raise DegenerateSeparationError("only separators with vanishing value component exist")
+    raise QriMembershipError("the origin admits no nonzero separator")

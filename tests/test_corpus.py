@@ -1,7 +1,7 @@
 import pytest
 
 from dualcheck import corpus
-from dualcheck.errors import NotFoundError
+from dualcheck.errors import NotFoundError, ParseError
 from dualcheck.probfile import parse_problem
 
 
@@ -53,3 +53,11 @@ def test_entries_parse_as_problem_files():
     for entry_id in corpus.list_entries():
         pf = corpus.load(entry_id)
         assert pf.kind in ("fenchel", "lagrange", "perturbation", "sets")
+
+
+def test_symbolic_sum_problem_rejects_a_linear_map():
+    text = (corpus._data_dir() / "ex-5.2-norm-over-shifted-cone.prob").read_text()
+    with_map = text.replace("\nf sum(", "\nA [[0]]\nf sum(", 1)
+    assert with_map != text
+    with pytest.raises(ParseError, match="numeric-only"):
+        parse_problem(with_map)

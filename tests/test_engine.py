@@ -1,7 +1,11 @@
 import random
+import sys
+import traceback
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcheck import setexpr as se
 from dualcheck.conditions import diagnose
@@ -22,8 +26,11 @@ from dualcheck.engine import (
 )
 from dualcheck.errors import (
     ConeMembershipError,
+    DegenerateSeparationError,
+    DualcheckError,
     ImproperFunctionError,
     MalformedInputError,
+    QriMembershipError,
     UndecidableValueError,
 )
 from dualcheck.funcexpr import (
@@ -38,7 +45,8 @@ from dualcheck.funcexpr import (
 from dualcheck.polyhedra import contains, interval, orthant, poly, singleton
 from dualcheck.spaces import finite, lp_space
 
-from oracles import enumerate_vertices
+import test_numeric_golden as golden
+from oracles import enumerate_vertices, recover_dual_reference
 
 F = Fraction
 
@@ -371,3 +379,65 @@ def test_one_diagnosis_lowers_each_function_once_and_solves_the_primal_once(monk
     assert d.values.vp == er(0)
     assert lowered.count(f) == 1 and lowered.count(NormAtom("l1")) == 1
     assert sum(1 for p in programs if p.rows == rows and p.sense == "min") == 1
+
+
+def _recovery_outcome(recover, inst, vp):
+    try:
+        return recover(inst, vp)
+    except (DegenerateSeparationError, QriMembershipError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(golden.FAMILIES)), st.integers(0, 2**32), st.integers(0, 11), st.sampled_from((0, 1)))
+def test_recovery_matches_the_projected_reference(family, seed, i, raise_vp):
+    """Random instances of every family, recovered at vp (a point) and at
+    vp + 1 (no separator with a value component): the lifted route agrees
+    with the projected one on the outcome class and the separation value."""
+    inst = golden.FAMILIES[family][0](random.Random(seed), i)
+    try:
+        vp, _ = solve_primal(inst)
+    except DualcheckError:
+        return
+    if not vp.is_finite():
+        return
+    v = vp.value + raise_vp
+    ref = _recovery_outcome(recover_dual_reference, inst, v)
+    got = _recovery_outcome(recover_dual_via_separation, inst, v)
+    if not isinstance(ref, tuple):
+        assert got is ref
+        return
+    assert isinstance(got, tuple)
+    # the LP optimum is 1 / max(1, ||y||_inf) on either route
+    assert max([1] + [abs(c) for c in got]) == max([1] + [abs(c) for c in ref])
+    assert dual_objective_value(inst, got) == vp
+
+
+def test_recovery_projects_only_in_lowering(monkeypatch):
+    from dualcheck import exactlp, polyhedra
+
+    f = Sum(Affine((F(2), F(0)), F(0)), ind(poly(2, [((1, 0), 1), ((-1, 0), 2), ((0, 1), 3), ((0, -1), 1)])))
+    inst = fenchel(f, NormAtom("l1"), n=2)
+    vp, _ = solve_primal(inst)
+    real_project, real_solve = polyhedra.project, exactlp.solve_lp
+    projections, lps = [], []
+
+    def tracked_project(*args):
+        stack = traceback.extract_stack()
+        projections.append(any(fr.name == "lower" and fr.filename.endswith("funcexpr.py") for fr in stack))
+        return real_project(*args)
+
+    def counted_solve(p):
+        lps.append(p)
+        return real_solve(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualcheck"):
+            if getattr(module, "project", None) is real_project:
+                monkeypatch.setattr(module, "project", tracked_project)
+            if getattr(module, "solve_lp", None) is real_solve:
+                monkeypatch.setattr(module, "solve_lp", counted_solve)
+    dual = recover_dual_via_separation(inst, vp.value)
+    assert dual == (F(-1), F(0))
+    assert projections and all(projections)
+    assert len(lps) <= 7

@@ -280,3 +280,19 @@ def test_qi_lemma_consistency_where_decided():
         qi_d = eng.infer(Notion.QI, ORIGIN, diff).status
         if UNKNOWN not in (qi_u, qri_u, qi_d):
             assert (qi_u is HOLDS) == (qri_u is HOLDS and qi_d is HOLDS), u
+
+
+def test_set_memos_stay_bounded_and_answer_as_uncached(monkeypatch):
+    monkeypatch.setattr(se, "_NORM_MEMO", {})
+    monkeypatch.setattr(se, "_ATTR_MEMO", {})
+    cap = se.MEMO_CAPACITY
+    sets = [se.Neg(se.PolyAtom(interval(-k, k + 1))) for k in range(cap + 100)]
+    for s in sets:
+        se.normalize(s)
+        se.attrs(s)
+    assert len(se._NORM_MEMO) == cap and len(se._ATTR_MEMO) == cap
+    assert sets[0] not in se._NORM_MEMO and sets[-1] in se._NORM_MEMO
+    for s in sets[:50] + sets[-50:]:
+        assert se.normalize(s) == se._normalize(s)
+        assert se.attrs(s) == se._attrs(s)
+    assert len(se._NORM_MEMO) == cap and len(se._ATTR_MEMO) == cap

@@ -78,57 +78,67 @@ def _cone(rng, m):
     return poly(m, [(_vec(rng, m), F(0)) for _ in range(rng.randint(1, m + 1))])
 
 
+def _fenchel(rng, i):
+    n = rng.randint(1, 2)
+    kind = ("indicator", "l1", "linf")[i % 3]
+    return FenchelInstance(f"fen-{i}", finite(n), _tilted_box(rng, n), _g_function(rng, n, kind))
+
+
+def _amap(rng, i):
+    n, m = rng.randint(1, 2), rng.randint(1, 2)
+    kind = ("indicator", "l1", "linf")[i % 3]
+    amap = tuple(_vec(rng, n) for _ in range(m))
+    f, g = _tilted_box(rng, n), _g_function(rng, m, kind)
+    return FenchelInstance(f"amap-{i}", finite(n), f, g, amap=amap, gspace=finite(m))
+
+
+def _lagrange(rng, i):
+    n = rng.randint(1, 2)
+    kind = ("affine", "identity", "neg_identity", "shift")[i % 4]
+    if kind == "affine":
+        m = rng.randint(1, 2)
+        gmap = AffineMap(tuple(_vec(rng, n) for _ in range(m)), _vec(rng, m))
+    else:
+        m = n
+        gmap = {
+            "identity": IdentityMap(),
+            "neg_identity": NegIdentityMap(),
+            "shift": ShiftMap(se.VecPoint(_vec(rng, m))),
+        }[kind]
+    f = _tilted_box(rng, n) if rng.random() < 0.5 else Affine(_vec(rng, n), F(0))
+    return LagrangeInstance(
+        f"lag-{kind}-{i}",
+        finite(n),
+        finite(m),
+        f,
+        se.PolyAtom(_box(rng, n)),
+        gmap,
+        se.PolyAtom(_cone(rng, m)),
+    )
+
+
+def _phi(rng, i):
+    nx, ny = rng.randint(1, 2), rng.randint(1, 2)
+    d = nx + ny
+    dom = poly(d, [(_vec(rng, d), F(rng.randint(0, 3))) for _ in range(rng.randint(1, d + 3))])
+    if i % 2:
+        pieces = tuple((_vec(rng, d), F(rng.randint(-1, 1))) for _ in range(2))
+        phi = Sum(SupOfAffine(pieces), IndicatorOf(se.PolyAtom(dom)))
+    else:
+        phi = Sum(Affine(_vec(rng, d), F(0)), IndicatorOf(se.PolyAtom(dom)))
+    return PerturbationInstance(f"phi-{i}", nx, ny, phi)
+
+
+# family -> (instance i drawn from rng, count in the fixture); each family
+# draws from its own generator, seeded "golden:<family>"
+FAMILIES = {"fenchel": (_fenchel, 24), "amap": (_amap, 18), "lagrange": (_lagrange, 40), "phi": (_phi, 18)}
+
+
 def _instances():
     out = []
-    rng = random.Random("golden:fenchel")
-    for i in range(24):
-        n = rng.randint(1, 2)
-        kind = ("indicator", "l1", "linf")[i % 3]
-        out.append(FenchelInstance(f"fen-{i}", finite(n), _tilted_box(rng, n), _g_function(rng, n, kind)))
-    rng = random.Random("golden:amap")
-    for i in range(18):
-        n, m = rng.randint(1, 2), rng.randint(1, 2)
-        kind = ("indicator", "l1", "linf")[i % 3]
-        amap = tuple(_vec(rng, n) for _ in range(m))
-        f, g = _tilted_box(rng, n), _g_function(rng, m, kind)
-        out.append(FenchelInstance(f"amap-{i}", finite(n), f, g, amap=amap, gspace=finite(m)))
-    rng = random.Random("golden:lagrange")
-    for i in range(40):
-        n = rng.randint(1, 2)
-        kind = ("affine", "identity", "neg_identity", "shift")[i % 4]
-        if kind == "affine":
-            m = rng.randint(1, 2)
-            gmap = AffineMap(tuple(_vec(rng, n) for _ in range(m)), _vec(rng, m))
-        else:
-            m = n
-            gmap = {
-                "identity": IdentityMap(),
-                "neg_identity": NegIdentityMap(),
-                "shift": ShiftMap(se.VecPoint(_vec(rng, m))),
-            }[kind]
-        f = _tilted_box(rng, n) if rng.random() < 0.5 else Affine(_vec(rng, n), F(0))
-        out.append(
-            LagrangeInstance(
-                f"lag-{kind}-{i}",
-                finite(n),
-                finite(m),
-                f,
-                se.PolyAtom(_box(rng, n)),
-                gmap,
-                se.PolyAtom(_cone(rng, m)),
-            )
-        )
-    rng = random.Random("golden:phi")
-    for i in range(18):
-        nx, ny = rng.randint(1, 2), rng.randint(1, 2)
-        d = nx + ny
-        dom = poly(d, [(_vec(rng, d), F(rng.randint(0, 3))) for _ in range(rng.randint(1, d + 3))])
-        if i % 2:
-            pieces = tuple((_vec(rng, d), F(rng.randint(-1, 1))) for _ in range(2))
-            phi = Sum(SupOfAffine(pieces), IndicatorOf(se.PolyAtom(dom)))
-        else:
-            phi = Sum(Affine(_vec(rng, d), F(0)), IndicatorOf(se.PolyAtom(dom)))
-        out.append(PerturbationInstance(f"phi-{i}", nx, ny, phi))
+    for name, (make, count) in FAMILIES.items():
+        rng = random.Random(f"golden:{name}")
+        out += [make(rng, i) for i in range(count)]
     return out
 
 

@@ -22,7 +22,6 @@ from . import inference as inf
 from . import polyhedra as pg
 from . import setexpr as se
 from .errors import ApplicabilityError, MalformedInputError
-from .exactlp import EQ, LE, LinearProgram, Optimal, Row, solve_lp
 from .funcexpr import MINF, PINF, er, er_lt
 from .inference import DeclaredFact, Engine, Step
 from .polyhedra import Notion
@@ -375,11 +374,12 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     if ctx.family == FAMILY_FENCHEL:
         if ctx.numeric:
             # continuity of f at x', or of g at Ax', over the joint domain
-            dom_f, dom_g = ctx.model.at_zero(0), ctx.model.at_zero(1)
-            hit = pg.strictly_feasible_point(dom_f, dom_g) or pg.strictly_feasible_point(dom_g, dom_f)
+            amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
+            dom_f, dom_g = ctx.model.domain(0), ctx.model.domain(1)
+            hit = _interior_meets(dom_f, ONE, dom_g, amap) or _interior_meets(dom_g, amap, dom_f, ONE)
             return _status_clause(
                 text,
-                HOLDS if hit is not None else FAILS,
+                HOLDS if hit else FAILS,
                 "strict-feasibility LP over the joint domain",
             )
         dom_f, dom_g = ctx._domains()
@@ -403,37 +403,46 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     )
 
 
+def _interior_meets(p: pg.Polyhedron, to_p, q: pg.Polyhedron, to_q) -> bool:
+    """Is there x with to_p x in int pi(p) and to_q x in pi(q)?  The maps are
+    a scalar or a matrix, as ``polyhedra.BlockRows`` slices take them."""
+    n = p.n if to_p is ONE else len(to_p[0])
+    b = pg.BlockRows(("u", p.n), ("w", p.aux), ("x", n))
+    b.pull(pg.singleton((ZERO,) * p.n), (p.n, {"u": -ONE, "x": to_p}))  # u = to_p x
+    b.pull(q, (q.n, {"x": to_q}))
+    return pg.ri_point(p, b, range(p.n)) is not None
+
+
 def _slice_interior_point(dom: pg.Polyhedron, nx: int, ny: int) -> bool:
     """Is there x' with (x', y) in dom for all y in a small box around 0?
 
-    Over the box |y_j| <= t, t > 0, a row a.(x, y) <= b holds everywhere
-    exactly when a_x.x + |a_y|_1 t <= b, so one row per domain row decides.
+    Exactly when the linear part of aff(dom) contains {0} x R^ny and some
+    (x'', 0) lies in ri(dom): from such a point the affine hull, and so
+    dom, extends in every y direction; conversely, a slice interior at x'
+    puts those directions in the hull, and the segment from a point of
+    ri(dom) to (x', y') for a small y' against it crosses y = 0 inside
+    ri(dom) (Rockafellar, *Convex Analysis*, Thm 6.1).
     """
-    if any(any(e[nx:]) for e, _ in dom.eqs):
-        return False  # an equality in y kills the slice interior
-    rows = [Row(a[:nx] + (sum(abs(c) for c in a[nx:]),), LE, b) for a, b in dom.ineqs]
-    rows += [Row(e[:nx] + (ZERO,), EQ, d) for e, d in dom.eqs]
-    t_up = (ZERO,) * nx + (ONE,)
-    rows.append(Row(t_up, LE, ONE))
-    out = solve_lp(LinearProgram(nx + 1, t_up, "max", tuple(rows)))
-    return isinstance(out, Optimal) and out.value > 0
+    pin = pg.BlockRows(("x", nx), ("y", ny)).pull(pg.singleton((ZERO,) * ny), (ny, {"y": ONE}))
+    return pg.ri_point(dom, pin, range(nx, nx + ny)) is not None
 
 
-def _cone_rows(ctx: DiagnosisContext) -> tuple[pg.Polyhedron, pg.Polyhedron]:
-    """The ground set dom f ∩ S, and the rows of C at -(Gx + h), both over x."""
-    return ctx.model.at_zero(0, 1), ctx.model.at_zero(2)
+def _cone_meets(ctx: DiagnosisContext, interior: bool) -> bool:
+    """Is there x in dom f ∩ S with -(Gx + h) in int C (ri C unless interior)?"""
+    c, g, ground = ctx.model.cone, ctx.model.gmap, ctx.model.at_zero(0, 1)
+    b = pg.BlockRows(("u", c.n), ("w", c.aux), ("x", ground.n))
+    b.pull(pg.singleton(tuple(-v for v in g.shift)), (c.n, {"u": ONE, "x": g.rows}))  # u = -(Gx + h)
+    b.pull(ground, (ground.n, {"x": ONE}))
+    return pg.ri_point(c, b, range(c.n) if interior else ()) is not None
 
 
 def _slater_clause(ctx: DiagnosisContext) -> Clause:
     text = "a feasible point maps into the negative interior of the ordering cone"
     instance = ctx.instance
     if ctx.numeric:
-        ground, cone_rows = _cone_rows(ctx)
-        if cone_rows.eqs:
+        if ctx.model.cone.eqs and not ctx.model.cone.aux:
             return _status_clause(text, FAILS, "the cone carries equalities, so its interior is empty")
-        strict = pg.Polyhedron(cone_rows.n, cone_rows.ineqs, ())
-        hit = pg.strictly_feasible_point(strict, ground)
-        return _status_clause(text, HOLDS if hit is not None else FAILS, "strict-feasibility LP")
+        return _status_clause(text, HOLDS if _cone_meets(ctx, True) else FAILS, "strict-feasibility LP")
     cone = normalize(instance.cone)
     if inf.interior_is_empty(cone) is HOLDS:
         return _status_clause(text, FAILS, "the ordering cone has empty interior")
@@ -448,14 +457,7 @@ def _slater_qri_clause(ctx: DiagnosisContext) -> Clause:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
     cone = normalize(instance.cone)
     if ctx.numeric:
-        ground, cone_rows = _cone_rows(ctx)
-        c_poly = ctx.model.cone
-        imp = set(pg.implicit_rows(c_poly)) if not pg.is_empty(c_poly) else set()
-        strict = [row for i, row in enumerate(cone_rows.ineqs) if i not in imp]
-        tight = [row for i, row in enumerate(cone_rows.ineqs) if i in imp]
-        weak = pg.Polyhedron(cone_rows.n, ground.ineqs, ground.eqs + tuple(tight) + cone_rows.eqs)
-        hit = pg.strictly_feasible_point(pg.Polyhedron(cone_rows.n, tuple(strict), ()), weak)
-        return _status_clause(text, HOLDS if hit is not None else FAILS, "relative-interior LP on the cone rows")
+        return _status_clause(text, HOLDS if _cone_meets(ctx, False) else FAILS, "relative-interior LP on the cone rows")
     flat = cone
     while isinstance(flat, (se.Neg, se.Translate, se.Scale)):
         flat = flat.inner

@@ -9,8 +9,14 @@ pieces over the blocks x, y and one epigraph variable per function.  All
 three families then share one code path, built from the pieces with
 ``polyhedra.BlockRows``: the primal LP inf Phi(x, 0), the projected domain
 pr_y dom Phi, the projected shifted epigraph, and the dual objective at a
-point, one LP inf Phi(x, y) + <±y*, y>.  The dual-value LPs keep each
-family's own formulation.  Dual solutions can be recovered constructively
+point, one LP inf Phi(x, y) + <±y*, y>.  The domain and the shifted
+epigraph stay lifted: their rows are Phi's rows with x, the epigraph
+variables and every auxiliary of the lowered pieces kept as auxiliary
+columns, and every interiority query runs on those rows.  The dual-value
+LPs keep each family's own formulation; the sum and perturbation families
+read their conjugates with the auxiliaries eliminated
+(``polyhedra.eliminate``), the one elimination left, so that the optimal
+dual point printed stays the one these rows give.  Dual solutions can be recovered constructively
 by separating the origin from the projected shifted epigraph and
 rescaling the separator.  The separator comes from one LP over the polar
 of the lifted shifted epigraph, written in the multipliers of its rows,
@@ -231,13 +237,24 @@ def _as_affine(gmap: GMap, nx: int, m: int) -> AffineMap:
 
 def _check_cone(c: Polyhedron) -> None:
     """C must be a convex cone: it holds 0, and a row with b > 0 stays
-    at most 0 on C (a row with b = 0 already is a cone's row)."""
-    if not pg.contains(c, (ZERO,) * c.n):
+    at most 0 on C (a row with b = 0 already is a cone's row).
+
+    The test is exact on a system without auxiliaries.  A lifted C (a
+    Minkowski sum or difference) is accepted when its lifted system, all
+    columns kept, passes the same test: a cone projects onto a cone.
+    Otherwise whether pi(C) is a cone is left undecided, a RegimeError.
+    """
+    flat = Polyhedron(c.width, c.ineqs, c.eqs)
+    if not pg.contains(flat, (ZERO,) * flat.n):
+        if c.aux:
+            raise RegimeError("the lifted ordering set C is no cone over its auxiliaries; cone test undecided")
         raise MalformedInputError("the ordering set C does not contain the origin, so it is no cone")
     for a, b in c.ineqs:
         if b > 0:
-            out = pg.extremum(c, a, "max")
+            out = pg.extremum(flat, a, "max")
             if not isinstance(out, Optimal) or out.value > 0:
+                if c.aux:
+                    raise RegimeError("the lifted ordering set C is no cone over its auxiliaries; cone test undecided")
                 raise MalformedInputError("the ordering set C is not a cone")
 
 
@@ -323,13 +340,13 @@ class NumericModel:
 
     def at_zero(self, *pieces: int) -> Polyhedron:
         """The domains of the given pieces over x, at y = 0."""
-        return self.system(("x", self.nx), pieces=pieces, domains=True).polyhedron()
+        return pg.project(self.system(("x", self.nx), pieces=pieces, domains=True).polyhedron(), range(self.nx))
 
     @cached_property
     def primal(self) -> tuple[ExtReal, Optional[tuple]]:
         """inf Phi(x, 0) and a minimizer."""
         b = self.system(("x", self.nx), *self.epis)
-        obj = (ZERO,) * self.nx + (ONE,) * len(self.epis)
+        obj = _padded((ZERO,) * self.nx + (ONE,) * len(self.epis), b)
         out = solve_lp(LinearProgram(b.n, obj, "min", b.lp_rows()))
         if isinstance(out, Optimal):
             return er(out.value), out.point[: self.nx]
@@ -359,28 +376,34 @@ class NumericModel:
         names = tuple(f"s{i}" for i in range(len(self.conjugated)))
         b = pg.BlockRows(("y", self.ny), *((s, 1) for s in names))
         for (pf, slices), s in zip(self.conjugated, names):
-            b.pull(conjugate_polyfunc(pf).epi, *slices, (1, {s: ONE}))
-        obj = (ZERO,) * self.ny + (-ONE,) * len(names)
+            # eliminated rows, see polyhedra.eliminate
+            star = conjugate_polyfunc(fx.PolyFunc(pf.n, pg.eliminate(pf.epi)))
+            b.pull(pg.eliminate(star.epi), *slices, (1, {s: ONE}))
+        obj = _padded((ZERO,) * self.ny + (-ONE,) * len(names), b)
         return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), self.ny)
 
     def _cone_dual(self) -> tuple[ExtReal, Optional[tuple]]:
         """sup over z* in C* of the inner LP value, folded into one LP via the
         inner problem's dual: multipliers y of the rows of epi f and S."""
         nx, m, c = self.nx, self.ny, self.cone
-        inner = self.system(("x", nx), ("t", 1), pieces=(0, 1)).rows
+        ib = self.system(("x", nx), ("t", 1), pieces=(0, 1))
+        inner = ib.full_rows()
         g_t = tuple(tuple(-row[j] for row in self.gmap.rows) for j in range(nx))
-        cols = pg.columns(inner, nx + 1)
+        cols = pg.columns(inner, ib.n)
+        w = ib.n - nx - 1  # the auxiliaries of epi f and S
         b = pg.BlockRows(("z", m), ("y", len(inner)), ("lam", len(c.ineqs)), ("mu", len(c.eqs)))
         # the inner multipliers: y <= 0 on <=-rows (min sense), lam >= 0
         sign = tuple((tuple(ONE if k == i else ZERO for k in range(len(inner))), ZERO)
                      for i, (_, rel, _) in enumerate(inner) if rel == LE)
         b.pull(Polyhedron(len(inner), sign, ()), (len(inner), {"y": ONE}))
         b.pull(pg.orthant(len(c.ineqs)), (len(c.ineqs), {"lam": ONE}))
-        # sum_i y_i row_i = (G^T z, 1)
-        b.pull(pg.singleton((ZERO,) * nx + (ONE,)), (nx, {"y": cols[:nx], "z": g_t}), (1, {"y": cols[nx:]}))
-        # z in C*: z + A^T lam + E^T mu = 0 for the H-form C = {Au <= 0, Eu = 0}
-        dual_cone = {"z": ONE, "lam": pg.columns(c.ineqs, m), "mu": pg.columns(c.eqs, m)}
-        b.pull(pg.singleton((ZERO,) * m), (m, dual_cone))
+        # sum_i y_i row_i = (G^T z, 1, 0)
+        b.pull(pg.singleton((ZERO,) * nx + (ONE,) + (ZERO,) * w),
+               (nx, {"y": cols[:nx], "z": g_t}), (1, {"y": cols[nx : nx + 1]}), (w, {"y": cols[nx + 1 :]}))
+        # z in C*: z + A_u^T lam + E_u^T mu = 0 and A_w^T lam + E_w^T mu = 0
+        # for the lifted H-form C = pi {(u, w) : A(u, w) <= 0, E(u, w) = 0}
+        ca, ce = pg.columns(c.ineqs, c.width), pg.columns(c.eqs, c.width)
+        b.pull(pg.singleton((ZERO,) * c.width), (m, {"z": ONE, "lam": ca[:m], "mu": ce[:m]}), (c.aux, {"lam": ca[m:], "mu": ce[m:]}))
         obj = tuple(self.gmap.shift) + tuple(r for _, _, r in inner) + (ZERO,) * (len(c.ineqs) + len(c.eqs))
         return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), m)
 
@@ -392,7 +415,7 @@ class NumericModel:
         if any(fx.pf_falls_forever(pf) for pf, _ in self.conjugated):
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         b = self.system(("x", self.nx), ("y", self.ny), *self.epis)
-        obj = (ZERO,) * self.nx + tuple(self.pairing * c for c in q) + (ONE,) * len(self.epis)
+        obj = _padded((ZERO,) * self.nx + tuple(self.pairing * c for c in q) + (ONE,) * len(self.epis), b)
         out = solve_lp(LinearProgram(b.n, obj, "min", b.lp_rows()))
         if isinstance(out, Optimal):
             return er(out.value)
@@ -401,6 +424,11 @@ class NumericModel:
         if self.conjugated:  # some epigraph is empty
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         return PINF
+
+
+def _padded(obj: tuple, b: pg.BlockRows) -> tuple:
+    """An objective over the declared blocks, zero on the auxiliary columns."""
+    return obj + (ZERO,) * (b.n - len(obj))
 
 
 def _sup(out, k: int) -> tuple[ExtReal, Optional[tuple]]:

@@ -1,10 +1,13 @@
 """Convex function expression trees and Fenchel conjugation.
 
 Functions are immutable trees.  In the numeric regime every tree lowers
-to an exact H-representation of its epigraph (``PolyFunc``), values are
-computed by interval arithmetic on the fibers, and the conjugate is the
-projection of the LP-dual multiplier system of the epigraph, so f* is
-again a PolyFunc.  In the symbolic regime conjugation is a rule table
+to an exact lifted H-representation of its epigraph (``PolyFunc``): sums,
+infimal convolutions and the l1 norm stack rows over auxiliary columns,
+an affine summand tilts the other epigraph, and the conjugate is the
+LP-dual multiplier system of the epigraph with the multipliers kept as
+auxiliaries, so f* is again a PolyFunc and nothing is eliminated.  A value
+is the bottom of the epigraph fiber: interval arithmetic on a system
+without auxiliaries, one LP otherwise.  In the symbolic regime conjugation is a rule table
 (indicators of subspaces and cones, norms, tilts, translations) and
 values are decided structurally or not at all.
 
@@ -25,7 +28,7 @@ from .errors import (
     RegimeError,
     UndecidableValueError,
 )
-from .exactlp import EQ, LE, LinearProgram, Optimal, Row, Unbounded, dot, solve_lp
+from .exactlp import Optimal, Unbounded, dot
 from .setexpr import (
     FAILS,
     HOLDS,
@@ -458,8 +461,8 @@ def is_proper(f: FunctionExpr) -> FactStatus:
 
 @dataclass(frozen=True)
 class PolyFunc:
-    """Exact polyhedral function: H-representation of its epigraph over
-    (x, t), with t the last coordinate."""
+    """Exact polyhedral function: lifted H-representation of its epigraph
+    over (x, t), with t the last kept coordinate."""
 
     n: int
     epi: pg.Polyhedron
@@ -507,18 +510,20 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
         row = (c + (Fraction(-1),), -f.alpha)
         return PolyFunc(n, pg.poly(n + 1, ineqs=[row]))
     if isinstance(f, IndicatorOf):
-        dom = lower_set(f.set_, n)
-        rows = [(a + (ZERO,), b) for a, b in dom.ineqs]
-        rows.append((tuple(ZERO for _ in range(n)) + (-ONE,), ZERO))
-        eqs = [(e + (ZERO,), d) for e, d in dom.eqs]
-        return PolyFunc(n, pg.poly(n + 1, rows, eqs))
+        b = pg.BlockRows(("x", n), ("t", 1)).pull(lower_set(f.set_, n), (n, {"x": ONE}))
+        out = b.pull(pg.at_most(0), (1, {"t": -ONE})).polyhedron()  # t >= 0
+        return PolyFunc(n, pg.poly(n + 1, out.ineqs, out.eqs, out.n - n - 1))
     if isinstance(f, NormAtom):
         if f.kind == "l1":
-            rows = []
-            for mask in range(2**n):
-                sgn = tuple(ONE if (mask >> j) & 1 else -ONE for j in range(n))
-                rows.append((sgn + (-ONE,), ZERO))
-            return PolyFunc(n, pg.poly(n + 1, rows))
+            # -s <= x <= s and sum(s) <= t: 2n + 1 rows over the auxiliaries
+            # s, stored last to first so that eliminating them writes the
+            # 2^n rows sgn.x <= t in the order of the sign vectors
+            rev = tuple(tuple(-ONE if k == n - 1 - j else ZERO for k in range(n)) for j in range(n))
+            b = pg.BlockRows(("x", n), ("t", 1), ("s", n))
+            b.pull(pg.neg(pg.orthant(n)), (n, {"x": -ONE, "s": rev}))
+            b.pull(pg.neg(pg.orthant(n)), (n, {"x": ONE, "s": rev}))
+            b.pull(pg.at_most(0), (1, {"s": ((ONE,) * n,), "t": -ONE}))
+            return PolyFunc(n, pg.project(b.polyhedron(), range(n + 1)))
         if f.kind == "linf":
             rows = []
             for j in range(n):
@@ -535,9 +540,22 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
             rows.append((c + (-ONE,), -Fraction(alpha)))
         return PolyFunc(n, pg.poly(n + 1, rows))
     if isinstance(f, Sum):
+        for ind, other in ((f.a, f.b), (f.b, f.a)):
+            if isinstance(ind, IndicatorOf):
+                # epi(other + delta_D) = (D x R) ∩ epi other: stack the rows
+                big = pg.BlockRows(("x", n), ("t", 1)).pull(lower_set(ind.set_, n), (n, {"x": 1}))
+                big.pull(lower(other, n).epi, (n, {"x": 1}), (1, {"t": 1}))
+                return PolyFunc(n, pg.project(big.polyhedron(), range(n + 1)))
+        for tilt, other in ((f.a, f.b), (f.b, f.a)):
+            if isinstance(tilt, Affine) and not isinstance(tilt.c, SymVec):
+                # (x, t) in epi(other + <c, .> + alpha) iff (x, t - c.x - alpha) in epi other
+                c = tuple(-Fraction(v) for v in tilt.c)
+                big = pg.BlockRows(("x", n), ("t", 1))
+                big.pull(lower(other, n).epi, (n, {"x": 1}), (1, {"t": 1, "x": (c,)}), shift=(ZERO,) * n + (-tilt.alpha,))
+                return PolyFunc(n, pg.project(big.polyhedron(), range(n + 1)))
         fa = lower(f.a, n)
         fb = lower(f.b, n)
-        # (x, t, u): (x, u) in epi a, (x, t - u) in epi b; drop u
+        # (x, t, u): (x, u) in epi a, (x, t - u) in epi b; u stays auxiliary
         big = pg.BlockRows(("x", n), ("t", 1), ("u", 1))
         big.pull(fa.epi, (n, {"x": 1}), (1, {"u": 1}))
         big.pull(fb.epi, (n, {"x": 1}), (1, {"t": 1, "u": -1}))
@@ -561,7 +579,7 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
         base = lower(f.f, m)
         matrix = tuple(tuple(Fraction(c) for c in row) for row in f.matrix)
         out = pg.BlockRows(("x", n), ("t", 1)).pull(base.epi, (m, {"x": matrix}), (1, {"t": 1})).polyhedron()
-        return PolyFunc(n, pg.poly(n + 1, out.ineqs, out.eqs))  # the map may zero out a row
+        return PolyFunc(n, pg.poly(n + 1, out.ineqs, out.eqs, base.epi.aux))  # the map may zero out a row
     if isinstance(f, ConjugateOf):
         base = lower(f.f, n)
         return conjugate_polyfunc(base)
@@ -573,9 +591,21 @@ def pf_domain(pf: PolyFunc) -> pg.Polyhedron:
 
 
 def pf_value(pf: PolyFunc, x: Sequence) -> ExtReal:
-    """f(x) as the bottom of the epigraph fiber over x."""
+    """f(x) as the bottom of the epigraph fiber over x: one LP over the
+    fiber's auxiliaries, or interval arithmetic when there are none."""
     x = tuple(Fraction(v) for v in x)
     n = pf.n
+    if pf.epi.aux:
+        fiber = pg.Polyhedron(
+            1,
+            tuple((a[n:], b - dot(a[:n], x)) for a, b in pf.epi.ineqs),
+            tuple((e[n:], d - dot(e[:n], x)) for e, d in pf.epi.eqs),
+            pf.epi.aux,
+        )
+        out = pg.extremum(fiber, (ONE,), "min")
+        if isinstance(out, Optimal):
+            return er(out.value)
+        return MINF if isinstance(out, Unbounded) else PINF
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
 
@@ -609,9 +639,15 @@ def pf_value(pf: PolyFunc, x: Sequence) -> ExtReal:
 
 
 def pf_falls_forever(pf: PolyFunc) -> bool:
-    """(0, ..., 0, -1) is a recession direction: the value is -inf wherever it is finite."""
-    n = pf.n
-    return all(a[n] >= 0 for a, _ in pf.epi.ineqs) and all(e[n] == 0 for e, _ in pf.epi.eqs)
+    """(0, ..., 0, -1) is a recession direction of the epigraph, that is
+    (0, -1, w) is one of the lifted rows for some w: the value is -inf
+    wherever it is finite.  One LP when there are auxiliaries."""
+    n, e = pf.n, pf.epi
+    if e.aux:
+        # A (0, -1, w) <= 0 and E (0, -1, w) = 0 for some w
+        ray = pg.Polyhedron(e.aux, tuple((a[n + 1 :], a[n]) for a, _ in e.ineqs), tuple((r[n + 1 :], r[n]) for r, _ in e.eqs))
+        return not pg.is_empty(ray)
+    return all(a[n] >= 0 for a, _ in e.ineqs) and all(r[n] == 0 for r, _ in e.eqs)
 
 
 def pf_is_improper(pf: PolyFunc) -> bool:
@@ -621,21 +657,22 @@ def pf_is_improper(pf: PolyFunc) -> bool:
 def conjugate_polyfunc(pf: PolyFunc) -> PolyFunc:
     """H-representation of the conjugate's epigraph.
 
-    s >= f*(y) iff the LP sup {<y,x> - t : (x,t) in epi f} is at most s;
-    by LP duality that is the existence of multipliers lam >= 0, mu with
-    lam^T G + mu^T E = (y, -1) and lam^T h + mu^T d <= s.  Projecting the
-    multipliers out yields epi f* exactly.
+    s >= f*(y) iff the LP sup {<y,x> - t : (x,t,w) in the lifted epi f} is
+    at most s; by LP duality that is the existence of multipliers lam >= 0,
+    mu with lam^T G + mu^T E = (y, -1, 0) and lam^T h + mu^T d <= s.  The
+    multipliers stay as the auxiliaries of epi f*.
     """
     if pf_is_improper(pf):
         raise ImproperFunctionError("conjugate of an improper polyhedral function")
-    n = pf.n
+    n, aux = pf.n, pf.epi.aux
     G, E = pf.epi.ineqs, pf.epi.eqs
     big = pg.BlockRows(("y", n), ("s", 1), ("lam", len(G)), ("mu", len(E)))
-    gt, et = pg.columns(G, n + 1), pg.columns(E, n + 1)
-    big.pull(  # lam^T G + mu^T E = (y, -1)
-        pg.singleton((ZERO,) * n + (-ONE,)),
+    gt, et = pg.columns(G, pf.epi.width), pg.columns(E, pf.epi.width)
+    big.pull(  # lam^T G + mu^T E = (y, -1, 0)
+        pg.singleton((ZERO,) * n + (-ONE,) + (ZERO,) * aux),
         (n, {"y": -1, "lam": gt[:n], "mu": et[:n]}),
-        (1, {"lam": gt[n:], "mu": et[n:]}),
+        (1, {"lam": gt[n : n + 1], "mu": et[n : n + 1]}),
+        (aux, {"lam": gt[n + 1 :], "mu": et[n + 1 :]}),
     )
     big.pull(pg.at_most(0), (1, {"s": -1, "lam": (tuple(b for _, b in G),), "mu": (tuple(d for _, d in E),)}))
     big.pull(pg.orthant(len(G)), (len(G), {"lam": 1}))
@@ -740,10 +777,7 @@ def domain_lower_bound(f: FunctionExpr, space: Optional[SpaceTag] = None) -> Opt
 
 
 def _minimize_pf(pf: PolyFunc):
-    obj = tuple(ZERO for _ in range(pf.n)) + (ONE,)
-    rows = [Row(a, LE, b) for a, b in pf.epi.ineqs]
-    rows += [Row(e, EQ, d) for e, d in pf.epi.eqs]
-    return solve_lp(LinearProgram(pf.n + 1, obj, "min", tuple(rows)))
+    return pg.extremum(pf.epi, (ZERO,) * pf.n + (ONE,), "min")
 
 
 # -- epigraph difference sets -------------------------------------------------
@@ -793,13 +827,13 @@ def biconjugate_check(f: FunctionExpr, samples: Sequence[Sequence]) -> bool:
     pf = lower(f, n)
     star = conjugate_polyfunc(pf)
     star2 = conjugate_polyfunc(star)
-    for x in samples:
-        if pf_value(star2, x) != pf_value(pf, x):
+    values = [pf_value(pf, x) for x in samples]
+    for x, fx in zip(samples, values):
+        if pf_value(star2, x) != fx:
             return False
-    for x in samples:
-        fx = pf_value(pf, x)
-        for y in samples:
-            fy = pf_value(star, y)
+    star_values = [pf_value(star, y) for y in samples]
+    for x, fx in zip(samples, values):
+        for y, fy in zip(samples, star_values):
             lhs = er_add(fx, fy)
             rhs = er(dot(tuple(Fraction(v) for v in x), tuple(Fraction(v) for v in y)))
             if not er_le(rhs, lhs):

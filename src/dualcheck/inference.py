@@ -46,6 +46,7 @@ from .setexpr import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -472,7 +473,7 @@ def _r_vertical_ray(e: Engine, kind, point, s):
     if not (isinstance(s, se.Product) and se.is_origin(point)):
         return None
     right = s.right
-    if not isinstance(right, se.PolyAtom) or right.poly.n != 1 or right.poly.eqs:
+    if not isinstance(right, se.PolyAtom) or right.poly.n != 1 or right.poly.eqs or right.poly.aux:
         return None
     lo = None
     for a, b in right.poly.ineqs:
@@ -656,7 +657,7 @@ def interior_is_empty(s: SetExpr) -> FactStatus:
     if a.whole is HOLDS:
         return FAILS
     if isinstance(s, se.PolyAtom):
-        pt = pg.strictly_feasible_point(s.poly)
+        pt = pg.ri_point(s.poly, free=range(s.poly.n))
         return FAILS if pt is not None else HOLDS
     if isinstance(s, (se.Translate, se.Neg, se.Scale)):
         return interior_is_empty(s.inner)
@@ -699,12 +700,8 @@ def meets_qri(engine: Engine, a: SetExpr, b: SetExpr, n: Optional[int] = None) -
             return Fact(UNKNOWN, ())
         if pg.is_empty(pb):
             return Fact(FAILS, (Step("finite-dim", "the set is empty"),))
-        imp = set(pg.implicit_rows(pb))
-        strict_rows = [row for i, row in enumerate(pb.ineqs) if i not in imp]
-        eq_rows = list(pb.eqs) + [pb.ineqs[i] for i in imp]
-        strict = pg.Polyhedron(n, tuple(strict_rows), ())
-        weak = pg.Polyhedron(n, tuple(pa.ineqs), tuple(pa.eqs) + tuple(eq_rows))
-        pt = pg.strictly_feasible_point(strict, weak)
+        weak = pg.BlockRows(("x", n), ("w", pb.aux)).pull(pa, (n, {"x": ONE}))
+        pt = pg.ri_point(pb, weak)
         return Fact(
             HOLDS if pt is not None else FAILS,
             (Step("finite-dim", "strict-feasibility LP over the intersection"),),

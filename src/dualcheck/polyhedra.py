@@ -1,32 +1,41 @@
-"""Exact computations on H-representation polyhedra.
+"""Exact computations on lifted H-representation polyhedra.
 
-A :class:`Polyhedron` is ``{x : a.x <= b for every inequality row,
-e.x = d for every equality row}`` in a fixed finite dimension.  Emptiness
-is always computed, never stored.  Every geometric question below reduces
-to a handful of exact LPs:
+A :class:`Polyhedron` is an H-system ``{z : a.z <= b for every inequality
+row, e.z = d for every equality row}`` over ``n`` kept coordinates followed
+by ``aux`` auxiliary ones, and it denotes the projection of that system
+onto the kept coordinates.  Sums, differences, images and epigraphs of
+sums and conjugates are therefore written by stacking rows (the calculus
+of polyhedral representations, Ben-Tal and Nemirovski, *Lectures on Modern
+Convex Optimization*, ch. 1), and nothing is ever eliminated:
+:func:`project` only reorders columns and marks the dropped ones
+auxiliary.  Emptiness is always computed, never stored.  Every question
+is answered on the lifted rows with a handful of exact LPs:
 
-* implicit equalities / affine hull — one LP per inequality row,
-* relative-interior points — a single max-slack LP,
-* the six interiority notions, which collapse in finite dimension to the
-  interior test (Int, Core, Qi) and the relative-interior test (Sqri,
-  Icr, Qri),
-* normal cones from active rows, duals of finitely generated cones,
-* projections by Fourier-Motzkin with LP-backed redundancy pruning.  Each
-  step eliminates a coordinate that an equality contains (a substitution)
-  if there is one, else the one whose Fourier-Motzkin step makes the fewest
-  new rows, ``|pos|*|neg| - |pos| - |neg|``, lowest index first.  A row is
-  kept exactly when a witness point satisfies the equalities and every
-  other kept row but violates it.  A row's LP supplies its witness, and
-  witnesses carry through later steps wherever the step itself proves them
-  still valid; a row that has one skips its LP,
-* Minkowski sums via an extended system and projection.
+* emptiness and membership in the projection: one feasibility LP each;
+* implicit equalities: the single LP of Freund, Roundy and Todd (1985),
+  max sum(s) subject to A z + s <= b tau, E z = d tau, 0 <= s <= 1,
+  tau >= 1, whose optimum has s_i = 1 exactly on the rows that some point
+  satisfies strictly, and whose point z / tau lies in the relative
+  interior;
+* the affine hull of the projection: the equalities plus the implicit
+  rows with the auxiliary coordinates removed by exact Gaussian
+  elimination, no LP;
+* relative-interior points meeting further rows, by :func:`ri_point`: one
+  strict-feasibility LP over ri P after the implicit rows are known.  It
+  decides the six interiority notions, which collapse in finite dimension
+  to the relative interior (Sqri, Icr, Qri) and the interior (Int, Core,
+  Qi): ri pi(P) = pi(ri P) (Rockafellar, *Convex Analysis*, Thm 6.6), and
+  int pi(P) is ri pi(P) when the affine hull of pi(P) is everything;
+* normal cones from active rows and duals of finitely generated cones, on
+  systems without auxiliaries.
 
 Lifted systems are written with :class:`BlockRows`, which lays out named
 blocks of variables and pulls a polyhedron back along an affine map of
-them, keeping rows in insertion order and pinning undeclared blocks to
-zero.  The Minkowski sums and products here, the lowering of sums and the
-conjugates in ``funcexpr``, and every LP and projection of the numeric
-model in ``engine`` are built that way.
+them, keeping rows in insertion order, pinning undeclared blocks to zero
+and giving each pulled polyhedron's auxiliaries fresh columns at the end.
+The Minkowski sums, intersections and products here, the lowering and
+conjugation in ``funcexpr`` and every LP of the numeric model in
+``engine`` are built that way.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -58,6 +68,11 @@ from .exactlp import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# One diagnosis asks the same lifted system many questions (membership,
+# every notion, the attributes), so the LP-backed answers on lifted
+# systems are remembered, at most LP_MEMO entries per kind of question.
+LP_MEMO = 1024
+
 
 class Notion(Enum):
     """Interiority notions; values fix the canonical report order."""
@@ -74,32 +89,37 @@ def _fvec(xs: Sequence) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def _primitive(row: Sequence) -> tuple[int, ...]:
-    """Scale rational entries by a positive factor to coprime integers."""
-    mul = 1
-    for c in row:
-        mul = mul * c.denominator // gcd(mul, c.denominator)
-    ints = [c.numerator * (mul // c.denominator) for c in row]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
-
-
 @dataclass(frozen=True)
 class Polyhedron:
+    """The projection onto the first n coordinates of the rows over n + aux."""
+
     n: int
     ineqs: tuple[tuple[Vec, Fraction], ...]
     eqs: tuple[tuple[Vec, Fraction], ...]
+    aux: int = 0
 
     def __post_init__(self):
         for a, _ in self.ineqs:
-            if len(a) != self.n:
-                raise DimensionMismatchError("inequality row length != n")
+            if len(a) != self.width:
+                raise DimensionMismatchError("inequality row length != n + aux")
         for e, _ in self.eqs:
-            if len(e) != self.n:
-                raise DimensionMismatchError("equality row length != n")
+            if len(e) != self.width:
+                raise DimensionMismatchError("equality row length != n + aux")
+
+    @property
+    def width(self) -> int:
+        return self.n + self.aux
+
+    def __hash__(self):
+        # the memos key on whole systems; hashing their Fractions once is enough
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.n, self.ineqs, self.eqs, self.aux))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
-def poly(n: int, ineqs: Iterable = (), eqs: Iterable = ()) -> Polyhedron:
+def poly(n: int, ineqs: Iterable = (), eqs: Iterable = (), aux: int = 0) -> Polyhedron:
     """Canonicalizing constructor: drops vacuous rows, keeps contradictions."""
     cin = []
     for a, b in ineqs:
@@ -113,7 +133,7 @@ def poly(n: int, ineqs: Iterable = (), eqs: Iterable = ()) -> Polyhedron:
         if all(c == 0 for c in e) and d == 0:
             continue
         ceq.append((e, d))
-    return Polyhedron(n, tuple(cin), tuple(ceq))
+    return Polyhedron(n, tuple(cin), tuple(ceq), aux)
 
 
 def whole_space(n: int) -> Polyhedron:
@@ -141,12 +161,26 @@ def singleton(pt: Sequence) -> Polyhedron:
 
 
 def contains(p: Polyhedron, x: Sequence) -> bool:
+    """Is x in the projection?  Arithmetic without auxiliaries, else one LP."""
     x = _fvec(x)
     if len(x) != p.n:
         raise DimensionMismatchError("point dimension mismatch")
+    if p.aux:
+        return _in_projection(p, x)
     return all(dot(a, x) <= b for a, b in p.ineqs) and all(
         dot(e, x) == d for e, d in p.eqs
     )
+
+
+@lru_cache(maxsize=LP_MEMO)
+def _in_projection(p: Polyhedron, x: Vec) -> bool:
+    """Is the fiber of the lifted rows over x nonempty?  One LP."""
+    fiber = Polyhedron(
+        p.aux,
+        tuple((a[p.n :], b - dot(a[: p.n], x)) for a, b in p.ineqs),
+        tuple((e[p.n :], d - dot(e[: p.n], x)) for e, d in p.eqs),
+    )
+    return not is_empty(fiber)
 
 
 def at_most(b) -> Polyhedron:
@@ -167,10 +201,13 @@ class BlockRows:
     then equalities) at ``z = (s_1, ..., s_k) + c``: the pullback of ``p``
     along that affine map.  A slice is ``(size, terms)``, where ``terms``
     maps a block name to its coefficient, a scalar (that multiple of the
-    identity) or a matrix with ``size`` rows.  A block that this builder
-    does not declare is pinned to zero, so ``p`` restricted to ``y = 0``
-    is ``p`` pulled back by a builder without ``y``.  Nothing is dropped:
-    a row whose coefficients all vanish stays as it is.
+    identity) or a matrix with ``size`` rows.  The slices cover the kept
+    coordinates of ``p``; its auxiliaries get a fresh block of columns at
+    the end of the builder, so the rows pulled back are those of the
+    lifted set.  A block that this builder does not declare is pinned to
+    zero, so ``p`` restricted to ``y = 0`` is ``p`` pulled back by a
+    builder without ``y``.  Nothing is dropped: a row whose coefficients
+    all vanish stays as it is.
     """
 
     def __init__(self, *blocks: tuple[str, int]):
@@ -189,6 +226,9 @@ class BlockRows:
             start += size
         if start != p.n:
             raise DimensionMismatchError("slices do not cover the polyhedron")
+        if p.aux:
+            parts.append((p.n, p.aux, self.n, ONE))
+            self.n += p.aux
         for rows, rel in ((p.ineqs, LE), (p.eqs, EQ)):
             for a, b in rows:
                 coeff = [ZERO] * self.n
@@ -203,14 +243,20 @@ class BlockRows:
                 self.rows.append((tuple(coeff), rel, b - dot(a, shift) if shift is not None else b))
         return self
 
+    def full_rows(self) -> list[tuple[Vec, str, Fraction]]:
+        """The rows in insertion order, those written before a later
+        auxiliary block padded with zeros to the final width."""
+        return [(a + (ZERO,) * (self.n - len(a)), rel, b) for a, rel, b in self.rows]
+
     def lp_rows(self) -> tuple[Row, ...]:
-        return tuple(Row(a, rel, b) for a, rel, b in self.rows)
+        return tuple(Row(a, rel, b) for a, rel, b in self.full_rows())
 
     def polyhedron(self) -> Polyhedron:
+        rows = self.full_rows()
         return Polyhedron(
             self.n,
-            tuple((a, b) for a, rel, b in self.rows if rel == LE),
-            tuple((a, b) for a, rel, b in self.rows if rel == EQ),
+            tuple((a, b) for a, rel, b in rows if rel == LE),
+            tuple((a, b) for a, rel, b in rows if rel == EQ),
         )
 
 
@@ -221,32 +267,51 @@ def _rows(p: Polyhedron) -> list[tuple[Vec, str, Fraction]]:
 
 
 def _solve_over(p: Polyhedron, obj: Vec, sense: str):
-    prog = LinearProgram(p.n, obj, sense, tuple(Row(a, rel, b) for a, rel, b in _rows(p)))
+    """Optimize obj, over the kept coordinates or all columns, on p's rows."""
+    obj = tuple(obj) + (ZERO,) * (p.width - len(obj))
+    prog = LinearProgram(p.width, obj, sense, tuple(Row(a, rel, b) for a, rel, b in _rows(p)))
     return solve_lp(prog)
 
 
 def is_empty(p: Polyhedron) -> bool:
-    out = _solve_over(p, tuple(ZERO for _ in range(p.n)), "min")
+    out = _solve_over(p, (), "min")
     return not isinstance(out, (Optimal, Unbounded))
 
 
 def extremum(p: Polyhedron, obj: Sequence, sense: str):
-    """LP outcome of optimizing obj over p."""
+    """LP outcome of optimizing obj, a linear form on the kept coordinates, over p."""
     return _solve_over(p, _fvec(obj), sense)
 
 
-def implicit_rows(p: Polyhedron) -> tuple[int, ...]:
-    """Indices of inequality rows satisfied with equality by every point.
+@lru_cache(maxsize=LP_MEMO)
+def _frt(p: Polyhedron) -> Optional[tuple[frozenset, Vec]]:
+    """The implicit inequality rows of p and a point of ri p, or None if p is empty.
 
-    Row a.x <= b is implicit exactly when min a.x over p equals b (the
-    maximum is always <= b, so this pins a.x = b on all of p).
+    One LP over (z, s, tau) (Freund, Roundy and Todd 1985): maximize sum(s)
+    subject to a_i.z + s_i <= b_i tau, e.z = d tau, 0 <= s <= 1, tau >= 1.
+    Averaging points that satisfy each non-implicit row strictly and
+    scaling up gives a solution with s_i = 1 on every such row, while an
+    implicit row forces s_i = 0, so every optimum marks exactly the
+    implicit rows, and z / tau satisfies every other row strictly.
     """
-    out = []
-    for idx, (a, b) in enumerate(p.ineqs):
-        res = _solve_over(p, a, "min")
-        if isinstance(res, Optimal) and res.value == b:
-            out.append(idx)
-    return tuple(out)
+    w, m, k = p.width, len(p.ineqs), len(p.eqs)
+    b = BlockRows(("z", w), ("s", m), ("tau", 1))
+    a_z = {"z": tuple(a for a, _ in p.ineqs), "s": ONE, "tau": tuple((-r,) for _, r in p.ineqs)}
+    b.pull(neg(orthant(m)), (m, a_z))
+    b.pull(singleton((ZERO,) * k), (k, {"z": tuple(e for e, _ in p.eqs), "tau": tuple((-d,) for _, d in p.eqs)}))
+    bounds = ((None, None),) * w + ((ZERO, ONE),) * m + ((ONE, None),)
+    out = solve_lp(LinearProgram(b.n, (ZERO,) * w + (ONE,) * m + (ZERO,), "max", b.lp_rows(), bounds))
+    if not isinstance(out, Optimal):
+        return None
+    z, s, tau = out.point[:w], out.point[w : w + m], out.point[-1]
+    return frozenset(i for i in range(m) if s[i] == 0), tuple(c / tau for c in z)
+
+
+def implicit_rows(p: Polyhedron) -> tuple[int, ...]:
+    """Indices of inequality rows satisfied with equality by every point
+    of the lifted system (one LP, see ``_frt``); () when it is empty."""
+    frt = _frt(p)
+    return tuple(sorted(frt[0])) if frt is not None else ()
 
 
 @dataclass(frozen=True)
@@ -321,57 +386,96 @@ def _echelon(eqs: Sequence[tuple[Vec, Fraction]], n: int) -> tuple[tuple[Vec, Fr
     return tuple(out)
 
 
+def _hull(p: Polyhedron, implicit) -> AffineSubspace:
+    """The affine hull of the projection from the equalities and the implicit
+    rows: reduce with the auxiliary columns first, so the rows whose leading
+    entry is a kept column are free of auxiliaries and cut out pi(aff p)."""
+    eqs = list(p.eqs) + [p.ineqs[i] for i in sorted(implicit)]
+    moved = [(e[p.n :] + e[: p.n], d) for e, d in eqs]
+    kept = [(e[p.aux :], d) for e, d in _echelon(moved, p.width) if not any(e[: p.aux])]
+    return AffineSubspace(p.n, _echelon(kept, p.n))
+
+
 def affine_hull(p: Polyhedron) -> AffineSubspace:
-    """Stored equalities plus all implicit inequality rows, reduced."""
-    if is_empty(p):
+    """The affine hull of the projection: exact elimination after one LP."""
+    frt = _frt(p)
+    if frt is None:
         raise EmptyPolyhedronError("affine hull of an empty polyhedron")
-    eqs = list(p.eqs)
-    for idx in implicit_rows(p):
-        a, b = p.ineqs[idx]
-        eqs.append((a, b))
-    return AffineSubspace(p.n, _echelon(eqs, p.n))
+    return _hull(p, frt[0])
+
+
+def ri_point(p: Polyhedron, extra: Optional[BlockRows] = None, free: Iterable[int] = ()) -> Optional[Vec]:
+    """A point z of ri p that satisfies the extra rows, or None.
+
+    ``extra`` holds rows over p's columns followed by any further columns.
+    ``free`` lists kept coordinates j whose unit direction must lie in the
+    linear part of the affine hull of pi(p), else the answer is None; with
+    every kept coordinate free, pi(z) lies in int pi(p).  One LP finds the
+    implicit rows and a relative-interior point (``_frt``); with extra
+    rows, one more LP maximizes the common slack t <= 1 of the other rows,
+    the implicit ones held as equalities.  Every point of
+    pi(ri p) = ri pi(p) comes this way (Rockafellar, *Convex Analysis*,
+    Thm 6.6).
+    """
+    frt = _frt(p)
+    if frt is None:
+        return None
+    implicit, z = frt
+    free = tuple(free)
+    if free and any(e[j] for e, _ in _hull(p, implicit).eqs for j in free):
+        return None
+    if extra is None:
+        return z
+    w = max(p.width, extra.n)
+
+    def row(a, rel, r, t=ZERO):
+        return Row(a + (ZERO,) * (w - len(a)) + (t,), rel, r)
+
+    rows = [row(a, EQ, r) if i in implicit else row(a, LE, r, ONE) for i, (a, r) in enumerate(p.ineqs)]
+    rows += [row(e, EQ, d) for e, d in p.eqs]
+    rows += [row(x.coeffs, x.rel, x.rhs) for x in extra.lp_rows()]
+    t_up = (ZERO,) * w + (ONE,)
+    rows.append(Row(t_up, LE, ONE))
+    out = solve_lp(LinearProgram(w + 1, t_up, "max", tuple(rows)))
+    return out.point[:w] if isinstance(out, Optimal) and out.value > 0 else None
+
+
+def recession_cone(p: Polyhedron) -> Polyhedron:
+    """The lifted rows with zero right-hand sides: rec pi(p) = pi(rec p) when p is nonempty."""
+    return poly(p.n, [(a, ZERO) for a, _ in p.ineqs], [(e, ZERO) for e, _ in p.eqs], p.aux)
 
 
 def relative_interior_point(p: Polyhedron) -> Optional[Vec]:
-    """A point satisfying every non-implicit inequality strictly, or None."""
-    if is_empty(p):
-        return None
-    imp = set(implicit_rows(p))
-    n = p.n
-    rows = []
-    for idx, (a, b) in enumerate(p.ineqs):
-        if idx in imp:
-            rows.append(Row(a + (ZERO,), EQ, b))
-        else:
-            rows.append(Row(a + (ONE,), LE, b))
-    for e, d in p.eqs:
-        rows.append(Row(e + (ZERO,), EQ, d))
-    t_up = tuple(ZERO for _ in range(n)) + (ONE,)
-    rows.append(Row(t_up, LE, ONE))
-    obj = t_up
-    prog = LinearProgram(n + 1, obj, "max", tuple(rows))
-    out = solve_lp(prog)
-    assert isinstance(out, Optimal) and out.value > 0, "nonempty polyhedra have relative interior"
-    return out.point[:n]
+    """A point of ri pi(p), the projection of a point of ri p, or None if p is empty."""
+    z = ri_point(p)
+    return None if z is None else z[: p.n]
 
 
 def zero_in(notion: Notion, p: Polyhedron) -> bool:
-    """Does the origin belong to notion(p)?
+    """Does the origin belong to notion(pi(p))?
 
     In finite dimension Int, Core and Qi coincide with the interior and
     Sqri, Icr, Qri with the relative interior, so exactly two tests exist.
+    Without auxiliaries the origin is the only candidate point, so after
+    the implicit rows the test is arithmetic.
     """
-    zero = tuple(ZERO for _ in range(p.n))
-    if not contains(p, zero):
+    interior = notion in (Notion.INT, Notion.CORE, Notion.QI)
+    if p.aux:
+        return _zero_in_lifted(p, interior)
+    if not contains(p, (ZERO,) * p.n):
         return False
-    if notion in (Notion.INT, Notion.CORE, Notion.QI):
-        if p.eqs:
-            return False
+    if interior:
         # all rows strict at 0 already rules out implicit equalities:
         # an implicit row through 0 would have rhs 0
-        return all(b > 0 for _, b in p.ineqs)
+        return not p.eqs and all(b > 0 for _, b in p.ineqs)
     imp = set(implicit_rows(p))
     return all(b > 0 for idx, (_, b) in enumerate(p.ineqs) if idx not in imp)
+
+
+@lru_cache(maxsize=LP_MEMO)
+def _zero_in_lifted(p: Polyhedron, interior: bool) -> bool:
+    pin = BlockRows(("x", p.n)).pull(singleton((ZERO,) * p.n), (p.n, {"x": ONE}))
+    return ri_point(p, pin, range(p.n) if interior else ()) is not None
 
 
 @dataclass(frozen=True)
@@ -384,6 +488,8 @@ class FinitelyGeneratedCone:
 
 
 def normal_cone(p: Polyhedron, x: Sequence) -> FinitelyGeneratedCone:
+    if p.aux:
+        raise MalformedInputError("normal cones are read off systems without auxiliaries")
     x = _fvec(x)
     if not contains(p, x):
         raise MembershipError("normal cone requested at a point outside the set")
@@ -429,84 +535,142 @@ def dual_cone(k: FinitelyGeneratedCone) -> Polyhedron:
     )
 
 
-# -- projection ------------------------------------------------------------
+# -- lifted set operations -------------------------------------------------
+
+
+def project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:
+    """Coordinate projection onto the (sorted) kept coordinates: the kept
+    columns move to the front and every other column becomes auxiliary."""
+    keep = sorted(set(keep))
+    if any(k < 0 or k >= p.n for k in keep):
+        raise DimensionMismatchError("projection index out of range")
+    order = keep + [k for k in range(p.width) if k not in keep]
+
+    def moved(rows):
+        return tuple((tuple(a[k] for k in order), b) for a, b in rows)
+
+    return Polyhedron(len(keep), moved(p.ineqs), moved(p.eqs), p.width - len(keep))
+
+
+def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
+    """{u + v : u in p, v in q}, lifted over (z, v): z - v in p and v in q."""
+    if p.n != q.n:
+        raise DimensionMismatchError("Minkowski sum needs equal dimensions")
+    n = p.n
+    b = BlockRows(("z", n), ("v", n))
+    b.pull(p, (n, {"z": ONE, "v": -ONE})).pull(q, (n, {"v": ONE}))
+    return project(b.polyhedron(), range(n))
+
+
+def neg(p: Polyhedron) -> Polyhedron:
+    n = p.n
+    return poly(
+        n,
+        ineqs=[(tuple(-c for c in a[:n]) + a[n:], b) for a, b in p.ineqs],
+        eqs=[(tuple(-c for c in e[:n]) + e[n:], d) for e, d in p.eqs],
+        aux=p.aux,
+    )
+
+
+def translate(p: Polyhedron, t: Sequence) -> Polyhedron:
+    t = _fvec(t)
+    return poly(
+        p.n,
+        ineqs=[(a, b + dot(a, t)) for a, b in p.ineqs],
+        eqs=[(e, d + dot(e, t)) for e, d in p.eqs],
+        aux=p.aux,
+    )
+
+
+def scale(p: Polyhedron, lam) -> Polyhedron:
+    """lam * pi(p): the auxiliaries scale with the kept coordinates."""
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise MalformedInputError("scale expects a positive factor")
+    return poly(
+        p.n,
+        ineqs=[(a, lam * b) for a, b in p.ineqs],
+        eqs=[(e, lam * d) for e, d in p.eqs],
+        aux=p.aux,
+    )
+
+
+def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
+    if p.n != q.n:
+        raise DimensionMismatchError("intersection needs equal dimensions")
+    b = BlockRows(("x", p.n)).pull(p, (p.n, {"x": ONE})).pull(q, (q.n, {"x": ONE}))
+    both = b.polyhedron()
+    return poly(p.n, both.ineqs, both.eqs, p.aux + q.aux)
+
+
+def product(p: Polyhedron, q: Polyhedron) -> Polyhedron:
+    b = BlockRows(("u", p.n), ("v", q.n))
+    return project(b.pull(p, (p.n, {"u": 1})).pull(q, (q.n, {"v": 1})).polyhedron(), range(p.n + q.n))
+
+# -- elimination for the dual-value LP --------------------------------------
+
+
+def eliminate(p: Polyhedron) -> Polyhedron:
+    """pi(p) written without auxiliaries, by Fourier-Motzkin elimination.
+
+    Only the dual-value LP of ``engine.NumericModel`` reads eliminated
+    rows: the optimal dual point it prints follows the simplex pivot path,
+    which follows the rows, so it keeps the rows this elimination wrote
+    before every other query moved to the lifted rows.  Each step
+    substitutes an auxiliary that an equality contains, else eliminates
+    the one whose step makes the fewest new rows, lowest index first; rows
+    are kept primitive and deduplicated, and a row that the others imply
+    (one LP each, in order) is dropped.
+    """
+    if not p.aux:
+        return p
+    rows, eqs = _dedupe(p.ineqs), list(p.eqs)
+    drop = list(range(p.n, p.width))
+    while drop:
+        k = next((k for k in drop if any(e[k] != 0 for e, _ in eqs)), None)
+        if k is None:
+            growth = {k: sum(a[k] > 0 for a, _ in rows) * sum(a[k] < 0 for a, _ in rows)
+                      - sum(a[k] != 0 for a, _ in rows) for k in drop}
+            k = min(drop, key=lambda k: (growth[k], k))
+        drop.remove(k)
+        rows, eqs = _eliminate(rows, eqs, k)
+        rows = _dedupe(rows)
+        i = 0 if len(rows) > 1 else len(rows)
+        while i < len(rows):
+            a, b = rows[i]
+            res = _solve_over(Polyhedron(p.width, tuple(rows[:i] + rows[i + 1 :]), tuple(eqs)), a, "max")
+            if isinstance(res, Unbounded) or (isinstance(res, Optimal) and res.value > b):
+                i += 1
+            else:  # implied by the rest, or the rest is already infeasible
+                rows.pop(i)
+    return poly(p.n, [(a[: p.n], b) for a, b in rows], [(e[: p.n], d) for e, d in eqs])
+
+
+def _primitive(row: Sequence) -> tuple[int, ...]:
+    """Scale rational entries by a positive factor to coprime integers."""
+    mul = 1
+    for c in row:
+        mul = mul * c.denominator // gcd(mul, c.denominator)
+    ints = [c.numerator * (mul // c.denominator) for c in row]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 def _dedupe(rows):
-    """Scale rows to primitive form, dropping vacuous and repeated ones.
-
-    Rows are ``(a, b, witness)``; each surviving row keeps its witness.
-    """
+    """Scale rows to primitive form, dropping vacuous and repeated ones."""
     seen = set()
     out = []
-    for a, b, w in rows:
+    for a, b in rows:
         key = _primitive((*a, b))
         if key in seen or (not any(key[:-1]) and key[-1] >= 0):
             continue
         seen.add(key)
-        out.append((tuple(Fraction(c) for c in key[:-1]), Fraction(key[-1]), w))
+        out.append((tuple(Fraction(c) for c in key[:-1]), Fraction(key[-1])))
     return out
 
 
-def _prune_lp(rows, eqs, n: int):
-    """Drop rows implied by the rest, in order.
-
-    Row i stays exactly when some point satisfies the equalities and every
-    other kept row but violates row i.  Rows are ``(a, b, witness)``: a row
-    whose witness is such a point stays without an LP, and every other row
-    gets one max-LP over the rest, whose optimum or ray supplies the
-    witness it carries on.  Dropping a row only enlarges the set the
-    others must satisfy, so a witness stays valid to the end of the loop.
-    """
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        a, b, w = kept[i]
-        if w is not None:
-            i += 1
-            continue
-        others = tuple((a2, b2) for a2, b2, _ in kept[:i] + kept[i + 1 :])
-        res = _solve_over(Polyhedron(n, others, tuple(eqs)), a, "max")
-        if isinstance(res, Optimal) and res.value > b:
-            kept[i] = (a, b, res.point)
-            i += 1
-        elif isinstance(res, Unbounded):
-            # a.ray > 0, so a step of t past the LP point crosses a.x = b
-            t = max(ZERO, (b - dot(a, res.point)) / dot(a, res.ray)) + 1
-            kept[i] = (a, b, tuple(x + t * r for x, r in zip(res.point, res.ray)))
-            i += 1
-        else:  # implied by the rest, or the rest is already infeasible
-            kept.pop(i)
-    return kept
-
-
-def _next_var(rows, eqs, drop: Sequence[int]) -> int:
-    """The dropped coordinate to eliminate next.
-
-    One that an equality contains is a pure substitution; otherwise the one
-    whose Fourier-Motzkin step makes the fewest new rows, lowest index first.
-    """
-    for k in drop:
-        if any(e[k] != 0 for e, _ in eqs):
-            return k
-
-    def growth(k):
-        pos = sum(1 for a, _, _ in rows if a[k] > 0)
-        neg = sum(1 for a, _, _ in rows if a[k] < 0)
-        return pos * neg - pos - neg
-
-    return min(drop, key=lambda k: (growth(k), k))
-
-
 def _eliminate(rows, eqs, k):
-    """Remove variable k from the system (substitution or Fourier-Motzkin).
-
-    A substitution rewrites every row by a multiple of an equality, which
-    leaves its value unchanged on the equalities, so every witness stays
-    valid.  A Fourier-Motzkin step keeps the rows without k, with their
-    witnesses: each new row is a nonnegative combination of other rows,
-    which such a witness satisfies.  The new rows have none.
-    """
+    """Remove variable k from the system (substitution or Fourier-Motzkin)."""
     for idx, (e, d) in enumerate(eqs):
         if e[k] != 0:
             piv, pd = e, d
@@ -519,156 +683,22 @@ def _eliminate(rows, eqs, k):
                     d2 = d2 - f * pd
                 new_eqs.append((e2, d2))
             new_rows = []
-            for a, b, w in rows:
+            for a, b in rows:
                 if a[k] != 0:
                     f = a[k] / piv[k]
                     a = tuple(x - f * y for x, y in zip(a, piv))
                     b = b - f * pd
-                new_rows.append((a, b, w))
+                new_rows.append((a, b))
             return new_rows, new_eqs
     pos = [row for row in rows if row[0][k] > 0]
     neg = [row for row in rows if row[0][k] < 0]
     combined = [row for row in rows if row[0][k] == 0]
-    heirs = _heirs(pos, neg, k)
     # the rows are primitive, so each combination is taken in integers;
     # _dedupe scales it back to primitive form
-    for i, (ap, bp, _) in enumerate(pos):
+    for ap, bp in pos:
         mp = ap[k].numerator
-        for j, (an, bn, _) in enumerate(neg):
+        for an, bn in neg:
             mn = -an[k].numerator
             coeff = tuple(mn * x.numerator + mp * y.numerator for x, y in zip(ap, an))
-            combined.append((coeff, mn * bp.numerator + mp * bn.numerator, heirs.get((i, j))))
+            combined.append((coeff, mn * bp.numerator + mp * bn.numerator))
     return combined, list(eqs)
-
-
-def _heirs(pos, neg, k):
-    """Witnesses that pass to the new rows of a Fourier-Motzkin step on k.
-
-    Let w witness row p of one side, and let row q of the other side have
-    slack s_q at w; p exceeds its bound at w by e.  The combination of p
-    and q is violated at w exactly when s_q / |q_k| < e / |p_k|.  Every
-    other new row is a nonnegative combination of rows w satisfies, so
-    when exactly one q passes that test, w witnesses the combination of p
-    and q.  Rows are primitive, so the test runs on integers.
-    """
-    out = {}
-    for mine, theirs, swap in ((pos, neg, False), (neg, pos, True)):
-        for i, (a, b, w) in enumerate(mine):
-            if w is None:
-                continue
-            *pt, den = _primitive((*w, ONE))
-            excess = sum(c.numerator * x for c, x in zip(a, pt)) - b.numerator * den
-            pk = abs(a[k].numerator)
-            hits = [
-                j
-                for j, (a2, b2, _) in enumerate(theirs)
-                if (b2.numerator * den - sum(c.numerator * x for c, x in zip(a2, pt))) * pk
-                < excess * abs(a2[k].numerator)
-            ]
-            if len(hits) == 1:
-                out.setdefault((hits[0], i) if swap else (i, hits[0]), w)
-    return out
-
-
-def _project_full(ineqs, eqs, drop: Sequence[int], n: int):
-    rows = _dedupe([(a, b, None) for a, b in ineqs])
-    eqs = list(eqs)
-    drop = sorted(drop)
-    while drop:
-        k = _next_var(rows, eqs, drop)
-        drop.remove(k)
-        rows, eqs = _eliminate(rows, eqs, k)
-        rows = _dedupe(rows)
-        if len(rows) > 1:
-            rows = _prune_lp(rows, eqs, n)
-    return [(a, b) for a, b, _ in rows], eqs
-
-
-def project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:
-    """Coordinate projection onto the (sorted) kept coordinates."""
-    keep = sorted(set(keep))
-    if any(k < 0 or k >= p.n for k in keep):
-        raise DimensionMismatchError("projection index out of range")
-    drop = [k for k in range(p.n) if k not in keep]
-    ineqs, eqs = _project_full(p.ineqs, p.eqs, drop, p.n)
-    for a, _ in ineqs:
-        assert all(a[k] == 0 for k in drop)
-    for e, _ in eqs:
-        assert all(e[k] == 0 for k in drop)
-    new_in = [(tuple(a[k] for k in keep), b) for a, b in ineqs]
-    new_eq = [(tuple(e[k] for k in keep), d) for e, d in eqs]
-    return poly(len(keep), new_in, new_eq)
-
-
-def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    """H-representation of {u + v : u in p, v in q}."""
-    if p.n != q.n:
-        raise DimensionMismatchError("Minkowski sum needs equal dimensions")
-    n = p.n
-    b = BlockRows(("z", n), ("u", n), ("v", n))
-    b.pull(p, (n, {"u": 1})).pull(q, (n, {"v": 1}))
-    b.pull(singleton((ZERO,) * n), (n, {"z": 1, "u": -1, "v": -1}))  # z = u + v
-    return project(b.polyhedron(), range(n))
-
-
-def neg(p: Polyhedron) -> Polyhedron:
-    return poly(
-        p.n,
-        ineqs=[(tuple(-c for c in a), b) for a, b in p.ineqs],
-        eqs=[(tuple(-c for c in e), d) for e, d in p.eqs],
-    )
-
-
-def translate(p: Polyhedron, t: Sequence) -> Polyhedron:
-    t = _fvec(t)
-    return poly(
-        p.n,
-        ineqs=[(a, b + dot(a, t)) for a, b in p.ineqs],
-        eqs=[(e, d + dot(e, t)) for e, d in p.eqs],
-    )
-
-
-def scale(p: Polyhedron, lam) -> Polyhedron:
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise MalformedInputError("scale expects a positive factor")
-    return poly(
-        p.n,
-        ineqs=[(a, lam * b) for a, b in p.ineqs],
-        eqs=[(e, lam * d) for e, d in p.eqs],
-    )
-
-
-def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    if p.n != q.n:
-        raise DimensionMismatchError("intersection needs equal dimensions")
-    return poly(p.n, p.ineqs + q.ineqs, p.eqs + q.eqs)
-
-
-def product(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    b = BlockRows(("u", p.n), ("v", q.n))
-    return b.pull(p, (p.n, {"u": 1})).pull(q, (q.n, {"v": 1})).polyhedron()
-
-
-def strictly_feasible_point(strict: Polyhedron, weak: Optional[Polyhedron] = None) -> Optional[Vec]:
-    """A point of ``weak`` satisfying every inequality of ``strict`` strictly.
-
-    Returns None when no such point exists (in particular when ``strict``
-    has a nontrivial equality row, which kills the interior).
-    """
-    n = strict.n
-    if weak is not None and weak.n != n:
-        raise DimensionMismatchError("mismatched dimensions")
-    if strict.eqs:
-        return None
-    rows = [Row(a + (ONE,), LE, b) for a, b in strict.ineqs]
-    if weak is not None:
-        rows += [Row(a + (ZERO,), LE, b) for a, b in weak.ineqs]
-        rows += [Row(e + (ZERO,), EQ, d) for e, d in weak.eqs]
-    t_up = tuple(ZERO for _ in range(n)) + (ONE,)
-    rows.append(Row(t_up, LE, ONE))
-    prog = LinearProgram(n + 1, t_up, "max", tuple(rows))
-    out = solve_lp(prog)
-    if isinstance(out, Optimal) and out.value > 0:
-        return out.point[:n]
-    return None

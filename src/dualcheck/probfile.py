@@ -25,6 +25,11 @@ from .setexpr import FAILS, HOLDS, UNKNOWN, FactStatus, ORIGIN
 from .spaces import SpaceTag, banach, finite, lcs, lp_space, lp_uncountable
 
 _NOTIONS = {n.value: n for n in Notion}
+
+# The deepest nesting of set constructors and point negations a file may
+# use.  Normalization and inference recurse once per level, so a deeper
+# nest is refused here with a ParseError instead of exhausting the stack.
+MAX_NESTING = 200
 _STATUS = {"holds": HOLDS, "fails": FAILS, "unknown": UNKNOWN}
 
 
@@ -163,10 +168,24 @@ class Parser:
         self.named_sets: dict[str, se.SetExpr] = {}
         self.space: Optional[SpaceTag] = None
         self.cone_space: Optional[SpaceTag] = None
+        self.depth = 0
+
+    def _nested(self, parse, st: "_Stream"):
+        """Run one nested parse, refusing nests deeper than MAX_NESTING."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse(st)
+        finally:
+            self.depth -= 1
 
     # -- points -------------------------------------------------------------
 
     def parse_point(self, st: _Stream) -> se.Point:
+        return self._nested(self._parse_point, st)
+
+    def _parse_point(self, st: _Stream) -> se.Point:
         kind, val = st.peek()
         if kind == "punct" and val == "[":
             return se.VecPoint(self._parse_vector(st))
@@ -206,6 +225,9 @@ class Parser:
     # -- sets ---------------------------------------------------------------
 
     def parse_set(self, st: _Stream) -> se.SetExpr:
+        return self._nested(self._parse_set, st)
+
+    def _parse_set(self, st: _Stream) -> se.SetExpr:
         kind, val = st.next()
         if kind != "name":
             raise ParseError(f"expected a set constructor, found {val!r}")

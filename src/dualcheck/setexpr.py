@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import polyhedra as pg
+from .errors import MalformedInputError
 from .spaces import SpaceTag, finite, product as product_space
 
 
@@ -548,9 +549,11 @@ def _attrs(s: SetExpr) -> SetAttrs:
         p = s.poly
         has0 = pg.contains(p, tuple(Fraction(0) for _ in range(p.n)))
         nonempty = HOLDS if has0 else (FAILS if pg.is_empty(p) else HOLDS)
+        # syntactic on the lifted rows: a cone (subspace) projects onto one
         conic = HOLDS if all(b == 0 for _, b in p.ineqs) and all(d == 0 for _, d in p.eqs) else UNKNOWN
         sub = HOLDS if (not p.ineqs and all(d == 0 for _, d in p.eqs)) else UNKNOWN
-        whole = HOLDS if (not p.ineqs and not p.eqs) else UNKNOWN
+        # exact: pi(p) is everything iff the origin is interior to rec pi(p)
+        whole = HOLDS if nonempty is HOLDS and pg.zero_in(pg.Notion.INT, pg.recession_cone(p)) else FAILS
         return SetAttrs(
             nonempty=nonempty,
             contains_origin=HOLDS if has0 else FAILS,
@@ -560,7 +563,7 @@ def _attrs(s: SetExpr) -> SetAttrs:
             closed=HOLDS,
             dense=whole,
             whole=whole,
-            aff_whole=UNKNOWN if whole is UNKNOWN else HOLDS,
+            aff_whole=HOLDS if whole is HOLDS else UNKNOWN,
         )
     if isinstance(s, CatalogAtom):
         if s.cid in _CATALOG_ATTRS:
@@ -749,10 +752,14 @@ def skey(s) -> str:
 
 
 def normalize(s: SetExpr) -> SetExpr:
-    cached = _NORM_MEMO.get(s)
-    if cached is not None:
-        return cached
-    out = _normalize(s)
+    try:
+        cached = _NORM_MEMO.get(s)
+        if cached is not None:
+            return cached
+        out = _normalize(s)
+    except RecursionError:
+        # hashing and rewriting recurse once per level of the tree
+        raise MalformedInputError("set expression nested too deeply to normalize") from None
     _remember(_NORM_MEMO, s, out)
     _remember(_NORM_MEMO, out, out)
     return out

@@ -181,3 +181,36 @@ def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch):
         code = main(["corpus", "run", "ex-5.1"])
     assert code == 141
     assert capsys.readouterr().err == ""
+
+
+def _nested_sets_file(depth: int) -> str:
+    query = "neg(" * depth + "lp_plus" + ")" * depth
+    return f"problem deep\nkind sets\nspace l2\nquery qri zero {query} expect fails\n"
+
+
+def test_set_nesting_bound_is_a_parse_error(tmp_path, capsys):
+    from dualcheck.probfile import MAX_NESTING
+
+    # neg(...) around lp_plus takes MAX_NESTING levels, the atom one more
+    code = main(["analyze", _write(tmp_path, _nested_sets_file(MAX_NESTING - 1)), "--format", "json-like"])
+    assert code == 0
+    assert '"status": "fails"' in capsys.readouterr().out
+    with pytest.raises(ParseError):
+        parse_problem(_nested_sets_file(MAX_NESTING))
+    assert main(["analyze", _write(tmp_path, _nested_sets_file(MAX_NESTING))]) == 2
+    assert main(["analyze", _write(tmp_path, _nested_sets_file(600))]) == 2
+
+
+def test_deep_api_built_nest_raises_a_typed_error():
+    from dualcheck import inference, setexpr as se
+    from dualcheck.errors import DualcheckError
+    from dualcheck.polyhedra import Notion
+    from dualcheck.spaces import lp_space
+
+    s = se.CatalogAtom(se.LP_PLUS, lp_space(), ())
+    for _ in range(3000):
+        s = se.Neg(s)
+    with pytest.raises(DualcheckError):
+        se.normalize(s)
+    with pytest.raises(DualcheckError):
+        inference.Engine().infer(Notion.QRI, se.ORIGIN, s)

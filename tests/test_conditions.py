@@ -29,7 +29,7 @@ from dualcheck.polyhedra import interval, orthant, poly
 from dualcheck.setexpr import FAILS, HOLDS, UNKNOWN
 from dualcheck.spaces import finite, lp_space
 
-from oracles import slice_interior_point_reference
+from oracles import fm_flatten, slice_interior_point_reference
 
 F = Fraction
 
@@ -290,6 +290,25 @@ def test_slice_interior_point_matches_sign_enumeration(system):
     nx, ny, ineqs, eqs = system
     dom = poly(nx + ny, ineqs, eqs)
     assert _slice_interior_point(dom, nx, ny) == slice_interior_point_reference(dom, nx, ny)
+
+
+@st.composite
+def _lifted_slice_domains(draw):
+    nx, ny, aux = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    w = nx + ny + aux
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * w), st.integers(-1, 3))
+    eq = st.tuples(st.tuples(*[st.integers(-1, 1)] * w), st.integers(-1, 1))
+    return nx, ny, poly(nx + ny, draw(st.lists(row, max_size=6)), draw(st.lists(eq, max_size=1)), aux)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_lifted_slice_domains())
+@example((1, 1, poly(2, [((0, 1, -1), 0), ((0, -1, -1), 0)], [((1, 0, 0), 0)], 1)))  # |y| <= w, w free
+def test_slice_interior_point_on_lifted_domains_matches_the_eliminated_one(system):
+    # the lifted test (affine hull plus one ri point at y = 0) against the
+    # sign enumeration on the Fourier-Motzkin projection of the domain
+    nx, ny, dom = system
+    assert _slice_interior_point(dom, nx, ny) == slice_interior_point_reference(fm_flatten(dom), nx, ny)
 
 
 def test_continuity_with_an_operator_needs_ax_in_the_interior_of_dom_g():

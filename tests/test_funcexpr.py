@@ -37,7 +37,7 @@ from dualcheck.polyhedra import contains, interval, poly, whole_space, zero_in, 
 from dualcheck.spaces import finite, lp_space
 from dualcheck.setexpr import HOLDS, FAILS
 
-from oracles import grid
+from oracles import fm_flatten, grid
 
 F = Fraction
 
@@ -163,7 +163,9 @@ def test_conjugate_domain_of_bounded_set_support_is_whole_space():
     pf = lower(IndicatorOf(se.PolyAtom(interval(-1, 1))), 1)
     star = conjugate_polyfunc(pf)
     dom = pf_domain(star)
-    assert dom.ineqs == () and dom.eqs == ()
+    assert se.attrs(se.PolyAtom(dom)).whole is se.HOLDS
+    flat = fm_flatten(dom)
+    assert flat.ineqs == () and flat.eqs == ()
     # support function values: |y|
     assert pf_value(star, (3,)) == er(3)
     assert pf_value(star, (-2,)) == er(2)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualcheck import polyhedra as pg
+from dualcheck import setexpr as se
 from dualcheck.errors import EmptyPolyhedronError, MembershipError
 from dualcheck.exactlp import Optimal, dot
 from dualcheck.polyhedra import (
@@ -29,14 +30,15 @@ from dualcheck.polyhedra import (
     poly,
     project,
     relative_interior_point,
+    ri_point,
     singleton,
-    strictly_feasible_point,
     translate,
     whole_space,
     zero_in,
 )
 
-from oracles import enumerate_vertices, prune_lp_reference
+import oracles
+from oracles import enumerate_vertices, fm_flatten, fm_project, implicit_rows_reference, prune_lp_reference, zero_in_reference
 
 F = Fraction
 
@@ -176,9 +178,10 @@ def test_dual_cone():
 
 def test_project_equality_substitution():
     p = poly(2, ineqs=[((0, 1), 1), ((0, -1), 0)], eqs=[((1, -1), 0)])  # x=y, 0<=y<=1
-    q = project(p, [0])
-    assert contains(q, (0,)) and contains(q, (1,)) and contains(q, (F(1, 2),))
-    assert not contains(q, (2,)) and not contains(q, (-1,))
+    for q in (project(p, [0]), fm_project(p, [0])):
+        assert contains(q, (0,)) and contains(q, (1,)) and contains(q, (F(1, 2),))
+        assert not contains(q, (2,)) and not contains(q, (-1,))
+    assert project(p, [0]).aux == 1 and fm_project(p, [0]).aux == 0
 
 
 def test_project_cube_to_square():
@@ -193,15 +196,16 @@ def test_project_cube_to_square():
             ((0, 0, -1), 0),
         ],
     )
-    q = project(cube, [0, 1])
-    for pt, inside in [((0, 0), True), ((1, 1), True), ((F(1, 2), 1), True), ((2, 0), False)]:
-        assert contains(q, pt) is inside
+    for q in (project(cube, [0, 1]), fm_project(cube, [0, 1])):
+        for pt, inside in [((0, 0), True), ((1, 1), True), ((F(1, 2), 1), True), ((2, 0), False)]:
+            assert contains(q, pt) is inside
 
 
 def test_project_matches_lp_bounds():
     # x1+x2 <= 1, x2 >= 0 projected to x1 is exactly {x1 <= 1}
     p = poly(2, ineqs=[((1, 1), 1), ((0, -1), 0)])
-    q = project(p, [0])
+    q = fm_project(p, [0])
+    assert isinstance(extremum(project(p, [0]), (1,), "max"), Optimal)
     hi = extremum(p, (1, 0), "max")
     assert isinstance(hi, Optimal) and hi.value == 1
     assert q.eqs == ()
@@ -224,16 +228,16 @@ def test_project_matches_lp_bounds():
             ((0, 0, 0, -1), 2),
         ],
     )
-    rows = pg._dedupe([(a, b, None) for a, b in p.ineqs])
-    assert pg._next_var(rows, [], [1, 2]) == 2
-    q = project(p, [0, 3])
-    for d in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, -1), (-1, -3)]:
-        for sense in ("max", "min"):
-            got = extremum(q, d, sense)
-            want = extremum(p, (d[0], 0, 0, d[1]), sense)
-            assert type(got) is type(want)
-            if isinstance(want, Optimal):
-                assert got.value == want.value
+    rows = oracles._dedupe([(a, b, None) for a, b in p.ineqs])
+    assert oracles._next_var(rows, [], [1, 2]) == 2
+    for q in (project(p, [0, 3]), fm_project(p, [0, 3])):
+        for d in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, -1), (-1, -3)]:
+            for sense in ("max", "min"):
+                got = extremum(q, d, sense)
+                want = extremum(p, (d[0], 0, 0, d[1]), sense)
+                assert type(got) is type(want)
+                if isinstance(want, Optimal):
+                    assert got.value == want.value
 
 
 def _violates_only(rows, eqs, i, w):
@@ -265,15 +269,15 @@ def test_prune_with_witnesses_matches_lp_per_row(system):
     # exactly the rows, in order, that one LP per row keeps
     n, ineqs, eqs, k = system
     p = poly(n, ineqs, eqs)
-    rows = pg._dedupe([(a, b, None) for a, b in p.ineqs])
+    rows = oracles._dedupe([(a, b, None) for a, b in p.ineqs])
     eqs = list(p.eqs)
     if len(rows) > 1:
-        rows = pg._prune_lp(rows, eqs, n)
-    rows, eqs = pg._eliminate(rows, eqs, k)
-    rows = pg._dedupe(rows)
+        rows = oracles._prune_lp(rows, eqs, n)
+    rows, eqs = oracles._eliminate(rows, eqs, k)
+    rows = oracles._dedupe(rows)
     for i, (_, _, w) in enumerate(rows):
         assert w is None or _violates_only(rows, eqs, i, w)
-    got = pg._prune_lp(rows, eqs, n)
+    got = oracles._prune_lp(rows, eqs, n)
     assert [(a, b) for a, b, _ in got] == prune_lp_reference([(a, b) for a, b, _ in rows], eqs, n)
     for i, (_, _, w) in enumerate(got):
         assert _violates_only(got, eqs, i, w)
@@ -289,14 +293,15 @@ def test_minkowski_interval_sums():
 
 def test_minkowski_ray_difference_whole_line():
     plus = poly(1, ineqs=[((-1,), 0)])
-    s = minkowski_sum(plus, neg(plus))
+    s = fm_flatten(minkowski_sum(plus, neg(plus)))
     assert s.ineqs == () and s.eqs == ()
 
 
 def test_minkowski_triangle_plus_segment_vertex_oracle():
     tri = poly(2, ineqs=[((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
     seg = poly(2, ineqs=[((1, 0), 1), ((-1, 0), 0)], eqs=[((0, 1), 0)])
-    s = minkowski_sum(tri, seg)
+    lifted = minkowski_sum(tri, seg)
+    s = fm_flatten(lifted)
     tri_v = enumerate_vertices(tri.ineqs, tri.eqs, 2)
     seg_v = enumerate_vertices(seg.ineqs, seg.eqs, 2)
     sums = {tuple(x + y for x, y in zip(u, v)) for u in tri_v for v in seg_v}
@@ -306,8 +311,10 @@ def test_minkowski_triangle_plus_segment_vertex_oracle():
     # every vertex of the sum is a sum of vertices (zonotope-style cross-check)
     assert set(res_v) <= sums
     mid = (F(1, 2), F(1, 4))
-    assert contains(s, mid)
-    assert not contains(s, (3, 0)) and not contains(s, (0, 2))
+    for q in (s, lifted):
+        assert contains(q, mid)
+        assert not contains(q, (3, 0)) and not contains(q, (0, 2))
+        assert all(contains(q, pt) for pt in sums)
 
 
 def test_membership_transport_between_source_and_projection():
@@ -364,17 +371,79 @@ def test_translate_and_intersect_and_singleton():
 
 
 def test_strictly_feasible_point():
+    # interior points come from ri_point with every coordinate free
     sq = square()
-    x = strictly_feasible_point(sq)
+    x = ri_point(sq, free=range(2))
     assert x is not None
     for a, b in sq.ineqs:
         assert dot(a, x) < b
     flat = poly(2, ineqs=[((1, 0), 1)], eqs=[((0, 1), 0)])
-    assert strictly_feasible_point(flat) is None
+    assert ri_point(flat, free=range(2)) is None
+    assert ri_point(flat, free=[0]) is not None  # flat only along x2
     # strict rows against a weak ambient set
-    y = strictly_feasible_point(sq, interval_box())
-    assert y is not None
+    weak = pg.BlockRows(("x", 2)).pull(interval_box(), (2, {"x": 1}))
+    y = ri_point(sq, weak, range(2))
+    assert y is not None and contains(interval_box(), y) and all(dot(a, y) < b for a, b in sq.ineqs)
+    # ...and an ambient set that only touches the boundary
+    edge = pg.BlockRows(("x", 2)).pull(poly(2, eqs=[((1, 0), 1)]), (2, {"x": 1}))
+    assert ri_point(sq, edge, range(2)) is None
 
 
 def interval_box():
     return poly(2, ineqs=[((1, 0), F(1, 2)), ((-1, 0), 0), ((0, 1), F(1, 2)), ((0, -1), 0)])
+
+
+@st.composite
+def _lifted_systems(draw):
+    """A small lifted system: 1-3 kept and 1-3 auxiliary coordinates."""
+    n, aux = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w = n + aux
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * w), st.integers(-1, 3))
+    ineqs = draw(st.lists(row, max_size=6))
+    eqs = draw(st.lists(st.tuples(st.tuples(*[st.integers(-1, 1)] * w), st.integers(-1, 1)), max_size=1))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=3))
+    return poly(n, ineqs, eqs, aux), points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_lifted_systems())
+@example((poly(1, [((1, -1), 0), ((-1, -1), 0)], aux=1), [(0,), (5,)]))  # a cone over the line: everything
+@example((poly(1, [((1, 0), 1), ((-1, 0), 1)], [((0, 1), 0)], aux=1), [(1,), (2,)]))  # an interval, aux pinned
+def test_lifted_queries_match_fourier_motzkin(system):
+    # every query on the lifted rows against the Fourier-Motzkin projection
+    # followed by the queries on an unlifted system
+    p, points = system
+    q = fm_flatten(p)
+    assert q.aux == 0 and q.n == p.n
+    for x in points:
+        assert contains(p, x) == contains(q, x)
+    for notion in Notion:
+        assert zero_in(notion, p) == zero_in_reference(notion, q)
+    empty = is_empty(q)
+    assert is_empty(p) == empty
+    if not empty:
+        imp = implicit_rows_reference(q)
+        hull = pg.AffineSubspace(q.n, pg._echelon(list(q.eqs) + [q.ineqs[i] for i in imp], q.n))
+        assert affine_hull(p).dim() == hull.dim()
+    whole = not q.ineqs and not q.eqs  # the eliminated rows of a whole space all vanish
+    assert (se.attrs(se.PolyAtom(p)).whole is se.HOLDS) == whole
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_int_systems())
+def test_implicit_rows_take_one_lp_and_match_the_per_row_loop(system):
+    n, ineqs, eqs, _ = system
+    p = poly(n, ineqs, eqs)
+    pg._frt.cache_clear()
+    calls = []
+    real = pg.solve_lp
+    pg.solve_lp = lambda prog: calls.append(prog) or real(prog)
+    try:
+        got = implicit_rows(p)
+    finally:
+        pg.solve_lp = real
+    assert len(calls) == 1
+    assert got == implicit_rows_reference(p)
+    x = relative_interior_point(p)
+    if x is not None:
+        assert all((dot(a, x) == b) == (i in got) for i, (a, b) in enumerate(p.ineqs))

@@ -518,9 +518,10 @@ def _r_epi_nonneg(e: Engine, kind, point, s):
 def _r_qi_lemma(e: Engine, kind, point, s):
     if kind != "whole_cl":
         return None
-    if isinstance(s, se.PolyAtom) and e.member(point, s).status is HOLDS:
-        # the finite-dimensional rule decides this exactly, and lifted
-        # differences U - U never repeat, so the lemma would not end
+    if isinstance(s, se.PolyAtom):
+        # the finite-dimensional rule decides this exactly at points of the
+        # set, and lifted differences U - U never repeat (nor stop being
+        # empty), so the lemma would not end
         return None
     # qi(U) at p  <=>  qri(U) at p  and  qi(U - U) at 0
     # (skipped when U is itself a sum, which would expand without end)

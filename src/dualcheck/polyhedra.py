@@ -6,10 +6,10 @@ by ``aux`` auxiliary ones, and it denotes the projection of that system
 onto the kept coordinates.  Sums, differences, images and epigraphs of
 sums and conjugates are therefore written by stacking rows (the calculus
 of polyhedral representations, Ben-Tal and Nemirovski, *Lectures on Modern
-Convex Optimization*, ch. 1), and nothing is ever eliminated:
-:func:`project` only reorders columns and marks the dropped ones
-auxiliary.  Emptiness is always computed, never stored.  Every question
-is answered on the lifted rows with a handful of exact LPs:
+Convex Optimization*, ch. 1): :func:`project` only reorders columns and
+marks the dropped ones auxiliary.  Emptiness is always computed, never
+stored.  Every question is answered on the lifted rows with a handful of
+exact LPs:
 
 * emptiness and membership in the projection: one feasibility LP each;
 * implicit equalities: the single LP of Freund, Roundy and Todd (1985),
@@ -36,6 +36,10 @@ and giving each pulled polyhedron's auxiliaries fresh columns at the end.
 The Minkowski sums, intersections and products here, the lowering and
 conjugation in ``funcexpr`` and every LP of the numeric model in
 ``engine`` are built that way.
+
+One Fourier-Motzkin elimination is left, :func:`eliminate`, and one
+reader of it: the dual-value LP of ``engine.NumericModel``, whose printed
+optimal dual point follows the eliminated rows.
 """
 
 from __future__ import annotations
@@ -68,9 +72,10 @@ from .exactlp import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# One diagnosis asks the same lifted system many questions (membership,
-# every notion, the attributes), so the LP-backed answers on lifted
-# systems are remembered, at most LP_MEMO entries per kind of question.
+# One diagnosis asks the same lifted system some questions twice: the
+# membership rule and the attributes both ask for membership, and the
+# interior and relative-interior tests both need the implicit rows.  Those
+# two LP-backed answers are remembered, at most LP_MEMO entries each.
 LP_MEMO = 1024
 
 
@@ -111,7 +116,8 @@ class Polyhedron:
         return self.n + self.aux
 
     def __hash__(self):
-        # the memos key on whole systems; hashing their Fractions once is enough
+        # the memos here and in setexpr key on whole lifted systems; hashing
+        # their Fractions once per system, not once per lookup, is enough
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.n, self.ineqs, self.eqs, self.aux))
@@ -235,8 +241,10 @@ class BlockRows:
                 for s, size, at, c in parts:
                     seg = a[s : s + size]
                     if isinstance(c, tuple):  # a matrix
-                        for j in range(len(c[0]) if c else 0):
-                            coeff[at + j] += sum(seg[i] * c[i][j] for i in range(size))
+                        for i, v in enumerate(seg):
+                            if v:
+                                for j, cij in enumerate(c[i]):
+                                    coeff[at + j] += v * cij
                     else:
                         for j in range(size):
                             coeff[at + j] += seg[j] * c
@@ -461,7 +469,8 @@ def zero_in(notion: Notion, p: Polyhedron) -> bool:
     """
     interior = notion in (Notion.INT, Notion.CORE, Notion.QI)
     if p.aux:
-        return _zero_in_lifted(p, interior)
+        pin = BlockRows(("x", p.n)).pull(singleton((ZERO,) * p.n), (p.n, {"x": ONE}))
+        return ri_point(p, pin, range(p.n) if interior else ()) is not None
     if not contains(p, (ZERO,) * p.n):
         return False
     if interior:
@@ -470,12 +479,6 @@ def zero_in(notion: Notion, p: Polyhedron) -> bool:
         return not p.eqs and all(b > 0 for _, b in p.ineqs)
     imp = set(implicit_rows(p))
     return all(b > 0 for idx, (_, b) in enumerate(p.ineqs) if idx not in imp)
-
-
-@lru_cache(maxsize=LP_MEMO)
-def _zero_in_lifted(p: Polyhedron, interior: bool) -> bool:
-    pin = BlockRows(("x", p.n)).pull(singleton((ZERO,) * p.n), (p.n, {"x": ONE}))
-    return ri_point(p, pin, range(p.n) if interior else ()) is not None
 
 
 @dataclass(frozen=True)
@@ -616,34 +619,24 @@ def eliminate(p: Polyhedron) -> Polyhedron:
     Only the dual-value LP of ``engine.NumericModel`` reads eliminated
     rows: the optimal dual point it prints follows the simplex pivot path,
     which follows the rows, so it keeps the rows this elimination wrote
-    before every other query moved to the lifted rows.  Each step
-    substitutes an auxiliary that an equality contains, else eliminates
-    the one whose step makes the fewest new rows, lowest index first; rows
-    are kept primitive and deduplicated, and a row that the others imply
-    (one LP each, in order) is dropped.
+    before every other query moved to the lifted rows.  Each step removes
+    the auxiliary ``_next_var`` picks; rows are kept primitive and
+    deduplicated, and a row that the others imply is dropped
+    (``_prune_lp``, which carries irredundancy witnesses so that most kept
+    rows need no LP).
     """
     if not p.aux:
         return p
-    rows, eqs = _dedupe(p.ineqs), list(p.eqs)
+    rows, eqs = _dedupe([(a, b, None) for a, b in p.ineqs]), list(p.eqs)
     drop = list(range(p.n, p.width))
     while drop:
-        k = next((k for k in drop if any(e[k] != 0 for e, _ in eqs)), None)
-        if k is None:
-            growth = {k: sum(a[k] > 0 for a, _ in rows) * sum(a[k] < 0 for a, _ in rows)
-                      - sum(a[k] != 0 for a, _ in rows) for k in drop}
-            k = min(drop, key=lambda k: (growth[k], k))
+        k = _next_var(rows, eqs, drop)
         drop.remove(k)
         rows, eqs = _eliminate(rows, eqs, k)
         rows = _dedupe(rows)
-        i = 0 if len(rows) > 1 else len(rows)
-        while i < len(rows):
-            a, b = rows[i]
-            res = _solve_over(Polyhedron(p.width, tuple(rows[:i] + rows[i + 1 :]), tuple(eqs)), a, "max")
-            if isinstance(res, Unbounded) or (isinstance(res, Optimal) and res.value > b):
-                i += 1
-            else:  # implied by the rest, or the rest is already infeasible
-                rows.pop(i)
-    return poly(p.n, [(a[: p.n], b) for a, b in rows], [(e[: p.n], d) for e, d in eqs])
+        if len(rows) > 1:
+            rows = _prune_lp(rows, eqs, p.width)
+    return poly(p.n, [(a[: p.n], b) for a, b, _ in rows], [(e[: p.n], d) for e, d in eqs])
 
 
 def _primitive(row: Sequence) -> tuple[int, ...]:
@@ -657,20 +650,81 @@ def _primitive(row: Sequence) -> tuple[int, ...]:
 
 
 def _dedupe(rows):
-    """Scale rows to primitive form, dropping vacuous and repeated ones."""
+    """Scale rows to primitive form, dropping vacuous and repeated ones.
+
+    Rows are ``(a, b, witness)``; each surviving row keeps its witness.
+    """
     seen = set()
     out = []
-    for a, b in rows:
+    for a, b, w in rows:
         key = _primitive((*a, b))
         if key in seen or (not any(key[:-1]) and key[-1] >= 0):
             continue
         seen.add(key)
-        out.append((tuple(Fraction(c) for c in key[:-1]), Fraction(key[-1])))
+        out.append((tuple(Fraction(c) for c in key[:-1]), Fraction(key[-1]), w))
     return out
 
 
+def _prune_lp(rows, eqs, n: int):
+    """Drop rows implied by the rest, in order.
+
+    Row i stays exactly when some point satisfies the equalities and every
+    other kept row but violates row i.  Rows are ``(a, b, witness)``: a row
+    whose witness is such a point stays without an LP, and every other row
+    gets one max-LP over the rest, whose optimum or ray supplies the
+    witness it carries on.  Dropping a row only enlarges the set the
+    others must satisfy, so a witness stays valid to the end of the loop.
+    """
+    kept = list(rows)
+    i = 0
+    while i < len(kept):
+        a, b, w = kept[i]
+        if w is not None:
+            i += 1
+            continue
+        others = tuple((a2, b2) for a2, b2, _ in kept[:i] + kept[i + 1 :])
+        res = _solve_over(Polyhedron(n, others, tuple(eqs)), a, "max")
+        if isinstance(res, Optimal) and res.value > b:
+            kept[i] = (a, b, res.point)
+            i += 1
+        elif isinstance(res, Unbounded):
+            # a.ray > 0, so a step of t past the LP point crosses a.x = b
+            t = max(ZERO, (b - dot(a, res.point)) / dot(a, res.ray)) + 1
+            kept[i] = (a, b, tuple(x + t * r for x, r in zip(res.point, res.ray)))
+            i += 1
+        else:  # implied by the rest, or the rest is already infeasible
+            kept.pop(i)
+    return kept
+
+
+def _next_var(rows, eqs, drop: Sequence[int]) -> int:
+    """The auxiliary to eliminate next.
+
+    One that an equality contains is a pure substitution; otherwise the one
+    whose Fourier-Motzkin step makes the fewest new rows, lowest index first.
+    """
+    for k in drop:
+        if any(e[k] != 0 for e, _ in eqs):
+            return k
+
+    def growth(k):
+        pos = sum(1 for a, _, _ in rows if a[k] > 0)
+        neg = sum(1 for a, _, _ in rows if a[k] < 0)
+        return pos * neg - pos - neg
+
+    return min(drop, key=lambda k: (growth(k), k))
+
+
 def _eliminate(rows, eqs, k):
-    """Remove variable k from the system (substitution or Fourier-Motzkin)."""
+    """Remove variable k from the system (substitution or Fourier-Motzkin).
+
+    A substitution rewrites every row by a multiple of an equality, which
+    leaves its value unchanged on the equalities, so every witness stays
+    valid.  A Fourier-Motzkin step keeps the rows without k, with their
+    witnesses: each new row is a nonnegative combination of other rows,
+    which such a witness satisfies.  The new rows get witnesses from
+    ``_heirs`` where one passes on, else none.
+    """
     for idx, (e, d) in enumerate(eqs):
         if e[k] != 0:
             piv, pd = e, d
@@ -683,22 +737,52 @@ def _eliminate(rows, eqs, k):
                     d2 = d2 - f * pd
                 new_eqs.append((e2, d2))
             new_rows = []
-            for a, b in rows:
+            for a, b, w in rows:
                 if a[k] != 0:
                     f = a[k] / piv[k]
                     a = tuple(x - f * y for x, y in zip(a, piv))
                     b = b - f * pd
-                new_rows.append((a, b))
+                new_rows.append((a, b, w))
             return new_rows, new_eqs
     pos = [row for row in rows if row[0][k] > 0]
     neg = [row for row in rows if row[0][k] < 0]
     combined = [row for row in rows if row[0][k] == 0]
+    heirs = _heirs(pos, neg, k)
     # the rows are primitive, so each combination is taken in integers;
     # _dedupe scales it back to primitive form
-    for ap, bp in pos:
+    for i, (ap, bp, _) in enumerate(pos):
         mp = ap[k].numerator
-        for an, bn in neg:
+        for j, (an, bn, _) in enumerate(neg):
             mn = -an[k].numerator
             coeff = tuple(mn * x.numerator + mp * y.numerator for x, y in zip(ap, an))
-            combined.append((coeff, mn * bp.numerator + mp * bn.numerator))
+            combined.append((coeff, mn * bp.numerator + mp * bn.numerator, heirs.get((i, j))))
     return combined, list(eqs)
+
+
+def _heirs(pos, neg, k):
+    """Witnesses that pass to the new rows of a Fourier-Motzkin step on k.
+
+    Let w witness row p of one side, and let row q of the other side have
+    slack s_q at w; p exceeds its bound at w by e.  The combination of p
+    and q is violated at w exactly when s_q / |q_k| < e / |p_k|.  Every
+    other new row is a nonnegative combination of rows w satisfies, so
+    when exactly one q passes that test, w witnesses the combination of p
+    and q.  Rows are primitive, so the test runs on integers.
+    """
+    out = {}
+    for mine, theirs, swap in ((pos, neg, False), (neg, pos, True)):
+        for i, (a, b, w) in enumerate(mine):
+            if w is None:
+                continue
+            *pt, den = _primitive((*w, ONE))
+            excess = sum(c.numerator * x for c, x in zip(a, pt)) - b.numerator * den
+            pk = abs(a[k].numerator)
+            hits = [
+                j
+                for j, (a2, b2, _) in enumerate(theirs)
+                if (b2.numerator * den - sum(c.numerator * x for c, x in zip(a2, pt))) * pk
+                < excess * abs(a2[k].numerator)
+            ]
+            if len(hits) == 1:
+                out.setdefault((hits[0], i) if swap else (i, hits[0]), w)
+    return out

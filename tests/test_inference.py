@@ -296,3 +296,16 @@ def test_set_memos_stay_bounded_and_answer_as_uncached(monkeypatch):
         assert se.normalize(s) == se._normalize(s)
         assert se.attrs(s) == se._attrs(s)
     assert len(se._NORM_MEMO) == cap and len(se._ATTR_MEMO) == cap
+
+
+def test_qi_of_a_polyatom_missing_the_point_fails_under_every_rule_order():
+    # the qi lemma leaves polyhedra to the finite-dimensional rule: on an
+    # empty set, U - U is empty again and the lemma would recurse for ever
+    rng = random.Random(5)
+    orders = [list(_RULE_NAMES)]
+    for _ in range(6):
+        orders.append(list(_RULE_NAMES))
+        rng.shuffle(orders[-1])
+    for s in (se.PolyAtom(interval(1, 0)), se.PolyAtom(interval(1, 2))):
+        for order in orders:
+            assert Engine(rule_order=order).infer(Notion.QI, ORIGIN, s).status is FAILS, (s, order)

@@ -228,8 +228,8 @@ def test_project_matches_lp_bounds():
             ((0, 0, 0, -1), 2),
         ],
     )
-    rows = oracles._dedupe([(a, b, None) for a, b in p.ineqs])
-    assert oracles._next_var(rows, [], [1, 2]) == 2
+    rows = pg._dedupe([(a, b, None) for a, b in p.ineqs])
+    assert pg._next_var(rows, [], [1, 2]) == 2
     for q in (project(p, [0, 3]), fm_project(p, [0, 3])):
         for d in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, -1), (-1, -3)]:
             for sense in ("max", "min"):
@@ -269,15 +269,15 @@ def test_prune_with_witnesses_matches_lp_per_row(system):
     # exactly the rows, in order, that one LP per row keeps
     n, ineqs, eqs, k = system
     p = poly(n, ineqs, eqs)
-    rows = oracles._dedupe([(a, b, None) for a, b in p.ineqs])
+    rows = pg._dedupe([(a, b, None) for a, b in p.ineqs])
     eqs = list(p.eqs)
     if len(rows) > 1:
-        rows = oracles._prune_lp(rows, eqs, n)
-    rows, eqs = oracles._eliminate(rows, eqs, k)
-    rows = oracles._dedupe(rows)
+        rows = pg._prune_lp(rows, eqs, n)
+    rows, eqs = pg._eliminate(rows, eqs, k)
+    rows = pg._dedupe(rows)
     for i, (_, _, w) in enumerate(rows):
         assert w is None or _violates_only(rows, eqs, i, w)
-    got = oracles._prune_lp(rows, eqs, n)
+    got = pg._prune_lp(rows, eqs, n)
     assert [(a, b) for a, b, _ in got] == prune_lp_reference([(a, b) for a, b, _ in rows], eqs, n)
     for i, (_, _, w) in enumerate(got):
         assert _violates_only(got, eqs, i, w)

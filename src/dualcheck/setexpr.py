@@ -552,8 +552,10 @@ def _attrs(s: SetExpr) -> SetAttrs:
         # syntactic on the lifted rows: a cone (subspace) projects onto one
         conic = HOLDS if all(b == 0 for _, b in p.ineqs) and all(d == 0 for _, d in p.eqs) else UNKNOWN
         sub = HOLDS if (not p.ineqs and all(d == 0 for _, d in p.eqs)) else UNKNOWN
-        # exact: pi(p) is everything iff the origin is interior to rec pi(p)
-        whole = HOLDS if nonempty is HOLDS and pg.zero_in(pg.Notion.INT, pg.recession_cone(p)) else FAILS
+        # exact: pi(p) is everything iff the cone rec pi(p) holds every +-e_j
+        rec = pg.recession_cone(p)
+        units = [tuple(Fraction(sign * (i == j)) for i in range(p.n)) for j in range(p.n) for sign in (1, -1)]
+        whole = HOLDS if nonempty is HOLDS and all(pg.contains(rec, u) for u in units) else FAILS
         return SetAttrs(
             nonempty=nonempty,
             contains_origin=HOLDS if has0 else FAILS,

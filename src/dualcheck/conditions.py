@@ -627,8 +627,8 @@ def _gap_detected(values: eng.ValueReport) -> bool:
     return er_lt(values.vd, values.vp)
 
 
-def diagnose(instance: eng.Instance) -> Diagnosis:
-    ctx = DiagnosisContext(instance)
+def diagnose(instance: eng.Instance, ctx: Optional[DiagnosisContext] = None) -> Diagnosis:
+    ctx = ctx or DiagnosisContext(instance)
     verdicts: dict[str, ConditionVerdict] = {}
     for index in family_indices(ctx.family):
         verdicts[index] = evaluate_condition(index, instance, ctx)

@@ -12,13 +12,12 @@ pr_y dom Phi, the projected shifted epigraph, and the dual objective at a
 point, one LP inf Phi(x, y) + <±y*, y>.  The domain and the shifted
 epigraph stay lifted: their rows are Phi's rows with x, the epigraph
 variables and every auxiliary of the lowered pieces kept as auxiliary
-columns, and every interiority query runs on those rows.  The dual-value
-LPs keep each family's own formulation; the sum and perturbation families
-read their conjugates with the auxiliaries eliminated
-(``polyhedra.eliminate``), the one elimination left, so that the optimal
-dual point printed stays the one these rows give.  Dual solutions can be recovered constructively
-by separating the origin from the projected shifted epigraph and
-rescaling the separator.  The separator comes from one LP over the polar
+columns, and every interiority query runs on those rows.  Both values
+come from the primal LP: the multipliers of Phi's rows, summed over their
+y columns, are an optimal dual point (``NumericModel.dual``), so a finite
+value costs one LP and no conjugate is built.  Dual solutions can be
+recovered constructively by separating the origin from the projected
+shifted epigraph and rescaling the separator.  The separator comes from one LP over the polar
 of the lifted shifted epigraph, written in the multipliers of its rows,
 so recovery projects nothing.  In the symbolic regime values come from
 declared certificates.
@@ -44,13 +43,12 @@ from .errors import (
     RegimeError,
     UndecidableValueError,
 )
-from .exactlp import EQ, LE, LinearProgram, Optimal, Row, Unbounded, Vec, dot, solve_lp
+from .exactlp import EQ, LinearProgram, LpOutcome, Optimal, Row, Unbounded, Vec, dot, solve_lp
 from .funcexpr import (
     ExtReal,
     FunctionExpr,
     MINF,
     PINF,
-    conjugate_polyfunc,
     er,
     er_sub,
     lower,
@@ -272,9 +270,9 @@ class NumericModel:
     * a perturbation function: Phi itself.
 
     The dual objective at a dual point q is inf Phi(x, y) + pairing * <q, y>,
-    that is -Phi*(0, -pairing * q).  ``conjugated`` lists the functions
-    whose conjugates the dual value is built from, with their arguments in
-    the dual point y; a cone-constrained model has none and keeps C.
+    that is -Phi*(0, -pairing * q).  ``lowered`` lists the lowered functions
+    whose conjugates that objective is made of; a cone-constrained model
+    has none and keeps C.
     """
 
     def __init__(self, instance: Instance):
@@ -282,18 +280,17 @@ class NumericModel:
             raise RegimeError("the numeric model needs a finite-dimensional instance")
         self.cone: Optional[Polyhedron] = None
         self.gmap: Optional[AffineMap] = None
-        self.conjugated: tuple = ()
+        self.lowered: tuple = ()
         if isinstance(instance, FenchelInstance):
             n, m = instance.space.dim, instance.yspace.dim
             pf_f, pf_g = lower(instance.f, n), lower(instance.g, m)
             amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
-            adjoint = -ONE if amap is ONE else tuple(tuple(-r[j] for r in amap) for j in range(n))
             self.nx, self.ny, self.pairing = n, m, ONE
             self.pieces = (
                 (pf_f.epi, ((n, {"x": ONE}),), "tf", None),
                 (pf_g.epi, ((m, {"x": amap, "y": -ONE}),), "tg", None),
             )
-            self.conjugated = ((pf_f, ((n, {"y": adjoint}),)), (pf_g, ((m, {"y": ONE}),)))
+            self.lowered = (pf_f, pf_g)
         elif isinstance(instance, LagrangeInstance):
             nx, m = instance.xspace.dim, instance.zspace.dim
             pf_f = lower(instance.f, nx)
@@ -312,9 +309,8 @@ class NumericModel:
             nx, ny = instance.nx, instance.ny
             pf = lower(instance.phi, nx + ny)
             self.nx, self.ny, self.pairing = nx, ny, -ONE
-            args = ((nx, {"x": ONE}), (ny, {"y": ONE}))
-            self.pieces = ((pf.epi, args, "t", None),)
-            self.conjugated = ((pf, args),)
+            self.pieces = ((pf.epi, ((nx, {"x": ONE}), (ny, {"y": ONE})), "t", None),)
+            self.lowered = (pf,)
         self.epis = tuple((t, 1) for _, _, t, _ in self.pieces if t is not None)
         self._domains: dict[int, Polyhedron] = {}
 
@@ -343,11 +339,20 @@ class NumericModel:
         return pg.project(self.system(("x", self.nx), pieces=pieces, domains=True).polyhedron(), range(self.nx))
 
     @cached_property
+    def _primal_lp(self) -> tuple[LinearProgram, tuple[Vec, ...], LpOutcome]:
+        """The primal LP inf Phi(x, 0) over (x, t..., auxiliaries), the
+        columns of y in Phi's rows, which the LP pins to 0, and its outcome."""
+        b = self.system(("x", self.nx), ("y", self.ny), *self.epis)
+        full, y0, y1 = b.full_rows(), self.nx, self.nx + self.ny
+        n = b.n - self.ny
+        obj = (ZERO,) * self.nx + (ONE,) * len(self.epis) + (ZERO,) * (n - self.nx - len(self.epis))
+        prog = LinearProgram(n, obj, "min", tuple(Row(a[:y0] + a[y1:], rel, r) for a, rel, r in full))
+        return prog, pg.columns(full, b.n)[y0:y1], solve_lp(prog)
+
+    @cached_property
     def primal(self) -> tuple[ExtReal, Optional[tuple]]:
         """inf Phi(x, 0) and a minimizer."""
-        b = self.system(("x", self.nx), *self.epis)
-        obj = _padded((ZERO,) * self.nx + (ONE,) * len(self.epis), b)
-        out = solve_lp(LinearProgram(b.n, obj, "min", b.lp_rows()))
+        _, _, out = self._primal_lp
         if isinstance(out, Optimal):
             return er(out.value), out.point[: self.nx]
         return (MINF if isinstance(out, Unbounded) else PINF), None
@@ -369,50 +374,56 @@ class NumericModel:
         """{(y, r) : Phi(x, y) - v <= r for some x}."""
         return pg.project(self.lifted_epi(v), range(self.ny + 1))
 
+    @cached_property
     def dual(self) -> tuple[ExtReal, Optional[tuple]]:
-        """The dual value and an optimal dual point."""
-        if self.cone is not None:
-            return self._cone_dual()
-        names = tuple(f"s{i}" for i in range(len(self.conjugated)))
-        b = pg.BlockRows(("y", self.ny), *((s, 1) for s in names))
-        for (pf, slices), s in zip(self.conjugated, names):
-            # eliminated rows, see polyhedra.eliminate
-            star = conjugate_polyfunc(fx.PolyFunc(pf.n, pg.eliminate(pf.epi)))
-            b.pull(pg.eliminate(star.epi), *slices, (1, {s: ONE}))
-        obj = _padded((ZERO,) * self.ny + (-ONE,) * len(names), b)
-        return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), self.ny)
+        """The dual value and an optimal dual point, read off the primal LP.
 
-    def _cone_dual(self) -> tuple[ExtReal, Optional[tuple]]:
-        """sup over z* in C* of the inner LP value, folded into one LP via the
-        inner problem's dual: multipliers y of the rows of epi f and S."""
-        nx, m, c = self.nx, self.ny, self.cone
-        ib = self.system(("x", nx), ("t", 1), pieces=(0, 1))
-        inner = ib.full_rows()
-        g_t = tuple(tuple(-row[j] for row in self.gmap.rows) for j in range(nx))
-        cols = pg.columns(inner, ib.n)
-        w = ib.n - nx - 1  # the auxiliaries of epi f and S
-        b = pg.BlockRows(("z", m), ("y", len(inner)), ("lam", len(c.ineqs)), ("mu", len(c.eqs)))
-        # the inner multipliers: y <= 0 on <=-rows (min sense), lam >= 0
-        sign = tuple((tuple(ONE if k == i else ZERO for k in range(len(inner))), ZERO)
-                     for i, (_, rel, _) in enumerate(inner) if rel == LE)
-        b.pull(Polyhedron(len(inner), sign, ()), (len(inner), {"y": ONE}))
-        b.pull(pg.orthant(len(c.ineqs)), (len(c.ineqs), {"lam": ONE}))
-        # sum_i y_i row_i = (G^T z, 1, 0)
-        b.pull(pg.singleton((ZERO,) * nx + (ONE,) + (ZERO,) * w),
-               (nx, {"y": cols[:nx], "z": g_t}), (1, {"y": cols[nx : nx + 1]}), (w, {"y": cols[nx + 1 :]}))
-        # z in C*: z + A_u^T lam + E_u^T mu = 0 and A_w^T lam + E_w^T mu = 0
-        # for the lifted H-form C = pi {(u, w) : A(u, w) <= 0, E(u, w) = 0}
-        ca, ce = pg.columns(c.ineqs, c.width), pg.columns(c.eqs, c.width)
-        b.pull(pg.singleton((ZERO,) * c.width), (m, {"z": ONE, "lam": ca[:m], "mu": ce[:m]}), (c.aux, {"lam": ca[m:], "mu": ce[m:]}))
-        obj = tuple(self.gmap.shift) + tuple(r for _, _, r in inner) + (ZERO,) * (len(c.ineqs) + len(c.eqs))
-        return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), m)
+        The dual is sup_q -Phi*(0, -pairing * q) = v**(0) for
+        v(y) = inf_x Phi(x, y), the LP dual of the primal (Rockafellar,
+        *Convex Analysis*, sections 29-30).  With the primal's multipliers
+        lam (min sense, so lam <= 0 on inequality rows), every row a of
+        Phi's system gives lam_i a_i.z >= lam_i b_i, and summing yields
+        sum(t) + <mu, y> >= vp on all of Phi's rows, y free, for
+        mu = sum_i lam_i (row i's y coefficients).  So the dual objective at
+        q = pairing * mu is at least vp, and weak duality makes it vp: q is
+        an optimal dual point, and no further LP is solved.  An unbounded
+        primal gives -inf.  An infeasible one is settled by
+        ``_closure_at_zero``.  A conjugate of an improper function is
+        undefined here, as in ``conjugate_polyfunc``; it can only occur
+        when the primal value is infinite.
+        """
+        _, ycols, out = self._primal_lp
+        if isinstance(out, Optimal):
+            return er(out.value), tuple(self.pairing * dot(out.dual, col) for col in ycols)
+        if any(fx.pf_is_improper(pf) for pf in self.lowered):
+            raise ImproperFunctionError("conjugate of an improper polyhedral function")
+        if isinstance(out, Unbounded):
+            return MINF, None
+        return self._closure_at_zero(), None
+
+    def _closure_at_zero(self) -> ExtReal:
+        """v**(0) when Phi(., 0) is nowhere finite.
+
+        v is polyhedral.  If it is proper it is closed, and v**(0) = v(0) =
+        +inf; if dom Phi is empty, v* = -inf and v** = +inf.  Otherwise v is
+        -inf somewhere, so v* = +inf and v** = -inf: exactly when some
+        direction of Phi's rows with y held fixed lowers sum(t).  One
+        feasibility LP on Phi's rows with y free, one LP on the primal's
+        homogeneous rows.
+        """
+        prog, _, _ = self._primal_lp
+        if pg.is_empty(self.system(("x", self.nx), ("y", self.ny), *self.epis).polyhedron()):
+            return PINF
+        cone = tuple(Row(r.coeffs, r.rel, ZERO) for r in prog.rows)
+        out = solve_lp(LinearProgram(prog.n, prog.objective, "min", cone))
+        return MINF if isinstance(out, Unbounded) else PINF
 
     def dual_value(self, q: Sequence[Fraction]) -> ExtReal:
         """The dual objective at q: one LP, inf Phi(x, y) + pairing * <q, y>."""
         q = tuple(Fraction(c) for c in q)
         if self.cone is not None and not _in_dual_cone(self.cone, q):
             raise ConeMembershipError("multiplier outside the dual cone")
-        if any(fx.pf_falls_forever(pf) for pf, _ in self.conjugated):
+        if any(fx.pf_falls_forever(pf) for pf in self.lowered):
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         b = self.system(("x", self.nx), ("y", self.ny), *self.epis)
         obj = _padded((ZERO,) * self.nx + tuple(self.pairing * c for c in q) + (ONE,) * len(self.epis), b)
@@ -421,7 +432,7 @@ class NumericModel:
             return er(out.value)
         if isinstance(out, Unbounded):
             return MINF
-        if self.conjugated:  # some epigraph is empty
+        if self.lowered:  # some epigraph is empty
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         return PINF
 
@@ -429,12 +440,6 @@ class NumericModel:
 def _padded(obj: tuple, b: pg.BlockRows) -> tuple:
     """An objective over the declared blocks, zero on the auxiliary columns."""
     return obj + (ZERO,) * (b.n - len(obj))
-
-
-def _sup(out, k: int) -> tuple[ExtReal, Optional[tuple]]:
-    if isinstance(out, Optimal):
-        return er(out.value), out.point[:k]
-    return (PINF if isinstance(out, Unbounded) else MINF), None
 
 
 # -- perturbation views ------------------------------------------------------------
@@ -495,7 +500,7 @@ def solve_primal(instance: Instance, model: Optional[NumericModel] = None) -> tu
 
 def solve_dual(instance: Instance, model: Optional[NumericModel] = None) -> tuple[ExtReal, object]:
     if is_numeric(instance):
-        return (model or NumericModel(instance)).dual()
+        return (model or NumericModel(instance)).dual
     vd = instance.values.vd
     if vd is None:
         raise UndecidableValueError("no declared dual value for a symbolic instance")
@@ -525,15 +530,16 @@ def _boxed_polar(p: Polyhedron, d: int) -> tuple[tuple[Row, ...], tuple[Vec, ...
     return b.lp_rows(), tuple(g + e for g, e in zip(cg[:d], ce[:d]))
 
 
-def recover_dual_via_separation(instance: Instance, vp) -> tuple:
+def recover_dual_via_separation(instance: Instance, vp, model: Optional[NumericModel] = None) -> tuple:
     """Constructive dual solution: separate the origin from the projected
     shifted epigraph, certify a negative value component, rescale.  The
     separator is an optimal point of one LP over the lifted polar (see
-    ``_boxed_polar``), so the shifted epigraph is never projected."""
+    ``_boxed_polar``), so the shifted epigraph is never projected.  A
+    diagnosis passes its model, which saves lowering the functions again."""
     vp = Fraction(vp)
     if not is_numeric(instance):
         raise RegimeError("separation recovery runs in the numeric regime")
-    model = NumericModel(instance)
+    model = model or NumericModel(instance)
     d = model.ny + 1
     rows, u = _boxed_polar(model.lifted_epi(vp), d)
     out = solve_lp(LinearProgram(len(u[-1]), tuple(-c for c in u[-1]), "max", rows))

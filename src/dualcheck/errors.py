@@ -13,10 +13,6 @@ class DimensionMismatchError(MalformedInputError):
     pass
 
 
-class SpaceMismatchError(MalformedInputError):
-    """Operands of a set/function expression live in incompatible spaces."""
-
-
 class ParseError(MalformedInputError):
     """A problem file does not parse or fails validation."""
 

@@ -516,8 +516,8 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
     if isinstance(f, NormAtom):
         if f.kind == "l1":
             # -s <= x <= s and sum(s) <= t: 2n + 1 rows over the auxiliaries
-            # s, stored last to first so that eliminating them writes the
-            # 2^n rows sgn.x <= t in the order of the sign vectors
+            # s, stored last to first (the column order fixes the LP pivot
+            # path, and with it the printed optimal points)
             rev = tuple(tuple(-ONE if k == n - 1 - j else ZERO for k in range(n)) for j in range(n))
             b = pg.BlockRows(("x", n), ("t", 1), ("s", n))
             b.pull(pg.neg(pg.orthant(n)), (n, {"x": -ONE, "s": rev}))

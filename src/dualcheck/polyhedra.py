@@ -35,11 +35,8 @@ them, keeping rows in insertion order, pinning undeclared blocks to zero
 and giving each pulled polyhedron's auxiliaries fresh columns at the end.
 The Minkowski sums, intersections and products here, the lowering and
 conjugation in ``funcexpr`` and every LP of the numeric model in
-``engine`` are built that way.
-
-One Fourier-Motzkin elimination is left, :func:`eliminate`, and one
-reader of it: the dual-value LP of ``engine.NumericModel``, whose printed
-optimal dual point follows the eliminated rows.
+``engine`` are built that way.  Nothing here runs Fourier-Motzkin
+elimination.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -609,180 +605,3 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 def product(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     b = BlockRows(("u", p.n), ("v", q.n))
     return project(b.pull(p, (p.n, {"u": 1})).pull(q, (q.n, {"v": 1})).polyhedron(), range(p.n + q.n))
-
-# -- elimination for the dual-value LP --------------------------------------
-
-
-def eliminate(p: Polyhedron) -> Polyhedron:
-    """pi(p) written without auxiliaries, by Fourier-Motzkin elimination.
-
-    Only the dual-value LP of ``engine.NumericModel`` reads eliminated
-    rows: the optimal dual point it prints follows the simplex pivot path,
-    which follows the rows, so it keeps the rows this elimination wrote
-    before every other query moved to the lifted rows.  Each step removes
-    the auxiliary ``_next_var`` picks; rows are kept primitive and
-    deduplicated, and a row that the others imply is dropped
-    (``_prune_lp``, which carries irredundancy witnesses so that most kept
-    rows need no LP).
-    """
-    if not p.aux:
-        return p
-    rows, eqs = _dedupe([(a, b, None) for a, b in p.ineqs]), list(p.eqs)
-    drop = list(range(p.n, p.width))
-    while drop:
-        k = _next_var(rows, eqs, drop)
-        drop.remove(k)
-        rows, eqs = _eliminate(rows, eqs, k)
-        rows = _dedupe(rows)
-        if len(rows) > 1:
-            rows = _prune_lp(rows, eqs, p.width)
-    return poly(p.n, [(a[: p.n], b) for a, b, _ in rows], [(e[: p.n], d) for e, d in eqs])
-
-
-def _primitive(row: Sequence) -> tuple[int, ...]:
-    """Scale rational entries by a positive factor to coprime integers."""
-    mul = 1
-    for c in row:
-        mul = mul * c.denominator // gcd(mul, c.denominator)
-    ints = [c.numerator * (mul // c.denominator) for c in row]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
-
-
-def _dedupe(rows):
-    """Scale rows to primitive form, dropping vacuous and repeated ones.
-
-    Rows are ``(a, b, witness)``; each surviving row keeps its witness.
-    """
-    seen = set()
-    out = []
-    for a, b, w in rows:
-        key = _primitive((*a, b))
-        if key in seen or (not any(key[:-1]) and key[-1] >= 0):
-            continue
-        seen.add(key)
-        out.append((tuple(Fraction(c) for c in key[:-1]), Fraction(key[-1]), w))
-    return out
-
-
-def _prune_lp(rows, eqs, n: int):
-    """Drop rows implied by the rest, in order.
-
-    Row i stays exactly when some point satisfies the equalities and every
-    other kept row but violates row i.  Rows are ``(a, b, witness)``: a row
-    whose witness is such a point stays without an LP, and every other row
-    gets one max-LP over the rest, whose optimum or ray supplies the
-    witness it carries on.  Dropping a row only enlarges the set the
-    others must satisfy, so a witness stays valid to the end of the loop.
-    """
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        a, b, w = kept[i]
-        if w is not None:
-            i += 1
-            continue
-        others = tuple((a2, b2) for a2, b2, _ in kept[:i] + kept[i + 1 :])
-        res = _solve_over(Polyhedron(n, others, tuple(eqs)), a, "max")
-        if isinstance(res, Optimal) and res.value > b:
-            kept[i] = (a, b, res.point)
-            i += 1
-        elif isinstance(res, Unbounded):
-            # a.ray > 0, so a step of t past the LP point crosses a.x = b
-            t = max(ZERO, (b - dot(a, res.point)) / dot(a, res.ray)) + 1
-            kept[i] = (a, b, tuple(x + t * r for x, r in zip(res.point, res.ray)))
-            i += 1
-        else:  # implied by the rest, or the rest is already infeasible
-            kept.pop(i)
-    return kept
-
-
-def _next_var(rows, eqs, drop: Sequence[int]) -> int:
-    """The auxiliary to eliminate next.
-
-    One that an equality contains is a pure substitution; otherwise the one
-    whose Fourier-Motzkin step makes the fewest new rows, lowest index first.
-    """
-    for k in drop:
-        if any(e[k] != 0 for e, _ in eqs):
-            return k
-
-    def growth(k):
-        pos = sum(1 for a, _, _ in rows if a[k] > 0)
-        neg = sum(1 for a, _, _ in rows if a[k] < 0)
-        return pos * neg - pos - neg
-
-    return min(drop, key=lambda k: (growth(k), k))
-
-
-def _eliminate(rows, eqs, k):
-    """Remove variable k from the system (substitution or Fourier-Motzkin).
-
-    A substitution rewrites every row by a multiple of an equality, which
-    leaves its value unchanged on the equalities, so every witness stays
-    valid.  A Fourier-Motzkin step keeps the rows without k, with their
-    witnesses: each new row is a nonnegative combination of other rows,
-    which such a witness satisfies.  The new rows get witnesses from
-    ``_heirs`` where one passes on, else none.
-    """
-    for idx, (e, d) in enumerate(eqs):
-        if e[k] != 0:
-            piv, pd = e, d
-            rest = eqs[:idx] + eqs[idx + 1 :]
-            new_eqs = []
-            for e2, d2 in rest:
-                if e2[k] != 0:
-                    f = e2[k] / piv[k]
-                    e2 = tuple(x - f * y for x, y in zip(e2, piv))
-                    d2 = d2 - f * pd
-                new_eqs.append((e2, d2))
-            new_rows = []
-            for a, b, w in rows:
-                if a[k] != 0:
-                    f = a[k] / piv[k]
-                    a = tuple(x - f * y for x, y in zip(a, piv))
-                    b = b - f * pd
-                new_rows.append((a, b, w))
-            return new_rows, new_eqs
-    pos = [row for row in rows if row[0][k] > 0]
-    neg = [row for row in rows if row[0][k] < 0]
-    combined = [row for row in rows if row[0][k] == 0]
-    heirs = _heirs(pos, neg, k)
-    # the rows are primitive, so each combination is taken in integers;
-    # _dedupe scales it back to primitive form
-    for i, (ap, bp, _) in enumerate(pos):
-        mp = ap[k].numerator
-        for j, (an, bn, _) in enumerate(neg):
-            mn = -an[k].numerator
-            coeff = tuple(mn * x.numerator + mp * y.numerator for x, y in zip(ap, an))
-            combined.append((coeff, mn * bp.numerator + mp * bn.numerator, heirs.get((i, j))))
-    return combined, list(eqs)
-
-
-def _heirs(pos, neg, k):
-    """Witnesses that pass to the new rows of a Fourier-Motzkin step on k.
-
-    Let w witness row p of one side, and let row q of the other side have
-    slack s_q at w; p exceeds its bound at w by e.  The combination of p
-    and q is violated at w exactly when s_q / |q_k| < e / |p_k|.  Every
-    other new row is a nonnegative combination of rows w satisfies, so
-    when exactly one q passes that test, w witnesses the combination of p
-    and q.  Rows are primitive, so the test runs on integers.
-    """
-    out = {}
-    for mine, theirs, swap in ((pos, neg, False), (neg, pos, True)):
-        for i, (a, b, w) in enumerate(mine):
-            if w is None:
-                continue
-            *pt, den = _primitive((*w, ONE))
-            excess = sum(c.numerator * x for c, x in zip(a, pt)) - b.numerator * den
-            pk = abs(a[k].numerator)
-            hits = [
-                j
-                for j, (a2, b2, _) in enumerate(theirs)
-                if (b2.numerator * den - sum(c.numerator * x for c, x in zip(a2, pt))) * pk
-                < excess * abs(a2[k].numerator)
-            ]
-            if len(hits) == 1:
-                out.setdefault((hits[0], i) if swap else (i, hits[0]), w)
-    return out

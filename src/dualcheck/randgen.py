@@ -54,13 +54,6 @@ def random_box(rng: random.Random, n: int, around_zero: bool = False) -> Polyhed
     return poly(n, rows)
 
 
-def random_tilted_indicator(rng: random.Random, n: int, around_zero: bool = False):
-    box = random_box(rng, n, around_zero)
-    c = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
-    alpha = Fraction(rng.randint(-1, 1))
-    return Sum(Affine(c, alpha), IndicatorOf(se.PolyAtom(box)))
-
-
 def random_fenchel_core_instance(rng: random.Random, tag: str) -> FenchelInstance:
     """Random pair whose domains are boxes around a shared center, so the
     origin is interior to the domain difference."""

@@ -7,20 +7,23 @@ tableau.  The exceptions are ``prune_lp_reference``, which asks the
 package's exact LP one question per row,
 ``slice_interior_point_reference``, which asks it one question over all
 sign vectors, ``recover_dual_reference``, which projects with
-``fm_project``, and the Fourier-Motzkin projection ``fm_project`` with
-the queries built on it, which eliminates with the package's
-``polyhedra.eliminate``; what they check is the logic around the LP, not
-the LP, and the lifted queries, which eliminate nothing.
+``fm_project``, ``dual_reference``, which solves the conjugate-based dual
+LP, and the Fourier-Motzkin projection ``fm_project`` with the queries
+built on it, which eliminates with ``eliminate`` below; what they check is
+the logic around the LP, not the LP, and the lifted queries, which
+eliminate nothing, and the dual point read off the primal LP.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from typing import Sequence
 
-from dualcheck.exactlp import Optimal, Unbounded
-from dualcheck.polyhedra import Notion, Polyhedron, _solve_over, contains, eliminate, poly, project
+from dualcheck.exactlp import Optimal, Unbounded, dot
+from dualcheck.polyhedra import Notion, Polyhedron, _solve_over, contains, poly, project
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def solve_square(rows, rhs):
@@ -294,9 +297,182 @@ def recover_dual_reference(instance, vp):
 # ``fm_project`` is the elimination ``dualcheck.polyhedra.project`` ran
 # before polyhedra were kept lifted: it reads a lifted input with every
 # column, reorders as ``project`` does and eliminates the dropped columns
-# with ``polyhedra.eliminate``, the same steps and pruning.  With the
-# per-row ``implicit_rows`` and the ``zero_in`` built on it, it is the
-# reference for the queries on lifted rows.
+# with ``eliminate``, the same steps and pruning.  With the per-row
+# ``implicit_rows`` and the ``zero_in`` built on it, it is the reference
+# for the queries on lifted rows.
+
+
+def eliminate(p: Polyhedron) -> Polyhedron:
+    """pi(p) written without auxiliaries, by Fourier-Motzkin elimination.
+
+    The elimination ``dualcheck.polyhedra.eliminate`` ran for the
+    conjugate-based dual LP (``dual_reference``) before the dual point was
+    read off the primal LP.  Each step removes the auxiliary ``_next_var``
+    picks; rows are kept primitive and deduplicated, and a row that the
+    others imply is dropped (``_prune_lp``, which carries irredundancy
+    witnesses so that most kept rows need no LP).
+    """
+    if not p.aux:
+        return p
+    rows, eqs = _dedupe([(a, b, None) for a, b in p.ineqs]), list(p.eqs)
+    drop = list(range(p.n, p.width))
+    while drop:
+        k = _next_var(rows, eqs, drop)
+        drop.remove(k)
+        rows, eqs = _eliminate(rows, eqs, k)
+        rows = _dedupe(rows)
+        if len(rows) > 1:
+            rows = _prune_lp(rows, eqs, p.width)
+    return poly(p.n, [(a[: p.n], b) for a, b, _ in rows], [(e[: p.n], d) for e, d in eqs])
+
+
+def _primitive(row: Sequence) -> tuple[int, ...]:
+    """Scale rational entries by a positive factor to coprime integers."""
+    mul = 1
+    for c in row:
+        mul = mul * c.denominator // gcd(mul, c.denominator)
+    ints = [c.numerator * (mul // c.denominator) for c in row]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def _dedupe(rows):
+    """Scale rows to primitive form, dropping vacuous and repeated ones.
+
+    Rows are ``(a, b, witness)``; each surviving row keeps its witness.
+    """
+    seen = set()
+    out = []
+    for a, b, w in rows:
+        key = _primitive((*a, b))
+        if key in seen or (not any(key[:-1]) and key[-1] >= 0):
+            continue
+        seen.add(key)
+        out.append((tuple(Fraction(c) for c in key[:-1]), Fraction(key[-1]), w))
+    return out
+
+
+def _prune_lp(rows, eqs, n: int):
+    """Drop rows implied by the rest, in order.
+
+    Row i stays exactly when some point satisfies the equalities and every
+    other kept row but violates row i.  Rows are ``(a, b, witness)``: a row
+    whose witness is such a point stays without an LP, and every other row
+    gets one max-LP over the rest, whose optimum or ray supplies the
+    witness it carries on.  Dropping a row only enlarges the set the
+    others must satisfy, so a witness stays valid to the end of the loop.
+    """
+    kept = list(rows)
+    i = 0
+    while i < len(kept):
+        a, b, w = kept[i]
+        if w is not None:
+            i += 1
+            continue
+        others = tuple((a2, b2) for a2, b2, _ in kept[:i] + kept[i + 1 :])
+        res = _solve_over(Polyhedron(n, others, tuple(eqs)), a, "max")
+        if isinstance(res, Optimal) and res.value > b:
+            kept[i] = (a, b, res.point)
+            i += 1
+        elif isinstance(res, Unbounded):
+            # a.ray > 0, so a step of t past the LP point crosses a.x = b
+            t = max(ZERO, (b - dot(a, res.point)) / dot(a, res.ray)) + 1
+            kept[i] = (a, b, tuple(x + t * r for x, r in zip(res.point, res.ray)))
+            i += 1
+        else:  # implied by the rest, or the rest is already infeasible
+            kept.pop(i)
+    return kept
+
+
+def _next_var(rows, eqs, drop: Sequence[int]) -> int:
+    """The auxiliary to eliminate next.
+
+    One that an equality contains is a pure substitution; otherwise the one
+    whose Fourier-Motzkin step makes the fewest new rows, lowest index first.
+    """
+    for k in drop:
+        if any(e[k] != 0 for e, _ in eqs):
+            return k
+
+    def growth(k):
+        pos = sum(1 for a, _, _ in rows if a[k] > 0)
+        neg = sum(1 for a, _, _ in rows if a[k] < 0)
+        return pos * neg - pos - neg
+
+    return min(drop, key=lambda k: (growth(k), k))
+
+
+def _eliminate(rows, eqs, k):
+    """Remove variable k from the system (substitution or Fourier-Motzkin).
+
+    A substitution rewrites every row by a multiple of an equality, which
+    leaves its value unchanged on the equalities, so every witness stays
+    valid.  A Fourier-Motzkin step keeps the rows without k, with their
+    witnesses: each new row is a nonnegative combination of other rows,
+    which such a witness satisfies.  The new rows get witnesses from
+    ``_heirs`` where one passes on, else none.
+    """
+    for idx, (e, d) in enumerate(eqs):
+        if e[k] != 0:
+            piv, pd = e, d
+            rest = eqs[:idx] + eqs[idx + 1 :]
+            new_eqs = []
+            for e2, d2 in rest:
+                if e2[k] != 0:
+                    f = e2[k] / piv[k]
+                    e2 = tuple(x - f * y for x, y in zip(e2, piv))
+                    d2 = d2 - f * pd
+                new_eqs.append((e2, d2))
+            new_rows = []
+            for a, b, w in rows:
+                if a[k] != 0:
+                    f = a[k] / piv[k]
+                    a = tuple(x - f * y for x, y in zip(a, piv))
+                    b = b - f * pd
+                new_rows.append((a, b, w))
+            return new_rows, new_eqs
+    pos = [row for row in rows if row[0][k] > 0]
+    neg = [row for row in rows if row[0][k] < 0]
+    combined = [row for row in rows if row[0][k] == 0]
+    heirs = _heirs(pos, neg, k)
+    # the rows are primitive, so each combination is taken in integers;
+    # _dedupe scales it back to primitive form
+    for i, (ap, bp, _) in enumerate(pos):
+        mp = ap[k].numerator
+        for j, (an, bn, _) in enumerate(neg):
+            mn = -an[k].numerator
+            coeff = tuple(mn * x.numerator + mp * y.numerator for x, y in zip(ap, an))
+            combined.append((coeff, mn * bp.numerator + mp * bn.numerator, heirs.get((i, j))))
+    return combined, list(eqs)
+
+
+def _heirs(pos, neg, k):
+    """Witnesses that pass to the new rows of a Fourier-Motzkin step on k.
+
+    Let w witness row p of one side, and let row q of the other side have
+    slack s_q at w; p exceeds its bound at w by e.  The combination of p
+    and q is violated at w exactly when s_q / |q_k| < e / |p_k|.  Every
+    other new row is a nonnegative combination of rows w satisfies, so
+    when exactly one q passes that test, w witnesses the combination of p
+    and q.  Rows are primitive, so the test runs on integers.
+    """
+    out = {}
+    for mine, theirs, swap in ((pos, neg, False), (neg, pos, True)):
+        for i, (a, b, w) in enumerate(mine):
+            if w is None:
+                continue
+            *pt, den = _primitive((*w, ONE))
+            excess = sum(c.numerator * x for c, x in zip(a, pt)) - b.numerator * den
+            pk = abs(a[k].numerator)
+            hits = [
+                j
+                for j, (a2, b2, _) in enumerate(theirs)
+                if (b2.numerator * den - sum(c.numerator * x for c, x in zip(a2, pt))) * pk
+                < excess * abs(a2[k].numerator)
+            ]
+            if len(hits) == 1:
+                out.setdefault((hits[0], i) if swap else (i, hits[0]), w)
+    return out
 
 
 def fm_project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:
@@ -342,3 +518,77 @@ def zero_in_reference(notion: Notion, p: Polyhedron) -> bool:
 def fm_flatten(p: Polyhedron) -> Polyhedron:
     """The set a lifted system denotes, written without auxiliaries."""
     return fm_project(p, range(p.n))
+
+
+# -- conjugate-based dual LP -------------------------------------------------
+#
+# ``dual_reference`` is the dual LP ``dualcheck.engine.NumericModel.dual``
+# solved before the dual point was read off the primal LP's multipliers:
+# the sum and perturbation families maximize -sum(s) over the eliminated
+# epigraphs of the conjugates, the cone family folds sup over z in C* of
+# the inner problem's LP dual into one LP.  Both give the value
+# sup -Phi*(0, .) that the read-out must reproduce, including +-inf.
+
+
+def dual_reference(instance):
+    """The dual value and an optimal dual point, from the conjugates."""
+    from dualcheck import engine as eng
+    from dualcheck import polyhedra as pg
+    from dualcheck.exactlp import LinearProgram, solve_lp
+    from dualcheck.funcexpr import PolyFunc, conjugate_polyfunc
+
+    model = eng.NumericModel(instance)
+    if model.cone is not None:
+        return _cone_dual_reference(model)
+    if isinstance(instance, eng.FenchelInstance):
+        n, m = model.nx, model.ny
+        amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
+        adjoint = -ONE if amap is ONE else tuple(tuple(-r[j] for r in amap) for j in range(n))
+        pf_f, pf_g = model.lowered
+        conjugated = ((pf_f, ((n, {"y": adjoint}),)), (pf_g, ((m, {"y": ONE}),)))
+    else:
+        conjugated = ((model.lowered[0], ((model.nx, {"x": ONE}), (model.ny, {"y": ONE}))),)
+    names = tuple(f"s{i}" for i in range(len(conjugated)))
+    b = pg.BlockRows(("y", model.ny), *((s, 1) for s in names))
+    for (pf, slices), s in zip(conjugated, names):
+        star = conjugate_polyfunc(PolyFunc(pf.n, eliminate(pf.epi)))
+        b.pull(eliminate(star.epi), *slices, (1, {s: ONE}))
+    obj = eng._padded((ZERO,) * model.ny + (-ONE,) * len(names), b)
+    return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), model.ny)
+
+
+def _cone_dual_reference(model):
+    """sup over z* in C* of the inner LP value, folded into one LP via the
+    inner problem's dual: multipliers y of the rows of epi f and S."""
+    from dualcheck import polyhedra as pg
+    from dualcheck.exactlp import LE, LinearProgram, solve_lp
+
+    nx, m, c = model.nx, model.ny, model.cone
+    ib = model.system(("x", nx), ("t", 1), pieces=(0, 1))
+    inner = ib.full_rows()
+    g_t = tuple(tuple(-row[j] for row in model.gmap.rows) for j in range(nx))
+    cols = pg.columns(inner, ib.n)
+    w = ib.n - nx - 1  # the auxiliaries of epi f and S
+    b = pg.BlockRows(("z", m), ("y", len(inner)), ("lam", len(c.ineqs)), ("mu", len(c.eqs)))
+    # the inner multipliers: y <= 0 on <=-rows (min sense), lam >= 0
+    sign = tuple((tuple(ONE if k == i else ZERO for k in range(len(inner))), ZERO)
+                 for i, (_, rel, _) in enumerate(inner) if rel == LE)
+    b.pull(Polyhedron(len(inner), sign, ()), (len(inner), {"y": ONE}))
+    b.pull(pg.orthant(len(c.ineqs)), (len(c.ineqs), {"lam": ONE}))
+    # sum_i y_i row_i = (G^T z, 1, 0)
+    b.pull(pg.singleton((ZERO,) * nx + (ONE,) + (ZERO,) * w),
+           (nx, {"y": cols[:nx], "z": g_t}), (1, {"y": cols[nx : nx + 1]}), (w, {"y": cols[nx + 1 :]}))
+    # z in C*: z + A_u^T lam + E_u^T mu = 0 and A_w^T lam + E_w^T mu = 0
+    # for the lifted H-form C = pi {(u, w) : A(u, w) <= 0, E(u, w) = 0}
+    ca, ce = pg.columns(c.ineqs, c.width), pg.columns(c.eqs, c.width)
+    b.pull(pg.singleton((ZERO,) * c.width), (m, {"z": ONE, "lam": ca[:m], "mu": ce[:m]}), (c.aux, {"lam": ca[m:], "mu": ce[m:]}))
+    obj = tuple(model.gmap.shift) + tuple(r for _, _, r in inner) + (ZERO,) * (len(c.ineqs) + len(c.eqs))
+    return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), m)
+
+
+def _sup(out, k: int):
+    from dualcheck.funcexpr import MINF, PINF, er
+
+    if isinstance(out, Optimal):
+        return er(out.value), out.point[:k]
+    return (PINF if isinstance(out, Unbounded) else MINF), None

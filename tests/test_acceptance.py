@@ -176,7 +176,7 @@ def test_criterion_4_separation_recovery_equivalence():
             if rc6.status is not HOLDS:
                 continue
             checked += 1
-            dual = recover_dual_via_separation(inst, ctx.values.vp.value)
+            dual = recover_dual_via_separation(inst, ctx.values.vp.value, ctx.model)
             val = dual_objective_value(inst, dual)
             if val != ctx.values.vp or val != ctx.values.vd:
                 violations.append((inst.instance_id, val, ctx.values.vp, ctx.values.vd))

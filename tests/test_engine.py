@@ -13,6 +13,7 @@ from dualcheck.engine import (
     FenchelInstance,
     IdentityMap,
     LagrangeInstance,
+    NumericModel,
     PerturbationInstance,
     dual_objective_value,
     is_numeric,
@@ -41,11 +42,13 @@ from dualcheck.funcexpr import (
     Sum,
     er,
 )
+from dualcheck.exactlp import verify_certificate
 from dualcheck.polyhedra import contains, interval, orthant, poly, singleton
+from dualcheck.randgen import random_fenchel_core_instance, random_lagrange_slater_instance
 from dualcheck.spaces import finite, lp_space
 
 import test_numeric_golden as golden
-from oracles import enumerate_vertices, recover_dual_reference
+from oracles import dual_reference, enumerate_vertices, recover_dual_reference
 
 F = Fraction
 
@@ -353,6 +356,26 @@ def test_dual_objective_keeps_its_typed_errors():
         dual_objective_value(inst, (F(-1),))
 
 
+# the Fourier-Motzkin routines, which now live only in tests/oracles.py
+FM_NAMES = ("eliminate", "_eliminate", "_prune_lp", "_dedupe", "_next_var", "_heirs", "fm_project")
+
+
+def _record_lps(monkeypatch) -> list:
+    """Record every LP that any module of the package solves."""
+    from dualcheck import exactlp
+
+    real, programs = exactlp.solve_lp, []
+
+    def recording_solve(p):
+        programs.append(p)
+        return real(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualcheck") and getattr(module, "solve_lp", None) is real:
+            monkeypatch.setattr(module, "solve_lp", recording_solve)
+    return programs
+
+
 def test_one_diagnosis_lowers_each_function_once_and_solves_the_primal_once(monkeypatch):
     from dualcheck import conditions, engine, funcexpr
 
@@ -360,24 +383,71 @@ def test_one_diagnosis_lowers_each_function_once_and_solves_the_primal_once(monk
     inst = fenchel(f, NormAtom("l1"), n=2)
     model = engine.NumericModel(inst)
     rows = model.system(("x", 2), *model.epis).lp_rows()
-    lowered, programs = [], []
-    real_lower, real_solve = funcexpr.lower, engine.solve_lp
+    lowered, conjugated, value_lps = [], [], []
+    real_lower, real_conjugate, real_report = funcexpr.lower, funcexpr.conjugate_polyfunc, engine.value_report
+    programs = _record_lps(monkeypatch)
 
     def counting_lower(h, n):
         lowered.append(h)
         return real_lower(h, n)
 
-    def recording_solve(p):
-        programs.append(p)
-        return real_solve(p)
+    def counting_conjugate(pf):
+        conjugated.append(pf)
+        return real_conjugate(pf)
+
+    def counting_report(instance, model=None):
+        before = len(programs)
+        out = real_report(instance, model)
+        value_lps.extend(programs[before:])
+        return out
 
     for module in (funcexpr, engine, conditions.fx):
         monkeypatch.setattr(module, "lower", counting_lower)
-    monkeypatch.setattr(engine, "solve_lp", recording_solve)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualcheck") and getattr(module, "conjugate_polyfunc", None) is real_conjugate:
+            monkeypatch.setattr(module, "conjugate_polyfunc", counting_conjugate)
+    monkeypatch.setattr(engine, "value_report", counting_report)
     d = conditions.diagnose(inst)
-    assert d.values.vp == er(0)
+    assert d.values.vp == er(0) and d.values.vd == er(0) and d.values.dual_solution is not None
     assert lowered.count(f) == 1 and lowered.count(NormAtom("l1")) == 1
-    assert sum(1 for p in programs if p.rows == rows and p.sense == "min") == 1
+    # both values come from the primal LP alone, with no conjugate
+    primal = value_lps[0]
+    assert len(value_lps) == 1 and primal.rows == rows and primal.sense == "min"
+    assert sum(1 for p in programs if p == primal) == 1
+    assert not conjugated
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualcheck"):
+            assert not [a for a in FM_NAMES if hasattr(module, a)], name
+
+
+@pytest.mark.parametrize(
+    "inst, vd",
+    [
+        (fenchel(Affine((F(1),), F(0)), Affine((F(1),), F(0))), MINF),  # unbounded primal
+        (fenchel(Affine((F(2),), F(0)), NormAtom("l1")), MINF),
+        (fenchel(ind(interval(0, 1)), ind(interval(2, 3))), PINF),  # disjoint domains
+        (fenchel(Sum(Affine((F(3),), F(0)), ind(interval(0, 1))), Sum(NormAtom("l1"), ind(interval(2, 3)))), PINF),
+        # Phi(x, y) = x on y = 1: infeasible at y = 0, and v(1) = -inf
+        (PerturbationInstance("phi", 1, 1, Sum(Affine((F(1), F(0)), F(0)), ind(poly(2, eqs=[((0, 1), 1)])))), MINF),
+    ],
+)
+def test_an_infinite_primal_value_costs_at_most_two_more_value_lps(monkeypatch, inst, vd):
+    from dualcheck import funcexpr
+
+    programs, guard = _record_lps(monkeypatch), []
+    real_improper = funcexpr.pf_is_improper
+
+    def counted_improper(pf):  # the properness test, not a value LP
+        before = len(programs)
+        out = real_improper(pf)
+        guard.extend(programs[before:])
+        return out
+
+    monkeypatch.setattr(funcexpr, "pf_is_improper", counted_improper)
+    rep = value_report(inst)
+    assert len(programs) - len(guard) <= 3
+    assert rep.vd == vd and rep.dual_solution is None
+    assert rep.vd == dual_reference(inst)[0]
 
 
 def _recovery_outcome(recover, inst, vp):
@@ -413,29 +483,77 @@ def test_recovery_matches_the_projected_reference(family, seed, i, raise_vp):
 
 
 def test_recovery_eliminates_nothing_and_solves_at_most_seven_lps(monkeypatch):
-    from dualcheck import exactlp, polyhedra
-
     f = Sum(Affine((F(2), F(0)), F(0)), ind(poly(2, [((1, 0), 1), ((-1, 0), 2), ((0, 1), 3), ((0, -1), 1)])))
     inst = fenchel(f, NormAtom("l1"), n=2)
     vp, _ = solve_primal(inst)
-    real_eliminate, real_solve = polyhedra.eliminate, exactlp.solve_lp
-    eliminations, lps = [], []
-
-    def tracked_eliminate(p):
-        eliminations.append(p)
-        return real_eliminate(p)
-
-    def counted_solve(p):
-        lps.append(p)
-        return real_solve(p)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("dualcheck"):
-            if getattr(module, "eliminate", None) is real_eliminate:
-                monkeypatch.setattr(module, "eliminate", tracked_eliminate)
-            if getattr(module, "solve_lp", None) is real_solve:
-                monkeypatch.setattr(module, "solve_lp", counted_solve)
+    lps = _record_lps(monkeypatch)
     dual = recover_dual_via_separation(inst, vp.value)
     assert dual == (F(-1), F(0))
-    assert not eliminations
     assert len(lps) <= 7
+
+
+def test_recovery_with_the_diagnosis_model_lowers_nothing(monkeypatch):
+    from dualcheck import engine, funcexpr
+
+    f = Sum(Affine((F(2), F(0)), F(0)), ind(poly(2, [((1, 0), 1), ((-1, 0), 2), ((0, 1), 3), ((0, -1), 1)])))
+    inst = fenchel(f, NormAtom("l1"), n=2)
+    model = engine.NumericModel(inst)
+    vp, _ = model.primal
+    real_lower, lowered = funcexpr.lower, []
+
+    def counting_lower(h, n):
+        lowered.append(h)
+        return real_lower(h, n)
+
+    monkeypatch.setattr(engine, "lower", counting_lower)
+    assert recover_dual_via_separation(inst, vp.value, model) == (F(-1), F(0))
+    assert not lowered
+    assert recover_dual_via_separation(inst, vp.value) == (F(-1), F(0))
+    assert lowered == [f, NormAtom("l1")]
+
+
+def _dual_or_error(solve, inst):
+    try:
+        return solve(inst)
+    except DualcheckError as exc:
+        return type(exc)
+
+
+def _check_dual_against_the_reference(inst):
+    """The read-out dual has the conjugate LP's value, its point attains
+    that value, and the primal LP's certificate replays."""
+    ref = _dual_or_error(dual_reference, inst)
+    try:
+        model = NumericModel(inst)
+        vd, point = model.dual
+    except DualcheckError as exc:
+        assert ref is type(exc)
+        return None
+    assert isinstance(ref, tuple) and vd == ref[0]
+    prog, _, out = model._primal_lp
+    assert verify_certificate(prog, out)
+    if vd.is_finite():
+        assert model.dual_value(point) == vd
+    else:
+        assert point is None
+    return vd
+
+
+def test_dual_of_every_golden_instance_matches_the_conjugate_dual_lp():
+    values = [_check_dual_against_the_reference(inst) for inst in golden._instances()]
+    infinite = [v for v in values if v is not None and not v.is_finite()]
+    assert infinite.count(PINF) == 5 and infinite.count(MINF) == 4
+
+
+# the golden generators and the two generators of acceptance criteria 3 and 4
+DUAL_FAMILIES = {
+    **{name: make for name, (make, _) in golden.FAMILIES.items()},
+    "core-fenchel": lambda rng, i: random_fenchel_core_instance(rng, f"core-{i}"),
+    "slater-lagrange": lambda rng, i: random_lagrange_slater_instance(rng, f"slater-{i}"),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(DUAL_FAMILIES)), st.integers(0, 2**32), st.integers(0, 11))
+def test_dual_read_off_the_primal_matches_the_conjugate_dual_lp(family, seed, i):
+    _check_dual_against_the_reference(DUAL_FAMILIES[family](random.Random(seed), i))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from dualcheck import setexpr as se
-from dualcheck.conditions import diagnose
+from dualcheck.conditions import DiagnosisContext, diagnose
 from dualcheck.engine import (
     AffineMap,
     FenchelInstance,
@@ -151,7 +151,8 @@ def _point(p):
 
 def _answer(inst) -> dict:
     try:
-        d = diagnose(inst)
+        ctx = DiagnosisContext(inst)
+        d = diagnose(inst, ctx)
     except DualcheckError as exc:
         return {"error": type(exc).__name__}
     doc = diagnosis_to_structured(d)
@@ -161,7 +162,7 @@ def _answer(inst) -> dict:
     vp = d.values.vp
     if vp is not None and vp.is_finite():
         try:
-            out["recovered"] = _point(recover_dual_via_separation(inst, vp.value))
+            out["recovered"] = _point(recover_dual_via_separation(inst, vp.value, ctx.model))
         except DualcheckError as exc:
             out["recovered"] = type(exc).__name__
     sol = d.values.dual_solution

@@ -339,20 +339,25 @@ class NumericModel:
         return pg.project(self.system(("x", self.nx), pieces=pieces, domains=True).polyhedron(), range(self.nx))
 
     @cached_property
-    def _primal_lp(self) -> tuple[LinearProgram, tuple[Vec, ...], LpOutcome]:
-        """The primal LP inf Phi(x, 0) over (x, t..., auxiliaries), the
-        columns of y in Phi's rows, which the LP pins to 0, and its outcome."""
-        b = self.system(("x", self.nx), ("y", self.ny), *self.epis)
-        full, y0, y1 = b.full_rows(), self.nx, self.nx + self.ny
+    def _phi(self) -> pg.BlockRows:
+        """Phi's rows over (x, y, t..., auxiliaries)."""
+        return self.system(("x", self.nx), ("y", self.ny), *self.epis)
+
+    @cached_property
+    def _primal_lp(self) -> tuple[LinearProgram, LpOutcome]:
+        """The primal LP inf Phi(x, 0), on Phi's rows with the y columns
+        dropped, and its outcome."""
+        b, y0, y1 = self._phi, self.nx, self.nx + self.ny
         n = b.n - self.ny
-        obj = (ZERO,) * self.nx + (ONE,) * len(self.epis) + (ZERO,) * (n - self.nx - len(self.epis))
-        prog = LinearProgram(n, obj, "min", tuple(Row(a[:y0] + a[y1:], rel, r) for a, rel, r in full))
-        return prog, pg.columns(full, b.n)[y0:y1], solve_lp(prog)
+        obj = (ZERO,) * self.nx + (ONE,) * len(self.epis)
+        rows = tuple(Row(a[:y0] + a[y1:], rel, r) for a, rel, r in b.full_rows())
+        prog = LinearProgram(n, obj + (ZERO,) * (n - len(obj)), "min", rows)
+        return prog, solve_lp(prog)
 
     @cached_property
     def primal(self) -> tuple[ExtReal, Optional[tuple]]:
         """inf Phi(x, 0) and a minimizer."""
-        _, _, out = self._primal_lp
+        _, out = self._primal_lp
         if isinstance(out, Optimal):
             return er(out.value), out.point[: self.nx]
         return (MINF if isinstance(out, Unbounded) else PINF), None
@@ -392,9 +397,11 @@ class NumericModel:
         undefined here, as in ``conjugate_polyfunc``; it can only occur
         when the primal value is infinite.
         """
-        _, ycols, out = self._primal_lp
+        _, out = self._primal_lp
         if isinstance(out, Optimal):
-            return er(out.value), tuple(self.pairing * dot(out.dual, col) for col in ycols)
+            rows = self._phi.full_rows()
+            y = (dot(out.dual, [a[k] for a, _, _ in rows]) for k in range(self.nx, self.nx + self.ny))
+            return er(out.value), tuple(self.pairing * c for c in y)
         if any(fx.pf_is_improper(pf) for pf in self.lowered):
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         if isinstance(out, Unbounded):
@@ -411,8 +418,8 @@ class NumericModel:
         feasibility LP on Phi's rows with y free, one LP on the primal's
         homogeneous rows.
         """
-        prog, _, _ = self._primal_lp
-        if pg.is_empty(self.system(("x", self.nx), ("y", self.ny), *self.epis).polyhedron()):
+        prog, _ = self._primal_lp
+        if pg.is_empty(self._phi.polyhedron()):
             return PINF
         cone = tuple(Row(r.coeffs, r.rel, ZERO) for r in prog.rows)
         out = solve_lp(LinearProgram(prog.n, prog.objective, "min", cone))
@@ -425,7 +432,7 @@ class NumericModel:
             raise ConeMembershipError("multiplier outside the dual cone")
         if any(fx.pf_falls_forever(pf) for pf in self.lowered):
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
-        b = self.system(("x", self.nx), ("y", self.ny), *self.epis)
+        b = self._phi
         obj = _padded((ZERO,) * self.nx + tuple(self.pairing * c for c in q) + (ONE,) * len(self.epis), b)
         out = solve_lp(LinearProgram(b.n, obj, "min", b.lp_rows()))
         if isinstance(out, Optimal):

@@ -530,7 +530,7 @@ def _check_dual_against_the_reference(inst):
         assert ref is type(exc)
         return None
     assert isinstance(ref, tuple) and vd == ref[0]
-    prog, _, out = model._primal_lp
+    prog, out = model._primal_lp
     assert verify_certificate(prog, out)
     if vd.is_finite():
         assert model.dual_value(point) == vd

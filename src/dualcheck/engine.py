@@ -383,19 +383,15 @@ class NumericModel:
     def dual(self) -> tuple[ExtReal, Optional[tuple]]:
         """The dual value and an optimal dual point, read off the primal LP.
 
-        The dual is sup_q -Phi*(0, -pairing * q) = v**(0) for
-        v(y) = inf_x Phi(x, y), the LP dual of the primal (Rockafellar,
-        *Convex Analysis*, sections 29-30).  With the primal's multipliers
-        lam (min sense, so lam <= 0 on inequality rows), every row a of
-        Phi's system gives lam_i a_i.z >= lam_i b_i, and summing yields
-        sum(t) + <mu, y> >= vp on all of Phi's rows, y free, for
-        mu = sum_i lam_i (row i's y coefficients).  So the dual objective at
-        q = pairing * mu is at least vp, and weak duality makes it vp: q is
-        an optimal dual point, and no further LP is solved.  An unbounded
-        primal gives -inf.  An infeasible one is settled by
-        ``_closure_at_zero``.  A conjugate of an improper function is
-        undefined here, as in ``conjugate_polyfunc``; it can only occur
-        when the primal value is infinite.
+        The dual sup_q -Phi*(0, -pairing * q) is the LP dual of the primal
+        (Rockafellar, *Convex Analysis*, sections 29-30).  The primal's
+        multipliers lam (min sense: lam <= 0 on inequality rows) give
+        sum(t) + <mu, y> >= vp on Phi's rows with y free, for
+        mu = sum_i lam_i (row i's y coefficients), so the dual objective at
+        q = pairing * mu is at least vp, hence vp.  An unbounded primal
+        gives -inf, an infeasible one ``_closure_at_zero``.  Conjugates of
+        improper functions are undefined, as in ``conjugate_polyfunc``;
+        they occur only when the primal value is infinite.
         """
         _, out = self._primal_lp
         if isinstance(out, Optimal):

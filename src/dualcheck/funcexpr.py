@@ -515,13 +515,10 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
         return PolyFunc(n, pg.poly(n + 1, out.ineqs, out.eqs, out.n - n - 1))
     if isinstance(f, NormAtom):
         if f.kind == "l1":
-            # -s <= x <= s and sum(s) <= t: 2n + 1 rows over the auxiliaries
-            # s, stored last to first (the column order fixes the LP pivot
-            # path, and with it the printed optimal points)
-            rev = tuple(tuple(-ONE if k == n - 1 - j else ZERO for k in range(n)) for j in range(n))
+            # -s <= x <= s and sum(s) <= t: 2n + 1 rows over the auxiliaries s
             b = pg.BlockRows(("x", n), ("t", 1), ("s", n))
-            b.pull(pg.neg(pg.orthant(n)), (n, {"x": -ONE, "s": rev}))
-            b.pull(pg.neg(pg.orthant(n)), (n, {"x": ONE, "s": rev}))
+            b.pull(pg.neg(pg.orthant(n)), (n, {"x": -ONE, "s": -ONE}))
+            b.pull(pg.neg(pg.orthant(n)), (n, {"x": ONE, "s": -ONE}))
             b.pull(pg.at_most(0), (1, {"s": ((ONE,) * n,), "t": -ONE}))
             return PolyFunc(n, pg.project(b.polyhedron(), range(n + 1)))
         if f.kind == "linf":

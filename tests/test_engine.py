@@ -411,8 +411,9 @@ def test_one_diagnosis_lowers_each_function_once_and_solves_the_primal_once(monk
     assert d.values.vp == er(0) and d.values.vd == er(0) and d.values.dual_solution is not None
     assert lowered.count(f) == 1 and lowered.count(NormAtom("l1")) == 1
     # both values come from the primal LP alone, with no conjugate
+    assert len(value_lps) == 1
     primal = value_lps[0]
-    assert len(value_lps) == 1 and primal.rows == rows and primal.sense == "min"
+    assert primal.rows == rows and primal.sense == "min"
     assert sum(1 for p in programs if p == primal) == 1
     assert not conjugated
     for name, module in list(sys.modules.items()):

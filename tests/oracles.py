@@ -9,9 +9,9 @@ package's exact LP one question per row,
 sign vectors, ``recover_dual_reference``, which projects with
 ``fm_project``, ``dual_reference``, which solves the conjugate-based dual
 LP, and the Fourier-Motzkin projection ``fm_project`` with the queries
-built on it, which eliminates with ``eliminate`` below; what they check is
-the logic around the LP, not the LP, and the lifted queries, which
-eliminate nothing, and the dual point read off the primal LP.
+built on it, which eliminates with ``eliminate`` below.  They check the
+logic around the LP, not the LP: the lifted queries, which eliminate
+nothing, and the dual point read off the primal LP.
 """
 
 from fractions import Fraction

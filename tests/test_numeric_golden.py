@@ -4,10 +4,11 @@ Each instance is diagnosed, rendered to the structured report, its dual
 point is recovered by separation where the primal value is finite, and the
 dual objective is evaluated at the reported dual solution.  The fixture
 ``numeric_golden.json`` stores, for each instance, the sha256 of the report
-with its two printed optimal points blanked (the verdicts and values), the
-two points in the clear, the recovered point and the dual objective, so any
-change of an answer shows here, and a change of a printed point alone shows
-as that point.
+with its two printed optimal points blanked and its provenance list removed
+(the verdicts and values), the sha256 of that provenance list, the two
+points in the clear, the recovered point and the dual objective, so any
+change of an answer shows here, and a change of a printed point or of the
+reasons given for the verdicts alone shows as that point or that hash.
 
 The fixture is written by ``python tests/test_numeric_golden.py --write``
 (with ``src`` on the path); it is only ever rewritten on purpose.
@@ -149,6 +150,10 @@ def _point(p):
     return None if p is None else [rat_str(c) for c in p]
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _answer(inst) -> dict:
     try:
         ctx = DiagnosisContext(inst)
@@ -158,7 +163,8 @@ def _answer(inst) -> dict:
     doc = diagnosis_to_structured(d)
     points = {k: doc["values"][k] for k in ("primal_solution", "dual_solution")}
     doc["values"].update(dict.fromkeys(points))
-    out = {"verdicts_sha256": hashlib.sha256(dumps_structured(doc).encode()).hexdigest(), **points}
+    provenance = doc.pop("provenance")
+    out = {"verdicts_sha256": _sha256(dumps_structured(doc)), "provenance_sha256": _sha256(dumps_structured(provenance)), **points}
     vp = d.values.vp
     if vp is not None and vp.is_finite():
         try:

@@ -23,7 +23,6 @@ from .engine import (
     ValueReport,
     dual_objective_value,
     recover_dual_via_separation,
-    scalarize,
     solve_dual,
     solve_primal,
     to_perturbation,

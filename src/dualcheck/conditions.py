@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import engine as eng
 from . import funcexpr as fx
@@ -170,20 +170,23 @@ class DiagnosisContext:
             self.family = FAMILY_PHI
         self.numeric = eng.is_numeric(instance)
         self.model = eng.NumericModel(instance) if self.numeric else None
+        self._check_precondition()
         self.values = eng.value_report(instance, self.model)
         self.view = eng.to_perturbation(instance, self.model)
         self.engine = self._build_engine()
-        self._check_precondition()
 
-    # the paper's standing assumption: the primal problem is feasible
+    # the paper's standing assumption: the primal problem is feasible; checked
+    # on the primal value alone, before any dual LP is built
     def _check_precondition(self):
-        if self.values.vp is not None and self.values.vp == PINF:
+        vp = self.model.primal[0] if self.numeric else self.instance.values.vp
+        if vp is not None and vp == PINF:
             raise MalformedInputError(
                 "the primal problem is infeasible; the pair violates the standing "
                 "nonempty-domain assumption"
             )
 
     def _domains(self):
+        """The structural domains dom f and dom g of a symbolic sum instance."""
         instance = self.instance
         if isinstance(instance, eng.FenchelInstance):
             dom_f = fx.domain(instance.f, instance.space)
@@ -223,6 +226,8 @@ class DiagnosisContext:
         if not isinstance(ref, str):
             return ref
         if ref in ("domf", "domg"):
+            if self.numeric and self.family == FAMILY_FENCHEL:
+                return se.PolyAtom(self.model.domain(int(ref == "domg")))
             return self._domains()[ref == "domg"]
         return {"epidiff": self.view.epi_pr, "conic": self.view.epi_pr, "prdom": self.view.pr_dom}.get(ref)
 
@@ -241,7 +246,7 @@ class DiagnosisContext:
         if name == "finite_dim":
             return HOLDS if self.numeric else FAILS
         if name == "lsc":
-            return self.lsc_package()
+            return and3(*(c.status for c in _lsc_clauses(self)))
         if name == "convex":
             return self.convexity()
         raise KeyError(name)
@@ -250,21 +255,6 @@ class DiagnosisContext:
     def held(self) -> frozenset:
         """The ambient hypotheses that hold for this instance."""
         return frozenset(h for h in HYPOTHESES if self.hyp(h) is HOLDS)
-
-    def lsc_package(self) -> FactStatus:
-        instance = self.instance
-        if self.numeric:
-            return HOLDS
-        if isinstance(instance, eng.FenchelInstance):
-            return and3(self._flag_or("lsc_f", fx.is_lsc(instance.f)),
-                        self._flag_or("lsc_g", fx.is_lsc(instance.g)))
-        if isinstance(instance, eng.LagrangeInstance):
-            return and3(
-                self._flag_or("s_closed", se.attrs(normalize(instance.sset)).closed),
-                self._flag_or("lsc_f", fx.is_lsc(instance.f)),
-                self._g_epiclosed(),
-            )
-        return self._flag_or("lsc_phi", fx.is_lsc(instance.phi))
 
     def _g_epiclosed(self) -> FactStatus:
         instance = self.instance
@@ -363,20 +353,18 @@ def _exclusion_clause(ctx: DiagnosisContext) -> Clause:
     return Clause(text, not3(fact.status), fact.prov)
 
 
-def _diff_of_pr(ctx: DiagnosisContext) -> se.SetExpr:
-    d = ctx.view.pr_dom
-    return normalize(se.MinkSum((d, se.Neg(d))))
-
-
 def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     text = "some common domain point where one summand is continuous"
     instance = ctx.instance
     if ctx.family == FAMILY_FENCHEL:
         if ctx.numeric:
-            # continuity of f at x', or of g at Ax', over the joint domain
-            amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
-            dom_f, dom_g = ctx.model.domain(0), ctx.model.domain(1)
-            hit = _interior_meets(dom_f, ONE, dom_g, amap) or _interior_meets(dom_g, amap, dom_f, ONE)
+            # continuity of f at x', or of g at Ax', over the joint domain; f's
+            # puts Ax' in int A(dom f) only when A maps onto the space of g
+            amap, dom_f, dom_g = ctx.model.amap, ctx.model.domain(0), ctx.model.domain(1)
+            onto = not isinstance(amap, tuple) or (  # ker A has codimension m
+                pg.affine_hull(pg.poly(len(amap[0]), eqs=[(r, ZERO) for r in amap])).rank() == len(amap)
+            )
+            hit = (onto and _meets(dom_f, ONE, dom_g, amap, True)) or _meets(dom_g, amap, dom_f, ONE, True)
             return _status_clause(
                 text,
                 HOLDS if hit else FAILS,
@@ -403,14 +391,15 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     )
 
 
-def _interior_meets(p: pg.Polyhedron, to_p, q: pg.Polyhedron, to_q) -> bool:
-    """Is there x with to_p x in int pi(p) and to_q x in pi(q)?  The maps are
-    a scalar or a matrix, as ``polyhedra.BlockRows`` slices take them."""
-    n = p.n if to_p is ONE else len(to_p[0])
+def _meets(p: pg.Polyhedron, to_p, q: pg.Polyhedron, to_q, interior: bool) -> bool:
+    """Is there x with to_p x in int pi(p) (ri pi(p) unless interior) and
+    to_q x in pi(q)?  The maps are a scalar or a matrix, as
+    ``polyhedra.BlockRows`` slices take them."""
+    n = len(to_p[0]) if isinstance(to_p, tuple) else p.n
     b = pg.BlockRows(("u", p.n), ("w", p.aux), ("x", n))
     b.pull(pg.singleton((ZERO,) * p.n), (p.n, {"u": -ONE, "x": to_p}))  # u = to_p x
     b.pull(q, (q.n, {"x": to_q}))
-    return pg.ri_point(p, b, range(p.n)) is not None
+    return pg.ri_point(p, b, range(p.n) if interior else ()) is not None
 
 
 def _slice_interior_point(dom: pg.Polyhedron, nx: int, ny: int) -> bool:
@@ -475,32 +464,35 @@ def _slater_qri_clause(ctx: DiagnosisContext) -> Clause:
     return _status_clause(text, UNKNOWN, "no rule for this cone")
 
 
-def _cl_cc_clause(ctx: DiagnosisContext) -> Clause:
-    text = "the cone spans a dense subspace: cl(C - C) is the whole space"
-    instance = ctx.instance
-    diff = normalize(se.MinkSum((instance.cone, se.Neg(instance.cone))))
-    fact = ctx.engine.infer(Notion.QI, ORIGIN, diff)
-    return Clause(text, fact.status, fact.prov)
-
-
 def _meets_qri_clause(ctx: DiagnosisContext) -> Clause:
     text = "dom f meets the quasi-relative interior of dom g"
     instance = ctx.instance
     declared = instance.meets_qri_fact
     if declared is not None:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
+    if ctx.numeric:
+        # in finite dimension qri is ri: some x in dom f with Ax in ri(dom g)
+        hit = _meets(ctx.model.domain(1), ctx.model.amap, ctx.model.domain(0), ONE, False)
+        return _status_clause(text, HOLDS if hit else FAILS, "strict-feasibility LP: A(dom f) meets ri(dom g)")
     dom_f, dom_g = ctx._domains()
-    n = instance.space.dim if ctx.numeric else None
-    fact = inf.meets_qri(ctx.engine, dom_f, dom_g, n)
-    return Clause(text, fact.status, fact.prov)
+    return _fact_clause(text, inf.meets_qri(ctx.engine, dom_f, dom_g))
 
 
-def _qi_domg_diff_clause(ctx: DiagnosisContext) -> Clause:
-    text = "the origin is quasi-interior to dom g - dom g"
-    _, dom_g = ctx._domains()
-    diff = normalize(se.MinkSum((dom_g, se.Neg(dom_g))))
-    fact = ctx.engine.infer(Notion.QI, ORIGIN, diff)
-    return Clause(text, fact.status, fact.prov)
+def _qi_diff_clause(ctx: DiagnosisContext, text: str, u: pg.Polyhedron | se.SetExpr) -> Clause:
+    """Is the origin quasi-interior to U - U?
+
+    A numeric U is the model's polyhedron, nonempty and convex.  Then
+    U - U is symmetric, so the origin lies in its relative interior, and
+    its affine hull is the linear space parallel to aff U: the origin is
+    interior to U - U exactly when aff U is the whole space.  That takes
+    the implicit rows of U (one LP) and exact elimination, and builds no
+    difference.  A symbolic U goes to the rule engine on U - U.
+    """
+    if ctx.numeric:
+        whole = pg.affine_hull(u).is_whole()
+        detail = "the origin is interior to U - U exactly when aff U is the whole space"
+        return _status_clause(text, HOLDS if whole else FAILS, detail)
+    return _fact_clause(text, ctx.engine.infer(Notion.QI, ORIGIN, normalize(se.MinkSum((u, se.Neg(u))))))
 
 
 def check_rc8(instance: eng.Instance, ctx: Optional[DiagnosisContext] = None) -> ConditionVerdict:
@@ -567,13 +559,21 @@ def evaluate_condition(
         if ctx.family == FAMILY_FENCHEL:
             clauses = [
                 _meets_qri_clause(ctx),
-                _qi_domg_diff_clause(ctx),
+                _qi_diff_clause(
+                    ctx,
+                    "the origin is quasi-interior to dom g - dom g",
+                    ctx.model.domain(1) if ctx.numeric else ctx._domains()[1],
+                ),
                 _exclusion_clause(ctx),
             ]
         elif ctx.family == FAMILY_LAGRANGE:
             clauses = [
                 _slater_qri_clause(ctx),
-                _cl_cc_clause(ctx),
+                _qi_diff_clause(
+                    ctx,
+                    "the cone spans a dense subspace: cl(C - C) is the whole space",
+                    ctx.model.cone if ctx.numeric else ctx.instance.cone,
+                ),
                 _exclusion_clause(ctx),
             ]
         else:
@@ -586,11 +586,12 @@ def evaluate_condition(
         ]
         return ConditionVerdict(cid, tuple(clauses))
     if index == "7":
-        d = ctx.view.pr_dom
-        diff = _diff_of_pr(ctx)
-        qi_diff = ctx.engine.infer(Notion.QI, ORIGIN, diff)
         clauses = [
-            Clause("the origin is quasi-interior to the difference of the projected domain with itself", qi_diff.status, qi_diff.prov),
+            _qi_diff_clause(
+                ctx,
+                "the origin is quasi-interior to the difference of the projected domain with itself",
+                ctx.model.pr_dom if ctx.numeric else ctx.view.pr_dom,
+            ),
             _pr_notion_clause(ctx, Notion.QRI, "the origin is in the quasi-relative interior of the projected domain"),
             _exclusion_clause(ctx),
         ]

@@ -272,7 +272,8 @@ class NumericModel:
     The dual objective at a dual point q is inf Phi(x, y) + pairing * <q, y>,
     that is -Phi*(0, -pairing * q).  ``lowered`` lists the lowered functions
     whose conjugates that objective is made of; a cone-constrained model
-    has none and keeps C.
+    has none and keeps C.  A sum model keeps its operator A as ``amap``,
+    a matrix, or ONE for the identity.
     """
 
     def __init__(self, instance: Instance):
@@ -284,11 +285,11 @@ class NumericModel:
         if isinstance(instance, FenchelInstance):
             n, m = instance.space.dim, instance.yspace.dim
             pf_f, pf_g = lower(instance.f, n), lower(instance.g, m)
-            amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
+            self.amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
             self.nx, self.ny, self.pairing = n, m, ONE
             self.pieces = (
                 (pf_f.epi, ((n, {"x": ONE}),), "tf", None),
-                (pf_g.epi, ((m, {"x": amap, "y": -ONE}),), "tg", None),
+                (pf_g.epi, ((m, {"x": self.amap, "y": -ONE}),), "tg", None),
             )
             self.lowered = (pf_f, pf_g)
         elif isinstance(instance, LagrangeInstance):
@@ -577,31 +578,6 @@ def _in_dual_cone(c_poly: Polyhedron, z: Sequence[Fraction]) -> bool:
     if isinstance(out, Optimal):
         return out.value >= 0
     return False  # unbounded below: some cone direction pays negatively
-
-
-def scalarize(z_star, gmap: GMap, cone: SetExpr) -> FunctionExpr:
-    """x -> <z*, g(x)>, +inf outside dom g; requires z* in the dual cone."""
-    if isinstance(z_star, (tuple, list)):
-        z = tuple(Fraction(c) for c in z_star)
-        if not isinstance(gmap, AffineMap):
-            raise RegimeError("numeric multiplier needs an affine constraint map")
-        c_poly = lower_set(cone, len(z))
-        if not _in_dual_cone(c_poly, z):
-            raise ConeMembershipError("multiplier outside the dual cone")
-        return fx.Affine(tuple(dot(z, col) for col in zip(*gmap.rows)), dot(z, gmap.shift))
-    if isinstance(z_star, se.SymPoint):
-        if "not_in_space" in z_star.attrs:
-            raise ConeMembershipError(
-                f"{z_star.name} lies outside the dual space"
-            )
-        if "zero" in z_star.attrs or z_star.name == "0":
-            return fx.Affine(fx.SymVec("0", frozenset({"zero", "continuous"})), ZERO)
-        if "nonneg" in z_star.attrs:
-            return fx.Affine(fx.SymVec(f"({z_star.name} . g)", z_star.attrs), ZERO)
-        raise ConeMembershipError("membership in the dual cone is undecided")
-    if isinstance(z_star, se._Origin):
-        return fx.Affine(fx.SymVec("0", frozenset({"zero", "continuous"})), ZERO)
-    raise MalformedInputError("unsupported multiplier representation")
 
 
 # -- report assembly ----------------------------------------------------------------

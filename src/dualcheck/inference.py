@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence
 from . import funcexpr as fx
 from . import polyhedra as pg
 from . import setexpr as se
-from .errors import RegimeError
 from .polyhedra import Notion
 from .setexpr import (
     FAILS,
@@ -46,7 +45,6 @@ from .setexpr import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -678,8 +676,15 @@ def interior_is_empty(s: SetExpr) -> FactStatus:
     return UNKNOWN
 
 
-def meets_qri(engine: Engine, a: SetExpr, b: SetExpr, n: Optional[int] = None) -> Fact:
-    """Is A ∩ qri(B) nonempty?"""
+def meets_qri(engine: Engine, a: SetExpr, b: SetExpr) -> Fact:
+    """Is A ∩ qri(B) nonempty, for symbolic sets?
+
+    Refuted outright when B is a catalog set with an empty quasi-relative
+    interior, wherever B sits; proved when the origin lies in A and in
+    qri(B); unknown otherwise.  Numeric instances do not come here: their
+    sets are polyhedra of the numeric model, decided by one strict
+    feasibility LP in ``conditions``.
+    """
     a = normalize(a)
     b = normalize(b)
     # an empty quasi-relative interior refutes outright, wherever B sits
@@ -696,19 +701,4 @@ def meets_qri(engine: Engine, a: SetExpr, b: SetExpr, n: Optional[int] = None) -
     bq = engine.infer(Notion.QRI, ORIGIN, b)
     if am.status is HOLDS and bq.status is HOLDS:
         return Fact(HOLDS, am.prov + bq.prov + (Step("witness", "the origin witnesses the intersection"),))
-    # exact route when both sets are finite-dimensional
-    if n is not None:
-        try:
-            pa = fx.lower_set(a, n)
-            pb = fx.lower_set(b, n)
-        except RegimeError:
-            return Fact(UNKNOWN, ())
-        if pg.is_empty(pb):
-            return Fact(FAILS, (Step("finite-dim", "the set is empty"),))
-        weak = pg.BlockRows(("x", n), ("w", pb.aux)).pull(pa, (n, {"x": ONE}))
-        pt = pg.ri_point(pb, weak)
-        return Fact(
-            HOLDS if pt is not None else FAILS,
-            (Step("finite-dim", "strict-feasibility LP over the intersection"),),
-        )
     return Fact(UNKNOWN, ())

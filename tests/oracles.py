@@ -6,7 +6,8 @@ arithmetic, and the reference simplex runs on a textbook ``Fraction``
 tableau.  The exceptions are ``prune_lp_reference``, which asks the
 package's exact LP one question per row,
 ``slice_interior_point_reference``, which asks it one question over all
-sign vectors, ``recover_dual_reference``, which projects with
+sign vectors, ``meets_ri_reference``, which asks it one strict question
+after ``fm_flatten``, ``recover_dual_reference``, which projects with
 ``fm_project``, ``dual_reference``, which solves the conjugate-based dual
 LP, and the Fourier-Motzkin projection ``fm_project`` with the queries
 built on it, which eliminates with ``eliminate`` below.  They check the
@@ -518,6 +519,35 @@ def zero_in_reference(notion: Notion, p: Polyhedron) -> bool:
 def fm_flatten(p: Polyhedron) -> Polyhedron:
     """The set a lifted system denotes, written without auxiliaries."""
     return fm_project(p, range(p.n))
+
+
+def meets_ri_reference(dom_f: Polyhedron, dom_g: Polyhedron, amap=None) -> bool:
+    """Is there x in dom f with Ax in ri(dom g)?  (A is the identity when None.)
+
+    Both domains are written without auxiliaries by ``fm_flatten``.  The
+    implicit rows of dom g (``implicit_rows_reference``) are held as
+    equalities at Ax, and one LP over (x, t) maximizes the common slack
+    t <= 1 of its other rows there, with x in dom f: ri(dom g) is dom g
+    with every other row strict.
+    """
+    from dualcheck.exactlp import EQ, LE, LinearProgram, Row, solve_lp
+
+    f, g = fm_flatten(dom_f), fm_flatten(dom_g)
+    n = f.n
+    a = amap or tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+    def pulled(c):  # c.(Ax) as a row over x
+        return tuple(sum((c[i] * a[i][j] for i in range(g.n)), ZERO) for j in range(n))
+
+    implicit = set(implicit_rows_reference(g))
+    rows = [Row(c + (ZERO,), LE, b) for c, b in f.ineqs] + [Row(e + (ZERO,), EQ, d) for e, d in f.eqs]
+    for idx, (c, b) in enumerate(g.ineqs):
+        rows.append(Row(pulled(c) + (ZERO,), EQ, b) if idx in implicit else Row(pulled(c) + (ONE,), LE, b))
+    rows += [Row(pulled(e) + (ZERO,), EQ, d) for e, d in g.eqs]
+    t_up = (ZERO,) * n + (ONE,)
+    rows.append(Row(t_up, LE, ONE))
+    out = solve_lp(LinearProgram(n + 1, t_up, "max", tuple(rows)))
+    return isinstance(out, Optimal) and out.value > 0
 
 
 # -- conjugate-based dual LP -------------------------------------------------

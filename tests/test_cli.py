@@ -63,6 +63,45 @@ def test_text_and_structured_agree_on_verdicts(tmp_path, capsys):
         assert cond["status"] in line
 
 
+def _analyze_structured(tmp_path, capsys, text) -> tuple[int, dict]:
+    code = main(["analyze", _write(tmp_path, text), "--format", "json-like"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_numeric_rc6_prime_reads_the_operator(tmp_path, capsys):
+    # A(dom f) = [-2, -1] meets (-2, 1) = ri(dom g), though dom f does not
+    text = NUMERIC_FILE.replace("interval(-1, 1))\ng", "interval(1, 2))\ng").replace(
+        "g indicator(interval(-1, 1))", "g indicator(interval(-2, 1))\nA [[-1]]"
+    )
+    code, doc = _analyze_structured(tmp_path, capsys, text)
+    assert code == 0
+    rc6p = next(c for c in doc["conditions"] if c["id"] == "RC6'")
+    assert rc6p["status"] == "holds"
+    assert doc["consistency"]["ok"]
+
+
+def test_numeric_conjugate_has_no_structural_domain_to_miss(tmp_path, capsys):
+    # f = conj(|.|) = indicator of [-1, 1]: inf x/2 over it is -1/2
+    text = NUMERIC_FILE.replace("f indicator(interval(-1, 1))", "f conjugate(norm1)").replace(
+        "g indicator(interval(-1, 1))", "g affine([1/2], 0)"
+    )
+    code, doc = _analyze_structured(tmp_path, capsys, text)
+    assert code == 0
+    assert doc["values"]["primal"] == "-1/2" and doc["values"]["dual"] == "-1/2"
+    assert doc["consistency"]["ok"]
+
+
+def test_a_declared_lsc_flag_is_one_judgement(tmp_path, capsys):
+    # the lsc clauses honour the flag, and so does the lsc hypothesis: the
+    # edges that need lsc do not fire, so RC1 holding while RC2 fails is no
+    # violation
+    code, doc = _analyze_structured(tmp_path, capsys, NUMERIC_FILE + "flag lsc_f false\n")
+    assert code == 0
+    statuses = {c["id"]: c["status"] for c in doc["conditions"]}
+    assert statuses["RC1"] == "holds" and statuses["RC2"] == "fails"
+    assert doc["consistency"] == {"ok": True, "violations": []}
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     code = main(["analyze", _write(tmp_path, "kind nonsense\n")])
     assert code == 2

@@ -22,14 +22,30 @@ from dualcheck.engine import (
     DeclaredValues,
     FenchelInstance,
     LagrangeInstance,
+    NumericModel,
 )
-from dualcheck.errors import ApplicabilityError
-from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum, er
+from dualcheck.errors import ApplicabilityError, MalformedInputError
+from dualcheck.funcexpr import (
+    Affine,
+    ArgTranslate,
+    ConjugateOf,
+    IndicatorOf,
+    InfConv,
+    NormAtom,
+    PINF,
+    PlusConst,
+    PrecomposeLinear,
+    Sum,
+    SupOfAffine,
+    er,
+    lower,
+    pf_domain,
+)
 from dualcheck.polyhedra import interval, orthant, poly
 from dualcheck.setexpr import FAILS, HOLDS, UNKNOWN
 from dualcheck.spaces import finite, lp_space
 
-from oracles import fm_flatten, slice_interior_point_reference
+from oracles import fm_flatten, meets_ri_reference, slice_interior_point_reference
 
 F = Fraction
 
@@ -322,3 +338,67 @@ def test_continuity_with_an_operator_needs_ax_in_the_interior_of_dom_g():
     d = diagnose(inst)
     assert d.verdict("1").status is FAILS
     assert d.consistency == (True, ())
+
+
+def _zoo(n):
+    """Twelve numeric function forms on R^n, by name.  The box is [0, 1]^n
+    and the translated box [1, 2]^n, so the two only touch."""
+    def box():
+        rows = [(tuple(F(int(k == j)) for k in range(n)), F(1)) for j in range(n)]
+        return ind(poly(n, rows + [(tuple(-c for c in e), F(0)) for e, _ in rows]))
+
+    e1 = tuple(F(int(k == 0)) for k in range(n))
+    half, ones = (F(1, 2),) * n, (F(1),) * n
+    shear = tuple(tuple(F(2 if j == i else int(j == i + 1)) for j in range(n)) for i in range(n))
+    return {
+        "norm1": NormAtom("l1"),
+        "norminf": NormAtom("linf"),
+        "box": box(),
+        "maxaff": SupOfAffine(((e1, F(0)), ((F(-1),) * n, F(1)))),
+        "sum": Sum(NormAtom("l1"), box()),
+        "tilt": Sum(Affine(half, F(1)), box()),
+        "infconv": InfConv(NormAtom("l1"), box()),
+        "plusconst": PlusConst(NormAtom("linf"), F(1)),
+        "argtranslate": ArgTranslate(box(), ones),
+        "precompose": PrecomposeLinear(shear, NormAtom("l1")),
+        "conjugate(norm1)": ConjugateOf(NormAtom("l1")),
+        "conjugate(box)": ConjugateOf(box()),
+    }
+
+
+ZOO_NAMES = tuple(_zoo(1))
+
+
+@st.composite
+def _zoo_pairs(draw):
+    n = draw(st.integers(1, 2))
+    f = _zoo(n)[draw(st.sampled_from(ZOO_NAMES))]
+    if not draw(st.booleans()):
+        return FenchelInstance("zoo", finite(n), f, _zoo(n)[draw(st.sampled_from(ZOO_NAMES))])
+    m = draw(st.integers(1, 2))
+    amap = tuple(tuple(F(draw(st.integers(-2, 2))) for _ in range(n)) for _ in range(m))
+    g = _zoo(m)[draw(st.sampled_from(ZOO_NAMES))]
+    return FenchelInstance("zoo", finite(n), f, g, amap=amap, gspace=finite(m))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_zoo_pairs())
+@example(FenchelInstance("conj", finite(1), ConjugateOf(NormAtom("l1")), Affine((F(1, 2),), F(0))))
+@example(FenchelInstance("neg", finite(1), ind(interval(1, 2)), ind(interval(-2, 1)), amap=((F(-1),),), gspace=finite(1)))
+@example(FenchelInstance("zero-map", finite(1), NormAtom("l1"), ind(interval(0, 1)), amap=((F(0),),), gspace=finite(1)))
+def test_numeric_zoo_pairs_diagnose_and_meet_qri_as_the_reference(inst):
+    # every form diagnoses (conjugates and precompositions included); the
+    # meets-qri clause is A(dom f) against ri(dom g), operator included; with
+    # A = 0 the continuity of f at x' puts no point of A(dom f) - dom g
+    # in its interior, so it no longer makes RC1 hold against RC2-RC7
+    try:
+        ctx = DiagnosisContext(inst)
+    except MalformedInputError:  # the standing assumption: a feasible primal
+        assert NumericModel(inst).primal[0] == PINF
+        return
+    d = diagnose(inst, ctx)
+    assert consistency_check(d) == (True, ())
+    meets = evaluate_condition("6'", inst, ctx).clauses[0]
+    dom_f = pf_domain(lower(inst.f, inst.space.dim))
+    dom_g = pf_domain(lower(inst.g, inst.yspace.dim))
+    assert meets.status is (HOLDS if meets_ri_reference(dom_f, dom_g, inst.amap) else FAILS)

@@ -18,7 +18,6 @@ from dualcheck.engine import (
     dual_objective_value,
     is_numeric,
     recover_dual_via_separation,
-    scalarize,
     solve_dual,
     solve_primal,
     to_perturbation,
@@ -258,24 +257,6 @@ def test_lagrange_view_projection():
     assert not contains(view.pr_dom_poly, (F(-5, 2),))
 
 
-def test_scalarize_numeric():
-    gmap = AffineMap(((F(1), F(0)), (F(0), F(1))), (F(-1), F(0)))
-    cone = se.PolyAtom(orthant(2))
-    out = scalarize((F(1), F(0)), gmap, cone)
-    assert isinstance(out, Affine)
-    assert out.c == (F(1), F(0)) and out.alpha == F(-1)
-    zero = scalarize((F(0), F(0)), gmap, cone)
-    assert isinstance(zero, Affine)
-    with pytest.raises(ConeMembershipError):
-        scalarize((F(-1), F(0)), gmap, cone)
-
-
-def test_scalarize_rejects_out_of_space_token():
-    tok = se.SymPoint("fast_growth", frozenset({"not_in_space"}))
-    with pytest.raises(ConeMembershipError):
-        scalarize(tok, AffineMap(((F(1),),), (F(0),)), se.PolyAtom(poly(1, ineqs=[((-1,), 0)])))
-
-
 def test_symbolic_values_come_from_declarations():
     from dualcheck.engine import DeclaredValues
 
@@ -356,6 +337,19 @@ def test_dual_objective_keeps_its_typed_errors():
         dual_objective_value(inst, (F(-1),))
 
 
+def test_an_infeasible_primal_stops_the_diagnosis_before_any_dual_lp(monkeypatch):
+    # the standing assumption is checked on the primal LP alone, so an
+    # improper function in an infeasible pair is reported as the infeasible
+    # primal, not as the ImproperFunctionError of the dual
+    programs = _record_lps(monkeypatch)
+    empty_phi = PerturbationInstance("phi", 1, 1, ind(poly(2, ineqs=[((1, 0), 0), ((-1, 0), -1)])))
+    for inst in (fenchel(ind(interval(0, 1)), ind(interval(2, 3))), fenchel(ind(interval(1, 0)), ind(interval(0, 1))), empty_phi):
+        before = len(programs)
+        with pytest.raises(MalformedInputError):
+            diagnose(inst)
+        assert len(programs) - before == 1
+
+
 # the Fourier-Motzkin routines, which now live only in tests/oracles.py
 FM_NAMES = ("eliminate", "_eliminate", "_prune_lp", "_dedupe", "_next_var", "_heirs", "fm_project")
 
@@ -396,9 +390,8 @@ def test_one_diagnosis_lowers_each_function_once_and_solves_the_primal_once(monk
         return real_conjugate(pf)
 
     def counting_report(instance, model=None):
-        before = len(programs)
         out = real_report(instance, model)
-        value_lps.extend(programs[before:])
+        value_lps.extend(programs)  # the standing-assumption check solves the primal first
         return out
 
     for module in (funcexpr, engine, conditions.fx):

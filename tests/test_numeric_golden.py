@@ -189,6 +189,23 @@ def test_numeric_answers_match_the_golden_fixture():
     assert not diffs, diffs[:3]
 
 
+def test_numeric_diagnoses_read_the_model_not_structural_domains(monkeypatch):
+    # every numeric set comes from the instance's NumericModel: no numeric
+    # diagnosis derives a domain from the function's structure or builds a
+    # Minkowski difference
+    from dualcheck import funcexpr, polyhedra
+
+    called = []
+    for module, name in ((funcexpr, "domain"), (polyhedra, "minkowski_sum")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
+    for inst in _instances():
+        try:
+            diagnose(inst)
+        except DualcheckError:
+            pass
+    assert called == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_numeric_golden.py --write")

@@ -252,6 +252,14 @@ class DiagnosisContext:
         raise KeyError(name)
 
     @cached_property
+    def g_continuous(self) -> bool:
+        """Numeric sum instance: is Ax in int(dom g), where g is continuous,
+        for some x in dom f?  RC1 asks it first, and when it holds it also
+        proves the meets-qri clause of RC6', since int lies in ri."""
+        m = self.model
+        return _meets(m.domain(1), m.amap, m.domain(0), ONE, True)
+
+    @cached_property
     def held(self) -> frozenset:
         """The ambient hypotheses that hold for this instance."""
         return frozenset(h for h in HYPOTHESES if self.hyp(h) is HOLDS)
@@ -358,13 +366,10 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     instance = ctx.instance
     if ctx.family == FAMILY_FENCHEL:
         if ctx.numeric:
-            # continuity of f at x', or of g at Ax', over the joint domain; f's
+            # continuity of g at Ax', or of f at x', over the joint domain; f's
             # puts Ax' in int A(dom f) only when A maps onto the space of g
             amap, dom_f, dom_g = ctx.model.amap, ctx.model.domain(0), ctx.model.domain(1)
-            onto = not isinstance(amap, tuple) or (  # ker A has codimension m
-                pg.affine_hull(pg.poly(len(amap[0]), eqs=[(r, ZERO) for r in amap])).rank() == len(amap)
-            )
-            hit = (onto and _meets(dom_f, ONE, dom_g, amap, True)) or _meets(dom_g, amap, dom_f, ONE, True)
+            hit = ctx.g_continuous or (_onto(amap) and _meets(dom_f, ONE, dom_g, amap, True))
             return _status_clause(
                 text,
                 HOLDS if hit else FAILS,
@@ -389,6 +394,14 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
         HOLDS if hit else FAILS,
         "box-vertex LP over the domain slices",
     )
+
+
+def _onto(amap) -> bool:
+    """Does the operator, ONE or an m x n matrix, map onto R^m?  Exactly when
+    its kernel has codimension m."""
+    if not isinstance(amap, tuple):
+        return True
+    return pg.affine_hull(pg.poly(len(amap[0]), eqs=[(r, ZERO) for r in amap])).rank() == len(amap)
 
 
 def _meets(p: pg.Polyhedron, to_p, q: pg.Polyhedron, to_q, interior: bool) -> bool:
@@ -472,7 +485,8 @@ def _meets_qri_clause(ctx: DiagnosisContext) -> Clause:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
     if ctx.numeric:
         # in finite dimension qri is ri: some x in dom f with Ax in ri(dom g)
-        hit = _meets(ctx.model.domain(1), ctx.model.amap, ctx.model.domain(0), ONE, False)
+        m = ctx.model
+        hit = ctx.g_continuous or _meets(m.domain(1), m.amap, m.domain(0), ONE, False)
         return _status_clause(text, HOLDS if hit else FAILS, "strict-feasibility LP: A(dom f) meets ri(dom g)")
     dom_f, dom_g = ctx._domains()
     return _fact_clause(text, inf.meets_qri(ctx.engine, dom_f, dom_g))

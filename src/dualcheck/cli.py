@@ -7,12 +7,13 @@
 
 Exit codes: 0 success; 1 some corpus entry failed its expectations
 (corpus run only); 2 parse/validation error, unknown id, or any other
-package error; 3 internal inconsistency detected by the implication graph
-(analyze only); 4 undecidable values (solve only); 5 an exact LP ran out
-of its pivot budget (``DUALCHECK_MAX_PIVOTS``); 141 the reader of standard
-output went away, as in ``dualcheck corpus run | head -1`` (128 + SIGPIPE,
-what a shell reports for a command that SIGPIPE ended).  A detected
-duality gap is a finding, not an error.
+package error; 3 an inconsistency: the implication graph found a
+violation (analyze only), or a declared fact contradicts an exact LP;
+4 undecidable values (solve only); 5 an exact LP ran out of its pivot
+budget (``DUALCHECK_MAX_PIVOTS``); 141 the reader of standard output went
+away, as in ``dualcheck corpus run | head -1`` (128 + SIGPIPE, what a
+shell reports for a command that SIGPIPE ended).  A detected duality gap
+is a finding, not an error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import corpus as corpus_mod
 from .conditions import diagnose
 from .errors import (
     DualcheckError,
+    InconsistencyError,
     MalformedInputError,
     NotFoundError,
     ParseError,
@@ -180,6 +182,9 @@ def main(argv=None) -> int:
     except SolverLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_LIMIT
+    except InconsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except DualcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -21,7 +21,7 @@ from . import funcexpr as fx
 from . import inference as inf
 from . import polyhedra as pg
 from . import setexpr as se
-from .errors import ApplicabilityError, MalformedInputError
+from .errors import ApplicabilityError, InconsistencyError, MalformedInputError
 from .funcexpr import MINF, PINF, er, er_lt
 from .inference import DeclaredFact, Engine, Step
 from .polyhedra import Notion
@@ -451,15 +451,24 @@ def _slater_clause(ctx: DiagnosisContext) -> Clause:
     return _status_clause(text, UNKNOWN, "cone interior undecided")
 
 
+def _lp_clause(text: str, declared: Optional[eng.SpecialFact], status: FactStatus, detail: str) -> Clause:
+    """A numeric clause decided by its exact LP; a declared status must agree."""
+    if declared is not None and declared.status is not UNKNOWN and declared.status is not status:
+        found = "holds" if status is HOLDS else "fails"
+        raise InconsistencyError(f"the declared fact contradicts the exact LP, by which '{text}' {found}")
+    return _status_clause(text, status, detail)
+
+
 def _slater_qri_clause(ctx: DiagnosisContext) -> Clause:
     text = "a feasible point maps into minus the quasi-relative interior of the cone"
     instance = ctx.instance
     declared = instance.slater_qri_fact
+    if ctx.numeric:
+        hit = _cone_meets(ctx, False)
+        return _lp_clause(text, declared, HOLDS if hit else FAILS, "relative-interior LP on the cone rows")
     if declared is not None:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
     cone = normalize(instance.cone)
-    if ctx.numeric:
-        return _status_clause(text, HOLDS if _cone_meets(ctx, False) else FAILS, "relative-interior LP on the cone rows")
     flat = cone
     while isinstance(flat, (se.Neg, se.Translate, se.Scale)):
         flat = flat.inner
@@ -481,13 +490,13 @@ def _meets_qri_clause(ctx: DiagnosisContext) -> Clause:
     text = "dom f meets the quasi-relative interior of dom g"
     instance = ctx.instance
     declared = instance.meets_qri_fact
-    if declared is not None:
-        return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
     if ctx.numeric:
         # in finite dimension qri is ri: some x in dom f with Ax in ri(dom g)
         m = ctx.model
         hit = ctx.g_continuous or _meets(m.domain(1), m.amap, m.domain(0), ONE, False)
-        return _status_clause(text, HOLDS if hit else FAILS, "strict-feasibility LP: A(dom f) meets ri(dom g)")
+        return _lp_clause(text, declared, HOLDS if hit else FAILS, "strict-feasibility LP: A(dom f) meets ri(dom g)")
+    if declared is not None:
+        return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
     dom_f, dom_g = ctx._domains()
     return _fact_clause(text, inf.meets_qri(ctx.engine, dom_f, dom_g))
 

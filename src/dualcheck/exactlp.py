@@ -1,15 +1,23 @@
 """Exact linear programming over the rationals.
 
 Dense two-phase simplex with Bland's pivot rule (smallest eligible index
-enters, smallest-index basic variable leaves on ratio ties), which makes
-every solve deterministic and cycle-free.  Inputs and outputs are
-``fractions.Fraction``; inside the solver the tableau is fraction-free:
-each row is a primitive integer vector and the cost row is integer over
+enters, smallest-index basic variable leaves on ratio ties; Bland 1977),
+which makes every solve deterministic and cycle-free.  The indices are
+those of the textbook standard form: split free variables x+ and x-,
+one slack per inequality, one artificial per row.  The stored tableau is
+narrower than that form: one column per variable (the x- column is the
+negated x+ column), artificial columns for the equality rows only, and
+the entry of a basic artificial kept as one scalar per row; the
+multipliers of inequality rows are read off their slacks' reduced costs.
+Inputs and outputs are ``fractions.Fraction``; inside the solver the
+tableau is fraction-free: each row is a primitive integer vector, built
+directly from the LP's rows and bounds, and the cost row is integer over
 one common denominator (fraction-free elimination in the sense of Edmonds
 1967 and Bareiss 1968).  Pivot choices depend only on signs and on ratio
 comparisons, which cross-multiplication decides exactly, so the pivot
-sequence is the one a rational tableau would take.  There is no tolerance
-anywhere.
+sequence is the one a rational tableau in the textbook form would take
+(``tests/oracles.rational_bland_simplex`` is that tableau).  There is no
+tolerance anywhere.
 
 Every outcome carries a certificate that :func:`verify_certificate` can
 replay independently of the solver:
@@ -167,10 +175,15 @@ LpOutcome = Union[Optimal, Infeasible, Unbounded]
 
 def _max_pivots() -> int:
     raw = os.environ.get("DUALCHECK_MAX_PIVOTS", "")
-    try:
-        return int(raw) if raw else 200_000
-    except ValueError:
+    if not raw:
         return 200_000
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise MalformedInputError(f"DUALCHECK_MAX_PIVOTS must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -182,123 +195,172 @@ def _primitive(row: list[int]) -> list[int]:
 class _Simplex:
     """Two-phase tableau simplex on the standard form derived from an LP.
 
-    Standard form: free variables split x = x+ - x-, one slack per
-    inequality row, rows sign-flipped so the right-hand side is >= 0,
-    artificial basis.  Artificial columns stay in the tableau after phase
-    one (ineligible to enter) so the dual vector can be read off the cost
-    row.
+    Standard form (the *wide* layout, which fixes the pivot rule): free
+    variables split x = x+ - x-, one slack per inequality row, rows
+    sign-flipped so the right-hand side is >= 0, one artificial per row as
+    the starting basis.  Columns are numbered x+ 0..n-1, x- 0..n-1, the
+    slacks in row order, then the artificials; Bland's rule enters the
+    smallest such index with a negative reduced cost and breaks ratio ties
+    by the smallest basic index.  Artificials never enter.
 
-    The tableau is kept fraction-free.  Row i is a primitive integer vector
-    ``R[i]`` whose entry in its basic column is positive; the rational
-    tableau row is ``R[i] / R[i][basis[i]]``.  The reduced-cost row is the
-    integer vector ``Z`` over one positive common denominator ``D``.  Signs
-    are read straight off the integers and ratio tests compare by
-    cross-multiplication, so Bland's rule picks exactly the pivots the
-    rational tableau would; rationals are rebuilt only when a point, ray,
-    dual vector or value is read out, and they are exact.
+    The tableau stores less than that layout:
+
+    * one column per variable: the x- column is the negation of the x+
+      column, so it is never stored and enters (reduced cost -z_j < 0)
+      with its signs flipped;
+    * artificial columns for the equality rows only.  Any basic column is
+      a unit column, so while row i's own artificial is basic the row
+      keeps that artificial's positive entry as one scalar ``d[i]`` (the
+      last cell of the row, 0 once the artificial has left);
+    * the multiplier of an inequality row is read off its slack's reduced
+      cost (-z_slack on a ``<=`` row, +z_slack on a ``>=`` row), since the
+      slack column is plus or minus the artificial's; an equality row's is
+      sigma_i (c_art - z_art) on its stored artificial.
+
+    Row i is ``R[i] = [x columns, slacks, equality artificials, rhs, d[i]]``,
+    a primitive integer vector whose entry in its basic column is positive;
+    the rational tableau row is ``R[i]`` over that entry.  The reduced-cost
+    row is the integer vector ``Z`` (one cell shorter, without ``d``) over
+    one positive common denominator ``D``.  Signs are read straight off the
+    integers and ratio tests compare by cross-multiplication, so the pivots
+    are the ones a rational tableau in the wide layout would take;
+    rationals are rebuilt only when a point, ray, dual vector or value is
+    read out, and they are exact.  ``basis`` holds wide indices.
     """
 
     def __init__(self, p: LinearProgram):
         self.lp = p
-        self.exp = expanded_rows(p)
-        self.n = p.n
-        self.m = len(self.exp)
-        self.nslack = sum(1 for r in self.exp if r.rel != EQ)
-        self.N = 2 * self.n + self.nslack  # structural columns
-        self.ncols = self.N + self.m + 1  # + artificials + rhs
+        n = self.n = p.n
         self.max_pivots = _max_pivots()
         self.pivots = 0
-        self._build()
-
-    def _build(self):
-        n, m = self.n, self.m
+        # the expanded rows as (nonzero (column, coefficient) pairs, rel, rhs)
+        rows = [([(j, a) for j, a in enumerate(r.coeffs) if a], r.rel, r.rhs) for r in p.rows]
+        if p.bounds is not None:
+            for j, (lo, hi) in enumerate(p.bounds):
+                if lo is not None:
+                    rows.append(([(j, _ONE)], GE, lo))
+                if hi is not None:
+                    rows.append(([(j, _ONE)], LE, hi))
+        self.m = len(rows)
+        self.nslack = sum(1 for _, rel, _ in rows if rel != EQ)
+        self.N = 2 * n + self.nslack  # wide structural columns
+        self.K = K = n + len(rows)  # stored columns; the rhs cell is K, d[i] is K + 1
+        self.rels = [rel for _, rel, _ in rows]
         self.sigma: list[int] = []
+        self.own: list[int] = []  # the stored column that carries row i's multiplier
         self.R: list[list[int]] = []
-        slack_at = 0
-        for i, r in enumerate(self.exp):
+        slack, art = n, n + self.nslack
+        for a, rel, b in rows:
             # clear denominators; flip so the right-hand side is >= 0
-            s = 1 if r.rhs >= 0 else -1
-            scale = lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs))
+            s = 1 if b >= 0 else -1
+            scale = lcm(b.denominator, *(c.denominator for _, c in a))
             flip = s * scale
-            row = [0] * self.ncols
-            for j, a in enumerate(r.coeffs):
-                row[j] = a.numerator * flip // a.denominator
-                row[n + j] = -row[j]
-            if r.rel != EQ:
-                row[2 * n + slack_at] = flip if r.rel == LE else -flip
-                slack_at += 1
-            row[-1] = r.rhs.numerator * flip // r.rhs.denominator
-            row[self.N + i] = scale  # artificial, basic
+            row = [0] * (K + 2)
+            for j, c in a:
+                row[j] = c.numerator * flip // c.denominator
+            if rel == EQ:
+                row[art] = scale
+                self.own.append(art)
+                art += 1
+            else:
+                row[slack] = flip if rel == LE else -flip
+                self.own.append(slack)
+                slack += 1
+            row[K] = b.numerator * flip // b.denominator
+            row[K + 1] = scale  # the artificial, basic
             self.sigma.append(s)
             self.R.append(_primitive(row))
-        self.basis = [self.N + i for i in range(m)]
-        # min-sense structural cost vector
-        c = self.lp.objective
-        if self.lp.sense == MAX:
-            c = tuple(-x for x in c)
-        self.cost2 = [_ZERO] * (self.N + m)
-        for j in range(n):
-            self.cost2[j] = c[j]
-            self.cost2[n + j] = -c[j]
+        self.basis = [self.N + i for i in range(self.m)]
+
+    def _column(self, w: int) -> tuple[int, int]:
+        """The stored column and sign of the non-artificial wide column w."""
+        n = self.n
+        if w < n:
+            return w, 1
+        if w < 2 * n:
+            return w - n, -1
+        return w - n, 1
 
     # -- tableau mechanics ------------------------------------------------
 
-    def _pivot(self, r: int, j: int):
+    def _pivot(self, r: int, w: int):
         self.pivots += 1
         if self.pivots > self.max_pivots:
             raise SolverLimitError(
                 f"pivot budget exceeded ({self.max_pivots}); "
                 "raise DUALCHECK_MAX_PIVOTS"
             )
+        col, sg = self._column(w)
         R = self.R
-        if R[r][j] < 0:
+        if sg * R[r][col] < 0:
             R[r] = [-b for b in R[r]]
         pr = R[r]
-        piv = pr[j]
+        pr[-1] = 0  # the leaving artificial, if any, is not read again
+        piv = sg * pr[col]
         # row_i - (t_ij / t_rj) row_r, scaled by the positive piv * d_i
         for i in range(self.m):
-            f = R[i][j]
+            f = R[i][col]
             if i != r and f != 0:
+                f *= sg
                 R[i] = _primitive([piv * a - f * b for a, b in zip(R[i], pr)])
-        if self.Z[j] != 0:
-            self._sub_cost(piv, self.Z[j], pr)
-        self.basis[r] = j
+        if self.Z[col] != 0:
+            self._sub_cost(piv, sg * self.Z[col], pr)
+        self.basis[r] = w
 
     def _sub_cost(self, scale: int, f: int, row: list[int]):
-        """z <- z - f / (scale * D) * row, keeping Z / D in lowest terms."""
+        """z <- z - f / (scale * D) * row, keeping Z / D in lowest terms.
+
+        ``zip`` stops at the end of ``Z``, so a row's ``d`` cell is not read."""
         Z = [scale * a - f * b for a, b in zip(self.Z, row)]
         D = self.D * scale
         g = gcd(D, *Z)
         self.Z = [a // g for a in Z]
         self.D = D // g
 
-    def _set_costs(self, cost: list[Rat]):
-        # reduced-cost row: z_j = c_j - c_B . T[:,j]; last cell = -objective
-        self.D = lcm(*(c.denominator for c in cost))
+    def _set_costs(self, cost: list[Rat], art: Rat):
+        """Reduced costs z_j = c_j - c_B . T[:,j] for the stored costs ``cost``
+        and cost ``art`` on every artificial; the last cell is -objective."""
+        self.D = lcm(art.denominator, *(c.denominator for c in cost))
         self.Z = [c.numerator * (self.D // c.denominator) for c in cost] + [0]
         for i, b in enumerate(self.basis):
-            cb = cost[b]
+            if b >= self.N:
+                cb, entry = art, self.R[i][-1]
+            else:
+                col, sg = self._column(b)
+                cb, entry = sg * cost[col], sg * self.R[i][col]
             if cb != 0:
-                # subtract cb * R[i] / R[i][b], with cb = P / Q
-                self._sub_cost(cb.denominator * self.R[i][b], cb.numerator * self.D, self.R[i])
+                # subtract cb * R[i] / entry, with cb = P / Q
+                self._sub_cost(cb.denominator * entry, cb.numerator * self.D, self.R[i])
+
+    def _entering(self) -> Optional[int]:
+        """Bland's rule over the wide columns: x+ j has reduced cost z_j, x- j
+        has -z_j, and the slacks follow."""
+        Z, n = self.Z, self.n
+        for j in range(n):
+            if Z[j] < 0:
+                return j
+        for j in range(n):
+            if Z[j] > 0:
+                return n + j
+        for k in range(n, n + self.nslack):
+            if Z[k] < 0:
+                return n + k
+        return None
 
     def _iterate(self) -> Optional[int]:
         """Run simplex to optimality; return entering column on unboundedness."""
         R, basis = self.R, self.basis
         while True:
-            Z = self.Z
-            enter = None
-            for j in range(self.N):  # artificial columns never enter
-                if Z[j] < 0:
-                    enter = j
-                    break
+            enter = self._entering()
             if enter is None:
                 return None
+            col, sg = self._column(enter)
+            rhs_at = self.K
             leave = None
             for i in range(self.m):
-                t = R[i][enter]
+                t = sg * R[i][col]
                 if t > 0:
-                    rhs = R[i][-1]
+                    rhs = R[i][rhs_at]
                     if leave is None:
                         leave, best_rhs, best_t = i, rhs, t
                         continue
@@ -312,59 +374,67 @@ class _Simplex:
 
     # -- certificate extraction -------------------------------------------
 
-    def _z(self, j: int) -> Rat:
-        return Fraction(self.Z[j], self.D)
+    def _z(self, col: int) -> Rat:
+        return Fraction(self.Z[col], self.D)
 
-    def _duals(self, cost: list[Rat]) -> Vec:
-        # y_i (flipped system) = c_art_i - z_art_i; unflip with sigma.
-        return tuple(
-            self.sigma[i] * (cost[self.N + i] - self._z(self.N + i))
-            for i in range(self.m)
-        )
+    def _duals(self, art: Rat) -> Vec:
+        # flipped system: y_i = sigma_i (c_art_i - z_art_i), which an
+        # inequality row's slack, +-sigma_i times its artificial, gives as -+z_slack
+        out = []
+        for i, rel in enumerate(self.rels):
+            z = self._z(self.own[i])
+            out.append(-z if rel == LE else z if rel == GE else self.sigma[i] * (art - z))
+        return tuple(out)
 
     def _point(self) -> Vec:
-        vals = [_ZERO] * (self.N + self.m)
+        # x_j = x+_j - x-_j; the basic one of the two is rhs / R[i][j] either way
+        x = [_ZERO] * self.n
         for i, b in enumerate(self.basis):
-            vals[b] = Fraction(self.R[i][-1], self.R[i][b])
-        return tuple(vals[j] - vals[self.n + j] for j in range(self.n))
+            if b < 2 * self.n:
+                j = b % self.n
+                x[j] = Fraction(self.R[i][self.K], self.R[i][j])
+        return tuple(x)
 
     def _ray(self, enter: int) -> Vec:
-        d = [_ZERO] * (self.N + self.m)
-        d[enter] = _ONE
+        n = self.n
+        x = [_ZERO] * n
+        if enter < 2 * n:
+            x[enter % n] = _ONE if enter < n else -_ONE
+        col, sg = self._column(enter)
         for i, b in enumerate(self.basis):
-            d[b] = Fraction(-self.R[i][enter], self.R[i][b])
-        return tuple(d[j] - d[self.n + j] for j in range(self.n))
+            if b < 2 * n:
+                j = b % n
+                x[j] += Fraction(-sg * self.R[i][col], self.R[i][j])
+        return tuple(x)
 
     # -- driver -------------------------------------------------------------
 
     def solve(self) -> LpOutcome:
-        m = self.m
+        m, n, K = self.m, self.n, self.K
         if m > 0:
-            cost1 = [_ZERO] * self.N + [_ONE] * m
-            self._set_costs(cost1)
+            self._set_costs([_ZERO] * (n + self.nslack) + [_ONE] * (m - self.nslack), _ONE)
             unb = self._iterate()
             assert unb is None, "phase one is bounded below by zero"
-            if self.Z[-1] < 0:  # objective = -last cell of cost row
-                y1 = self._duals(cost1)
-                farkas = tuple(-y for y in y1)
-                return Infeasible(farkas)
-            # drive surviving artificials out of the basis where possible
+            if self.Z[K] < 0:  # objective = -last cell of cost row
+                return Infeasible(tuple(-y for y in self._duals(_ONE)))
+            # drive surviving artificials out of the basis where possible;
+            # x+ j comes before x- j, so the first nonzero stored column decides
             for i in range(m):
-                if self.basis[i] >= self.N and self.R[i][-1] == 0:
-                    for j in range(self.N):
-                        if self.R[i][j] != 0:
-                            self._pivot(i, j)
+                if self.basis[i] >= self.N and self.R[i][K] == 0:
+                    for col in range(n + self.nslack):
+                        if self.R[i][col] != 0:
+                            self._pivot(i, col if col < n else col + n)
                             break
-        cost2 = list(self.cost2)
-        self._set_costs(cost2)
+        c = self.lp.objective
+        if self.lp.sense == MAX:
+            c = tuple(-x for x in c)
+        self._set_costs(list(c) + [_ZERO] * (K - n), _ZERO)
         enter = self._iterate()
         if enter is not None:
-            point = self._point()
-            ray = self._ray(enter)
-            return Unbounded(point, ray)
+            return Unbounded(self._point(), self._ray(enter))
         point = self._point()
-        value_min = -self._z(-1)
-        y = self._duals(cost2)
+        value_min = -self._z(K)
+        y = self._duals(_ZERO)
         if self.lp.sense == MAX:
             return Optimal(point, -value_min, tuple(-v for v in y))
         return Optimal(point, value_min, y)

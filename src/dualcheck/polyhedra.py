@@ -235,15 +235,23 @@ class BlockRows:
             for a, b in rows:
                 coeff = [ZERO] * self.n
                 for s, size, at, c in parts:
+                    # zero products add nothing and a unit coefficient
+                    # changes nothing, so neither is computed
                     seg = a[s : s + size]
                     if isinstance(c, tuple):  # a matrix
                         for i, v in enumerate(seg):
                             if v:
                                 for j, cij in enumerate(c[i]):
-                                    coeff[at + j] += v * cij
-                    else:
-                        for j in range(size):
-                            coeff[at + j] += seg[j] * c
+                                    if cij:
+                                        coeff[at + j] += v * cij
+                    elif c == 1:
+                        for j, v in enumerate(seg):
+                            if v:
+                                coeff[at + j] += v
+                    elif c:
+                        for j, v in enumerate(seg):
+                            if v:
+                                coeff[at + j] += v * c
                 self.rows.append((tuple(coeff), rel, b - dot(a, shift) if shift is not None else b))
         return self
 
@@ -460,13 +468,25 @@ def zero_in(notion: Notion, p: Polyhedron) -> bool:
 
     In finite dimension Int, Core and Qi coincide with the interior and
     Sqri, Icr, Qri with the relative interior, so exactly two tests exist.
-    Without auxiliaries the origin is the only candidate point, so after
-    the implicit rows the test is arithmetic.
+    With auxiliaries the relative-interior test is one strict LP, "some z
+    in ri p with pi z = 0" (see ``ri_point``), and the interior test is
+    the same LP behind the gate "aff pi(p) is everything", which the
+    memoised implicit rows decide without another LP.  That LP does not
+    depend on the notion, so its answer is kept on ``p`` itself, the way
+    the hash is: the relative-interior and the interior question on one
+    object solve it once.  Without auxiliaries the origin is the only
+    candidate point, so after the implicit rows the test is arithmetic.
     """
     interior = notion in (Notion.INT, Notion.CORE, Notion.QI)
     if p.aux:
-        pin = BlockRows(("x", p.n)).pull(singleton((ZERO,) * p.n), (p.n, {"x": ONE}))
-        return ri_point(p, pin, range(p.n) if interior else ()) is not None
+        if interior and ri_point(p, free=range(p.n)) is None:
+            return False
+        inside = p.__dict__.get("_zero_in_ri")
+        if inside is None:
+            pin = BlockRows(("x", p.n)).pull(singleton((ZERO,) * p.n), (p.n, {"x": ONE}))
+            inside = ri_point(p, pin) is not None
+            object.__setattr__(p, "_zero_in_ri", inside)
+        return inside
     if not contains(p, (ZERO,) * p.n):
         return False
     if interior:

@@ -99,7 +99,9 @@ def rational_bland_simplex(sense, objective, rows):
     ``dualcheck.exactlp`` documents (split free variables, one slack per
     inequality, right-hand sides made >= 0, artificial basis, Bland's rule
     with ties to the smallest basic index), so the solver must return the
-    very same point, ray, value and multipliers.  Returns
+    very same point, ray, value and multipliers.  This tableau stores that
+    wide layout whole: both halves of every split variable and one
+    artificial column per row.  Returns
     ``("optimal", point, value, duals)``, ``("infeasible", farkas)`` or
     ``("unbounded", point, ray)``.
     """
@@ -132,7 +134,8 @@ def rational_bland_simplex(sense, objective, rows):
     def reduced(cost):
         z = list(cost) + [ZERO]
         for i in range(m):
-            z = [x - cost[basis[i]] * y for x, y in zip(z, T[i])]
+            if cost[basis[i]] != 0:
+                z = [x - cost[basis[i]] * y for x, y in zip(z, T[i])]
         return z
 
     def run(cost):

@@ -198,6 +198,27 @@ def test_pivot_budget_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert "pivot budget" in capsys.readouterr().err
 
 
+def test_malformed_pivot_budget_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    for raw in ("lots", "0", "-3"):
+        monkeypatch.setenv("DUALCHECK_MAX_PIVOTS", raw)
+        code = main(["analyze", _write(tmp_path, NUMERIC_FILE)])
+        assert code == 2
+        assert "DUALCHECK_MAX_PIVOTS" in capsys.readouterr().err
+
+
+def test_a_declared_meets_qri_fact_must_agree_with_the_lp(tmp_path, capsys):
+    # [-1, 1] meets its own relative interior, so the LP says RC6' holds
+    code = main(["analyze", _write(tmp_path, NUMERIC_FILE + "fact meets-qri fails\n")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "contradicts the exact LP" in captured.err
+    code, doc = _analyze_structured(tmp_path, capsys, NUMERIC_FILE + "fact meets-qri holds\n")
+    assert code == 0
+    rc6p = next(c for c in doc["conditions"] if c["id"] == "RC6'")
+    assert rc6p["status"] == "holds"
+    assert doc["consistency"]["ok"]
+
+
 class _ClosedPipe:
     """A standard output whose reader went away, as under ``| head -1``."""
 

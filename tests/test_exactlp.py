@@ -1,14 +1,19 @@
 import random
 from dataclasses import astuple
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dualcheck.errors import DimensionMismatchError, SolverLimitError
+from dualcheck import polyhedra as pg
+from dualcheck import setexpr as se
+
+from dualcheck.errors import DimensionMismatchError, MalformedInputError, SolverLimitError
 from dualcheck.exactlp import (
     GE,
     LE,
     Infeasible,
+    _Simplex,
     Optimal,
     Unbounded,
     expanded_rows,
@@ -139,13 +144,52 @@ def test_random_lps_self_verify_and_permutation_invariant():
             assert out.value == out2.value
 
 
-def test_outcomes_match_rational_reference_tableau():
-    # the fraction-free tableau must take exactly the pivots of a rational one
+def _matches_reference(p):
+    out = solve_lp(p)
+    assert verify_certificate(p, out)
+    ref = rational_bland_simplex(p.sense, p.objective, [(r.coeffs, r.rel, r.rhs) for r in expanded_rows(p)])
+    assert (type(out).__name__.lower(),) + astuple(out) == ref
+    return ref[0]
+
+
+def _note_paths(monkeypatch) -> set:
+    """Note the rarer tableau paths that later solves take: a virtual x- column
+    entering, and an artificial driven out after phase one."""
+    seen = set()
+    after_phase_one = [False]
+    real_costs, real_iterate, real_pivot = _Simplex._set_costs, _Simplex._iterate, _Simplex._pivot
+
+    def set_costs(self, cost, art):
+        after_phase_one[0] = False
+        return real_costs(self, cost, art)
+
+    def iterate(self):
+        out = real_iterate(self)
+        after_phase_one[0] = True
+        return out
+
+    def pivot(self, r, w):
+        if self.n <= w < 2 * self.n:
+            seen.add("x- enters")
+        if after_phase_one[0] and self.basis[r] >= self.N:
+            seen.add("artificial driven out")
+        return real_pivot(self, r, w)
+
+    monkeypatch.setattr(_Simplex, "_set_costs", set_costs)
+    monkeypatch.setattr(_Simplex, "_iterate", iterate)
+    monkeypatch.setattr(_Simplex, "_pivot", pivot)
+    return seen
+
+
+def test_outcomes_match_rational_reference_tableau(monkeypatch):
+    # the narrow fraction-free tableau must take exactly the pivots of a
+    # rational one in the wide layout
     rng = random.Random(11)
 
     def q():
         return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
 
+    seen = _note_paths(monkeypatch)
     kinds = set()
     for _ in range(300):
         n, m = rng.randint(1, 4), rng.randint(0, 5)
@@ -156,15 +200,41 @@ def test_outcomes_match_rational_reference_tableau():
         bounds = None
         if rng.random() < 0.5:
             bounds = [(rng.choice([None, q()]), rng.choice([None, q()])) for _ in range(n)]
-        p = lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows, bounds)
-        out = solve_lp(p)
-        assert verify_certificate(p, out)
-        ref = rational_bland_simplex(
-            p.sense, p.objective, [(r.coeffs, r.rel, r.rhs) for r in expanded_rows(p)]
-        )
-        assert (type(out).__name__.lower(),) + astuple(out) == ref
-        kinds.add(ref[0])
+        kinds.add(_matches_reference(lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows, bounds)))
     assert kinds == {"optimal", "infeasible", "unbounded"}
+    assert seen == {"x- enters", "artificial driven out"}
+
+    # free variables pushed below zero: only x- columns can improve
+    seen.clear()
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        rows = [([q() for _ in range(n)], LE, abs(q()) + 1) for _ in range(rng.randint(0, 2))]
+        rows += [([-1 if k == j else 0 for k in range(n)], LE, rng.randint(0, 3)) for j in range(n)]
+        assert _matches_reference(lp("min", [rng.randint(1, 3) for _ in range(n)], rows)) == "optimal"
+    assert "x- enters" in seen
+
+    # all-equality systems; in half of them every right-hand side is 0 and
+    # the last row is minus the sum of the others, so phase one starts
+    # optimal and ends on degenerate artificials to drive out
+    seen.clear()
+    kinds = set()
+    for _ in range(120):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [([q() for _ in range(n)], "=", q()) for _ in range(m)]
+        if rng.random() < 0.5:
+            rows = [(a, "=", 0) for a, _, _ in rows]
+            rows.append(([-sum(col) for col in zip(*(a for a, _, _ in rows))], "=", 0))
+        kinds.add(_matches_reference(lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows)))
+    assert kinds == {"optimal", "infeasible", "unbounded"}
+    assert seen == {"x- enters", "artificial driven out"}
+
+
+def test_malformed_pivot_budget_is_malformed_input(monkeypatch):
+    p = lp("max", [1], [([1], LE, 1)])
+    for raw in ("many", "1.5", "0", "-2"):
+        monkeypatch.setenv("DUALCHECK_MAX_PIVOTS", raw)
+        with pytest.raises(MalformedInputError, match="DUALCHECK_MAX_PIVOTS"):
+            solve_lp(p)
 
 
 def test_pivot_budget_raises_solver_limit(monkeypatch):
@@ -183,3 +253,37 @@ def test_rat_str_canonical():
     assert rat_str(Fraction(3, 2)) == "3/2"
     assert rat_str(Fraction(-4, 2)) == "-2"
     assert rat_str(Fraction(0)) == "0"
+
+
+def _solved_lps(monkeypatch, work) -> list:
+    """Every LP that ``work()`` solves, with the package's memos emptied first."""
+    pg._frt.cache_clear()
+    pg._in_projection.cache_clear()
+    se._ATTR_MEMO.clear()
+    se._NORM_MEMO.clear()
+    progs = []
+    real = _Simplex.solve
+    monkeypatch.setattr(_Simplex, "solve", lambda self: progs.append(self.lp) or real(self))
+    work()
+    monkeypatch.setattr(_Simplex, "solve", real)
+    return progs
+
+
+def test_bench_and_golden_lps_replay_on_the_reference_tableau(monkeypatch):
+    # the LPs the package really solves: a cold diagnosis, report and
+    # recovery of both l1-ladder rungs on two seeds, and a seeded sample of
+    # the golden instances' LPs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    from test_numeric_golden import _answer, _instances
+
+    progs = []
+    for seed in (1, 2718):
+        ladder = workloads.L1Ladder(seed)
+        progs += _solved_lps(monkeypatch, lambda: [ladder.run(item) for item in ladder.items])
+    assert len(progs) >= 40
+    rng = random.Random(10)
+    golden = _solved_lps(monkeypatch, lambda: [_answer(inst) for inst in rng.sample(_instances(), 12)])
+    progs += rng.sample(golden, 60)
+    kinds = {_matches_reference(p) for p in progs}
+    assert {"optimal", "infeasible"} <= kinds

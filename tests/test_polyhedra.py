@@ -430,6 +430,39 @@ def test_lifted_queries_match_fourier_motzkin(system):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_lifted_systems())
+@example((poly(1, [((1, -1), 0), ((-1, -1), 0)], aux=1), []))  # 0 in int and ri
+@example((poly(1, [((1, 0), 1), ((-1, 0), 1)], [((0, 1), 0)], aux=1), []))  # 0 in int and ri
+@example((poly(2, [((1, 0, 1), 1), ((-1, 0, 1), 1)], [((0, 1, 0), 0)], aux=1), []))  # 0 in ri only
+def test_zero_in_solves_the_strict_lp_once_per_object(system):
+    # the relative-interior and interior questions share one strict LP,
+    # kept on the object: asked in either order, and asked again, they give
+    # what fresh objects give, and the object solves that LP at most once
+    p, _ = system
+
+    def fresh():
+        return pg.Polyhedron(p.n, p.ineqs, p.eqs, p.aux)
+
+    want = {notion: zero_in(notion, fresh()) for notion in (Notion.QRI, Notion.QI)}
+    for order in ((Notion.QRI, Notion.QI), (Notion.QI, Notion.QRI)):
+        q, strict = fresh(), []
+        real = pg.ri_point
+
+        def counted(p, extra=None, free=()):
+            if extra is not None:
+                strict.append(p)
+            return real(p, extra, free)
+
+        pg.ri_point = counted
+        try:
+            got = [zero_in(notion, q) for notion in order * 2]
+        finally:
+            pg.ri_point = real
+        assert got == [want[notion] for notion in order * 2]
+        assert len(strict) <= 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_int_systems())
 def test_implicit_rows_take_one_lp_and_match_the_per_row_loop(system):
     n, ineqs, eqs, _ = system

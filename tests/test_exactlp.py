@@ -13,9 +13,9 @@ from dualcheck.exactlp import (
     GE,
     LE,
     Infeasible,
-    _Simplex,
     Optimal,
     Unbounded,
+    _Simplex,
     expanded_rows,
     lp,
     rat_str,

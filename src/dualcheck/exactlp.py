@@ -297,7 +297,7 @@ class _Simplex:
         pr = R[r]
         pr[-1] = 0  # the leaving artificial, if any, is not read again
         piv = sg * pr[col]
-        # row_i - (t_ij / t_rj) row_r, scaled by the positive piv * d_i
+        # row_i - (t_ij / t_rj) row_r, scaled by piv times row i's basic entry
         for i in range(self.m):
             f = R[i][col]
             if i != r and f != 0:

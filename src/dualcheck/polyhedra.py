@@ -64,6 +64,7 @@ from .exactlp import (
     dot,
     solve_lp,
 )
+from .frozen import frozen_node
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -90,7 +91,7 @@ def _fvec(xs: Sequence) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Polyhedron:
     """The projection onto the first n coordinates of the rows over n + aux."""
 
@@ -110,15 +111,6 @@ class Polyhedron:
     @property
     def width(self) -> int:
         return self.n + self.aux
-
-    def __hash__(self):
-        # the memos here and in setexpr key on whole lifted systems; hashing
-        # their Fractions once per system, not once per lookup, is enough
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.n, self.ineqs, self.eqs, self.aux))
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 def poly(n: int, ineqs: Iterable = (), eqs: Iterable = (), aux: int = 0) -> Polyhedron:

@@ -19,6 +19,7 @@ from . import engine as eng
 from . import funcexpr as fx
 from . import setexpr as se
 from .errors import ParseError
+from .frozen import MAX_NESTING
 from .funcexpr import ExtReal, MINF, PINF, er
 from .polyhedra import Notion, interval, orthant, poly, whole_space
 from .setexpr import FAILS, HOLDS, UNKNOWN, FactStatus, ORIGIN
@@ -26,10 +27,6 @@ from .spaces import SpaceTag, banach, finite, lcs, lp_space, lp_uncountable
 
 _NOTIONS = {n.value: n for n in Notion}
 
-# The deepest nesting of set constructors and point negations a file may
-# use.  Normalization and inference recurse once per level, so a deeper
-# nest is refused here with a ParseError instead of exhausting the stack.
-MAX_NESTING = 200
 _STATUS = {"holds": HOLDS, "fails": FAILS, "unknown": UNKNOWN}
 
 

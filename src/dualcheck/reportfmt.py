@@ -89,8 +89,31 @@ def diagnosis_to_structured(d: Diagnosis) -> dict:
     return doc
 
 
+_quote = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def dumps_structured(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=True, sort_keys=False) + "\n"
+    """``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` byte for byte,
+    without the pure-Python encoder that CPython runs whenever it indents."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def diagnosis_to_text(d: Diagnosis) -> str:

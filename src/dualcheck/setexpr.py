@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import polyhedra as pg
-from .errors import MalformedInputError
+from .frozen import frozen_node
 from .spaces import SpaceTag, finite, product as product_space
 
 
@@ -61,12 +61,15 @@ def not3(x: FactStatus) -> FactStatus:
 # -- points -----------------------------------------------------------------
 
 
+_ORIGIN_HASH = hash("origin-point")
+
+
 class _Origin:
     def __repr__(self):
         return "0"
 
     def __hash__(self):
-        return hash("origin-point")
+        return _ORIGIN_HASH
 
     def __eq__(self, other):
         return isinstance(other, _Origin)
@@ -75,7 +78,7 @@ class _Origin:
 ORIGIN = _Origin()
 
 
-@dataclass(frozen=True)
+@frozen_node
 class VecPoint:
     coords: tuple[Fraction, ...]
 
@@ -83,7 +86,7 @@ class VecPoint:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class SymPoint:
     """Named point of an infinite-dimensional space; attrs are predicates
     like 'strictly_positive' or 'not_in_space' declared at construction."""
@@ -95,7 +98,7 @@ class SymPoint:
         return self.name
 
 
-@dataclass(frozen=True)
+@frozen_node
 class NegPoint:
     base: SymPoint
 
@@ -140,7 +143,7 @@ def is_origin(p: Point) -> bool:
 # -- expression nodes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class PolyAtom:
     poly: pg.Polyhedron
 
@@ -149,7 +152,7 @@ class PolyAtom:
         return finite(self.poly.n)
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class CatalogAtom:
     cid: str
     space_tag: SpaceTag
@@ -166,7 +169,7 @@ class CatalogAtom:
         return default
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class WholeSpace:
     space_tag: SpaceTag
 
@@ -175,7 +178,7 @@ class WholeSpace:
         return self.space_tag
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class Singleton:
     point: Point
     space_tag: SpaceTag
@@ -185,7 +188,7 @@ class Singleton:
         return self.space_tag
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class Neg:
     inner: "SetExpr"
 
@@ -194,7 +197,7 @@ class Neg:
         return self.inner.space
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class Scale:
     factor: Fraction
     inner: "SetExpr"
@@ -204,7 +207,7 @@ class Scale:
         return self.inner.space
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class Translate:
     inner: "SetExpr"
     offset: Point
@@ -214,7 +217,7 @@ class Translate:
         return self.inner.space
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class MinkSum:
     operands: tuple["SetExpr", ...]
 
@@ -223,7 +226,7 @@ class MinkSum:
         return self.operands[0].space
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class Product:
     left: "SetExpr"
     right: "SetExpr"
@@ -233,7 +236,7 @@ class Product:
         return product_space(self.left.space, self.right.space)
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class Intersect:
     left: "SetExpr"
     right: "SetExpr"
@@ -243,7 +246,7 @@ class Intersect:
         return self.left.space
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class ConeHull:
     inner: "SetExpr"
 
@@ -252,7 +255,7 @@ class ConeHull:
         return self.inner.space
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class ConvexHullWithOrigin:
     inner: "SetExpr"
 
@@ -261,7 +264,7 @@ class ConvexHullWithOrigin:
         return self.inner.space
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class Closure:
     inner: "SetExpr"
 
@@ -270,7 +273,7 @@ class Closure:
         return self.inner.space
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class EpiDiffSet:
     """Difference of the epigraph of f and the reflected epigraph of g - v,
     living in (space of f) x R.  f and g are function expressions; kept
@@ -286,7 +289,7 @@ class EpiDiffSet:
         return product_space(self.base_space, finite(1))
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class ConicExtension:
     """Projected shifted epigraph attached to a cone-constrained program:
     {(g(x) + z, f(x) - v + eps)}."""
@@ -303,7 +306,7 @@ class ConicExtension:
         return product_space(self.base_space, finite(1))
 
 
-@dataclass(frozen=True)
+@frozen_node(nested=True)
 class ImageSet:
     gmap: object  # duck-typed: has .kind in {identity, neg_identity, shift, named}
     inner: "SetExpr"
@@ -379,29 +382,21 @@ _SUBSPACE_ATTRS = SetAttrs(
     aff_whole=FAILS,
 )
 
+_POSITIVE_CONE_ATTRS = SetAttrs(
+    nonempty=HOLDS,
+    contains_origin=HOLDS,
+    convex=HOLDS,
+    cone=HOLDS,
+    subspace=FAILS,
+    closed=HOLDS,
+    dense=FAILS,
+    whole=FAILS,
+    aff_whole=HOLDS,  # the cone minus itself is the whole space
+)
+
 _CATALOG_ATTRS = {
-    LP_PLUS: SetAttrs(
-        nonempty=HOLDS,
-        contains_origin=HOLDS,
-        convex=HOLDS,
-        cone=HOLDS,
-        subspace=FAILS,
-        closed=HOLDS,
-        dense=FAILS,
-        whole=FAILS,
-        aff_whole=HOLDS,  # the cone minus itself is the whole space
-    ),
-    LP_PLUS_UNC: SetAttrs(
-        nonempty=HOLDS,
-        contains_origin=HOLDS,
-        convex=HOLDS,
-        cone=HOLDS,
-        subspace=FAILS,
-        closed=HOLDS,
-        dense=FAILS,
-        whole=FAILS,
-        aff_whole=HOLDS,
-    ),
+    LP_PLUS: _POSITIVE_CONE_ATTRS,
+    LP_PLUS_UNC: _POSITIVE_CONE_ATTRS,
     SUBSPACE_C: _SUBSPACE_ATTRS,
     SUBSPACE_S: _SUBSPACE_ATTRS,
     SUBSPACE_C_PERP: _SUBSPACE_ATTRS,
@@ -511,12 +506,8 @@ def catalog_cite(cid: str):
 
 
 def catalog_notion_set(cid: str, notion: str, params=()) -> Optional[str]:
-    if cid in _CATALOG_NOTION_SETS:
-        return _CATALOG_NOTION_SETS[cid].get(notion)
-    if cid in (SUBSPACE_C, SUBSPACE_S, SUBSPACE_C_PERP, SUBSPACE_S_PERP, KERNEL, FUNCTIONAL_LINE):
-        # handled by the generic subspace rules
-        return None
-    return None
+    # subspaces have no entry: the generic subspace rules handle them
+    return _CATALOG_NOTION_SETS.get(cid, {}).get(notion)
 
 
 # -- attributes ---------------------------------------------------------------
@@ -754,14 +745,10 @@ def skey(s) -> str:
 
 
 def normalize(s: SetExpr) -> SetExpr:
-    try:
-        cached = _NORM_MEMO.get(s)
-        if cached is not None:
-            return cached
-        out = _normalize(s)
-    except RecursionError:
-        # hashing and rewriting recurse once per level of the tree
-        raise MalformedInputError("set expression nested too deeply to normalize") from None
+    cached = _NORM_MEMO.get(s)
+    if cached is not None:
+        return cached
+    out = _normalize(s)
     _remember(_NORM_MEMO, s, out)
     _remember(_NORM_MEMO, out, out)
     return out

@@ -262,15 +262,25 @@ def test_set_nesting_bound_is_a_parse_error(tmp_path, capsys):
 
 
 def test_deep_api_built_nest_raises_a_typed_error():
-    from dualcheck import inference, setexpr as se
-    from dualcheck.errors import DualcheckError
-    from dualcheck.polyhedra import Notion
+    from dualcheck import setexpr as se
+    from dualcheck.errors import MalformedInputError
     from dualcheck.spaces import lp_space
 
+    # the depth bound holds where a node is built, before any walk
     s = se.CatalogAtom(se.LP_PLUS, lp_space(), ())
-    for _ in range(3000):
-        s = se.Neg(s)
-    with pytest.raises(DualcheckError):
-        se.normalize(s)
-    with pytest.raises(DualcheckError):
-        inference.Engine().infer(Notion.QRI, se.ORIGIN, s)
+    with pytest.raises(MalformedInputError):
+        for _ in range(3000):
+            s = se.Neg(s)
+
+
+def test_named_sets_nested_past_the_depth_bound_exit_2(tmp_path, capsys):
+    from dualcheck.frozen import MAX_DEPTH, MAX_NESTING
+
+    # each nest is within the parser's bound, their composition is not
+    half = MAX_NESTING - 1
+    inner = "neg(" * half + "lp_plus" + ")" * half
+    outer = "neg(" * half + "a" + ")" * half
+    assert 2 * half + 1 > MAX_DEPTH
+    text = f"problem deep\nkind sets\nspace l2\nset a {inner}\nquery qri zero {outer} expect fails\n"
+    assert main(["analyze", _write(tmp_path, text)]) == 2
+    assert f"nested deeper than {MAX_DEPTH} levels" in capsys.readouterr().err

@@ -64,6 +64,7 @@ class Fact:
 
 
 _UNKNOWN_FACT = Fact(UNKNOWN)
+_MISS = object()  # absent from a memo
 
 _KIND_OF_NOTION = {
     Notion.INT: "int",
@@ -143,41 +144,37 @@ class Engine:
         return Fact(status, m.prov + c.prov)
 
     def member(self, point: Point, s: SetExpr) -> Fact:
-        s = normalize(s)
-        key = ("member", point, s)
-        if key in self._memo:
-            return self._memo[key]
-        if key in self._stack:
-            return _UNKNOWN_FACT
-        self._stack.add(key)
-        try:
-            out = self._member(point, s)
-        finally:
-            self._stack.discard(key)
-        if out.status is not UNKNOWN or not self._stack:
-            # undecided results found under a cycle guard are not cached:
-            # they may become decidable from the top level
-            self._memo[key] = out
-        return out
+        return self.cone_test("member", point, s)
 
     def cone_test(self, kind: str, point: Point, s: SetExpr) -> Fact:
+        """The first decided rule's fact for ``kind`` (membership for
+        ``"member"``), memoised and guarded against cycles: a query met again
+        while it is being decided is unknown.  Each probe hashes the key once."""
         s = normalize(s)
         key = (kind, point, s)
-        if key in self._memo:
-            return self._memo[key]
-        if key in self._stack:
+        out = self._memo.get(key, _MISS)
+        if out is not _MISS:
+            return out
+        stack = self._stack
+        depth = len(stack)
+        stack.add(key)
+        if len(stack) == depth:  # the key was on the stack already
             return _UNKNOWN_FACT
-        self._stack.add(key)
         try:
-            out = _UNKNOWN_FACT
-            for name, rule in self._rules:
-                got = rule(self, kind, point, s)
-                if got is not None and got.status is not UNKNOWN:
-                    out = got
-                    break
+            if kind == "member":
+                out = self._member(point, s)
+            else:
+                out = _UNKNOWN_FACT
+                for _, rule in self._rules:
+                    got = rule(self, kind, point, s)
+                    if got is not None and got.status is not UNKNOWN:
+                        out = got
+                        break
         finally:
-            self._stack.discard(key)
-        if out.status is not UNKNOWN or not self._stack:
+            stack.discard(key)
+        if out.status is not UNKNOWN or not stack:
+            # undecided results found under a cycle guard are not cached:
+            # they may become decidable from the top level
             self._memo[key] = out
         return out
 

@@ -1,19 +1,20 @@
 """Exact linear programming over the rationals.
 
-Dense two-phase simplex with Bland's pivot rule (smallest eligible index
+Two-phase simplex with Bland's pivot rule (smallest eligible index
 enters, smallest-index basic variable leaves on ratio ties; Bland 1977),
 which makes every solve deterministic and cycle-free.  The indices are
 those of the textbook standard form: split free variables x+ and x-,
 one slack per inequality, one artificial per row.  The stored tableau is
 narrower than that form: one column per variable (the x- column is the
 negated x+ column), artificial columns for the equality rows only, and
-the entry of a basic artificial kept as one scalar per row; the
+the entry of a basic artificial kept as one cell per row; the
 multipliers of inequality rows are read off their slacks' reduced costs.
 Inputs and outputs are ``fractions.Fraction``; inside the solver the
 tableau is fraction-free: each row is a primitive integer vector, built
-directly from the LP's rows and bounds, and the cost row is integer over
-one common denominator (fraction-free elimination in the sense of Edmonds
-1967 and Bareiss 1968).  Pivot choices depend only on signs and on ratio
+directly from the LP's rows and bounds and stored sparse (its nonzero
+cells only, so a pivot works on the pivot row's support), and the cost
+row is integer over one common denominator (fraction-free elimination in
+the sense of Edmonds 1967 and Bareiss 1968).  Pivot choices depend only on signs and on ratio
 comparisons, which cross-multiplication decides exactly, so the pivot
 sequence is the one a rational tableau in the textbook form would take
 (``tests/oracles.rational_bland_simplex`` is that tableau).  There is no
@@ -186,12 +187,6 @@ def _max_pivots() -> int:
     return budget
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """Divide an integer row by the gcd of its entries."""
-    g = gcd(*row)
-    return row if g == 1 else [a // g for a in row]
-
-
 class _Simplex:
     """Two-phase tableau simplex on the standard form derived from an LP.
 
@@ -210,22 +205,23 @@ class _Simplex:
       with its signs flipped;
     * artificial columns for the equality rows only.  Any basic column is
       a unit column, so while row i's own artificial is basic the row
-      keeps that artificial's positive entry as one scalar ``d[i]`` (the
-      last cell of the row, 0 once the artificial has left);
+      keeps that artificial's positive entry as one more cell ``d[i]``
+      (stored column K + 1, gone once the artificial has left);
     * the multiplier of an inequality row is read off its slack's reduced
       cost (-z_slack on a ``<=`` row, +z_slack on a ``>=`` row), since the
       slack column is plus or minus the artificial's; an equality row's is
       sigma_i (c_art - z_art) on its stored artificial.
 
-    Row i is ``R[i] = [x columns, slacks, equality artificials, rhs, d[i]]``,
-    a primitive integer vector whose entry in its basic column is positive;
+    Row i is the sparse ``R[i] = {column: nonzero entry}`` over the x
+    columns, slacks, equality artificials, the rhs K and ``d[i]`` K + 1, a
+    primitive integer vector whose entry in its basic column is positive;
     the rational tableau row is ``R[i]`` over that entry.  The reduced-cost
-    row is the integer vector ``Z`` (one cell shorter, without ``d``) over
-    one positive common denominator ``D``.  Signs are read straight off the
-    integers and ratio tests compare by cross-multiplication, so the pivots
-    are the ones a rational tableau in the wide layout would take;
-    rationals are rebuilt only when a point, ray, dual vector or value is
-    read out, and they are exact.  ``basis`` holds wide indices.
+    row is the dense integer list ``Z`` (columns 0..K) over one positive
+    common denominator ``D``.  Signs are read straight off the integers and
+    ratio tests compare by cross-multiplication, so the pivots are the
+    ones a rational tableau in the wide layout would take; rationals are
+    rebuilt only when a point, ray, dual vector or value is read out, and
+    they are exact.  ``basis`` holds wide indices.
     """
 
     def __init__(self, p: LinearProgram):
@@ -248,16 +244,14 @@ class _Simplex:
         self.rels = [rel for _, rel, _ in rows]
         self.sigma: list[int] = []
         self.own: list[int] = []  # the stored column that carries row i's multiplier
-        self.R: list[list[int]] = []
+        self.R: list[dict[int, int]] = []
         slack, art = n, n + self.nslack
         for a, rel, b in rows:
             # clear denominators; flip so the right-hand side is >= 0
             s = 1 if b >= 0 else -1
             scale = lcm(b.denominator, *(c.denominator for _, c in a))
             flip = s * scale
-            row = [0] * (K + 2)
-            for j, c in a:
-                row[j] = c.numerator * flip // c.denominator
+            row = {j: c.numerator * flip // c.denominator for j, c in a}
             if rel == EQ:
                 row[art] = scale
                 self.own.append(art)
@@ -266,10 +260,12 @@ class _Simplex:
                 row[slack] = flip if rel == LE else -flip
                 self.own.append(slack)
                 slack += 1
-            row[K] = b.numerator * flip // b.denominator
+            if b:
+                row[K] = b.numerator * flip // b.denominator
             row[K + 1] = scale  # the artificial, basic
+            g = gcd(*row.values())
             self.sigma.append(s)
-            self.R.append(_primitive(row))
+            self.R.append(row if g == 1 else {k: v // g for k, v in row.items()})
         self.basis = [self.N + i for i in range(self.m)]
 
     def _column(self, w: int) -> tuple[int, int]:
@@ -292,45 +288,70 @@ class _Simplex:
             )
         col, sg = self._column(w)
         R = self.R
-        if sg * R[r][col] < 0:
-            R[r] = [-b for b in R[r]]
         pr = R[r]
-        pr[-1] = 0  # the leaving artificial, if any, is not read again
+        pr.pop(self.K + 1, None)  # the leaving artificial, if any, is not read again
+        if sg * pr[col] < 0:
+            pr = R[r] = {k: -b for k, b in pr.items()}
         piv = sg * pr[col]
         # row_i - (t_ij / t_rj) row_r, scaled by piv times row i's basic entry
-        for i in range(self.m):
-            f = R[i][col]
-            if i != r and f != 0:
-                f *= sg
-                R[i] = _primitive([piv * a - f * b for a, b in zip(R[i], pr)])
+        for i, row in enumerate(R):
+            f = row.get(col)
+            if f is not None and i != r:
+                # dividing piv and f by their gcd changes the row only by a
+                # positive factor, which the division by the row's gcd removes
+                g = gcd(piv, f)
+                p, f = piv // g, sg * f // g
+                if p != 1:
+                    row = {k: p * a for k, a in row.items()}
+                for k, b in pr.items():
+                    a = row.get(k, 0) - f * b
+                    if a:
+                        row[k] = a
+                    else:
+                        del row[k]
+                g = gcd(*row.values())
+                R[i] = row if g == 1 else {k: a // g for k, a in row.items()}
         if self.Z[col] != 0:
             self._sub_cost(piv, sg * self.Z[col], pr)
         self.basis[r] = w
 
-    def _sub_cost(self, scale: int, f: int, row: list[int]):
-        """z <- z - f / (scale * D) * row, keeping Z / D in lowest terms.
-
-        ``zip`` stops at the end of ``Z``, so a row's ``d`` cell is not read."""
-        Z = [scale * a - f * b for a, b in zip(self.Z, row)]
+    def _sub_cost(self, scale: int, f: int, row: dict[int, int]):
+        """z <- z - f / (scale * D) * row, keeping Z / D in lowest terms;
+        ``row`` has no ``d`` cell."""
+        g = gcd(scale, f)
+        scale, f = scale // g, f // g
+        Z = self.Z if scale == 1 else [scale * a for a in self.Z]
+        for k, b in row.items():
+            Z[k] -= f * b
         D = self.D * scale
-        g = gcd(D, *Z)
-        self.Z = [a // g for a in Z]
+        g = gcd(D, *Z) if D != 1 else 1
+        self.Z = Z if g == 1 else [a // g for a in Z]
         self.D = D // g
 
     def _set_costs(self, cost: list[Rat], art: Rat):
         """Reduced costs z_j = c_j - c_B . T[:,j] for the stored costs ``cost``
-        and cost ``art`` on every artificial; the last cell is -objective."""
-        self.D = lcm(art.denominator, *(c.denominator for c in cost))
-        self.Z = [c.numerator * (self.D // c.denominator) for c in cost] + [0]
+        and cost ``art`` on every artificial; the last cell is -objective.
+        The sum over the basic rows runs over one common denominator and is
+        reduced once."""
+        terms = []
         for i, b in enumerate(self.basis):
             if b >= self.N:
-                cb, entry = art, self.R[i][-1]
+                cb, entry = art, self.R[i][self.K + 1]
             else:
                 col, sg = self._column(b)
                 cb, entry = sg * cost[col], sg * self.R[i][col]
             if cb != 0:
-                # subtract cb * R[i] / entry, with cb = P / Q
-                self._sub_cost(cb.denominator * entry, cb.numerator * self.D, self.R[i])
+                terms.append((cb.numerator, cb.denominator * entry, self.R[i]))
+        D = lcm(*(c.denominator for c in cost), *(q for _, q, _ in terms))
+        Z = [c.numerator * (D // c.denominator) for c in cost] + [0, 0]
+        for p, q, row in terms:
+            f = p * (D // q)
+            for k, a in row.items():
+                Z[k] -= f * a
+        Z.pop()  # the cell that took the rows' d entries
+        g = gcd(D, *Z)
+        self.Z = Z if g == 1 else [a // g for a in Z]
+        self.D = D // g
 
     def _entering(self) -> Optional[int]:
         """Bland's rule over the wide columns: x+ j has reduced cost z_j, x- j
@@ -349,18 +370,17 @@ class _Simplex:
 
     def _iterate(self) -> Optional[int]:
         """Run simplex to optimality; return entering column on unboundedness."""
-        R, basis = self.R, self.basis
+        R, basis, K = self.R, self.basis, self.K
         while True:
             enter = self._entering()
             if enter is None:
                 return None
             col, sg = self._column(enter)
-            rhs_at = self.K
             leave = None
-            for i in range(self.m):
-                t = sg * R[i][col]
+            for i, row in enumerate(R):
+                t = sg * row.get(col, 0)
                 if t > 0:
-                    rhs = R[i][rhs_at]
+                    rhs = row.get(K, 0)
                     if leave is None:
                         leave, best_rhs, best_t = i, rhs, t
                         continue
@@ -392,7 +412,7 @@ class _Simplex:
         for i, b in enumerate(self.basis):
             if b < 2 * self.n:
                 j = b % self.n
-                x[j] = Fraction(self.R[i][self.K], self.R[i][j])
+                x[j] = Fraction(self.R[i].get(self.K, 0), self.R[i][j])
         return tuple(x)
 
     def _ray(self, enter: int) -> Vec:
@@ -404,7 +424,7 @@ class _Simplex:
         for i, b in enumerate(self.basis):
             if b < 2 * n:
                 j = b % n
-                x[j] += Fraction(-sg * self.R[i][col], self.R[i][j])
+                x[j] += Fraction(-sg * self.R[i].get(col, 0), self.R[i][j])
         return tuple(x)
 
     # -- driver -------------------------------------------------------------
@@ -420,9 +440,9 @@ class _Simplex:
             # drive surviving artificials out of the basis where possible;
             # x+ j comes before x- j, so the first nonzero stored column decides
             for i in range(m):
-                if self.basis[i] >= self.N and self.R[i][K] == 0:
+                if self.basis[i] >= self.N and K not in self.R[i]:
                     for col in range(n + self.nslack):
-                        if self.R[i][col] != 0:
+                        if col in self.R[i]:
                             self._pivot(i, col if col < n else col + n)
                             break
         c = self.lp.objective

@@ -127,15 +127,17 @@ def rational_bland_simplex(sense, objective, rows):
     def pivot(r, j):
         T[r] = [x / T[r][j] for x in T[r]]
         for i in range(m):
-            if i != r and T[i][j] != 0:
-                T[i] = [x - T[i][j] * y for x, y in zip(T[i], T[r])]
+            f = T[i][j]
+            if i != r and f != 0:
+                T[i] = [x - f * y if y else x for x, y in zip(T[i], T[r])]
         basis[r] = j
 
     def reduced(cost):
         z = list(cost) + [ZERO]
         for i in range(m):
-            if cost[basis[i]] != 0:
-                z = [x - cost[basis[i]] * y for x, y in zip(z, T[i])]
+            cb = cost[basis[i]]
+            if cb != 0:
+                z = [x - cb * y if y else x for x, y in zip(z, T[i])]
         return z
 
     def run(cost):

@@ -1,10 +1,12 @@
 import random
 from dataclasses import astuple
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+from dualcheck import conditions, engine
 from dualcheck import polyhedra as pg
 from dualcheck import setexpr as se
 
@@ -22,6 +24,8 @@ from dualcheck.exactlp import (
     solve_lp,
     verify_certificate,
 )
+from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum
+from dualcheck.spaces import finite
 
 from oracles import brute_min_over_vertices, rational_bland_simplex
 
@@ -181,14 +185,40 @@ def _note_paths(monkeypatch) -> set:
     return seen
 
 
+def _check_rows_after_pivots(monkeypatch) -> list:
+    """Check the sparse rows after every pivot: no stored zero, each row
+    primitive with a positive basic entry, and no ``d`` cell (column K + 1)
+    once the row's artificial has left the basis.  Returns a one-cell pivot
+    count."""
+    count = [0]
+    real_pivot = _Simplex._pivot
+
+    def pivot(self, r, w):
+        real_pivot(self, r, w)
+        count[0] += 1
+        for row, b in zip(self.R, self.basis):
+            assert 0 not in row.values()
+            assert gcd(*row.values()) == 1
+            if b >= self.N:
+                assert row[self.K + 1] > 0
+            else:
+                assert self.K + 1 not in row
+                col, sg = self._column(b)
+                assert sg * row[col] > 0
+
+    monkeypatch.setattr(_Simplex, "_pivot", pivot)
+    return count
+
+
 def test_outcomes_match_rational_reference_tableau(monkeypatch):
     # the narrow fraction-free tableau must take exactly the pivots of a
-    # rational one in the wide layout
+    # rational one in the wide layout, and keep its rows sparse and primitive
     rng = random.Random(11)
 
     def q():
         return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
 
+    checked = _check_rows_after_pivots(monkeypatch)
     seen = _note_paths(monkeypatch)
     kinds = set()
     for _ in range(300):
@@ -227,6 +257,7 @@ def test_outcomes_match_rational_reference_tableau(monkeypatch):
         kinds.add(_matches_reference(lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows)))
     assert kinds == {"optimal", "infeasible", "unbounded"}
     assert seen == {"x- enters", "artificial driven out"}
+    assert checked[0] > 1000
 
 
 def test_malformed_pivot_budget_is_malformed_input(monkeypatch):
@@ -269,10 +300,29 @@ def _solved_lps(monkeypatch, work) -> list:
     return progs
 
 
+def _box_l1(lo, hi, c) -> engine.FenchelInstance:
+    """inf c.x + indicator of the box [lo, hi] + ||x||_1."""
+    n = len(c)
+    rows = []
+    for j in range(n):
+        e = tuple(Fraction(int(k == j)) for k in range(n))
+        rows.append((e, Fraction(hi[j])))
+        rows.append((tuple(-v for v in e), Fraction(-lo[j])))
+    f = Sum(Affine(tuple(Fraction(v) for v in c), Fraction(0)), IndicatorOf(se.PolyAtom(pg.poly(n, rows))))
+    return engine.FenchelInstance(instance_id=f"box-l1-{n}", space=finite(n), f=f, g=NormAtom("l1"))
+
+
+def _diagnose_and_recover(instance):
+    d = conditions.diagnose(instance)
+    if d.verdict("6").status is se.HOLDS and d.values.vp.is_finite():
+        engine.recover_dual_via_separation(instance, d.values.vp.value)
+
+
 def test_bench_and_golden_lps_replay_on_the_reference_tableau(monkeypatch):
     # the LPs the package really solves: a cold diagnosis, report and
-    # recovery of both l1-ladder rungs on two seeds, and a seeded sample of
-    # the golden instances' LPs
+    # recovery of both l1-ladder rungs on two seeds, a cold box+l1 diagnosis
+    # and recovery at n = 3 and 4 (wider and sparser lifted systems), and a
+    # seeded sample of the golden instances' LPs
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
     from test_numeric_golden import _answer, _instances
@@ -282,8 +332,28 @@ def test_bench_and_golden_lps_replay_on_the_reference_tableau(monkeypatch):
         ladder = workloads.L1Ladder(seed)
         progs += _solved_lps(monkeypatch, lambda: [ladder.run(item) for item in ladder.items])
     assert len(progs) >= 40
+    for n in (3, 4):
+        # the box [-(1 + j), 2 + j], with cost 2 on the even coordinates
+        box = _box_l1([-1 - j for j in range(n)], [2 + j for j in range(n)], [2 * (1 - j % 2) for j in range(n)])
+        wide = _solved_lps(monkeypatch, lambda: _diagnose_and_recover(box))
+        assert max(p.n for p in wide) > 20
+        progs += wide
     rng = random.Random(10)
     golden = _solved_lps(monkeypatch, lambda: [_answer(inst) for inst in rng.sample(_instances(), 12)])
     progs += rng.sample(golden, 60)
     kinds = {_matches_reference(p) for p in progs}
     assert {"optimal", "infeasible"} <= kinds
+
+
+def test_coefficients_up_to_2_to_the_64_replay_on_the_reference_tableau(monkeypatch):
+    # box bounds and costs of 64 bits: every LP of a cold diagnosis and
+    # recovery still takes the reference pivots and carries a valid certificate
+    rng = random.Random(64)
+    big = [2**63, 2**64]
+    for n in (1, 2, 3):
+        lo = [-rng.randint(*big) for _ in range(n)]
+        hi = [rng.randint(*big) for _ in range(n)]
+        c = [rng.choice((-1, 1)) * rng.randint(*big) for _ in range(n)]
+        progs = _solved_lps(monkeypatch, lambda: _diagnose_and_recover(_box_l1(lo, hi, c)))
+        assert progs
+        assert "optimal" in {_matches_reference(p) for p in progs}

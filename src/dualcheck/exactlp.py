@@ -14,11 +14,11 @@ tableau is fraction-free: each row is a primitive integer vector, built
 directly from the LP's rows and bounds and stored sparse (its nonzero
 cells only, so a pivot works on the pivot row's support), and the cost
 row is integer over one common denominator (fraction-free elimination in
-the sense of Edmonds 1967 and Bareiss 1968).  Pivot choices depend only on signs and on ratio
-comparisons, which cross-multiplication decides exactly, so the pivot
-sequence is the one a rational tableau in the textbook form would take
-(``tests/oracles.rational_bland_simplex`` is that tableau).  There is no
-tolerance anywhere.
+the sense of Edmonds 1967 and Bareiss 1968).  Pivot choices depend only
+on signs and on ratio comparisons, which cross-multiplication decides
+exactly, so the pivot sequence is the one a rational tableau in the
+textbook form would take (``tests/oracles.rational_bland_simplex`` is
+that tableau).  There is no tolerance anywhere.
 
 Every outcome carries a certificate that :func:`verify_certificate` can
 replay independently of the solver:

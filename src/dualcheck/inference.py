@@ -149,7 +149,8 @@ class Engine:
     def cone_test(self, kind: str, point: Point, s: SetExpr) -> Fact:
         """The first decided rule's fact for ``kind`` (membership for
         ``"member"``), memoised and guarded against cycles: a query met again
-        while it is being decided is unknown.  Each probe hashes the key once."""
+        while it is being decided is unknown.  The memo and the cycle stack
+        are each probed with one hash of the key."""
         s = normalize(s)
         key = (kind, point, s)
         out = self._memo.get(key, _MISS)

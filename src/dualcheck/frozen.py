@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 from .errors import MalformedInputError
 
-# A problem file nests at most MAX_NESTING set constructors and point
-# negations; the margin covers the nodes a diagnosis wraps around them.
+# A problem file nests at most MAX_NESTING constructors (sets, functions,
+# maps and point negations alike); the margin covers the nodes a diagnosis
+# wraps around them.
 MAX_NESTING = 200
 MAX_DEPTH = MAX_NESTING + 16
 

@@ -1,9 +1,15 @@
 """Line-oriented problem files.
 
 A file declares one instance: a key starts each line and decides how the
-rest parses.  Rationals are written ``p/q`` (never decimal floats), set
-and function terms use a small call grammar, polyhedra take quoted linear
-relations over ``x1..xn``.  The grammar is documented in the section
+rest parses.  Rationals are written ``p/q`` (never decimal floats), and
+polyhedra take quoted linear relations over ``x1..xn``.  Set, function and
+map terms are calls, looked up in one constructor table per term kind
+(``_SETS``, ``_FUNCS``, ``_MAPS``: name -> argument kinds and builder);
+``Parser._call`` reads the arguments of every entry, and ``Parser.parse``
+reads one term that must end its line.  Only the forms that are not a
+fixed argument list are written out in ``Parser``: ``poly``,
+``point(a, b, ...)``, ``maxaff``, the catalog atoms with ``k=v`` params,
+named sets and points.  The grammar is documented in the section
 "The ``.prob`` problem format" of ``README.md``; corpus entries use the
 same format plus ``expect`` lines.
 """
@@ -11,7 +17,7 @@ same format plus ``expect`` lines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -21,7 +27,7 @@ from . import setexpr as se
 from .errors import ParseError
 from .frozen import MAX_NESTING
 from .funcexpr import ExtReal, MINF, PINF, er
-from .polyhedra import Notion, interval, orthant, poly, whole_space
+from .polyhedra import Notion, interval, orthant, poly, singleton, whole_space
 from .setexpr import FAILS, HOLDS, UNKNOWN, FactStatus, ORIGIN
 from .spaces import SpaceTag, banach, finite, lcs, lp_space, lp_uncountable
 
@@ -137,6 +143,7 @@ _TERM_RE = re.compile(
 
 
 def _parse_linear_row(text: str, dim: int):
+    """One quoted relation as ``((coeffs, rhs), is_equation)``, ``>=`` flipped to ``<=``."""
     m = _ROW_RE.match(text.replace(" ", ""))
     if not m:
         raise ParseError(f"not a linear relation: {text!r}")
@@ -156,7 +163,83 @@ def _parse_linear_row(text: str, dim: int):
             raise ParseError(f"variable x{idx + 1} outside dimension {dim}")
         coeffs[idx] += coef
     rhs = Fraction(m.group("rhs"))
-    return tuple(coeffs), m.group("rel"), rhs
+    if m.group("rel") == ">=":
+        return (tuple(-c for c in coeffs), -rhs), False
+    return (tuple(coeffs), rhs), m.group("rel") == "=="
+
+
+# -- constructor tables ---------------------------------------------------------
+#
+# One table per term kind: name -> (argument kinds, builder).  Parser._arg
+# reads a kind: the terms "set", "func", "map" and "point", a rational "rat",
+# a bracketed rational "vec", a "mat" of bracketed vecs, a nonnegative
+# integer "dim", a declared "vector" name, or any one "token".  A kind ending
+# in "?" is an optional last argument; a constructor without arguments may
+# be written with or without "()".  Set builders take the ambient space
+# first.
+
+
+def _catalog(cid: str):
+    return lambda space: se.CatalogAtom(cid, space, ())
+
+
+_SETS = {
+    "whole": ((), se.WholeSpace),
+    "origin_set": ((), lambda space: se.Singleton(ORIGIN, space)),
+    "lp_plus": ((), _catalog(se.LP_PLUS)),
+    "lp_plus_unc": ((), _catalog(se.LP_PLUS_UNC)),
+    "subspace_C": ((), _catalog(se.SUBSPACE_C)),
+    "subspace_S": ((), _catalog(se.SUBSPACE_S)),
+    "kernel": ((), _catalog(se.KERNEL)),
+    "dual_ball": ((), _catalog(se.DUAL_BALL)),
+    "interval": (("rat", "rat"), lambda _, lo, hi: se.PolyAtom(interval(lo, hi))),
+    "orthant": (("dim",), lambda _, n: se.PolyAtom(orthant(n))),
+    "rn": (("dim",), lambda _, n: se.PolyAtom(whole_space(n))),
+    "neg": (("set",), lambda _, s: se.Neg(s)),
+    "scale": (("rat", "set"), lambda _, q, s: se.Scale(q, s)),
+    "translate": (("set", "point"), lambda _, s, p: se.Translate(s, p)),
+    "minksum": (("set", "set"), lambda _, a, b: se.MinkSum((a, b))),
+    "diff": (("set", "set"), lambda _, a, b: se.MinkSum((a, se.Neg(b)))),
+    "product": (("set", "set"), lambda _, a, b: se.Product(a, b)),
+    "intersect": (("set", "set"), lambda _, a, b: se.Intersect(a, b)),
+    "cone_hull": (("set",), lambda _, s: se.ConeHull(s)),
+    "co0": (("set",), lambda _, s: se.ConvexHullWithOrigin(s)),
+    "closure": (("set",), lambda _, s: se.Closure(s)),
+}
+
+# catalog atoms written with optional (k=v, ...) params
+_PARAM_ATOMS = {"closed_subspace": se.CLOSED_SUBSPACE, "abstract_set": se.ABSTRACT_CONVEX}
+
+_FUNCS = {
+    "affine": (("vec", "rat?"), lambda c, alpha=Fraction(0): fx.Affine(c, alpha)),
+    "inner": (("vector", "rat?"), lambda v, alpha=Fraction(0): fx.Affine(fx.SymVec(v.name, v.attrs), alpha)),
+    "indicator": (("set",), fx.IndicatorOf),
+    "norm1": ((), lambda: fx.NormAtom("l1")),
+    "norm2": ((), lambda: fx.NormAtom("l2")),
+    "norminf": ((), lambda: fx.NormAtom("linf")),
+    "sum": (("func", "func"), fx.Sum),
+    "infconv": (("func", "func"), fx.InfConv),
+    "argtranslate": (("func", "vec"), fx.ArgTranslate),
+    "plusconst": (("func", "rat"), fx.PlusConst),
+    "precompose": (("mat", "func"), fx.PrecomposeLinear),
+    "conjugate": (("func",), fx.ConjugateOf),
+}
+
+# one piece "[c], alpha" of maxaff([c], alpha; [c], alpha; ...)
+_PIECE = ("vec", "rat")
+
+_MAPS = {
+    "affine_map": (("mat", "vec"), eng.AffineMap),
+    "identity": ((), eng.IdentityMap),
+    "neg_identity": ((), eng.NegIdentityMap),
+    "shift_map": (("point",), eng.ShiftMap),
+    "named_map": (("token",), lambda label: eng.NamedMap(str(label))),
+}
+
+# the kinds that nest: each level counts against MAX_NESTING
+_NESTED = frozenset({"set", "func", "map", "point"})
+
+_BOOLS = {"true": True, "false": False}
 
 
 class Parser:
@@ -167,370 +250,191 @@ class Parser:
         self.cone_space: Optional[SpaceTag] = None
         self.depth = 0
 
-    def _nested(self, parse, st: "_Stream"):
-        """Run one nested parse, refusing nests deeper than MAX_NESTING."""
+    def parse(self, kind: str, text: str):
+        """The one term of argument kind ``kind`` that makes up ``text``."""
+        st = _Stream(_tokenize(text))
+        term = self._arg(kind, st)
+        if st.i < len(st.tokens):
+            raise ParseError(f"unexpected {st.peek()[1]!r} after the {kind} term")
+        return term
+
+    def parse_space(self, rest: str) -> SpaceTag:
+        parts = rest.split()
+        if not parts:
+            raise ParseError("empty space declaration")
+        head = parts[0]
+        if head == "dim":
+            return finite(self.parse("dim", " ".join(parts[1:])))
+        if head == "l2":
+            return lp_space(2)
+        if head == "l2R":
+            return lp_uncountable(2)
+        if head == "lp":
+            return lp_space(Fraction(parts[1]))
+        if head == "lpR":
+            return lp_uncountable(Fraction(parts[1]))
+        if head == "banach":
+            return banach(parts[1] if len(parts) > 1 else "X")
+        if head == "lcs":
+            return lcs(parts[1] if len(parts) > 1 else "X")
+        raise ParseError(f"unknown space {rest!r}")
+
+    def _arg(self, kind: str, st: _Stream):
+        """Read one argument; a nested term is refused past MAX_NESTING levels."""
+        read = getattr(self, "_" + kind)
+        if kind not in _NESTED:
+            return read(st)
         if self.depth >= MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
         self.depth += 1
         try:
-            return parse(st)
+            return read(st)
         finally:
             self.depth -= 1
 
-    # -- points -------------------------------------------------------------
+    def _args(self, kinds, st: _Stream) -> list:
+        args = []
+        for i, kind in enumerate(kinds):
+            if kind.endswith("?"):
+                if not st.eat_punct(","):
+                    break
+                kind = kind[:-1]
+            elif i:
+                st.expect_punct(",")
+            args.append(self._arg(kind, st))
+        return args
 
-    def parse_point(self, st: _Stream) -> se.Point:
-        return self._nested(self._parse_point, st)
+    def _call(self, table, name: str, st: _Stream, *lead):
+        kinds, build = table[name]
+        if not kinds:
+            if st.eat_punct("("):
+                st.expect_punct(")")
+            return build(*lead)
+        st.expect_punct("(")
+        args = self._args(kinds, st)
+        st.expect_punct(")")
+        return build(*lead, *args)
 
-    def _parse_point(self, st: _Stream) -> se.Point:
-        kind, val = st.peek()
-        if kind == "punct" and val == "[":
-            return se.VecPoint(self._parse_vector(st))
-        if kind == "punct" and val == "-":
-            st.next()
-            inner = self.parse_point(st)
-            return se.pneg(inner)
-        if kind == "name":
-            st.next()
-            if val in ("zero", "origin"):
-                return ORIGIN
-            if val in self.vectors:
-                return self.vectors[val]
-            raise ParseError(f"undeclared vector {val!r}")
-        raise ParseError(f"expected a point, found {st.peek()!r}")
-
-    def _parse_vector(self, st: _Stream):
-        st.expect_punct("[")
-        out = []
-        while not st.eat_punct("]"):
-            neg = st.eat_punct("-")
-            kind, val = st.next()
-            if kind != "num":
-                raise ParseError("vector entries must be rationals")
-            out.append(-val if neg else val)
-            st.eat_punct(",")
-        return tuple(out)
-
-    def _parse_matrix(self, st: _Stream):
-        st.expect_punct("[")
-        rows = []
-        while not st.eat_punct("]"):
-            rows.append(self._parse_vector(st))
-            st.eat_punct(",")
-        return tuple(rows)
-
-    # -- sets ---------------------------------------------------------------
-
-    def parse_set(self, st: _Stream) -> se.SetExpr:
-        return self._nested(self._parse_set, st)
-
-    def _parse_set(self, st: _Stream) -> se.SetExpr:
+    def _name(self, st: _Stream, what: str) -> str:
         kind, val = st.next()
         if kind != "name":
-            raise ParseError(f"expected a set constructor, found {val!r}")
-        name = val
+            raise ParseError(f"expected a {what} constructor, found {val!r}")
+        return val
+
+    # -- terms ----------------------------------------------------------------
+
+    def _set(self, st: _Stream) -> se.SetExpr:
+        name = self._name(st, "set")
         space = self.space or lp_space()
+        if name in _SETS:
+            return self._call(_SETS, name, st, space)
         if name == "poly":
             st.expect_punct("(")
-            kind, dim = st.next()
-            if kind != "num":
-                raise ParseError("poly(...) starts with the dimension")
-            dim = int(dim)
-            rows = []
-            eqs = []
+            dim = self._dim(st)
+            ineqs, eqs = [], []
             while st.eat_punct(","):
-                kind, row = st.next()
+                kind, text = st.next()
                 if kind != "str":
                     raise ParseError("polyhedron rows are quoted relations")
-                coeffs, rel, rhs = _parse_linear_row(row, dim)
-                if rel == "<=":
-                    rows.append((coeffs, rhs))
-                elif rel == ">=":
-                    rows.append((tuple(-c for c in coeffs), -rhs))
-                else:
-                    eqs.append((coeffs, rhs))
+                row, is_eq = _parse_linear_row(text, dim)
+                (eqs if is_eq else ineqs).append(row)
             st.expect_punct(")")
-            return se.PolyAtom(poly(dim, rows, eqs))
-        if name == "interval":
-            st.expect_punct("(")
-            lo = self._parse_rat(st)
-            st.expect_punct(",")
-            hi = self._parse_rat(st)
-            st.expect_punct(")")
-            return se.PolyAtom(interval(lo, hi))
-        if name == "orthant":
-            st.expect_punct("(")
-            kind, n = st.next()
-            st.expect_punct(")")
-            return se.PolyAtom(orthant(int(n)))
-        if name == "rn":
-            st.expect_punct("(")
-            kind, n = st.next()
-            st.expect_punct(")")
-            return se.PolyAtom(whole_space(int(n)))
+            return se.PolyAtom(poly(dim, ineqs, eqs))
         if name == "point":
             st.expect_punct("(")
-            vals = []
-            while not st.eat_punct(")"):
-                neg = st.eat_punct("-")
-                kind, v = st.next()
-                vals.append(-v if neg else v)
-                st.eat_punct(",")
-            from .polyhedra import singleton as psingleton
-
-            return se.PolyAtom(psingleton(tuple(vals)))
-        if name == "whole":
-            return se.WholeSpace(space)
-        if name == "origin_set":
-            return se.Singleton(ORIGIN, space)
-        if name == "lp_plus":
-            return se.CatalogAtom(se.LP_PLUS, space, ())
-        if name == "lp_plus_unc":
-            return se.CatalogAtom(se.LP_PLUS_UNC, space, ())
-        if name == "subspace_C":
-            return se.CatalogAtom(se.SUBSPACE_C, space, ())
-        if name == "subspace_S":
-            return se.CatalogAtom(se.SUBSPACE_S, space, ())
-        if name == "kernel":
-            return se.CatalogAtom(se.KERNEL, space, ())
-        if name == "dual_ball":
-            return se.CatalogAtom(se.DUAL_BALL, space, ())
-        if name == "closed_subspace":
-            params = self._parse_params(st)
-            return se.CatalogAtom(se.CLOSED_SUBSPACE, space, params)
-        if name == "abstract_set":
-            params = self._parse_params(st)
-            return se.CatalogAtom(se.ABSTRACT_CONVEX, space, params)
-        if name == "neg":
-            st.expect_punct("(")
-            inner = self.parse_set(st)
-            st.expect_punct(")")
-            return se.Neg(inner)
-        if name == "scale":
-            st.expect_punct("(")
-            q = self._parse_rat(st)
-            st.expect_punct(",")
-            inner = self.parse_set(st)
-            st.expect_punct(")")
-            return se.Scale(q, inner)
-        if name == "translate":
-            st.expect_punct("(")
-            inner = self.parse_set(st)
-            st.expect_punct(",")
-            pt = self.parse_point(st)
-            st.expect_punct(")")
-            return se.Translate(inner, pt)
-        if name == "minksum":
-            st.expect_punct("(")
-            a = self.parse_set(st)
-            st.expect_punct(",")
-            b = self.parse_set(st)
-            st.expect_punct(")")
-            return se.MinkSum((a, b))
-        if name == "diff":
-            st.expect_punct("(")
-            a = self.parse_set(st)
-            st.expect_punct(",")
-            b = self.parse_set(st)
-            st.expect_punct(")")
-            return se.MinkSum((a, se.Neg(b)))
-        if name == "product":
-            st.expect_punct("(")
-            a = self.parse_set(st)
-            st.expect_punct(",")
-            b = self.parse_set(st)
-            st.expect_punct(")")
-            return se.Product(a, b)
-        if name == "intersect":
-            st.expect_punct("(")
-            a = self.parse_set(st)
-            st.expect_punct(",")
-            b = self.parse_set(st)
-            st.expect_punct(")")
-            return se.Intersect(a, b)
-        if name == "cone_hull":
-            st.expect_punct("(")
-            inner = self.parse_set(st)
-            st.expect_punct(")")
-            return se.ConeHull(inner)
-        if name == "co0":
-            st.expect_punct("(")
-            inner = self.parse_set(st)
-            st.expect_punct(")")
-            return se.ConvexHullWithOrigin(inner)
-        if name == "closure":
-            st.expect_punct("(")
-            inner = self.parse_set(st)
-            st.expect_punct(")")
-            return se.Closure(inner)
+            return se.PolyAtom(singleton(self._rats(st, ")")))
+        if name in _PARAM_ATOMS:
+            return se.CatalogAtom(_PARAM_ATOMS[name], space, self._params(st))
         if name in self.named_sets:
             return self.named_sets[name]
         raise ParseError(f"unknown set constructor {name!r}")
 
-    def _parse_rat(self, st: _Stream) -> Fraction:
+    def _func(self, st: _Stream) -> fx.FunctionExpr:
+        name = self._name(st, "function")
+        if name in _FUNCS:
+            return self._call(_FUNCS, name, st)
+        if name == "maxaff":
+            st.expect_punct("(")
+            pieces = [tuple(self._args(_PIECE, st))]
+            while st.eat_punct(";"):
+                pieces.append(tuple(self._args(_PIECE, st)))
+            st.expect_punct(")")
+            return fx.SupOfAffine(tuple(pieces))
+        raise ParseError(f"unknown function constructor {name!r}")
+
+    def _map(self, st: _Stream):
+        name = self._name(st, "map")
+        if name in _MAPS:
+            return self._call(_MAPS, name, st)
+        raise ParseError(f"unknown map constructor {name!r}")
+
+    def _point(self, st: _Stream) -> se.Point:
+        if st.peek() == ("punct", "["):
+            return se.VecPoint(self._vec(st))
+        kind, val = st.next()
+        if (kind, val) == ("punct", "-"):
+            return se.pneg(self._arg("point", st))
+        if kind != "name":
+            raise ParseError(f"expected a point, found {val!r}")
+        return ORIGIN if val in ("zero", "origin") else self._declared(val)
+
+    # -- plain arguments --------------------------------------------------------
+
+    def _rat(self, st: _Stream) -> Fraction:
         neg = st.eat_punct("-")
         kind, v = st.next()
         if kind != "num":
-            raise ParseError("expected a rational")
+            raise ParseError(f"expected a rational, found {v!r}")
         return -v if neg else v
 
-    def _parse_params(self, st: _Stream):
-        params = []
-        if not st.eat_punct("("):
-            return tuple(params)
-        while not st.eat_punct(")"):
-            kind, key = st.next()
-            st.expect_punct("=")
-            k2, v = st.next()
-            if k2 == "name":
-                v = {"true": True, "false": False}.get(v, v)
-            elif k2 == "str":
-                pass
-            params.append((key, v))
+    def _rats(self, st: _Stream, close: str) -> tuple:
+        """Rationals up to ``close``; the commas between them are optional."""
+        out = []
+        while not st.eat_punct(close):
+            out.append(self._rat(st))
             st.eat_punct(",")
+        return tuple(out)
+
+    def _vec(self, st: _Stream) -> tuple:
+        st.expect_punct("[")
+        return self._rats(st, "]")
+
+    def _mat(self, st: _Stream) -> tuple:
+        st.expect_punct("[")
+        rows = []
+        while not st.eat_punct("]"):
+            rows.append(self._vec(st))
+            st.eat_punct(",")
+        return tuple(rows)
+
+    def _dim(self, st: _Stream) -> int:
+        kind, n = st.next()
+        if kind != "num" or n < 0 or n.denominator != 1:
+            raise ParseError(f"a dimension is a nonnegative integer, found {n}")
+        return int(n)
+
+    def _vector(self, st: _Stream) -> se.SymPoint:
+        return self._declared(st.next()[1])
+
+    def _declared(self, name) -> se.SymPoint:
+        if name not in self.vectors:
+            raise ParseError(f"undeclared vector {name!r}")
+        return self.vectors[name]
+
+    def _token(self, st: _Stream):
+        return st.next()[1]
+
+    def _params(self, st: _Stream) -> tuple:
+        """Optional ``(k=v, ...)``; the names true and false read as booleans."""
+        params = []
+        if st.eat_punct("("):
+            while not st.eat_punct(")"):
+                key = st.next()[1]
+                st.expect_punct("=")
+                kind, v = st.next()
+                params.append((key, _BOOLS.get(v, v) if kind == "name" else v))
+                st.eat_punct(",")
         return tuple(params)
-
-    # -- functions -----------------------------------------------------------
-
-    def parse_func(self, st: _Stream) -> fx.FunctionExpr:
-        kind, val = st.next()
-        if kind != "name":
-            raise ParseError(f"expected a function constructor, found {val!r}")
-        name = val
-        if name == "affine":
-            st.expect_punct("(")
-            c = self._parse_vector(st)
-            alpha = Fraction(0)
-            if st.eat_punct(","):
-                alpha = self._parse_rat(st)
-            st.expect_punct(")")
-            return fx.Affine(c, alpha)
-        if name == "inner":
-            st.expect_punct("(")
-            kind, vec_name = st.next()
-            if vec_name not in self.vectors:
-                raise ParseError(f"undeclared vector {vec_name!r}")
-            sym = self.vectors[vec_name]
-            alpha = Fraction(0)
-            if st.eat_punct(","):
-                alpha = self._parse_rat(st)
-            st.expect_punct(")")
-            return fx.Affine(fx.SymVec(sym.name, sym.attrs), alpha)
-        if name == "indicator":
-            st.expect_punct("(")
-            s = self.parse_set(st)
-            st.expect_punct(")")
-            return fx.IndicatorOf(s)
-        if name in ("norm1", "norm2", "norminf"):
-            if st.eat_punct("("):
-                st.expect_punct(")")
-            return fx.NormAtom({"norm1": "l1", "norm2": "l2", "norminf": "linf"}[name])
-        if name == "maxaff":
-            st.expect_punct("(")
-            pieces = []
-            while True:
-                c = self._parse_vector(st)
-                st.expect_punct(",")
-                alpha = self._parse_rat(st)
-                pieces.append((c, alpha))
-                if not st.eat_punct(";"):
-                    break
-            st.expect_punct(")")
-            return fx.SupOfAffine(tuple(pieces))
-        if name == "sum":
-            st.expect_punct("(")
-            a = self.parse_func(st)
-            st.expect_punct(",")
-            b = self.parse_func(st)
-            st.expect_punct(")")
-            return fx.Sum(a, b)
-        if name == "infconv":
-            st.expect_punct("(")
-            a = self.parse_func(st)
-            st.expect_punct(",")
-            b = self.parse_func(st)
-            st.expect_punct(")")
-            return fx.InfConv(a, b)
-        if name == "argtranslate":
-            st.expect_punct("(")
-            f = self.parse_func(st)
-            st.expect_punct(",")
-            v = self._parse_vector(st)
-            st.expect_punct(")")
-            return fx.ArgTranslate(f, v)
-        if name == "plusconst":
-            st.expect_punct("(")
-            f = self.parse_func(st)
-            st.expect_punct(",")
-            q = self._parse_rat(st)
-            st.expect_punct(")")
-            return fx.PlusConst(f, q)
-        if name == "precompose":
-            st.expect_punct("(")
-            m = self._parse_matrix(st)
-            st.expect_punct(",")
-            f = self.parse_func(st)
-            st.expect_punct(")")
-            return fx.PrecomposeLinear(m, f)
-        if name == "conjugate":
-            st.expect_punct("(")
-            f = self.parse_func(st)
-            st.expect_punct(")")
-            return fx.ConjugateOf(f)
-        raise ParseError(f"unknown function constructor {name!r}")
-
-    def parse_map(self, st: _Stream):
-        kind, val = st.next()
-        if kind != "name":
-            raise ParseError("expected a map constructor")
-        if val == "affine_map":
-            st.expect_punct("(")
-            rows = self._parse_matrix(st)
-            st.expect_punct(",")
-            shift = self._parse_vector(st)
-            st.expect_punct(")")
-            return eng.AffineMap(rows, shift)
-        if val == "identity":
-            if st.eat_punct("("):
-                st.expect_punct(")")
-            return eng.IdentityMap()
-        if val == "neg_identity":
-            if st.eat_punct("("):
-                st.expect_punct(")")
-            return eng.NegIdentityMap()
-        if val == "shift_map":
-            st.expect_punct("(")
-            p = self.parse_point(st)
-            st.expect_punct(")")
-            return eng.ShiftMap(p)
-        if val == "named_map":
-            st.expect_punct("(")
-            kind, label = st.next()
-            st.expect_punct(")")
-            return eng.NamedMap(str(label))
-        raise ParseError(f"unknown map constructor {val!r}")
-
-
-def _parse_space(rest: str) -> SpaceTag:
-    parts = rest.split()
-    if not parts:
-        raise ParseError("empty space declaration")
-    head = parts[0]
-    if head == "dim":
-        return finite(int(parts[1]))
-    if head == "l2":
-        return lp_space(2)
-    if head == "l2R":
-        return lp_uncountable(2)
-    if head == "lp":
-        return lp_space(Fraction(parts[1]))
-    if head == "lpR":
-        return lp_uncountable(Fraction(parts[1]))
-    if head == "banach":
-        return banach(parts[1] if len(parts) > 1 else "X")
-    if head == "lcs":
-        return lcs(parts[1] if len(parts) > 1 else "X")
-    raise ParseError(f"unknown space {rest!r}")
 
 
 _POINT_ATTRS = {
@@ -544,15 +448,31 @@ _POINT_ATTRS = {
 }
 
 
+_QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def _cite(text: str) -> tuple[str, str]:
+    """The first two quoted strings of ``text``, location and quote; "" if missing."""
+    strings = _QUOTED_RE.findall(text) + ["", ""]
+    return strings[0], strings[1]
+
+
 def _split_cites(parts):
     """Trailing:  cite "loc" "quote"  (optional)."""
     if "cite" in parts:
         i = parts.index("cite")
-        strings = re.findall(r'"((?:[^"\\]|\\.)*)"', " ".join(parts[i + 1 :]))
-        loc = strings[0] if strings else ""
-        quote = strings[1] if len(strings) > 1 else ""
-        return parts[:i], (loc, quote)
+        return parts[:i], _cite(" ".join(parts[i + 1 :]))
     return parts, ("", "")
+
+
+# line key -> the argument kind of the one term that makes up the rest of the line
+_TERM_LINES = {
+    "f": "func", "g": "func", "phi": "func", "S": "set", "C": "set",
+    "map": "map", "A": "mat", "nx": "dim", "ny": "dim",
+}
+
+# a value line that is absent: value, attained, solution, cite
+_NO_VALUE = (None, None, "", ("", ""))
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -560,11 +480,7 @@ def parse_problem(text: str) -> ProblemFile:
     problem_id = ""
     kind = None
     regime = None
-    f_expr = g_expr = phi_expr = None
-    s_expr = cone_expr = None
-    gmap = None
-    amap = None
-    nx = ny = None
+    terms: dict[str, object] = {}
     flags: list[tuple[str, bool]] = []
     fact_specs: list[eng.FactSpec] = []
     meets_qri_fact = None
@@ -597,18 +513,18 @@ def parse_problem(text: str) -> ProblemFile:
             elif key == "note":
                 notes.append(rest.strip('"'))
             elif key == "cite":
-                strings = re.findall(r'"((?:[^"\\]|\\.)*)"', rest)
-                loc = strings[0] if strings else ""
-                quote = strings[1] if len(strings) > 1 else ""
-                cites.append((loc, quote))
+                cites.append(_cite(rest))
             elif key == "space":
-                parser.space = _parse_space(rest)
+                parser.space = parser.parse_space(rest)
             elif key == "cone-space":
-                parser.cone_space = _parse_space(rest)
-            elif key == "nx":
-                nx = int(rest)
-            elif key == "ny":
-                ny = int(rest)
+                parser.cone_space = parser.parse_space(rest)
+            elif key in _TERM_LINES:
+                # the cone lives in the cone space, when one is declared
+                saved = parser.space
+                if key == "C" and parser.cone_space is not None:
+                    parser.space = parser.cone_space
+                terms[key] = parser.parse(_TERM_LINES[key], rest)
+                parser.space = saved
             elif key == "vector":
                 parts = rest.split()
                 name, attrs = parts[0], parts[1:]
@@ -618,28 +534,7 @@ def parse_problem(text: str) -> ProblemFile:
                 parser.vectors[name] = se.SymPoint(name, frozenset(attrs))
             elif key == "set":
                 name, _, expr = rest.partition(" ")
-                parser.named_sets[name] = parser.parse_set(_Stream(_tokenize(expr)))
-            elif key == "f":
-                f_expr = parser.parse_func(_Stream(_tokenize(rest)))
-            elif key == "g":
-                g_expr = parser.parse_func(_Stream(_tokenize(rest)))
-            elif key == "phi":
-                phi_expr = parser.parse_func(_Stream(_tokenize(rest)))
-            elif key == "S":
-                s_expr = parser.parse_set(_Stream(_tokenize(rest)))
-            elif key == "C":
-                saved = parser.space
-                if parser.cone_space is not None:
-                    parser.space = parser.cone_space
-                try:
-                    cone_expr = parser.parse_set(_Stream(_tokenize(rest)))
-                finally:
-                    parser.space = saved
-            elif key == "map":
-                gmap = parser.parse_map(_Stream(_tokenize(rest)))
-            elif key == "A":
-                st = _Stream(_tokenize(rest))
-                amap = parser._parse_matrix(st)
+                parser.named_sets[name] = parser.parse("set", expr)
             elif key == "flag":
                 parts = rest.split()
                 if len(parts) != 2 or parts[1] not in ("true", "false"):
@@ -653,13 +548,13 @@ def parse_problem(text: str) -> ProblemFile:
                     notion = _NOTIONS.get(body[1])
                     if notion is None and body[1] != "in":
                         raise ParseError(f"unknown notion {body[1]!r}")
-                    point = parser.parse_point(_Stream(_tokenize(body[2])))
+                    point = parser.parse("point", body[2])
                     ref_text = " ".join(body[3:-1])
                     status = _STATUS[body[-1]]
                     if ref_text in ("epidiff", "conic", "prdom", "domf", "domg"):
                         ref: object = ref_text
                     else:
-                        ref = parser.parse_set(_Stream(_tokenize(ref_text)))
+                        ref = parser.parse("set", ref_text)
                     fact_specs.append(eng.FactSpec(notion, point, ref, status, cite))
                 elif head == "meets-qri":
                     body, cite = _split_cites(parts)
@@ -700,8 +595,8 @@ def parse_problem(text: str) -> ProblemFile:
                 notion = _NOTIONS.get(parts[0])
                 if notion is None:
                     raise ParseError(f"unknown notion {parts[0]!r}")
-                point = parser.parse_point(_Stream(_tokenize(parts[1])))
-                sexpr = parser.parse_set(_Stream(_tokenize(" ".join(parts[2:]))))
+                point = parser.parse("point", parts[1])
+                sexpr = parser.parse("set", " ".join(parts[2:]))
                 queries.append(SetQuery(notion, point, sexpr, " ".join(parts), expected))
             elif key == "expect":
                 parts = rest.split()
@@ -718,6 +613,8 @@ def parse_problem(text: str) -> ProblemFile:
                 elif head == "gap":
                     expect["gap"] = parts[1]
                 elif head == "attained":
+                    if parts[1] not in ("primal", "dual"):
+                        raise ParseError("expect attained wants primal|dual")
                     expect[f"{parts[1]}_attained"] = parts[2] == "true"
                 elif head == "verdict":
                     expect["verdict"] = parts[1]
@@ -738,27 +635,15 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError("missing 'kind'")
     if kind != "sets" and regime is None:
         raise ParseError("missing 'regime'")
-    expectations = Expectations(
-        conditions=tuple(expect_conditions),
-        vp=expect.get("vp"),
-        vd=expect.get("vd"),
-        gap=expect.get("gap"),
-        verdict=expect.get("verdict"),
-        verdict_detail=expect.get("verdict_detail"),
-        dual_solution=expect.get("dual_solution"),
-        primal_attained=expect.get("primal_attained"),
-        dual_attained=expect.get("dual_attained"),
-    )
+    expectations = Expectations(conditions=tuple(expect_conditions), **expect)
 
+    # DeclaredValues starts with vp, vp_attained, vp_solution, vd, vd_attained, vd_solution
     declared = eng.DeclaredValues(
-        vp=values.get("primal", (None,))[0],
-        vp_attained=values["primal"][1] if "primal" in values else None,
-        vp_solution=values.get("primal", (None, None, ""))[2] if "primal" in values else "",
-        vd=values.get("dual", (None,))[0],
-        vd_attained=values["dual"][1] if "dual" in values else None,
-        vd_solution=values.get("dual", (None, None, ""))[2] if "dual" in values else "",
+        *values.get("primal", _NO_VALUE)[:3],
+        *values.get("dual", _NO_VALUE)[:3],
         cites=tuple(v[3] for v in values.values() if v[3] != ("", "")),
     )
+    f_expr, g_expr, phi_expr, s_expr, cone_expr, gmap, amap, nx, ny = map(terms.get, _TERM_LINES)
 
     if kind == "sets":
         inst: Union[eng.Instance, SetFactsInstance] = SetFactsInstance(

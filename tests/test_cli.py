@@ -261,6 +261,25 @@ def test_set_nesting_bound_is_a_parse_error(tmp_path, capsys):
     assert main(["analyze", _write(tmp_path, _nested_sets_file(600))]) == 2
 
 
+def _nested_sums_file(depth: int) -> str:
+    f = "sum(" * depth + "norm1" + ", norm1)" * depth
+    return f"problem deep\nkind fenchel\nregime symbolic\nspace l2\nf {f}\ng norm2\n"
+
+
+def test_function_nesting_bound_is_a_parse_error():
+    from dualcheck.probfile import MAX_NESTING
+
+    # parse only: a deep sum is slow to diagnose.  sum(..., norm1) around
+    # norm1 takes MAX_NESTING - 1 levels, the inner norm1 one more
+    f = parse_problem(_nested_sums_file(MAX_NESTING - 1)).instance.f
+    for _ in range(MAX_NESTING - 1):
+        f = f.a
+    assert f == parse_problem(_nested_sums_file(0)).instance.f
+    for depth in (MAX_NESTING, 2000):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+            parse_problem(_nested_sums_file(depth))
+
+
 def test_deep_api_built_nest_raises_a_typed_error():
     from dualcheck import setexpr as se
     from dualcheck.errors import MalformedInputError

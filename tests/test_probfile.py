@@ -1,5 +1,5 @@
-"""The ``.prob`` parser: every constructor form of README's grammar, and the
-corpus files.
+"""The ``.prob`` parser: every constructor form of README's grammar, the
+corpus files, the inputs it refuses, and mutated corpus files.
 
 Each form is parsed from a small problem file and compared with the node
 built directly.  The corpus files are compared, in a canonical form, with
@@ -7,20 +7,28 @@ built directly.  The corpus files are compared, in a canonical form, with
 --write`` (with ``src`` on the path) and only ever rewritten on purpose.
 """
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
+import io
 import json
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcheck import corpus
 from dualcheck import engine as eng
 from dualcheck import funcexpr as fx
 from dualcheck import setexpr as se
+from dualcheck.cli import main
+from dualcheck.errors import ParseError
+from dualcheck.frozen import MAX_NESTING
 from dualcheck.funcexpr import MINF, er
 from dualcheck.polyhedra import Notion, interval, orthant, poly, singleton, whole_space
 from dualcheck.probfile import parse_problem
@@ -231,6 +239,152 @@ def test_declared_values_and_cites():
         vd=er(F(3, 2)), vd_attained=True, vd_solution="x", cites=(("a", "b"),)
     )
     assert pf.cites == (("Paper, Ex. 1", "two  spaces"),)
+
+
+# -- inputs the parser refuses --------------------------------------------------
+
+NUMERIC_FENCHEL = "problem t\nkind fenchel\nregime numeric\nspace dim 2\nf affine([1, 1])\ng norm1\nA [[1, 0], [0, 1]]\n"
+PERTURBATION = "problem t\nkind perturbation\nregime numeric\nspace dim 2\nnx 1\nny 1\nphi norm1\n"
+
+
+def _with_line(text: str, line: str) -> str:
+    """``text`` with ``line`` in place of the line of the same key, else appended."""
+    key = line.split(" ", 1)[0]
+    lines = [old for old in text.splitlines() if old.split(" ", 1)[0] != key or key in ("query", "fact")]
+    return "\n".join(lines + [line]) + "\n"
+
+
+SYMBOLIC_FENCHEL = _fenchel_file("norm1")
+LAGRANGE = _lagrange_file("identity")
+SETS = _sets_file("")
+
+# (base file, the line that makes it refused)
+TRAILING = [
+    (SYMBOLIC_FENCHEL, "f affine([1], 2) extra(1)"),
+    (SYMBOLIC_FENCHEL, "f norm1() norm1"),
+    (SYMBOLIC_FENCHEL, "g norm2 ,"),
+    (LAGRANGE, "S whole whole"),
+    (LAGRANGE, "C lp_plus)"),
+    (LAGRANGE, "map identity() x"),
+    (LAGRANGE, 'map named_map("a") "b"'),
+    (SETS, "set named closure(lp_plus) lp_plus"),
+    (SETS, "query qri zero lp_plus kernel"),
+    (SETS, "query qri zero(1) lp_plus"),
+    (SETS, "query qri v[1] lp_plus"),
+    (SYMBOLIC_FENCHEL, "fact member qri zero lp_plus kernel holds"),
+    (SYMBOLIC_FENCHEL, "fact member qri -v- lp_plus holds"),
+    (NUMERIC_FENCHEL, "A [[1, 0], [0, 1]] [1]"),
+    (PERTURBATION, "phi norm1 1"),
+]
+
+BAD_DIMENSIONS = [
+    (SETS, 'query qri zero poly(3/2, "x1 <= 1")'),
+    (SETS, "query qri zero orthant(5/2)"),
+    (SETS, "query qri zero rn(1/2)"),
+    (SETS, "query qri zero rn(-1)"),
+    (SETS, "query qri zero orthant(x)"),
+    (NUMERIC_FENCHEL, "space dim -2"),
+    (NUMERIC_FENCHEL, "space dim 2 2"),
+    (PERTURBATION, "nx -1"),
+    (PERTURBATION, "ny 1/2"),
+]
+
+
+@pytest.mark.parametrize("base,line", TRAILING + BAD_DIMENSIONS, ids=[line for _, line in TRAILING + BAD_DIMENSIONS])
+def test_refused_inputs_are_parse_errors_and_exit_2(base, line, tmp_path, capsys):
+    text = _with_line(base, line)
+    with pytest.raises(ParseError):
+        parse_problem(text)
+    path = tmp_path / "bad.prob"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_the_bases_of_the_refused_inputs_parse():
+    for base, _ in TRAILING + BAD_DIMENSIONS:
+        parse_problem(base)
+    parse_problem(_with_line(PERTURBATION, "ny 2/2"))
+    parse_problem(_with_line(SETS, "query qri zero poly(0)"))
+
+
+def test_zero_argument_constructors_take_optional_parentheses():
+    assert parse_set("whole()") == se.WholeSpace(L2)
+    assert parse_set("neg(lp_plus())") == se.Neg(LP_PLUS)
+    assert parse_set("named") == se.Closure(LP_PLUS)
+    for text in ("lp_plus(1)", "whole(", "neg", "neg()", "interval(1)", "interval(1, 2, 3)", "scale(lp_plus, 1)"):
+        with pytest.raises(ParseError):
+            parse_set(text)
+    for text in ("norm1(norm2)", "affine([1], 2, 3)", "affine(1)", "inner(u)", "maxaff()", "maxaff([1], 0;)"):
+        with pytest.raises(ParseError):
+            parse_func(text)
+
+
+def test_expect_attained_wants_primal_or_dual():
+    assert parse_problem(_fenchel_file("norm1") + "expect attained dual true\n").expect.dual_attained is True
+    with pytest.raises(ParseError):
+        parse_problem(_fenchel_file("norm1") + "expect attained both true\n")
+
+
+def test_one_nesting_bound_covers_every_term_kind():
+    # each constructor is one level: the function, its set, the point
+    deep_set = "neg(" * (MAX_NESTING - 3) + "translate(lp_plus, v)" + ")" * (MAX_NESTING - 3)
+    assert parse_func(f"indicator({deep_set})")
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_func(f"conjugate(indicator({deep_set}))")
+    assert parse_map("shift_map(" + "-" * (MAX_NESTING - 2) + "v)") == eng.ShiftMap(V)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_map("shift_map(" + "-" * (MAX_NESTING - 1) + "v)")
+
+
+# -- mutated corpus files ---------------------------------------------------------
+
+CORPUS_TEXTS = [(corpus._data_dir() / f"{e}.prob").read_text(encoding="utf-8") for e in corpus.list_entries()]
+_TOKEN = re.compile(r'"[^"]*"|[A-Za-z_0-9\'/.+-]+|\S')
+_STRAY = ["(", ")", ",", "[", "]", "-", "=", ";", '""', str(2**70), "-7", "1/0", "0", "-1/2", "x1"]
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    lines = draw(st.sampled_from(CORPUS_TEXTS)).splitlines()
+    content = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(content))
+        spans = [m.span() for m in _TOKEN.finditer(lines[i])]
+        if not spans:
+            continue
+        a, b = spans[draw(st.integers(0, len(spans) - 1))]
+        line, tok = lines[i], lines[i][a:b]
+        op = draw(st.sampled_from(["drop", "swap", "insert", "replace", "truncate", "drop line"]))
+        if op == "drop":
+            line = line[:a] + line[b:]
+        elif op == "swap":
+            c, d = spans[draw(st.integers(0, len(spans) - 1))]
+            if (c, d) > (a, b):
+                line = line[:a] + line[c:d] + line[b:c] + tok + line[d:]
+        elif op == "insert":
+            line = line[:a] + draw(st.sampled_from(_STRAY)) + line[a:]
+        elif op == "replace":
+            line = line[:a] + draw(st.sampled_from(_STRAY)) + line[b:]
+        elif op == "truncate":
+            line = line[:a] + tok[: draw(st.integers(0, len(tok) - 1))] + line[b:]
+        else:
+            line = ""
+        lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(text=mutated_corpus_files())
+def test_mutated_corpus_files_raise_only_parse_errors(text, tmp_path_factory):
+    try:
+        parse_problem(text)
+    except ParseError:
+        pass
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.prob"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["analyze", str(path)]) in (0, 2, 3, 4, 5)
 
 
 # -- the corpus files, in a canonical form -------------------------------------

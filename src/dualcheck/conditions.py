@@ -469,14 +469,9 @@ def _slater_qri_clause(ctx: DiagnosisContext) -> Clause:
     if declared is not None:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
     cone = normalize(instance.cone)
-    flat = cone
-    while isinstance(flat, (se.Neg, se.Translate, se.Scale)):
-        flat = flat.inner
-    if isinstance(flat, se.CatalogAtom):
-        desc = se.catalog_notion_set(flat.cid, "qri", flat.params)
-        if desc == se.EMPTY_SET:
-            cite = se.catalog_cite(flat.cid) or ("", "")
-            return _status_clause(text, FAILS, "the cone's quasi-relative interior is empty", (cite,))
+    cite = se.empty_qri_cite(cone)
+    if cite is not None:
+        return _status_clause(text, FAILS, "the cone's quasi-relative interior is empty", (cite,))
     if isinstance(cone, se.Singleton) and se.is_origin(cone.point):
         dom_f = fx.domain(instance.f, instance.xspace)
         ground = normalize(se.Intersect(dom_f, instance.sset))

@@ -686,14 +686,9 @@ def meets_qri(engine: Engine, a: SetExpr, b: SetExpr) -> Fact:
     a = normalize(a)
     b = normalize(b)
     # an empty quasi-relative interior refutes outright, wherever B sits
-    flat = b
-    while isinstance(flat, (se.Neg, se.Translate, se.Scale)):
-        flat = flat.inner
-    if isinstance(flat, se.CatalogAtom):
-        desc = se.catalog_notion_set(flat.cid, "qri", flat.params)
-        if desc == se.EMPTY_SET:
-            cite = se.catalog_cite(flat.cid) or ("", "")
-            return Fact(FAILS, (Step("catalog", "the quasi-relative interior is empty", (cite,)),))
+    cite = se.empty_qri_cite(b)
+    if cite is not None:
+        return Fact(FAILS, (Step("catalog", "the quasi-relative interior is empty", (cite,)),))
     # origin witness
     am = engine.member(ORIGIN, a)
     bq = engine.infer(Notion.QRI, ORIGIN, b)

@@ -510,6 +510,17 @@ def catalog_notion_set(cid: str, notion: str, params=()) -> Optional[str]:
     return _CATALOG_NOTION_SETS.get(cid, {}).get(notion)
 
 
+def empty_qri_cite(s: SetExpr):
+    """The catalog's cite when ``s``, under negations, translations and
+    scalings, is a catalog set with an empty quasi-relative interior; else
+    None."""
+    while isinstance(s, (Neg, Translate, Scale)):
+        s = s.inner
+    if isinstance(s, CatalogAtom) and catalog_notion_set(s.cid, "qri", s.params) == EMPTY_SET:
+        return catalog_cite(s.cid) or ("", "")
+    return None
+
+
 # -- attributes ---------------------------------------------------------------
 
 # The attribute and normalization memos are process-global, so each holds

@@ -288,3 +288,15 @@ def test_qi_of_a_polyatom_missing_the_point_fails_under_every_rule_order():
     for s in (se.PolyAtom(interval(1, 0)), se.PolyAtom(interval(1, 2))):
         for order in orders:
             assert Engine(rule_order=order).infer(Notion.QI, ORIGIN, s).status is FAILS, (s, order)
+
+
+def test_empty_qri_cite_looks_through_negation_translation_and_scaling():
+    wrapped = se.Neg(se.Translate(se.Scale(F(2), PLUS_UNC), se.SymPoint("x0", frozenset())))
+    cite = se.catalog_cite(se.LP_PLUS_UNC)
+    assert cite and se.empty_qri_cite(PLUS_UNC) == cite
+    assert se.empty_qri_cite(wrapped) == cite
+    assert se.empty_qri_cite(PLUS) is None
+    assert se.empty_qri_cite(se.Closure(PLUS_UNC)) is None
+    # meets_qri refutes on the same lookup, citing it
+    fact = meets_qri(Engine(), PLUS, wrapped)
+    assert fact.status is FAILS and fact.prov[0].cites == (cite,)

@@ -292,7 +292,7 @@ class Parser:
         finally:
             self.depth -= 1
 
-    def _args(self, kinds, st: _Stream) -> list:
+    def _args(self, kinds, st: _Stream) -> tuple:
         args = []
         for i, kind in enumerate(kinds):
             if kind.endswith("?"):
@@ -302,18 +302,15 @@ class Parser:
             elif i:
                 st.expect_punct(",")
             args.append(self._arg(kind, st))
-        return args
+        return tuple(args)
 
     def _call(self, table, name: str, st: _Stream, *lead):
         kinds, build = table[name]
-        if not kinds:
-            if st.eat_punct("("):
-                st.expect_punct(")")
-            return build(*lead)
-        st.expect_punct("(")
-        args = self._args(kinds, st)
-        st.expect_punct(")")
-        return build(*lead, *args)
+        if kinds or st.peek() == ("punct", "("):
+            st.expect_punct("(")
+            lead += self._args(kinds, st)
+            st.expect_punct(")")
+        return build(*lead)
 
     def _name(self, st: _Stream, what: str) -> str:
         kind, val = st.next()
@@ -355,9 +352,9 @@ class Parser:
             return self._call(_FUNCS, name, st)
         if name == "maxaff":
             st.expect_punct("(")
-            pieces = [tuple(self._args(_PIECE, st))]
+            pieces = [self._args(_PIECE, st)]
             while st.eat_punct(";"):
-                pieces.append(tuple(self._args(_PIECE, st)))
+                pieces.append(self._args(_PIECE, st))
             st.expect_punct(")")
             return fx.SupOfAffine(tuple(pieces))
         raise ParseError(f"unknown function constructor {name!r}")

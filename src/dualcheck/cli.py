@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 
 from . import corpus as corpus_mod
@@ -32,7 +31,6 @@ from .errors import (
     NotFoundError,
     ParseError,
     SolverLimitError,
-    UndecidableValueError,
 )
 from .engine import value_report
 from .probfile import SetFactsInstance, load_problem
@@ -57,12 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dualcheck",
         description="exact diagnostics for regularity conditions in convex duality",
-    )
-    ap.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for the randomized property suites",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -122,7 +114,7 @@ def cmd_solve(path: str, fmt: str) -> int:
         print("error: values undecidable for this instance", file=sys.stderr)
         return EXIT_UNDECIDABLE
     if fmt == "json-like":
-        from .reportfmt import _render_solution, _values_dict
+        from .reportfmt import _values_dict
 
         doc = {"problem": getattr(pf.instance, "instance_id", ""), "values": _values_dict(rep)}
         sys.stdout.write(dumps_structured(doc))
@@ -161,8 +153,6 @@ def cmd_corpus(action: str, entry: str) -> int:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         if args.command == "analyze":
             code = cmd_analyze(args.path, args.format)

@@ -22,7 +22,7 @@ from . import inference as inf
 from . import polyhedra as pg
 from . import setexpr as se
 from .errors import ApplicabilityError, InconsistencyError, MalformedInputError
-from .funcexpr import MINF, PINF, er, er_lt
+from .funcexpr import MINF, PINF, er_lt
 from .inference import DeclaredFact, Engine, Step
 from .polyhedra import Notion
 from .setexpr import (
@@ -185,15 +185,6 @@ class DiagnosisContext:
                 "nonempty-domain assumption"
             )
 
-    def _domains(self):
-        """The structural domains dom f and dom g of a symbolic sum instance."""
-        instance = self.instance
-        if isinstance(instance, eng.FenchelInstance):
-            dom_f = fx.domain(instance.f, instance.space)
-            dom_g = fx.domain(instance.g, instance.yspace)
-            return dom_f, dom_g
-        return None, None
-
     def _build_engine(self) -> Engine:
         facts = []
         instance = self.instance
@@ -205,12 +196,8 @@ class DiagnosisContext:
             facts.append(
                 DeclaredFact(spec.notion, spec.point, target, spec.status, spec.cite)
             )
-        if (
-            self.view.epi_pr is not None
-            and self.view.vp is not None
-            and self.view.vp.is_finite()
-            and self.view.vp_attained
-        ):
+        vp = self.values.vp
+        if self.view.epi_pr is not None and vp is not None and vp.is_finite() and self.values.vp_attained:
             facts.append(
                 DeclaredFact(
                     None,
@@ -226,9 +213,7 @@ class DiagnosisContext:
         if not isinstance(ref, str):
             return ref
         if ref in ("domf", "domg"):
-            if self.numeric and self.family == FAMILY_FENCHEL:
-                return se.PolyAtom(self.model.domain(int(ref == "domg")))
-            return self._domains()[ref == "domg"]
+            return self.view.sets[ref == "domg"] if self.family == FAMILY_FENCHEL else None
         return {"epidiff": self.view.epi_pr, "conic": self.view.epi_pr, "prdom": self.view.pr_dom}.get(ref)
 
     # -- ambient hypothesis predicates --------------------------------------
@@ -256,8 +241,8 @@ class DiagnosisContext:
         """Numeric sum instance: is Ax in int(dom g), where g is continuous,
         for some x in dom f?  RC1 asks it first, and when it holds it also
         proves the meets-qri clause of RC6', since int lies in ri."""
-        m = self.model
-        return _meets(m.domain(1), m.amap, m.domain(0), ONE, True)
+        dom_f, dom_g = (s.poly for s in self.view.sets)
+        return _meets(dom_g, self.model.amap, dom_f, ONE, True)
 
     @cached_property
     def held(self) -> frozenset:
@@ -365,17 +350,17 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     text = "some common domain point where one summand is continuous"
     instance = ctx.instance
     if ctx.family == FAMILY_FENCHEL:
+        dom_f, dom_g = ctx.view.sets
         if ctx.numeric:
             # continuity of g at Ax', or of f at x', over the joint domain; f's
             # puts Ax' in int A(dom f) only when A maps onto the space of g
-            amap, dom_f, dom_g = ctx.model.amap, ctx.model.domain(0), ctx.model.domain(1)
-            hit = ctx.g_continuous or (_onto(amap) and _meets(dom_f, ONE, dom_g, amap, True))
+            amap = ctx.model.amap
+            hit = ctx.g_continuous or (_onto(amap) and _meets(dom_f.poly, ONE, dom_g.poly, amap, True))
             return _status_clause(
                 text,
                 HOLDS if hit else FAILS,
                 "strict-feasibility LP over the joint domain",
             )
-        dom_f, dom_g = ctx._domains()
         if fx.continuous_everywhere(instance.f) is HOLDS or fx.continuous_everywhere(instance.g) is HOLDS:
             return _status_clause(text, HOLDS, "one summand is finite and continuous everywhere")
         f_thin = inf.interior_is_empty(dom_f)
@@ -388,7 +373,7 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     if ctx.family == FAMILY_LAGRANGE:
         return _slater_clause(ctx)
     # perturbation family: continuity of Phi(x', .) at 0
-    hit = _slice_interior_point(ctx.model.domain(0), instance.nx, instance.ny)
+    hit = _slice_interior_point(ctx.view.sets[0].poly, instance.nx, instance.ny)
     return _status_clause(
         "some x' with the slice y -> Phi(x', y) continuous at 0",
         HOLDS if hit else FAILS,
@@ -430,22 +415,18 @@ def _slice_interior_point(dom: pg.Polyhedron, nx: int, ny: int) -> bool:
 
 
 def _cone_meets(ctx: DiagnosisContext, interior: bool) -> bool:
-    """Is there x in dom f ∩ S with -(Gx + h) in int C (ri C unless interior)?"""
-    c, g, ground = ctx.model.cone, ctx.model.gmap, ctx.model.at_zero(0, 1)
-    b = pg.BlockRows(("u", c.n), ("w", c.aux), ("x", ground.n))
-    b.pull(pg.singleton(tuple(-v for v in g.shift)), (c.n, {"u": ONE, "x": g.rows}))  # u = -(Gx + h)
-    b.pull(ground, (ground.n, {"x": ONE}))
-    return pg.ri_point(c, b, range(c.n) if interior else ()) is not None
+    """Is there z in g(dom f ∩ S) with -z in int C (ri C unless interior)?"""
+    image, c = (s.poly for s in ctx.view.sets)
+    return _meets(c, -ONE, image, ONE, interior)
 
 
 def _slater_clause(ctx: DiagnosisContext) -> Clause:
     text = "a feasible point maps into the negative interior of the ordering cone"
-    instance = ctx.instance
+    cone = ctx.view.sets[1]
     if ctx.numeric:
-        if ctx.model.cone.eqs and not ctx.model.cone.aux:
+        if cone.poly.eqs and not cone.poly.aux:
             return _status_clause(text, FAILS, "the cone carries equalities, so its interior is empty")
         return _status_clause(text, HOLDS if _cone_meets(ctx, True) else FAILS, "strict-feasibility LP")
-    cone = normalize(instance.cone)
     if inf.interior_is_empty(cone) is HOLDS:
         return _status_clause(text, FAILS, "the ordering cone has empty interior")
     return _status_clause(text, UNKNOWN, "cone interior undecided")
@@ -461,21 +442,17 @@ def _lp_clause(text: str, declared: Optional[eng.SpecialFact], status: FactStatu
 
 def _slater_qri_clause(ctx: DiagnosisContext) -> Clause:
     text = "a feasible point maps into minus the quasi-relative interior of the cone"
-    instance = ctx.instance
-    declared = instance.slater_qri_fact
+    declared = ctx.instance.slater_qri_fact
     if ctx.numeric:
         hit = _cone_meets(ctx, False)
         return _lp_clause(text, declared, HOLDS if hit else FAILS, "relative-interior LP on the cone rows")
     if declared is not None:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
-    cone = normalize(instance.cone)
+    image, cone = ctx.view.sets
     cite = se.empty_qri_cite(cone)
     if cite is not None:
         return _status_clause(text, FAILS, "the cone's quasi-relative interior is empty", (cite,))
     if isinstance(cone, se.Singleton) and se.is_origin(cone.point):
-        dom_f = fx.domain(instance.f, instance.xspace)
-        ground = normalize(se.Intersect(dom_f, instance.sset))
-        image = normalize(se.ImageSet(instance.gmap, ground, instance.zspace))
         fact = ctx.engine.member(ORIGIN, image)
         return Clause(text, fact.status, fact.prov + (Step("zero-cone", "qri({0}) = {0}: the map must hit zero"),))
     return _status_clause(text, UNKNOWN, "no rule for this cone")
@@ -483,31 +460,30 @@ def _slater_qri_clause(ctx: DiagnosisContext) -> Clause:
 
 def _meets_qri_clause(ctx: DiagnosisContext) -> Clause:
     text = "dom f meets the quasi-relative interior of dom g"
-    instance = ctx.instance
-    declared = instance.meets_qri_fact
+    declared = ctx.instance.meets_qri_fact
+    dom_f, dom_g = ctx.view.sets
     if ctx.numeric:
         # in finite dimension qri is ri: some x in dom f with Ax in ri(dom g)
-        m = ctx.model
-        hit = ctx.g_continuous or _meets(m.domain(1), m.amap, m.domain(0), ONE, False)
+        hit = ctx.g_continuous or _meets(dom_g.poly, ctx.model.amap, dom_f.poly, ONE, False)
         return _lp_clause(text, declared, HOLDS if hit else FAILS, "strict-feasibility LP: A(dom f) meets ri(dom g)")
     if declared is not None:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
-    dom_f, dom_g = ctx._domains()
     return _fact_clause(text, inf.meets_qri(ctx.engine, dom_f, dom_g))
 
 
-def _qi_diff_clause(ctx: DiagnosisContext, text: str, u: pg.Polyhedron | se.SetExpr) -> Clause:
+def _qi_diff_clause(ctx: DiagnosisContext, text: str, u: se.SetExpr) -> Clause:
     """Is the origin quasi-interior to U - U?
 
-    A numeric U is the model's polyhedron, nonempty and convex.  Then
-    U - U is symmetric, so the origin lies in its relative interior, and
-    its affine hull is the linear space parallel to aff U: the origin is
-    interior to U - U exactly when aff U is the whole space.  That takes
-    the implicit rows of U (one LP) and exact elimination, and builds no
-    difference.  A symbolic U goes to the rule engine on U - U.
+    A numeric U is a ``PolyAtom`` over the model's polyhedron, nonempty
+    and convex.  Then U - U is symmetric, so the origin lies in its
+    relative interior, and its affine hull is the linear space parallel to
+    aff U: the origin is interior to U - U exactly when aff U is the whole
+    space.  That takes the implicit rows of U (one LP) and exact
+    elimination, and builds no difference.  A symbolic U goes to the rule
+    engine on U - U.
     """
     if ctx.numeric:
-        whole = pg.affine_hull(u).is_whole()
+        whole = pg.affine_hull(u.poly).is_whole()
         detail = "the origin is interior to U - U exactly when aff U is the whole space"
         return _status_clause(text, HOLDS if whole else FAILS, detail)
     return _fact_clause(text, ctx.engine.infer(Notion.QI, ORIGIN, normalize(se.MinkSum((u, se.Neg(u))))))
@@ -574,29 +550,15 @@ def evaluate_condition(
             clauses.append(_pr_notion_clause(ctx, Notion.SQRI, "the origin is in the strong quasi-relative interior of the projected domain"))
         return ConditionVerdict(cid, tuple(clauses))
     if index == "6'":
+        # the second clause asks about dom g, or about C, the view's second set
         if ctx.family == FAMILY_FENCHEL:
-            clauses = [
-                _meets_qri_clause(ctx),
-                _qi_diff_clause(
-                    ctx,
-                    "the origin is quasi-interior to dom g - dom g",
-                    ctx.model.domain(1) if ctx.numeric else ctx._domains()[1],
-                ),
-                _exclusion_clause(ctx),
-            ]
+            first, text = _meets_qri_clause(ctx), "the origin is quasi-interior to dom g - dom g"
         elif ctx.family == FAMILY_LAGRANGE:
-            clauses = [
-                _slater_qri_clause(ctx),
-                _qi_diff_clause(
-                    ctx,
-                    "the cone spans a dense subspace: cl(C - C) is the whole space",
-                    ctx.model.cone if ctx.numeric else ctx.instance.cone,
-                ),
-                _exclusion_clause(ctx),
-            ]
+            first, text = _slater_qri_clause(ctx), "the cone spans a dense subspace: cl(C - C) is the whole space"
         else:
             raise ApplicabilityError("no primed condition for the perturbation family")
-        return ConditionVerdict(cid, tuple(clauses))
+        clauses = (first, _qi_diff_clause(ctx, text, ctx.view.sets[1]), _exclusion_clause(ctx))
+        return ConditionVerdict(cid, clauses)
     if index == "6":
         clauses = [
             _pr_notion_clause(ctx, Notion.QI, "the origin is quasi-interior to the projected domain"),
@@ -608,7 +570,7 @@ def evaluate_condition(
             _qi_diff_clause(
                 ctx,
                 "the origin is quasi-interior to the difference of the projected domain with itself",
-                ctx.model.pr_dom if ctx.numeric else ctx.view.pr_dom,
+                ctx.view.pr_dom,
             ),
             _pr_notion_clause(ctx, Notion.QRI, "the origin is in the quasi-relative interior of the projected domain"),
             _exclusion_clause(ctx),
@@ -742,9 +704,9 @@ def _reverse_check(ctx: DiagnosisContext) -> Optional[tuple[bool, str]]:
         return None
     if values.vd != values.vp or not values.vd_attained:
         return None
-    if ctx.view.epi_pr_poly is None:
+    if ctx.view.epi_pr is None:
         return None
-    inside = pg.zero_in(Notion.QI, ctx.view.epi_pr_poly)
+    inside = pg.zero_in(Notion.QI, ctx.view.epi_pr.poly)
     if inside:
         return (False, "strong duality holds yet the origin pair is quasi-interior to the projection")
     return (True, "the origin pair avoids the quasi-interior, as strong duality demands")

@@ -36,6 +36,7 @@ from . import setexpr as se
 from .errors import (
     ConeMembershipError,
     DegenerateSeparationError,
+    DimensionMismatchError,
     ImproperFunctionError,
     InconsistencyError,
     MalformedInputError,
@@ -196,12 +197,16 @@ def is_numeric(instance: Instance) -> bool:
 
 @dataclass(frozen=True)
 class PerturbationView:
+    """The sets a diagnosis asks about, built once: the projected domain
+    pr_y dom Phi, the shifted epigraph projection (None without a finite
+    primal value) and the family's own ``sets``: (dom f, dom g) for the sum
+    problem, (g(dom f ∩ S), C) for the cone-constrained one, (dom Phi,) for
+    a perturbation function.  Numeric sets are ``PolyAtom``s over the
+    model's polyhedra."""
+
     pr_dom: SetExpr
-    pr_dom_poly: Optional[Polyhedron]
     epi_pr: Optional[SetExpr]
-    epi_pr_poly: Optional[Polyhedron]
-    vp: Optional[ExtReal]
-    vp_attained: Optional[bool]
+    sets: tuple[SetExpr, ...]
 
 
 @dataclass(frozen=True)
@@ -220,17 +225,20 @@ class ValueReport:
 
 
 def _as_affine(gmap: GMap, nx: int, m: int) -> AffineMap:
-    """The constraint map as x -> Gx + h."""
+    """The constraint map as x -> Gx + h, from R^nx to R^m."""
     if isinstance(gmap, AffineMap):
-        return gmap
-    unit = tuple(tuple(ONE if i == j else ZERO for j in range(nx)) for i in range(m))
-    if isinstance(gmap, IdentityMap):
-        return AffineMap(unit, (ZERO,) * m)
-    if isinstance(gmap, NegIdentityMap):
-        return AffineMap(tuple(tuple(-c for c in row) for row in unit), (ZERO,) * m)
-    if isinstance(gmap, ShiftMap) and isinstance(gmap.offset, se.VecPoint):
-        return AffineMap(unit, gmap.offset.coords)
-    raise RegimeError("constraint map has no affine realization")
+        g = gmap
+    elif isinstance(gmap, NamedMap) or (isinstance(gmap, ShiftMap) and not isinstance(gmap.offset, se.VecPoint)):
+        raise RegimeError("constraint map has no affine realization")
+    elif nx != m:
+        raise DimensionMismatchError(f"the {gmap.kind} map needs equal dimensions, not {nx} and {m}")
+    else:
+        sign = -ONE if isinstance(gmap, NegIdentityMap) else ONE
+        rows = tuple(tuple(sign if i == j else ZERO for j in range(nx)) for i in range(m))
+        g = AffineMap(rows, gmap.offset.coords if isinstance(gmap, ShiftMap) else (ZERO,) * m)
+    if len(g.rows) != m or len(g.shift) != m or any(len(r) != nx for r in g.rows):
+        raise DimensionMismatchError(f"the constraint map sends R^{nx} to R^{m}: G must be {m} x {nx} and h of length {m}")
+    return g
 
 
 def _check_cone(c: Polyhedron) -> None:
@@ -284,6 +292,10 @@ class NumericModel:
         self.lowered: tuple = ()
         if isinstance(instance, FenchelInstance):
             n, m = instance.space.dim, instance.yspace.dim
+            if instance.amap is None and n != m:
+                raise DimensionMismatchError(f"without A, f and g need one space, not R^{n} and R^{m}")
+            if instance.amap is not None and (len(instance.amap) != m or any(len(r) != n for r in instance.amap)):
+                raise DimensionMismatchError(f"A sends R^{n} to R^{m}, so it must be {m} x {n}")
             pf_f, pf_g = lower(instance.f, n), lower(instance.g, m)
             self.amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
             self.nx, self.ny, self.pairing = n, m, ONE
@@ -335,9 +347,16 @@ class NumericModel:
                 b.pull(p, *slices, (1, {t: ONE}))
         return b
 
-    def at_zero(self, *pieces: int) -> Polyhedron:
-        """The domains of the given pieces over x, at y = 0."""
-        return pg.project(self.system(("x", self.nx), pieces=pieces, domains=True).polyhedron(), range(self.nx))
+    @cached_property
+    def sets(self) -> tuple[Polyhedron, ...]:
+        """dom f and dom g, g(dom f ∩ S) and C, or dom Phi (see
+        ``PerturbationView``); the image keeps x as auxiliary columns."""
+        if self.cone is None:
+            return tuple(self.domain(i) for i in range(len(self.pieces)))
+        b = self.system(("z", self.ny), ("x", self.nx), pieces=(0, 1), domains=True)
+        g = self.gmap
+        b.pull(pg.singleton(tuple(-c for c in g.shift)), (self.ny, {"z": -ONE, "x": g.rows}))  # Gx - z = -h
+        return pg.project(b.polyhedron(), range(self.ny)), self.cone
 
     @cached_property
     def _phi(self) -> pg.BlockRows:
@@ -452,41 +471,27 @@ def _padded(obj: tuple, b: pg.BlockRows) -> tuple:
 def to_perturbation(instance: Instance, model: Optional[NumericModel] = None) -> PerturbationView:
     if is_numeric(instance):
         model = model or NumericModel(instance)
-        vp, x_opt = model.primal
-        epi = model.shifted_epi(vp.value) if vp.is_finite() else None
-        return PerturbationView(
-            pr_dom=se.PolyAtom(model.pr_dom),
-            pr_dom_poly=model.pr_dom,
-            epi_pr=se.PolyAtom(epi) if epi is not None else None,
-            epi_pr_poly=epi,
-            vp=vp,
-            vp_attained=x_opt is not None,
-        )
+        vp, _ = model.primal
+        epi = se.PolyAtom(model.shifted_epi(vp.value)) if vp.is_finite() else None
+        return PerturbationView(se.PolyAtom(model.pr_dom), epi, tuple(map(se.PolyAtom, model.sets)))
     vp = instance.values.vp
+    finite_vp = vp is not None and vp.is_finite()
     epi = None
     if isinstance(instance, FenchelInstance):
-        dom_f = fx.domain(instance.f, instance.space)
-        dom_g = fx.domain(instance.g, instance.space)
-        pr_dom = normalize(se.MinkSum((dom_f, se.Neg(dom_g))))
-        if vp is not None and vp.is_finite():
-            epi = fx.epi_diff_set(instance.f, instance.g, vp.value, instance.space).realized
+        sets = (fx.domain(instance.f, instance.space), fx.domain(instance.g, instance.yspace))
+        pr_dom = normalize(se.MinkSum((sets[0], se.Neg(sets[1]))))
+        if finite_vp:
+            epi = fx.epi_diff_set(instance.f, instance.g, vp.value, instance.space)
     else:
-        dom_f = fx.domain(instance.f, instance.xspace)
-        ground = normalize(se.Intersect(dom_f, instance.sset))
+        ground = normalize(se.Intersect(fx.domain(instance.f, instance.xspace), instance.sset))
         image = se.ImageSet(instance.gmap, ground, instance.zspace)
+        sets = (normalize(image), normalize(instance.cone))
         pr_dom = normalize(se.MinkSum((image, instance.cone)))
-        if vp is not None and vp.is_finite():
+        if finite_vp:
             epi = se.ConicExtension(
                 instance.f, ground, instance.gmap, instance.cone, vp.value, instance.zspace
             )
-    return PerturbationView(
-        pr_dom=pr_dom,
-        pr_dom_poly=None,
-        epi_pr=epi,
-        epi_pr_poly=None,
-        vp=vp,
-        vp_attained=instance.values.vp_attained,
-    )
+    return PerturbationView(pr_dom, epi, sets)
 
 
 # -- solving ------------------------------------------------------------------------

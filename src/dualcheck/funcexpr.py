@@ -200,14 +200,6 @@ FunctionExpr = Union[
 ]
 
 
-@dataclass(frozen=True)
-class EpiDiffData:
-    f: FunctionExpr
-    g: FunctionExpr
-    v: Fraction
-    realized: SetExpr
-
-
 # -- attribute derivation -----------------------------------------------------
 
 
@@ -797,23 +789,23 @@ def epi_diff_poly(pf_f: PolyFunc, pf_g: PolyFunc, v: Fraction) -> pg.Polyhedron:
     return pg.project(big.polyhedron(), range(n + 1))
 
 
-def epi_diff_set(
-    f: FunctionExpr, g: FunctionExpr, v, space: SpaceTag
-) -> EpiDiffData:
+def epi_diff_set(f: FunctionExpr, g: FunctionExpr, v, space: SpaceTag) -> SetExpr:
+    """{(x - y, f(x) + g(y) - v + eps) : eps >= 0}: a ``PolyAtom`` in finite
+    dimension, the product (dom f - dom g) x [-v, inf) for two indicators,
+    otherwise the symbolic ``EpiDiffSet``."""
     v = Fraction(v)
     if is_proper(f) is FAILS or is_proper(g) is FAILS:
         raise ImproperFunctionError("epigraph difference needs proper functions")
     if space.finite_dim:
         n = space.dim
-        poly_e = epi_diff_poly(lower(f, n), lower(g, n), v)
-        return EpiDiffData(f, g, v, se.PolyAtom(poly_e))
+        return se.PolyAtom(epi_diff_poly(lower(f, n), lower(g, n), v))
     pair = _both_indicators(f, g)
     if pair is not None:
         a, b = pair
         base = normalize(se.MinkSum((a, se.Neg(b))))
         ray = se.PolyAtom(pg.poly(1, ineqs=[((-ONE,), v)]))  # r >= -v
-        return EpiDiffData(f, g, v, se.Product(base, ray))
-    return EpiDiffData(f, g, v, se.EpiDiffSet(f, g, v, space))
+        return se.Product(base, ray)
+    return se.EpiDiffSet(f, g, v, space)
 
 
 def biconjugate_check(f: FunctionExpr, samples: Sequence[Sequence]) -> bool:

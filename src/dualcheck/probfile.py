@@ -35,6 +35,10 @@ _NOTIONS = {n.value: n for n in Notion}
 
 _STATUS = {"holds": HOLDS, "fails": FAILS, "unknown": UNKNOWN}
 
+# the largest dimension a file may declare: a set of dimension n holds up to
+# n rows of n coefficients, so the bound is checked before any is built
+MAX_DIM = 100
+
 
 @dataclass(frozen=True)
 class SetQuery:
@@ -255,28 +259,27 @@ class Parser:
         st = _Stream(_tokenize(text))
         term = self._arg(kind, st)
         if st.i < len(st.tokens):
-            raise ParseError(f"unexpected {st.peek()[1]!r} after the {kind} term")
+            raise ParseError(f"unexpected {str(st.peek()[1])!r} after the {kind} term")
         return term
 
     def parse_space(self, rest: str) -> SpaceTag:
-        parts = rest.split()
-        if not parts:
-            raise ParseError("empty space declaration")
-        head = parts[0]
+        """One space tag and its argument, with nothing after them; an l^p
+        exponent is a rational p >= 1."""
+        head, _, arg = rest.strip().partition(" ")
         if head == "dim":
-            return finite(self.parse("dim", " ".join(parts[1:])))
-        if head == "l2":
-            return lp_space(2)
-        if head == "l2R":
-            return lp_uncountable(2)
-        if head == "lp":
-            return lp_space(Fraction(parts[1]))
-        if head == "lpR":
-            return lp_uncountable(Fraction(parts[1]))
-        if head == "banach":
-            return banach(parts[1] if len(parts) > 1 else "X")
-        if head == "lcs":
-            return lcs(parts[1] if len(parts) > 1 else "X")
+            return finite(self.parse("dim", arg))
+        if head in ("lp", "lpR"):
+            p = self.parse("rat", arg)
+            if p < 1:
+                raise ParseError(f"an l^p space needs p >= 1, found {p}")
+            return lp_space(p) if head == "lp" else lp_uncountable(p)
+        args = arg.split()
+        if head in ("l2", "l2R") and not args:
+            return lp_space(2) if head == "l2" else lp_uncountable(2)
+        if head in ("banach", "lcs") and len(args) <= 1:
+            return (banach if head == "banach" else lcs)(*args)
+        if head in ("l2", "l2R", "banach", "lcs"):
+            raise ParseError(f"unexpected {args[-1]!r} after the space tag {head!r}")
         raise ParseError(f"unknown space {rest!r}")
 
     def _arg(self, kind: str, st: _Stream):
@@ -406,8 +409,8 @@ class Parser:
 
     def _dim(self, st: _Stream) -> int:
         kind, n = st.next()
-        if kind != "num" or n < 0 or n.denominator != 1:
-            raise ParseError(f"a dimension is a nonnegative integer, found {n}")
+        if kind != "num" or n < 0 or n.denominator != 1 or n > MAX_DIM:
+            raise ParseError(f"a dimension is an integer from 0 to {MAX_DIM}, found {n}")
         return int(n)
 
     def _vector(self, st: _Stream) -> se.SymPoint:
@@ -656,12 +659,16 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError("numeric instances need a finite-dimensional space")
     if regime == "symbolic" and parser.space.finite_dim:
         raise ParseError("symbolic instances need an infinite-dimensional space tag")
+    if parser.cone_space is not None and parser.cone_space.finite_dim != parser.space.finite_dim:
+        raise ParseError("the cone space must belong to the file's regime")
 
     if kind == "fenchel":
         if f_expr is None or g_expr is None:
             raise ParseError("fenchel instances need f and g")
         if amap is not None and regime != "numeric":
             raise ParseError("the linear map 'A' is numeric-only")
+        if parser.cone_space is not None and amap is None:
+            raise ParseError("a fenchel 'cone-space' is the space of A x, so it needs 'A'")
         inst = eng.FenchelInstance(
             instance_id=problem_id,
             space=parser.space,

@@ -165,8 +165,11 @@ def test_corpus_cli(tmp_path, capsys):
     assert main(["corpus", "run", "no-such-entry"]) == 2
 
 
-def test_seed_flag_accepted(tmp_path, capsys):
-    assert main(["--seed", "7", "corpus", "list"]) == 0
+def test_seed_flag_refused(capsys):
+    # no command draws from a random generator, so there is no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "corpus", "list"])
+    assert exc.value.code == 2
 
 
 def test_analyze_corpus_entry_via_cli(tmp_path, capsys):
@@ -303,3 +306,29 @@ def test_named_sets_nested_past_the_depth_bound_exit_2(tmp_path, capsys):
     text = f"problem deep\nkind sets\nspace l2\nset a {inner}\nquery qri zero {outer} expect fails\n"
     assert main(["analyze", _write(tmp_path, text)]) == 2
     assert f"nested deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
+
+
+NUMERIC_SUM = "problem t\nkind fenchel\nregime numeric\nspace dim 2\nf norm1\ng norm1\n"
+NUMERIC_CONE = "problem t\nkind lagrange\nregime numeric\nspace dim 2\nf norm1\nS rn(2)\n"
+
+# files whose maps and spaces do not fit together
+MISSHAPEN = {
+    "A too wide": NUMERIC_SUM + "A [[1, 0, 0]]\n",
+    "A ragged": NUMERIC_SUM + "A [[1], [0, 1]]\n",
+    "A without the rows of g's space": NUMERIC_SUM + "cone-space dim 3\nA [[1, 0], [0, 1]]\n",
+    "G too wide": NUMERIC_CONE + "cone-space dim 1\nC orthant(1)\nmap affine_map([[1, 0, 0]], [0])\n",
+    "h too long": NUMERIC_CONE + "cone-space dim 1\nC orthant(1)\nmap affine_map([[1, 0]], [0, 0])\n",
+    "identity across dimensions": NUMERIC_CONE + "cone-space dim 1\nC orthant(1)\nmap identity\n",
+    "shift too long": NUMERIC_CONE + "C orthant(2)\nmap shift_map([1, 2, 3])\n",
+    "numeric file, symbolic cone space": NUMERIC_SUM + "cone-space l2\nA [[1, 0]]\n",
+    "symbolic file, numeric cone space": GAP_FILE_LINES + "regime symbolic\nspace l2\ncone-space dim 1\n"
+    "f norm2\nS whole\nC lp_plus\nmap identity\n",
+    "fenchel cone space without A": NUMERIC_SUM + "cone-space dim 2\n",
+}
+
+
+@pytest.mark.parametrize("text", MISSHAPEN.values(), ids=MISSHAPEN.keys())
+def test_misshapen_maps_and_spaces_exit_2(text, tmp_path, capsys):
+    assert main(["analyze", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -61,3 +61,33 @@ def test_symbolic_sum_problem_rejects_a_linear_map():
     assert with_map != text
     with pytest.raises(ParseError, match="numeric-only"):
         parse_problem(with_map)
+
+
+def test_each_diagnosis_derives_each_domain_once(monkeypatch):
+    # the perturbation view holds dom f and dom g (g(dom f ∩ S) for the
+    # cone-constrained problem); the conditions read it and derive nothing again
+    from dualcheck import funcexpr
+    from dualcheck.conditions import diagnose
+
+    domain, depth, calls = funcexpr.domain, [0], [0]
+
+    def counted(*args):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return domain(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(funcexpr, "domain", counted)
+    per_kind = {"fenchel": 2, "lagrange": 1}
+    total = 0
+    for entry_id in corpus.list_entries():
+        pf = corpus.load(entry_id)
+        if pf.kind == "sets":
+            continue
+        calls[0] = 0
+        diagnose(pf.instance)
+        assert calls[0] == per_kind[pf.kind], entry_id
+        total += calls[0]
+    assert total == 18

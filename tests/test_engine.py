@@ -12,6 +12,7 @@ from dualcheck.engine import (
     AffineMap,
     FenchelInstance,
     IdentityMap,
+    NegIdentityMap,
     LagrangeInstance,
     NumericModel,
     PerturbationInstance,
@@ -26,6 +27,7 @@ from dualcheck.engine import (
 from dualcheck.errors import (
     ConeMembershipError,
     DegenerateSeparationError,
+    DimensionMismatchError,
     DualcheckError,
     ImproperFunctionError,
     MalformedInputError,
@@ -74,13 +76,24 @@ def test_primal_indicator_overlap():
     assert x == (F(1),)
 
 
+def test_numeric_model_checks_the_shapes_of_its_maps_and_spaces():
+    # shapes a problem file cannot state; tests/test_cli.py runs the others
+    l1 = NormAtom("l1")
+    for inst in (
+        FenchelInstance("no-a", finite(2), l1, l1, gspace=finite(1)),
+        LagrangeInstance("neg-id", finite(2), finite(1), l1, se.PolyAtom(orthant(2)),
+                         NegIdentityMap(), se.PolyAtom(orthant(1))),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            NumericModel(inst)
+
+
 def test_perturbation_view_interval_difference():
     inst = fenchel(ind(interval(0, 1)), ind(interval(1, 2)))
     view = to_perturbation(inst)
-    p = view.pr_dom_poly
+    p = view.pr_dom.poly
     for pt, inside in [((-2,), True), ((0,), True), ((-1,), True), ((1,), False), ((-3,), False)]:
         assert contains(p, pt) is inside
-    assert view.vp == er(0) and view.vp_attained
 
 
 def test_dual_matches_primal_on_polyhedral_pair():
@@ -145,7 +158,7 @@ def test_separation_recovery_matches_dual_on_random_instances():
         # separation needs the first clause)
         from dualcheck.polyhedra import zero_in, Notion
 
-        if not zero_in(Notion.QI, view.pr_dom_poly):
+        if not zero_in(Notion.QI, view.pr_dom.poly):
             continue
         hits += 1
         dual = recover_dual_via_separation(inst, vp.value)
@@ -202,7 +215,7 @@ def test_fenchel_with_operator():
     view = to_perturbation(inst)
     # A(dom f) - dom g = [0,4] - [1,3] = [-3, 3]
     for pt, inside in [((-3,), True), ((3,), True), ((F(7, 2),), False)]:
-        assert contains(view.pr_dom_poly, pt) is inside
+        assert contains(view.pr_dom.poly, pt) is inside
     vd, _ = solve_dual(inst)
     assert vd == er(0)
 
@@ -253,8 +266,12 @@ def test_lagrange_view_projection():
     )
     view = to_perturbation(inst)
     # g(box) + R_+ = [-2, -1] + [0, inf) = [-2, inf)
-    assert contains(view.pr_dom_poly, (-2,)) and contains(view.pr_dom_poly, (5,))
-    assert not contains(view.pr_dom_poly, (F(-5, 2),))
+    assert contains(view.pr_dom.poly, (-2,)) and contains(view.pr_dom.poly, (5,))
+    assert not contains(view.pr_dom.poly, (F(-5, 2),))
+    # the view's sets: the image g(box) = [-2, -1] and the cone itself
+    image, c = view.sets
+    assert [contains(image.poly, (F(z),)) for z in (-3, -2, -1, 0)] == [False, True, True, False]
+    assert c.poly == cone.poly
 
 
 def test_symbolic_values_come_from_declarations():
@@ -291,8 +308,8 @@ def test_perturbation_instance_roundtrip():
     vd, y = solve_dual(inst)
     assert vd == er(0)
     view = to_perturbation(inst)
-    assert contains(view.pr_dom_poly, (0,)) and contains(view.pr_dom_poly, (2,))
-    assert not contains(view.pr_dom_poly, (3,))
+    assert contains(view.pr_dom.poly, (0,)) and contains(view.pr_dom.poly, (2,))
+    assert not contains(view.pr_dom.poly, (3,))
     rep = value_report(inst)
     assert rep.gap == er(0) and rep.gap_applicable
 

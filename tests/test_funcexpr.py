@@ -184,8 +184,7 @@ def test_l2_norm_is_symbolic_only():
 
 def test_epi_diff_set_point_indicators():
     f = IndicatorOf(se.PolyAtom(poly(1, eqs=[((1,), 0)])))
-    data = epi_diff_set(f, f, 0, finite(1))
-    e = data.realized
+    e = epi_diff_set(f, f, 0, finite(1))
     assert isinstance(e, se.PolyAtom)
     assert contains(e.poly, (0, 0)) and contains(e.poly, (0, 5))
     assert not contains(e.poly, (0, -1)) and not contains(e.poly, (1, 0))
@@ -193,8 +192,7 @@ def test_epi_diff_set_point_indicators():
 
 def test_epi_diff_set_intervals_vertex_oracle():
     f = ind_interval(0, 1)
-    data = epi_diff_set(f, f, 0, finite(1))
-    e = data.realized.poly
+    e = epi_diff_set(f, f, 0, finite(1)).poly
     # [-1,1] x [0, inf): check the corner structure
     for pt, inside in [
         ((-1, 0), True),
@@ -209,16 +207,16 @@ def test_epi_diff_set_intervals_vertex_oracle():
 def test_epi_diff_contains_vertical_ray_at_zero():
     f = ind_interval(-1, 1)
     g = ind_interval(0, 2)
-    data = epi_diff_set(f, g, 0, finite(1))
-    assert contains(data.realized.poly, (0, 1))  # (0, r) with r > 0
+    e = epi_diff_set(f, g, 0, finite(1))
+    assert contains(e.poly, (0, 1))  # (0, r) with r > 0
 
 
 def test_epi_diff_symbolic_indicator_pair_becomes_product():
     c = IndicatorOf(se.CatalogAtom(se.SUBSPACE_C, lp_space(), ()))
     s = IndicatorOf(se.CatalogAtom(se.SUBSPACE_S, lp_space(), ()))
-    data = epi_diff_set(c, s, 0, lp_space())
-    assert isinstance(data.realized, se.Product)
-    base = data.realized.left
+    e = epi_diff_set(c, s, 0, lp_space())
+    assert isinstance(e, se.Product)
+    base = e.left
     assert isinstance(base, se.MinkSum)
 
 

@@ -31,7 +31,7 @@ from dualcheck.errors import ParseError
 from dualcheck.frozen import MAX_NESTING
 from dualcheck.funcexpr import MINF, er
 from dualcheck.polyhedra import Notion, interval, orthant, poly, singleton, whole_space
-from dualcheck.probfile import parse_problem
+from dualcheck.probfile import MAX_DIM, parse_problem
 from dualcheck.spaces import finite, lp_space, lp_uncountable
 
 FIXTURE = Path(__file__).resolve().parent / "probfile_golden.json"
@@ -287,10 +287,29 @@ BAD_DIMENSIONS = [
     (NUMERIC_FENCHEL, "space dim 2 2"),
     (PERTURBATION, "nx -1"),
     (PERTURBATION, "ny 1/2"),
+    (PERTURBATION, f"nx {MAX_DIM + 1}"),
+    (NUMERIC_FENCHEL, "space dim 1000000000"),
 ]
 
+BAD_SPACES = [
+    (SYMBOLIC_FENCHEL, "space lp -1"),
+    (SYMBOLIC_FENCHEL, "space lp 0"),
+    (SYMBOLIC_FENCHEL, "space lpR 1/2"),
+    (SYMBOLIC_FENCHEL, "space lp"),
+    (SYMBOLIC_FENCHEL, "space lp 2 3"),
+    (SYMBOLIC_FENCHEL, "space l2 extra"),
+    (SYMBOLIC_FENCHEL, "space l2R 2"),
+    (SYMBOLIC_FENCHEL, "space banach X Y"),
+    (SYMBOLIC_FENCHEL, "space lcs X Y"),
+    (LAGRANGE, "cone-space lp 1/2"),
+    (LAGRANGE, "cone-space dim 1"),
+    (NUMERIC_FENCHEL, "cone-space l2"),
+]
 
-@pytest.mark.parametrize("base,line", TRAILING + BAD_DIMENSIONS, ids=[line for _, line in TRAILING + BAD_DIMENSIONS])
+REFUSED = TRAILING + BAD_DIMENSIONS + BAD_SPACES
+
+
+@pytest.mark.parametrize("base,line", REFUSED, ids=[line for _, line in REFUSED])
 def test_refused_inputs_are_parse_errors_and_exit_2(base, line, tmp_path, capsys):
     text = _with_line(base, line)
     with pytest.raises(ParseError):
@@ -302,10 +321,24 @@ def test_refused_inputs_are_parse_errors_and_exit_2(base, line, tmp_path, capsys
 
 
 def test_the_bases_of_the_refused_inputs_parse():
-    for base, _ in TRAILING + BAD_DIMENSIONS:
+    for base, _ in REFUSED:
         parse_problem(base)
     parse_problem(_with_line(PERTURBATION, "ny 2/2"))
     parse_problem(_with_line(SETS, "query qri zero poly(0)"))
+    for line in ("space lp 1", "space lpR 7/2", "space banach Y", "space lcs", "space l2R"):
+        parse_problem(_with_line(SYMBOLIC_FENCHEL, line))
+
+
+def test_a_dimension_above_max_dim_is_refused_before_anything_is_built(monkeypatch):
+    from dualcheck import probfile
+
+    for name in ("orthant", "poly", "whole_space"):
+        monkeypatch.setattr(probfile, name, lambda *args, name=name: pytest.fail(f"{name} was built"))
+    for text in (f"orthant({MAX_DIM + 1})", "rn(1000000000)", 'poly(1000000000, "x1 <= 1")'):
+        with pytest.raises(ParseError, match=f"from 0 to {MAX_DIM}"):
+            parse_set(text)
+    monkeypatch.undo()
+    assert parse_set(f"rn({MAX_DIM})") == se.PolyAtom(whole_space(MAX_DIM))
 
 
 def test_zero_argument_constructors_take_optional_parentheses():

@@ -27,9 +27,7 @@ from .conditions import diagnose
 from .errors import (
     DualcheckError,
     InconsistencyError,
-    MalformedInputError,
     NotFoundError,
-    ParseError,
     SolverLimitError,
 )
 from .engine import value_report
@@ -73,22 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(path: str, fmt: str) -> int:
-    try:
-        pf = load_problem(path)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    pf = load_problem(path)
     if isinstance(pf.instance, SetFactsInstance):
         if fmt == "text":
             sys.stdout.write(setfacts_to_text(pf.instance))
         else:
             sys.stdout.write(dumps_structured(setfacts_to_structured(pf.instance)))
         return EXIT_OK
-    try:
-        d = diagnose(pf.instance)
-    except MalformedInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    d = diagnose(pf.instance)
     if fmt == "text":
         sys.stdout.write(diagnosis_to_text(d))
     else:
@@ -97,19 +87,11 @@ def cmd_analyze(path: str, fmt: str) -> int:
 
 
 def cmd_solve(path: str, fmt: str) -> int:
-    try:
-        pf = load_problem(path)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    pf = load_problem(path)
     if isinstance(pf.instance, SetFactsInstance):
         print("error: a set-facts file carries no optimization problem", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        rep = value_report(pf.instance)
-    except MalformedInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    rep = value_report(pf.instance)
     if rep.vp is None or rep.vd is None:
         print("error: values undecidable for this instance", file=sys.stderr)
         return EXIT_UNDECIDABLE

@@ -14,9 +14,8 @@ from importlib import resources
 from .conditions import diagnose
 from .engine import is_numeric
 from .errors import NotFoundError
-from .inference import Engine
 from .probfile import ProblemFile, SetFactsInstance, parse_problem
-from .reportfmt import render_extreal
+from .reportfmt import render_extreal, setfacts_to_results
 from .setexpr import UNKNOWN
 
 
@@ -72,9 +71,7 @@ def run_problem(entry_id: str, pf: ProblemFile) -> CorpusResult:
 def _run_set_facts(entry_id: str, pf: ProblemFile) -> CorpusResult:
     diffs = []
     checked = 0
-    engine = Engine()
-    for q in pf.instance.queries:
-        got = engine.infer(q.notion, q.point, q.sexpr)
+    for q, got in setfacts_to_results(pf.instance):
         if q.expected is not None:
             checked += 1
             if got.status is not q.expected:

@@ -278,8 +278,8 @@ class NumericModel:
     * a perturbation function: Phi itself.
 
     The dual objective at a dual point q is inf Phi(x, y) + pairing * <q, y>,
-    that is -Phi*(0, -pairing * q).  ``lowered`` lists the lowered functions
-    whose conjugates that objective is made of; a cone-constrained model
+    that is -Phi*(0, -pairing * q).  ``lowered`` lists the epigraphs of the
+    functions whose conjugates that objective is made of; a cone-constrained model
     has none and keeps C.  A sum model keeps its operator A as ``amap``,
     a matrix, or ONE for the identity.
     """
@@ -296,17 +296,17 @@ class NumericModel:
                 raise DimensionMismatchError(f"without A, f and g need one space, not R^{n} and R^{m}")
             if instance.amap is not None and (len(instance.amap) != m or any(len(r) != n for r in instance.amap)):
                 raise DimensionMismatchError(f"A sends R^{n} to R^{m}, so it must be {m} x {n}")
-            pf_f, pf_g = lower(instance.f, n), lower(instance.g, m)
+            epi_f, epi_g = lower(instance.f, n), lower(instance.g, m)
             self.amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
             self.nx, self.ny, self.pairing = n, m, ONE
             self.pieces = (
-                (pf_f.epi, ((n, {"x": ONE}),), "tf", None),
-                (pf_g.epi, ((m, {"x": self.amap, "y": -ONE}),), "tg", None),
+                (epi_f, ((n, {"x": ONE}),), "tf", None),
+                (epi_g, ((m, {"x": self.amap, "y": -ONE}),), "tg", None),
             )
-            self.lowered = (pf_f, pf_g)
+            self.lowered = (epi_f, epi_g)
         elif isinstance(instance, LagrangeInstance):
             nx, m = instance.xspace.dim, instance.zspace.dim
-            pf_f = lower(instance.f, nx)
+            epi_f = lower(instance.f, nx)
             s_poly = lower_set(instance.sset, nx)
             self.cone = lower_set(instance.cone, m)
             _check_cone(self.cone)
@@ -314,16 +314,16 @@ class NumericModel:
             minus_g = tuple(tuple(-c for c in row) for row in g.rows)
             self.nx, self.ny, self.pairing = nx, m, ONE
             self.pieces = (
-                (pf_f.epi, ((nx, {"x": ONE}),), "t", None),
+                (epi_f, ((nx, {"x": ONE}),), "t", None),
                 (s_poly, ((nx, {"x": ONE}),), None, None),
                 (self.cone, ((m, {"y": ONE, "x": minus_g}),), None, tuple(-c for c in g.shift)),
             )
         else:
             nx, ny = instance.nx, instance.ny
-            pf = lower(instance.phi, nx + ny)
+            epi = lower(instance.phi, nx + ny)
             self.nx, self.ny, self.pairing = nx, ny, -ONE
-            self.pieces = ((pf.epi, ((nx, {"x": ONE}), (ny, {"y": ONE})), "t", None),)
-            self.lowered = (pf,)
+            self.pieces = ((epi, ((nx, {"x": ONE}), (ny, {"y": ONE})), "t", None),)
+            self.lowered = (epi,)
         self.epis = tuple((t, 1) for _, _, t, _ in self.pieces if t is not None)
         self._domains: dict[int, Polyhedron] = {}
 
@@ -331,7 +331,7 @@ class NumericModel:
         """The domain of piece i, over the piece's own coordinates."""
         if i not in self._domains:
             p, slices, t, _ = self.pieces[i]
-            self._domains[i] = pg.project(p, range(p.n - 1)) if t is not None else p
+            self._domains[i] = fx.pf_domain(p) if t is not None else p
         return self._domains[i]
 
     def system(self, *blocks, pieces: Optional[Sequence[int]] = None, domains: bool = False) -> pg.BlockRows:
@@ -418,7 +418,7 @@ class NumericModel:
             rows = self._phi.full_rows()
             y = (dot(out.dual, [a[k] for a, _, _ in rows]) for k in range(self.nx, self.nx + self.ny))
             return er(out.value), tuple(self.pairing * c for c in y)
-        if any(fx.pf_is_improper(pf) for pf in self.lowered):
+        if any(fx.pf_is_improper(epi) for epi in self.lowered):
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         if isinstance(out, Unbounded):
             return MINF, None
@@ -446,7 +446,7 @@ class NumericModel:
         q = tuple(Fraction(c) for c in q)
         if self.cone is not None and not _in_dual_cone(self.cone, q):
             raise ConeMembershipError("multiplier outside the dual cone")
-        if any(fx.pf_falls_forever(pf) for pf in self.lowered):
+        if any(fx.pf_falls_forever(epi) for epi in self.lowered):
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         b = self._phi
         obj = _padded((ZERO,) * self.nx + tuple(self.pairing * c for c in q) + (ONE,) * len(self.epis), b)

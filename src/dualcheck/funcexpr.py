@@ -1,15 +1,15 @@
 """Convex function expression trees and Fenchel conjugation.
 
-Functions are immutable trees.  In the numeric regime every tree lowers
-to an exact lifted H-representation of its epigraph (``PolyFunc``): sums,
-infimal convolutions and the l1 norm stack rows over auxiliary columns,
-an affine summand tilts the other epigraph, and the conjugate is the
-LP-dual multiplier system of the epigraph with the multipliers kept as
-auxiliaries, so f* is again a PolyFunc and nothing is eliminated.  A value
-is the bottom of the epigraph fiber: interval arithmetic on a system
-without auxiliaries, one LP otherwise.  In the symbolic regime conjugation is a rule table
-(indicators of subspaces and cones, norms, tilts, translations) and
-values are decided structurally or not at all.
+Functions are immutable trees.  In the numeric regime every tree on R^n
+lowers to its epigraph, a lifted ``Polyhedron`` whose n + 1 kept
+coordinates are (x, t): sums, infimal convolutions and the l1 norm stack
+rows over auxiliary columns, an affine summand tilts the other epigraph,
+and the conjugate is the LP-dual multiplier system of the epigraph with
+the multipliers kept as auxiliaries, so epi f* is again a lifted
+polyhedron and nothing is eliminated.  A value is the bottom of the
+epigraph's fiber over x, one LP.  In the symbolic regime conjugation is a
+rule table (indicators of subspaces and cones, norms, tilts,
+translations) and values are decided structurally or not at all.
 
 Extended-real arithmetic uses the convex-analysis conventions
 (+inf) + (-inf) = +inf and 0 * (+inf) = +inf, 0 * (-inf) = 0.
@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Union
 from . import polyhedra as pg
 from . import setexpr as se
 from .errors import (
+    DimensionMismatchError,
     ImproperFunctionError,
     RegimeError,
     UndecidableValueError,
@@ -451,29 +452,28 @@ def is_proper(f: FunctionExpr) -> FactStatus:
 # -- numeric lowering ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyFunc:
-    """Exact polyhedral function: lifted H-representation of its epigraph
-    over (x, t), with t the last kept coordinate."""
-
-    n: int
-    epi: pg.Polyhedron
+def _vec(what: str, v, n: int) -> tuple:
+    """The entries of v, exact, refused unless there is one per coordinate of R^n."""
+    if len(v) != n:
+        raise DimensionMismatchError(f"{what} has {len(v)} entries, but the space is R^{n}")
+    return tuple(Fraction(x) for x in v)
 
 
 def lower_set(s: SetExpr, n: int) -> pg.Polyhedron:
     s = normalize(s)
     if isinstance(s, se.PolyAtom):
         if s.poly.n != n:
-            raise RegimeError("set dimension mismatch")
+            what = "orthant, interval, rn or poly"
+            raise DimensionMismatchError(f"{what} gives a set of R^{s.poly.n}, but the space is R^{n}")
         return s.poly
     if isinstance(s, se.WholeSpace):
         return pg.whole_space(n)
     if isinstance(s, se.Singleton) and isinstance(s.point, se.VecPoint):
-        return pg.singleton(s.point.coords)
+        return pg.singleton(_vec("a point", s.point.coords, n))
     if isinstance(s, se.Neg):
         return pg.neg(lower_set(s.inner, n))
     if isinstance(s, se.Translate) and isinstance(s.offset, se.VecPoint):
-        return pg.translate(lower_set(s.inner, n), s.offset.coords)
+        return pg.translate(lower_set(s.inner, n), _vec("translate", s.offset.coords, n))
     if isinstance(s, se.Scale):
         return pg.scale(lower_set(s.inner, n), s.factor)
     if isinstance(s, se.MinkSum):
@@ -487,24 +487,26 @@ def lower_set(s: SetExpr, n: int) -> pg.Polyhedron:
     if isinstance(s, se.Product):
         ln = s.left.space.dim
         rn = s.right.space.dim
-        if ln is None or rn is None or ln + rn != n:
+        if ln is None or rn is None:
             raise RegimeError("product factors are not finite-dimensional")
+        if ln + rn != n:
+            raise DimensionMismatchError(f"product gives a set of R^{ln + rn}, but the space is R^{n}")
         return pg.product(lower_set(s.left, ln), lower_set(s.right, rn))
     raise RegimeError(f"set has no finite-dimensional realization: {type(s).__name__}")
 
 
-def lower(f: FunctionExpr, n: int) -> PolyFunc:
-    """Epigraph H-representation of a polyhedral function expression."""
+def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
+    """The lifted epigraph of a polyhedral function expression on R^n:
+    its kept coordinates are (x, t), with t last."""
     if isinstance(f, Affine):
         if isinstance(f.c, SymVec):
             raise RegimeError("symbolic pairing in the numeric regime")
-        c = tuple(Fraction(x) for x in f.c)
-        row = (c + (Fraction(-1),), -f.alpha)
-        return PolyFunc(n, pg.poly(n + 1, ineqs=[row]))
+        row = (_vec("affine", f.c, n) + (Fraction(-1),), -f.alpha)
+        return pg.poly(n + 1, ineqs=[row])
     if isinstance(f, IndicatorOf):
         b = pg.BlockRows(("x", n), ("t", 1)).pull(lower_set(f.set_, n), (n, {"x": ONE}))
         out = b.pull(pg.at_most(0), (1, {"t": -ONE})).polyhedron()  # t >= 0
-        return PolyFunc(n, pg.poly(n + 1, out.ineqs, out.eqs, out.n - n - 1))
+        return pg.poly(n + 1, out.ineqs, out.eqs, out.n - n - 1)
     if isinstance(f, NormAtom):
         if f.kind == "l1":
             # -s <= x <= s and sum(s) <= t: 2n + 1 rows over the auxiliaries s
@@ -512,7 +514,7 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
             b.pull(pg.neg(pg.orthant(n)), (n, {"x": -ONE, "s": -ONE}))
             b.pull(pg.neg(pg.orthant(n)), (n, {"x": ONE, "s": -ONE}))
             b.pull(pg.at_most(0), (1, {"s": ((ONE,) * n,), "t": -ONE}))
-            return PolyFunc(n, pg.project(b.polyhedron(), range(n + 1)))
+            return pg.project(b.polyhedron(), range(n + 1))
         if f.kind == "linf":
             rows = []
             for j in range(n):
@@ -520,130 +522,74 @@ def lower(f: FunctionExpr, n: int) -> PolyFunc:
                     a = [ZERO] * n
                     a[j] = s_
                     rows.append((tuple(a) + (-ONE,), ZERO))
-            return PolyFunc(n, pg.poly(n + 1, rows))
+            return pg.poly(n + 1, rows)
         raise RegimeError("the l2 norm lives in the symbolic regime only")
     if isinstance(f, SupOfAffine):
         rows = []
         for c, alpha in f.pieces:
-            c = tuple(Fraction(x) for x in c)
-            rows.append((c + (-ONE,), -Fraction(alpha)))
-        return PolyFunc(n, pg.poly(n + 1, rows))
+            rows.append((_vec("maxaff", c, n) + (-ONE,), -Fraction(alpha)))
+        return pg.poly(n + 1, rows)
     if isinstance(f, Sum):
         for ind, other in ((f.a, f.b), (f.b, f.a)):
             if isinstance(ind, IndicatorOf):
                 # epi(other + delta_D) = (D x R) ∩ epi other: stack the rows
                 big = pg.BlockRows(("x", n), ("t", 1)).pull(lower_set(ind.set_, n), (n, {"x": 1}))
-                big.pull(lower(other, n).epi, (n, {"x": 1}), (1, {"t": 1}))
-                return PolyFunc(n, pg.project(big.polyhedron(), range(n + 1)))
+                big.pull(lower(other, n), (n, {"x": 1}), (1, {"t": 1}))
+                return pg.project(big.polyhedron(), range(n + 1))
         for tilt, other in ((f.a, f.b), (f.b, f.a)):
             if isinstance(tilt, Affine) and not isinstance(tilt.c, SymVec):
                 # (x, t) in epi(other + <c, .> + alpha) iff (x, t - c.x - alpha) in epi other
-                c = tuple(-Fraction(v) for v in tilt.c)
+                c = tuple(-v for v in _vec("affine", tilt.c, n))
                 big = pg.BlockRows(("x", n), ("t", 1))
-                big.pull(lower(other, n).epi, (n, {"x": 1}), (1, {"t": 1, "x": (c,)}), shift=(ZERO,) * n + (-tilt.alpha,))
-                return PolyFunc(n, pg.project(big.polyhedron(), range(n + 1)))
-        fa = lower(f.a, n)
-        fb = lower(f.b, n)
+                big.pull(lower(other, n), (n, {"x": 1}), (1, {"t": 1, "x": (c,)}), shift=(ZERO,) * n + (-tilt.alpha,))
+                return pg.project(big.polyhedron(), range(n + 1))
         # (x, t, u): (x, u) in epi a, (x, t - u) in epi b; u stays auxiliary
         big = pg.BlockRows(("x", n), ("t", 1), ("u", 1))
-        big.pull(fa.epi, (n, {"x": 1}), (1, {"u": 1}))
-        big.pull(fb.epi, (n, {"x": 1}), (1, {"t": 1, "u": -1}))
-        return PolyFunc(n, pg.project(big.polyhedron(), range(n + 1)))
+        big.pull(lower(f.a, n), (n, {"x": 1}), (1, {"u": 1}))
+        big.pull(lower(f.b, n), (n, {"x": 1}), (1, {"t": 1, "u": -1}))
+        return pg.project(big.polyhedron(), range(n + 1))
     if isinstance(f, InfConv):
-        fa = lower(f.a, n)
-        fb = lower(f.b, n)
-        return PolyFunc(n, pg.minkowski_sum(fa.epi, fb.epi))
+        return pg.minkowski_sum(lower(f.a, n), lower(f.b, n))
     if isinstance(f, ArgTranslate):
         if isinstance(f.shift, SymVec):
             raise RegimeError("symbolic shift in the numeric regime")
-        base = lower(f.f, n)
-        shift = tuple(Fraction(x) for x in f.shift) + (ZERO,)
-        return PolyFunc(n, pg.translate(base.epi, shift))
+        return pg.translate(lower(f.f, n), _vec("argtranslate", f.shift, n) + (ZERO,))
     if isinstance(f, PlusConst):
-        base = lower(f.f, n)
-        shift = tuple(ZERO for _ in range(n)) + (Fraction(f.const),)
-        return PolyFunc(n, pg.translate(base.epi, shift))
+        return pg.translate(lower(f.f, n), (ZERO,) * n + (Fraction(f.const),))
     if isinstance(f, PrecomposeLinear):
         m = len(f.matrix)  # map R^n -> R^m, inner function on R^m
         base = lower(f.f, m)
-        matrix = tuple(tuple(Fraction(c) for c in row) for row in f.matrix)
-        out = pg.BlockRows(("x", n), ("t", 1)).pull(base.epi, (m, {"x": matrix}), (1, {"t": 1})).polyhedron()
-        return PolyFunc(n, pg.poly(n + 1, out.ineqs, out.eqs, base.epi.aux))  # the map may zero out a row
+        matrix = tuple(_vec("a row of precompose", row, n) for row in f.matrix)
+        out = pg.BlockRows(("x", n), ("t", 1)).pull(base, (m, {"x": matrix}), (1, {"t": 1})).polyhedron()
+        return pg.poly(n + 1, out.ineqs, out.eqs, base.aux)  # the map may zero out a row
     if isinstance(f, ConjugateOf):
-        base = lower(f.f, n)
-        return conjugate_polyfunc(base)
+        return conjugate_polyfunc(lower(f.f, n))
     raise RegimeError(f"no numeric lowering for {type(f).__name__}")
 
 
-def pf_domain(pf: PolyFunc) -> pg.Polyhedron:
-    return pg.project(pf.epi, range(pf.n))
+def pf_domain(epi: pg.Polyhedron) -> pg.Polyhedron:
+    return pg.project(epi, range(epi.n - 1))
 
 
-def pf_value(pf: PolyFunc, x: Sequence) -> ExtReal:
-    """f(x) as the bottom of the epigraph fiber over x: one LP over the
-    fiber's auxiliaries, or interval arithmetic when there are none."""
-    x = tuple(Fraction(v) for v in x)
-    n = pf.n
-    if pf.epi.aux:
-        fiber = pg.Polyhedron(
-            1,
-            tuple((a[n:], b - dot(a[:n], x)) for a, b in pf.epi.ineqs),
-            tuple((e[n:], d - dot(e[:n], x)) for e, d in pf.epi.eqs),
-            pf.epi.aux,
-        )
-        out = pg.extremum(fiber, (ONE,), "min")
-        if isinstance(out, Optimal):
-            return er(out.value)
-        return MINF if isinstance(out, Unbounded) else PINF
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-
-    def tighten(lo, hi, ct, gap, eq=False):
-        if ct == 0:
-            ok = (gap == 0) if eq else (gap >= 0)
-            return lo, hi, ok
-        bound = gap / ct
-        if eq:
-            lo = bound if lo is None or bound > lo else lo
-            hi = bound if hi is None or bound < hi else hi
-        elif ct > 0:
-            hi = bound if hi is None or bound < hi else hi
-        else:
-            lo = bound if lo is None or bound > lo else lo
-        return lo, hi, True
-
-    for a, b in pf.epi.ineqs:
-        lo, hi, ok = tighten(lo, hi, a[n], b - dot(a[:n], x))
-        if not ok:
-            return PINF
-    for e, d in pf.epi.eqs:
-        lo, hi, ok = tighten(lo, hi, e[n], d - dot(e[:n], x), eq=True)
-        if not ok:
-            return PINF
-    if lo is not None and hi is not None and lo > hi:
-        return PINF
-    if lo is None:
-        return MINF
-    return ExtReal("num", lo)
+def pf_value(epi: pg.Polyhedron, x: Sequence) -> ExtReal:
+    """f(x), the bottom of the epigraph's fiber over x: one LP."""
+    out = pg.extremum(pg.fiber(epi, tuple(map(Fraction, x))), (ONE,), "min")
+    if isinstance(out, Optimal):
+        return er(out.value)
+    return MINF if isinstance(out, Unbounded) else PINF
 
 
-def pf_falls_forever(pf: PolyFunc) -> bool:
-    """(0, ..., 0, -1) is a recession direction of the epigraph, that is
-    (0, -1, w) is one of the lifted rows for some w: the value is -inf
-    wherever it is finite.  One LP when there are auxiliaries."""
-    n, e = pf.n, pf.epi
-    if e.aux:
-        # A (0, -1, w) <= 0 and E (0, -1, w) = 0 for some w
-        ray = pg.Polyhedron(e.aux, tuple((a[n + 1 :], a[n]) for a, _ in e.ineqs), tuple((r[n + 1 :], r[n]) for r, _ in e.eqs))
-        return not pg.is_empty(ray)
-    return all(a[n] >= 0 for a, _ in e.ineqs) and all(r[n] == 0 for r, _ in e.eqs)
+def pf_falls_forever(epi: pg.Polyhedron) -> bool:
+    """(0, ..., 0, -1) is a recession direction of the epigraph: the value
+    is -inf wherever it is finite."""
+    return pg.contains(pg.recession_cone(epi), (ZERO,) * (epi.n - 1) + (-ONE,))
 
 
-def pf_is_improper(pf: PolyFunc) -> bool:
-    return pg.is_empty(pf.epi) or pf_falls_forever(pf)  # identically +inf, or -inf somewhere
+def pf_is_improper(epi: pg.Polyhedron) -> bool:
+    return pg.is_empty(epi) or pf_falls_forever(epi)  # identically +inf, or -inf somewhere
 
 
-def conjugate_polyfunc(pf: PolyFunc) -> PolyFunc:
+def conjugate_polyfunc(epi: pg.Polyhedron) -> pg.Polyhedron:
     """H-representation of the conjugate's epigraph.
 
     s >= f*(y) iff the LP sup {<y,x> - t : (x,t,w) in the lifted epi f} is
@@ -651,12 +597,12 @@ def conjugate_polyfunc(pf: PolyFunc) -> PolyFunc:
     mu with lam^T G + mu^T E = (y, -1, 0) and lam^T h + mu^T d <= s.  The
     multipliers stay as the auxiliaries of epi f*.
     """
-    if pf_is_improper(pf):
+    if pf_is_improper(epi):
         raise ImproperFunctionError("conjugate of an improper polyhedral function")
-    n, aux = pf.n, pf.epi.aux
-    G, E = pf.epi.ineqs, pf.epi.eqs
+    n, aux = epi.n - 1, epi.aux
+    G, E = epi.ineqs, epi.eqs
     big = pg.BlockRows(("y", n), ("s", 1), ("lam", len(G)), ("mu", len(E)))
-    gt, et = pg.columns(G, pf.epi.width), pg.columns(E, pf.epi.width)
+    gt, et = pg.columns(G, epi.width), pg.columns(E, epi.width)
     big.pull(  # lam^T G + mu^T E = (y, -1, 0)
         pg.singleton((ZERO,) * n + (-ONE,) + (ZERO,) * aux),
         (n, {"y": -1, "lam": gt[:n], "mu": et[:n]}),
@@ -665,14 +611,13 @@ def conjugate_polyfunc(pf: PolyFunc) -> PolyFunc:
     )
     big.pull(pg.at_most(0), (1, {"s": -1, "lam": (tuple(b for _, b in G),), "mu": (tuple(d for _, d in E),)}))
     big.pull(pg.orthant(len(G)), (len(G), {"lam": 1}))
-    return PolyFunc(n, pg.project(big.polyhedron(), range(n + 1)))
+    return pg.project(big.polyhedron(), range(n + 1))
 
 
 def evaluate(f: FunctionExpr, x, space: Optional[SpaceTag] = None) -> ExtReal:
     """Exact value of f at x (numeric vector or symbolic point)."""
     if isinstance(x, (tuple, list)):
-        n = len(x)
-        return pf_value(lower(f, n), x)
+        return pf_value(lower(f, len(x)), x)
     return _sym_value(f, x)
 
 
@@ -733,10 +678,10 @@ def domain_lower_bound(f: FunctionExpr, space: Optional[SpaceTag] = None) -> Opt
     """A proved lower bound for inf f over dom f, or None."""
     if space is not None and space.finite_dim:
         try:
-            pf = lower(f, space.dim)
+            epi = lower(f, space.dim)
         except RegimeError:
             return None
-        out = _minimize_pf(pf)
+        out = pg.extremum(epi, (ZERO,) * space.dim + (ONE,), "min")
         return out.value if isinstance(out, Optimal) else None
     if isinstance(f, IndicatorOf):
         return ZERO
@@ -765,10 +710,6 @@ def domain_lower_bound(f: FunctionExpr, space: Optional[SpaceTag] = None) -> Opt
     return None
 
 
-def _minimize_pf(pf: PolyFunc):
-    return pg.extremum(pf.epi, (ZERO,) * pf.n + (ONE,), "min")
-
-
 # -- epigraph difference sets -------------------------------------------------
 
 
@@ -778,13 +719,13 @@ def _both_indicators(f: FunctionExpr, g: FunctionExpr):
     return None
 
 
-def epi_diff_poly(pf_f: PolyFunc, pf_g: PolyFunc, v: Fraction) -> pg.Polyhedron:
+def epi_diff_poly(epi_f: pg.Polyhedron, epi_g: pg.Polyhedron, v: Fraction) -> pg.Polyhedron:
     """{(x - y, f(x) + g(y) - v + eps) : eps >= 0} as an exact H-rep."""
-    n = pf_f.n
+    n = epi_f.n - 1
     # eps = r + v - tf - tg >= 0, with x = w + y
     big = pg.BlockRows(("w", n), ("r", 1), ("y", n), ("tf", 1), ("tg", 1))
-    big.pull(pf_f.epi, (n, {"w": 1, "y": 1}), (1, {"tf": 1}))
-    big.pull(pf_g.epi, (n, {"y": 1}), (1, {"tg": 1}))
+    big.pull(epi_f, (n, {"w": 1, "y": 1}), (1, {"tf": 1}))
+    big.pull(epi_g, (n, {"y": 1}), (1, {"tg": 1}))
     big.pull(pg.at_most(v), (1, {"r": -1, "tf": 1, "tg": 1}))
     return pg.project(big.polyhedron(), range(n + 1))
 
@@ -813,10 +754,10 @@ def biconjugate_check(f: FunctionExpr, samples: Sequence[Sequence]) -> bool:
     if not samples:
         return True
     n = len(samples[0])
-    pf = lower(f, n)
-    star = conjugate_polyfunc(pf)
+    epi = lower(f, n)
+    star = conjugate_polyfunc(epi)
     star2 = conjugate_polyfunc(star)
-    values = [pf_value(pf, x) for x in samples]
+    values = [pf_value(epi, x) for x in samples]
     for x, fx in zip(samples, values):
         if pf_value(star2, x) != fx:
             return False

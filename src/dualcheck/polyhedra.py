@@ -169,12 +169,19 @@ def contains(p: Polyhedron, x: Sequence) -> bool:
 @lru_cache(maxsize=LP_MEMO)
 def _in_projection(p: Polyhedron, x: Vec) -> bool:
     """Is the fiber of the lifted rows over x nonempty?  One LP."""
-    fiber = Polyhedron(
+    return not is_empty(fiber(p, x))
+
+
+def fiber(p: Polyhedron, x: Vec) -> Polyhedron:
+    """The lifted rows with the first len(x) kept coordinates fixed at x,
+    over the other kept coordinates and the auxiliaries."""
+    k = len(x)
+    return Polyhedron(
+        p.n - k,
+        tuple((a[k:], b - dot(a[:k], x)) for a, b in p.ineqs),
+        tuple((e[k:], d - dot(e[:k], x)) for e, d in p.eqs),
         p.aux,
-        tuple((a[p.n :], b - dot(a[: p.n], x)) for a, b in p.ineqs),
-        tuple((e[p.n :], d - dot(e[: p.n], x)) for e, d in p.eqs),
     )
-    return not is_empty(fiber)
 
 
 def at_most(b) -> Polyhedron:
@@ -195,7 +202,8 @@ class BlockRows:
     then equalities) at ``z = (s_1, ..., s_k) + c``: the pullback of ``p``
     along that affine map.  A slice is ``(size, terms)``, where ``terms``
     maps a block name to its coefficient, a scalar (that multiple of the
-    identity) or a matrix with ``size`` rows.  The slices cover the kept
+    identity) or a matrix with ``size`` rows, each as long as the block;
+    a matrix of another shape is refused.  The slices cover the kept
     coordinates of ``p``; its auxiliaries get a fresh block of columns at
     the end of the builder, so the rows pulled back are those of the
     lifted set.  A block that this builder does not declare is pinned to
@@ -206,6 +214,7 @@ class BlockRows:
 
     def __init__(self, *blocks: tuple[str, int]):
         self.at: dict[str, int] = {}
+        self.size = dict(blocks)
         self.n = 0
         for name, size in blocks:
             self.at[name] = self.n
@@ -216,7 +225,12 @@ class BlockRows:
         parts = []
         start = 0
         for size, terms in slices:
-            parts += [(start, size, self.at[k], c) for k, c in terms.items() if k in self.at]
+            for k, c in terms.items():
+                if k not in self.at:
+                    continue
+                if isinstance(c, tuple) and (len(c) != size or any(len(r) != self.size[k] for r in c)):
+                    raise DimensionMismatchError(f"a matrix on block {k!r} must be {size} x {self.size[k]}")
+                parts.append((start, size, self.at[k], c))
             start += size
         if start != p.n:
             raise DimensionMismatchError("slices do not cover the polyhedron")
@@ -460,33 +474,22 @@ def zero_in(notion: Notion, p: Polyhedron) -> bool:
 
     In finite dimension Int, Core and Qi coincide with the interior and
     Sqri, Icr, Qri with the relative interior, so exactly two tests exist.
-    With auxiliaries the relative-interior test is one strict LP, "some z
-    in ri p with pi z = 0" (see ``ri_point``), and the interior test is
-    the same LP behind the gate "aff pi(p) is everything", which the
-    memoised implicit rows decide without another LP.  That LP does not
-    depend on the notion, so its answer is kept on ``p`` itself, the way
-    the hash is: the relative-interior and the interior question on one
-    object solve it once.  Without auxiliaries the origin is the only
-    candidate point, so after the implicit rows the test is arithmetic.
+    The relative-interior test is one strict LP, "some z in ri p with
+    pi z = 0" (see ``ri_point``), and the interior test is the same LP
+    behind the gate "aff pi(p) is everything", which the memoised implicit
+    rows decide without another LP.  That LP does not depend on the
+    notion, so its answer is kept on ``p`` itself, the way the hash is:
+    the relative-interior and the interior question on one object solve
+    it once.
     """
-    interior = notion in (Notion.INT, Notion.CORE, Notion.QI)
-    if p.aux:
-        if interior and ri_point(p, free=range(p.n)) is None:
-            return False
-        inside = p.__dict__.get("_zero_in_ri")
-        if inside is None:
-            pin = BlockRows(("x", p.n)).pull(singleton((ZERO,) * p.n), (p.n, {"x": ONE}))
-            inside = ri_point(p, pin) is not None
-            object.__setattr__(p, "_zero_in_ri", inside)
-        return inside
-    if not contains(p, (ZERO,) * p.n):
+    if notion in (Notion.INT, Notion.CORE, Notion.QI) and ri_point(p, free=range(p.n)) is None:
         return False
-    if interior:
-        # all rows strict at 0 already rules out implicit equalities:
-        # an implicit row through 0 would have rhs 0
-        return not p.eqs and all(b > 0 for _, b in p.ineqs)
-    imp = set(implicit_rows(p))
-    return all(b > 0 for idx, (_, b) in enumerate(p.ineqs) if idx not in imp)
+    inside = p.__dict__.get("_zero_in_ri")
+    if inside is None:
+        pin = BlockRows(("x", p.n)).pull(singleton((ZERO,) * p.n), (p.n, {"x": ONE}))
+        inside = ri_point(p, pin) is not None
+        object.__setattr__(p, "_zero_in_ri", inside)
+    return inside
 
 
 @dataclass(frozen=True)
@@ -585,6 +588,8 @@ def neg(p: Polyhedron) -> Polyhedron:
 
 def translate(p: Polyhedron, t: Sequence) -> Polyhedron:
     t = _fvec(t)
+    if len(t) != p.n:
+        raise DimensionMismatchError(f"a shift of length {len(t)} cannot move a set of R^{p.n}")
     return poly(
         p.n,
         ineqs=[(a, b + dot(a, t)) for a, b in p.ineqs],

@@ -704,6 +704,8 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError("perturbation instances need phi, nx and ny")
         if regime != "numeric":
             raise ParseError("the perturbation family is numeric-only")
+        if parser.space.dim != nx + ny:
+            raise ParseError(f"Phi lives on R^(nx + ny) = R^{nx + ny}, but the space is R^{parser.space.dim}")
         inst = eng.PerturbationInstance(
             instance_id=problem_id,
             nx=nx,

@@ -1,8 +1,7 @@
 """Generators for the randomized property suites.
 
 Everything draws from an explicit ``random.Random`` so runs are
-reproducible; the test suites seed from DUALCHECK_SEED (default 0) and the
-CLI's global --seed reseeds the module default.
+reproducible; the test suites seed from DUALCHECK_SEED (default 0).
 """
 
 from __future__ import annotations

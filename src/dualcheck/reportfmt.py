@@ -47,6 +47,14 @@ def _values_dict(v: ValueReport) -> dict:
     }
 
 
+def _steps(prov) -> list:
+    """A provenance chain as structured steps; an empty citation is left out."""
+    return [
+        {"rule": s.rule, "detail": s.detail, "cites": [list(x) for x in s.cites if x != ("", "")]}
+        for s in prov
+    ]
+
+
 def diagnosis_to_structured(d: Diagnosis) -> dict:
     conditions = []
     provenance = []
@@ -63,14 +71,7 @@ def diagnosis_to_structured(d: Diagnosis) -> dict:
             }
         )
         for c in verdict.clauses:
-            steps = [
-                {
-                    "rule": s.rule,
-                    "detail": s.detail,
-                    "cites": [list(x) for x in s.cites if x != ("", "")],
-                }
-                for s in c.prov
-            ]
+            steps = _steps(c.prov)
             if steps:
                 provenance.append(
                     {"condition": f"RC{index}", "clause": c.text, "steps": steps}
@@ -166,14 +167,7 @@ def setfacts_to_structured(instance: SetFactsInstance) -> dict:
             {
                 "query": q.text,
                 "status": fact.status.value,
-                "steps": [
-                    {
-                        "rule": s.rule,
-                        "detail": s.detail,
-                        "cites": [list(x) for x in s.cites if x != ("", "")],
-                    }
-                    for s in fact.prov
-                ],
+                "steps": _steps(fact.prov),
             }
             for q, fact in results
         ],

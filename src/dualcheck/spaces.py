@@ -1,8 +1,8 @@
 """Space tags for the symbolic regime.
 
 A tag records the analytic facts downstream checks need: whether the
-space is a Fréchet space, finite-dimensional, separable, and whether it
-is the zero space.  Nothing else about an infinite-dimensional space is
+space is a Fréchet space, finite-dimensional, and whether it is the zero
+space.  Nothing else about an infinite-dimensional space is
 ever computed.
 """
 
@@ -38,27 +38,8 @@ class SpaceTag:
         return True  # R^n, l^p(N), l^p(R), named Banach spaces
 
     @property
-    def separable(self) -> bool:
-        if self.kind in ("finite", "lp"):
-            return True
-        if self.kind == "product":
-            return all(f.separable for f in self.factors)
-        return False
-
-    @property
     def is_zero(self) -> bool:
         return self.kind == "finite" and self.dim == 0
-
-    def describe(self) -> str:
-        if self.kind == "finite":
-            return f"R^{self.dim}"
-        if self.kind == "lp":
-            return f"l^{self.p}(N)"
-        if self.kind == "lpR":
-            return f"l^{self.p}(R)"
-        if self.kind == "product":
-            return " x ".join(f.describe() for f in self.factors)
-        return self.label or self.kind
 
 
 def finite(n: int) -> SpaceTag:

@@ -570,7 +570,7 @@ def dual_reference(instance):
     from dualcheck import engine as eng
     from dualcheck import polyhedra as pg
     from dualcheck.exactlp import LinearProgram, solve_lp
-    from dualcheck.funcexpr import PolyFunc, conjugate_polyfunc
+    from dualcheck.funcexpr import conjugate_polyfunc
 
     model = eng.NumericModel(instance)
     if model.cone is not None:
@@ -579,15 +579,15 @@ def dual_reference(instance):
         n, m = model.nx, model.ny
         amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
         adjoint = -ONE if amap is ONE else tuple(tuple(-r[j] for r in amap) for j in range(n))
-        pf_f, pf_g = model.lowered
-        conjugated = ((pf_f, ((n, {"y": adjoint}),)), (pf_g, ((m, {"y": ONE}),)))
+        epi_f, epi_g = model.lowered
+        conjugated = ((epi_f, ((n, {"y": adjoint}),)), (epi_g, ((m, {"y": ONE}),)))
     else:
         conjugated = ((model.lowered[0], ((model.nx, {"x": ONE}), (model.ny, {"y": ONE}))),)
     names = tuple(f"s{i}" for i in range(len(conjugated)))
     b = pg.BlockRows(("y", model.ny), *((s, 1) for s in names))
-    for (pf, slices), s in zip(conjugated, names):
-        star = conjugate_polyfunc(PolyFunc(pf.n, eliminate(pf.epi)))
-        b.pull(eliminate(star.epi), *slices, (1, {s: ONE}))
+    for (epi, slices), s in zip(conjugated, names):
+        star = conjugate_polyfunc(eliminate(epi))
+        b.pull(eliminate(star), *slices, (1, {s: ONE}))
     obj = eng._padded((ZERO,) * model.ny + (-ONE,) * len(names), b)
     return _sup(solve_lp(LinearProgram(b.n, obj, "max", b.lp_rows())), model.ny)
 

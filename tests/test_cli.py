@@ -332,3 +332,21 @@ def test_misshapen_maps_and_spaces_exit_2(text, tmp_path, capsys):
     assert main(["analyze", _write(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# terms whose vectors do not fit the space, and the message each prints
+MISSHAPEN_TERMS = {
+    "argtranslate": (NUMERIC_SUM.replace("f norm1", "f argtranslate(norminf, [1, 2, 3])"), "argtranslate has 3 entries, but the space is R^2"),
+    "precompose": (NUMERIC_SUM.replace("f norm1", "f precompose([[1, 0, 0]], norm1)"), "precompose has 3 entries, but the space is R^2"),
+    "affine": (NUMERIC_SUM.replace("f norm1", "f affine([1, 2, 3])"), "affine has 3 entries, but the space is R^2"),
+    "maxaff": (NUMERIC_SUM.replace("f norm1", "f maxaff([1, 2, 3], 0; [1, 0], 1)"), "maxaff has 3 entries, but the space is R^2"),
+    "orthant": (NUMERIC_CONE + "C orthant(1)\nmap identity\n", "orthant, interval, rn or poly gives a set of R^1, but the space is R^2"),
+    "product": (NUMERIC_CONE + "C product(orthant(1), orthant(2))\nmap identity\n", "product gives a set of R^3, but the space is R^2"),
+    "translate": (NUMERIC_SUM.replace("f norm1", "f indicator(translate(orthant(2), [1, 2, 3]))"), "a shift of length 3"),
+}
+
+
+@pytest.mark.parametrize("text, message", MISSHAPEN_TERMS.values(), ids=MISSHAPEN_TERMS.keys())
+def test_misshapen_vectors_inside_terms_exit_2(text, message, tmp_path, capsys):
+    assert main(["analyze", _write(tmp_path, text)]) == 2
+    assert message in capsys.readouterr().err

@@ -14,7 +14,6 @@ from dualcheck.funcexpr import (
     NormAtom,
     PINF,
     PlusConst,
-    PolyFunc,
     Sum,
     SupOfAffine,
     SymVec,
@@ -31,6 +30,7 @@ from dualcheck.funcexpr import (
     evaluate,
     lower,
     pf_domain,
+    pf_falls_forever,
     pf_value,
 )
 from dualcheck.polyhedra import contains, interval, poly, whole_space, zero_in, Notion
@@ -169,6 +169,31 @@ def test_conjugate_domain_of_bounded_set_support_is_whole_space():
     # support function values: |y|
     assert pf_value(star, (3,)) == er(3)
     assert pf_value(star, (-2,)) == er(2)
+
+
+# epigraphs over (x, t), by hand: without auxiliaries, then lifted over w
+FREE_T = poly(2, [((1, 0), 1), ((-1, 0), 1)])  # |x| <= 1, t free
+FREE_T_LIFTED = poly(2, [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, -1, 1), 0)], aux=1)  # t >= w, w free
+FIXED_T = poly(2, [((1, 0), 1)], [((-2, 1), 3)])  # t = 2x + 3 on x <= 1
+FIXED_T_LIFTED = poly(2, [((1, 0, 0), 1)], [((0, 1, -1), 0), ((-2, 0, 1), 3)], aux=1)  # t = w = 2x + 3
+
+
+@pytest.mark.parametrize(
+    "epi, x, value, falls",
+    [
+        (FREE_T, (0,), MINF, True),
+        (FREE_T_LIFTED, (0,), MINF, True),
+        (FREE_T, (2,), PINF, True),
+        (FREE_T_LIFTED, (2,), PINF, True),
+        (FIXED_T, (F(1, 2),), er(4), False),
+        (FIXED_T_LIFTED, (F(1, 2),), er(4), False),
+        (FIXED_T, (2,), PINF, False),
+        (FIXED_T_LIFTED, (2,), PINF, False),
+    ],
+)
+def test_pf_value_and_pf_falls_forever(epi, x, value, falls):
+    assert pf_value(epi, x) == value
+    assert pf_falls_forever(epi) is falls
 
 
 def test_conjugate_improper_raises():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dualcheck import polyhedra as pg
 from dualcheck import setexpr as se
-from dualcheck.errors import EmptyPolyhedronError, MembershipError
+from dualcheck.errors import DimensionMismatchError, EmptyPolyhedronError, MembershipError
 from dualcheck.exactlp import Optimal, dot
 from dualcheck.polyhedra import (
     Notion,
@@ -114,6 +114,31 @@ def test_zero_in_qi_box_examples():
     sym = poly(2, ineqs=[((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1)])
     assert zero_in(Notion.QI, sym)
     assert not zero_in(Notion.QI, square())
+
+
+VACUOUS_ROWS = [
+    # [-1, 1] with a vacuous 0 = 0 equation, then a vacuous 0 <= 0 inequality
+    pg.Polyhedron(1, (((F(1),), F(1)), ((F(-1),), F(1))), (((F(0),), F(0)),)),
+    pg.Polyhedron(1, (((F(1),), F(1)), ((F(-1),), F(1)), ((F(0),), F(0))), ()),
+    # the same interval lifted over a free auxiliary, with 0 = 0
+    pg.Polyhedron(1, (((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1))), (((F(0), F(0)), F(0)),), 1),
+]
+
+
+@pytest.mark.parametrize("p", VACUOUS_ROWS)
+@pytest.mark.parametrize("notion", list(Notion))
+def test_zero_in_ignores_vacuous_rows(p, notion):
+    assert zero_in(notion, p)
+
+
+def test_translate_and_pull_refuse_misshapen_vectors():
+    with pytest.raises(DimensionMismatchError):
+        translate(interval(-1, 1), (1, 2))
+    b = pg.BlockRows(("x", 2), ("t", 1))
+    with pytest.raises(DimensionMismatchError):
+        b.pull(interval(-1, 1), (1, {"x": ((F(1), F(0), F(0)),)}))
+    with pytest.raises(DimensionMismatchError):
+        b.pull(interval(-1, 1), (1, {"x": ((F(1), F(0)), (F(0), F(1)))}))
 
 
 def test_zero_in_monotone_chain():

@@ -288,6 +288,7 @@ BAD_DIMENSIONS = [
     (PERTURBATION, "nx -1"),
     (PERTURBATION, "ny 1/2"),
     (PERTURBATION, f"nx {MAX_DIM + 1}"),
+    (PERTURBATION, "space dim 5"),
     (NUMERIC_FENCHEL, "space dim 1000000000"),
 ]
 

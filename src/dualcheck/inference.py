@@ -12,13 +12,17 @@ generated by the set minus the point:
     sub_alg    cone(S - p) is a linear subspace          (icr)
     sub_cl     cl cone(S - p) is a linear subspace       (qri)
 
-The inclusion scheme between the notions is the edge set of a small DAG
-over these kinds; every other rule is a named structural fact (catalog
-tables, subspace and cone arguments, product splitting, dense-subspace
-arguments, the nonnegativity certificate for epigraph-difference sets,
-declared certificates with citations, and the exact finite-dimensional
-fallback).  The engine is deterministic; the rule order can be permuted
-to check confluence.
+Each kind of a (point, set) has a direct status: the first decided
+named rule in rule order (catalog tables, subspace and cone arguments,
+product splitting, dense-subspace arguments, the nonnegativity
+certificate for epigraph-difference sets, declared certificates with
+citations, and the exact finite-dimensional fallback).  An engine
+computes each direct status at most once, when a query first needs it.
+A kind left undecided is closed under the paper's inclusion scheme, a
+small DAG over the kinds: it holds when a stronger kind holds directly,
+and fails when a weaker kind fails directly.  Both walks follow the DAG
+one way, so the answers do not depend on the order of the queries, and
+the rule order can be permuted to check confluence.
 """
 
 from __future__ import annotations
@@ -120,19 +124,11 @@ def _split_pair_point(p: Point) -> Optional[tuple[Point, Point]]:
 
 
 class Engine:
-    def __init__(
-        self,
-        declared: Sequence[DeclaredFact] = (),
-        rule_order: Optional[Sequence[str]] = None,
-    ):
-        self.declared: dict = {}
-        for d in declared:
-            key = (d.notion, d.point, normalize(d.set_))
-            self.declared[key] = d
+    def __init__(self, declared: Sequence[DeclaredFact] = (), rule_order: Optional[Sequence[str]] = None):
+        self.declared: dict = {(d.notion, d.point, normalize(d.set_)): d for d in declared}
         names = list(rule_order) if rule_order is not None else list(_RULE_NAMES)
         self._rules = [(nm, _RULES[nm]) for nm in names]
-        self._memo: dict = {}
-        self._stack: set = set()
+        self._memo: dict = {}  # (kind or "member", point, set) -> direct fact
 
     # -- public api ---------------------------------------------------------
 
@@ -144,24 +140,30 @@ class Engine:
         return Fact(status, m.prov + c.prov)
 
     def member(self, point: Point, s: SetExpr) -> Fact:
-        return self.cone_test("member", point, s)
+        return self._direct("member", point, normalize(s))
 
     def cone_test(self, kind: str, point: Point, s: SetExpr) -> Fact:
-        """The first decided rule's fact for ``kind`` (membership for
-        ``"member"``), memoised and guarded against cycles: a query met again
-        while it is being decided is unknown.  The memo and the cycle stack
-        are each probed with one hash of the key."""
+        """The fact for ``kind`` (membership for ``"member"``).  The kind's
+        direct status, the first decided rule's fact, is computed at most
+        once per engine.  When no rule decides it, the inclusion scheme
+        does: the kind holds if a stronger kind holds directly and fails if
+        a weaker kind fails directly, reached through undecided kinds."""
+        return self._closed(kind, point, normalize(s))
+
+    def cone_test_all_rules(self, kind: str, point: Point, s: SetExpr) -> list[tuple[str, Fact]]:
+        """Every decided rule, and last the inclusion scheme's verdicts from
+        the other kinds (for the never-both and confluence checks)."""
         s = normalize(s)
+        outs = [(name, rule(self, kind, point, s)) for name, rule in self._rules]
+        outs += [("inclusion-scheme", self._implied(kind, point, s, st)) for st in (HOLDS, FAILS)]
+        return [(name, got) for name, got in outs if got is not None and got.status is not UNKNOWN]
+
+    # -- direct statuses and their closure ----------------------------------
+
+    def _direct(self, kind: str, point: Point, s: SetExpr) -> Fact:
         key = (kind, point, s)
         out = self._memo.get(key, _MISS)
-        if out is not _MISS:
-            return out
-        stack = self._stack
-        depth = len(stack)
-        stack.add(key)
-        if len(stack) == depth:  # the key was on the stack already
-            return _UNKNOWN_FACT
-        try:
+        if out is _MISS:
             if kind == "member":
                 out = self._member(point, s)
             else:
@@ -171,25 +173,34 @@ class Engine:
                     if got is not None and got.status is not UNKNOWN:
                         out = got
                         break
-        finally:
-            stack.discard(key)
-        if out.status is not UNKNOWN or not stack:
-            # undecided results found under a cycle guard are not cached:
-            # they may become decidable from the top level
             self._memo[key] = out
         return out
 
-    def cone_test_all_rules(self, kind: str, point: Point, s: SetExpr) -> list[tuple[str, Fact]]:
-        """Evaluate every rule (for the never-both and confluence checks)."""
-        s = normalize(s)
-        outs = []
-        for name, rule in self._rules:
-            self._memo.clear()
-            got = rule(self, kind, point, s)
-            if got is not None and got.status is not UNKNOWN:
-                outs.append((name, got))
-        self._memo.clear()
-        return outs
+    def _closed(self, kind: str, point: Point, s: SetExpr, skip: Optional[str] = None) -> Fact:
+        """``cone_test`` on a normalized set, with the stronger kind
+        ``skip`` left out of the upward walk."""
+        out = self._direct(kind, point, s)
+        if out.status is UNKNOWN and kind in _WEAKER:
+            out = self._implied(kind, point, s, HOLDS, skip) or self._implied(kind, point, s, FAILS) or out
+        return out
+
+    def _implied(
+        self, kind: str, point: Point, s: SetExpr, status: FactStatus, skip: Optional[str] = None
+    ) -> Optional[Fact]:
+        """HOLDS from the first stronger kind in ``_STRONGER`` order that
+        holds, or FAILS from the first weaker kind in ``_WEAKER`` order that
+        fails, directly or through its own undecided neighbours."""
+        holds = status is HOLDS
+        for other in (_STRONGER if holds else _WEAKER)[kind]:
+            if other == skip:
+                continue
+            got = self._direct(other, point, s)
+            if got.status is UNKNOWN:
+                got = self._implied(other, point, s, status)
+            if got is not None and got.status is status:
+                text = f"{other} implies {kind}" if holds else f"failing {other} refutes {kind}"
+                return Fact(status, got.prov + (Step("inclusion-scheme", text),))
+        return None
 
     # -- membership ----------------------------------------------------------
 
@@ -280,7 +291,7 @@ def _r_declared(e: Engine, kind, point, s):
     if got is not None and got.status is FAILS:
         # a declared negative notion fact refutes the conjunction, not
         # necessarily the cone part; usable only when membership holds
-        m = e._member(point, s)
+        m = e.member(point, s)
         if m.status is HOLDS:
             return got
     return None
@@ -523,7 +534,8 @@ def _r_qi_lemma(e: Engine, kind, point, s):
     # (skipped when U is itself a sum, which would expand without end)
     diff = normalize(se.MinkSum((s, se.Neg(s))))
     if diff != s and not isinstance(s, se.MinkSum):
-        qri_here = e.cone_test("sub_cl", point, s)
+        # the lemma is whole_cl's own rule: qri is read from every kind but whole_cl
+        qri_here = e._closed("sub_cl", point, s, skip="whole_cl")
         qi_diff = e.cone_test("whole_cl", ORIGIN, diff)
         if qri_here.status is HOLDS and qi_diff.status is HOLDS:
             return Fact(
@@ -557,24 +569,6 @@ def _r_qi_lemma(e: Engine, kind, point, s):
     return None
 
 
-def _r_chain(e: Engine, kind, point, s):
-    for stronger in _STRONGER[kind]:
-        got = e.cone_test(stronger, point, s)
-        if got.status is HOLDS:
-            return Fact(
-                HOLDS,
-                got.prov + (Step("inclusion-scheme", f"{stronger} implies {kind}"),),
-            )
-    for weaker in _WEAKER[kind]:
-        got = e.cone_test(weaker, point, s)
-        if got.status is FAILS:
-            return Fact(
-                FAILS,
-                got.prov + (Step("inclusion-scheme", f"failing {weaker} refutes {kind}"),),
-            )
-    return None
-
-
 _RULES: dict[str, Callable] = {
     "declared": _r_declared,
     "whole-space": _r_whole_space,
@@ -588,7 +582,6 @@ _RULES: dict[str, Callable] = {
     "vertical-ray": _r_vertical_ray,
     "epi-nonneg": _r_epi_nonneg,
     "qi-lemma": _r_qi_lemma,
-    "inclusion-scheme": _r_chain,
 }
 _RULE_NAMES = tuple(_RULES)
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from dualcheck import conditions, corpus
+from dualcheck import inference as inf
 from dualcheck import setexpr as se
 from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum, SymVec
 from dualcheck.inference import (
@@ -27,6 +29,7 @@ SUB_C = se.CatalogAtom(se.SUBSPACE_C, L2, ())
 SUB_S = se.CatalogAtom(se.SUBSPACE_S, L2, ())
 KER = se.CatalogAtom(se.KERNEL, banach("X"), ())
 POS_SEQ = se.SymPoint("xpos", frozenset({"strictly_positive"}))
+KINDS = ("int", "whole_alg", "whole_cl", "sub_closed", "sub_alg", "sub_cl")
 
 
 def test_positive_cone_catalog_facts():
@@ -240,12 +243,22 @@ def test_never_both_holds_and_fails():
         se.PolyAtom(orthant(2)),
         se.WholeSpace(L2),
     ]
-    for s in sets:
-        eng = Engine()
-        for kind in ("int", "whole_alg", "whole_cl", "sub_closed", "sub_alg", "sub_cl"):
-            outs = eng.cone_test_all_rules(kind, ORIGIN, se.normalize(s))
+    # the ex-5.7 queries carry declared facts, from which the closure decides
+    declared, pairs = _ex57_queries()
+    cases = [((), ORIGIN, s) for s in sets] + [(declared, p, s) for p, s in pairs]
+    closed_by_scheme = 0
+    for facts, point, s in cases:
+        eng = Engine(facts)
+        for kind in KINDS:
+            outs = eng.cone_test_all_rules(kind, point, se.normalize(s))
             statuses = {f.status for _, f in outs}
             assert not (HOLDS in statuses and FAILS in statuses), (s, kind, outs)
+            # a fact the closure decides is among the facts reported
+            fact = eng.cone_test(kind, point, s)
+            if fact.prov and fact.prov[-1].rule == "inclusion-scheme":
+                assert ("inclusion-scheme", fact) in outs, (s, kind, outs)
+                closed_by_scheme += 1
+    assert closed_by_scheme > 0
 
 
 def test_qi_lemma_consistency_where_decided():
@@ -300,3 +313,45 @@ def test_empty_qri_cite_looks_through_negation_translation_and_scaling():
     # meets_qri refutes on the same lookup, citing it
     fact = meets_qri(Engine(), PLUS, wrapped)
     assert fact.status is FAILS and fact.prov[0].cites == (cite,)
+
+
+def _ex57_queries():
+    """The declared facts of the ex-5.7 diagnosis and every (point, set)
+    its engine was asked about."""
+    pf = corpus.load("ex-5.7-extreme-point-ball")
+    ctx = conditions.DiagnosisContext(pf.instance)
+    conditions.diagnose(pf.instance, ctx)
+    pairs = sorted({(p, s) for _, p, s in ctx.engine._memo}, key=repr)
+    return list(ctx.engine.declared.values()), pairs
+
+
+def test_profiles_are_order_free():
+    # every (point, set) the ex-5.7 diagnosis asks about, with its declared
+    # facts: each kind's status is the same under shuffled rule orders
+    declared, pairs = _ex57_queries()
+    assert len({s for _, s in pairs}) == 12
+    assert {str(p) for p, _ in pairs} == {"0", "x0", "-x0"}
+    queries = [(kind, p, s) for p, s in pairs for kind in KINDS]
+    base = Engine(declared)
+    expected = [base.cone_test(*q).status for q in queries]
+    assert HOLDS in expected and FAILS in expected
+    rng = random.Random(7)
+    for _ in range(6):
+        order = list(_RULE_NAMES)
+        rng.shuffle(order)
+        eng = Engine(declared, rule_order=order)
+        # asked in reverse, so that no kind is read first in the same order
+        got = [eng.cone_test(*q).status for q in reversed(queries)][::-1]
+        assert got == expected, order
+
+
+def test_each_rule_runs_once_per_query_key(monkeypatch):
+    evaluated = []
+    for name, rule in inf._RULES.items():
+        def counted(e, kind, point, s, name=name, rule=rule):
+            evaluated.append((name, kind, point, s))
+            return rule(e, kind, point, s)
+
+        monkeypatch.setitem(inf._RULES, name, counted)
+    _ex57_queries()
+    assert evaluated and len(evaluated) == len(set(evaluated))

@@ -27,7 +27,6 @@ from .conditions import diagnose
 from .errors import (
     DualcheckError,
     InconsistencyError,
-    NotFoundError,
     SolverLimitError,
 )
 from .engine import value_report
@@ -113,14 +112,10 @@ def cmd_corpus(action: str, entry: str) -> int:
         for name in corpus_mod.list_entries():
             print(name)
         return EXIT_OK
-    try:
-        if entry is None or entry == "all":
-            results = corpus_mod.run_all()
-        else:
-            results = (corpus_mod.run(entry),)
-    except NotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if entry is None or entry == "all":
+        results = corpus_mod.run_all()
+    else:
+        results = (corpus_mod.run(entry),)
     failed = 0
     for res in results:
         mark = "pass" if res.passed else "FAIL"

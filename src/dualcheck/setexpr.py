@@ -354,7 +354,6 @@ ABSTRACT_CONVEX = "abstract_convex_set"
 # notion-set descriptors for catalog atoms
 EMPTY_SET = "empty"
 PRED_STRICTLY_POSITIVE = "strictly_positive"
-SELF_SET = "self"  # the notion set equals the set itself
 
 
 @dataclass(frozen=True)

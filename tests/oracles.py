@@ -507,18 +507,20 @@ def zero_in_reference(notion: Notion, p: Polyhedron) -> bool:
 
     In finite dimension Int, Core and Qi coincide with the interior and
     Sqri, Icr, Qri with the relative interior, so exactly two tests exist.
+    The origin is in the relative interior when every inequality row that
+    is not implicit is strict there.  It is in the interior when, besides,
+    the affine hull is the whole space: every equation and implicit row has
+    a zero normal.
     """
     zero = tuple(ZERO for _ in range(p.n))
     if not contains(p, zero):
         return False
-    if notion in (Notion.INT, Notion.CORE, Notion.QI):
-        if p.eqs:
-            return False
-        # all rows strict at 0 already rules out implicit equalities:
-        # an implicit row through 0 would have rhs 0
-        return all(b > 0 for _, b in p.ineqs)
     imp = set(implicit_rows_reference(p))
-    return all(b > 0 for idx, (_, b) in enumerate(p.ineqs) if idx not in imp)
+    if not all(b > 0 for idx, (_, b) in enumerate(p.ineqs) if idx not in imp):
+        return False
+    if notion in (Notion.INT, Notion.CORE, Notion.QI):
+        return not any(any(a) for a, _ in list(p.eqs) + [p.ineqs[i] for i in imp])
+    return True
 
 
 def fm_flatten(p: Polyhedron) -> Polyhedron:

@@ -163,6 +163,7 @@ def test_corpus_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("pass")
     assert main(["corpus", "run", "no-such-entry"]) == 2
+    assert capsys.readouterr().err == "error: no corpus entry named 'no-such-entry'\n"
 
 
 def test_seed_flag_refused(capsys):

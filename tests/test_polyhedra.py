@@ -434,6 +434,8 @@ def _lifted_systems(draw):
 @given(_lifted_systems())
 @example((poly(1, [((1, -1), 0), ((-1, -1), 0)], aux=1), [(0,), (5,)]))  # a cone over the line: everything
 @example((poly(1, [((1, 0), 1), ((-1, 0), 1)], [((0, 1), 0)], aux=1), [(1,), (2,)]))  # an interval, aux pinned
+@example((pg.Polyhedron(1, (((1,), 1), ((-1,), 1)), (((0,), 0),)), [(0,), (2,)]))  # a vacuous 0 = 0 row
+@example((pg.Polyhedron(1, (((1, 0), 1), ((-1, 0), 1), ((0, 0), 0)), (), 1), [(0,), (2,)]))  # a lifted 0 <= 0 row
 def test_lifted_queries_match_fourier_motzkin(system):
     # every query on the lifted rows against the Fourier-Motzkin projection
     # followed by the queries on an unlifted system

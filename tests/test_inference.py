@@ -340,7 +340,7 @@ def test_profiles_are_order_free():
         order = list(_RULE_NAMES)
         rng.shuffle(order)
         eng = Engine(declared, rule_order=order)
-        # asked in reverse, so that no kind is read first in the same order
+        # asked in reverse order too: no answer may lean on the order of queries
         got = [eng.cone_test(*q).status for q in reversed(queries)][::-1]
         assert got == expected, order
 

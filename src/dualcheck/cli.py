@@ -38,6 +38,7 @@ from .reportfmt import (
     render_extreal,
     setfacts_to_structured,
     setfacts_to_text,
+    values_to_structured,
 )
 
 EXIT_OK = 0
@@ -95,9 +96,7 @@ def cmd_solve(path: str, fmt: str) -> int:
         print("error: values undecidable for this instance", file=sys.stderr)
         return EXIT_UNDECIDABLE
     if fmt == "json-like":
-        from .reportfmt import _values_dict
-
-        doc = {"problem": getattr(pf.instance, "instance_id", ""), "values": _values_dict(rep)}
+        doc = {"problem": getattr(pf.instance, "instance_id", ""), "values": values_to_structured(rep)}
         sys.stdout.write(dumps_structured(doc))
         return EXIT_OK
     print(f"primal  {render_extreal(rep.vp)}" + ("  (attained)" if rep.vp_attained else ""))

@@ -82,8 +82,10 @@ class ConditionVerdict:
     cid: ConditionId
     clauses: tuple[Clause, ...]
 
-    @property
+    @cached_property
     def status(self) -> FactStatus:
+        """Decided once: a verdict is frozen, and the closure and the report
+        read it many times."""
         if any(c.status is FAILS for c in self.clauses):
             return FAILS
         if all(c.status is HOLDS for c in self.clauses):
@@ -231,7 +233,7 @@ class DiagnosisContext:
         if name == "finite_dim":
             return HOLDS if self.numeric else FAILS
         if name == "lsc":
-            return and3(*(c.status for c in _lsc_clauses(self)))
+            return and3(*(c.status for c in self.lsc_clauses))
         if name == "convex":
             return self.convexity()
         raise KeyError(name)
@@ -243,6 +245,16 @@ class DiagnosisContext:
         proves the meets-qri clause of RC6', since int lies in ri."""
         dom_f, dom_g = (s.poly for s in self.view.sets)
         return _meets(dom_g, self.model.amap, dom_f, ONE, True)
+
+    @cached_property
+    def lsc_clauses(self) -> tuple[Clause, ...]:
+        """The lower-semicontinuity clauses that RC2-RC5 and RC8 share."""
+        return _lsc_clauses(self)
+
+    @cached_property
+    def exclusion_clause(self) -> Clause:
+        """The clause that RC6', RC6 and RC7 share."""
+        return _exclusion_clause(self)
 
     @cached_property
     def held(self) -> frozenset:
@@ -301,20 +313,20 @@ def _frechet_clause(ctx: DiagnosisContext) -> Clause:
     )
 
 
-def _lsc_clauses(ctx: DiagnosisContext) -> list[Clause]:
+def _lsc_clauses(ctx: DiagnosisContext) -> tuple[Clause, ...]:
     instance = ctx.instance
     if isinstance(instance, eng.FenchelInstance):
-        return [
+        return (
             _status_clause("f is lower semicontinuous", ctx._flag_or("lsc_f", HOLDS if ctx.numeric else fx.is_lsc(instance.f))),
             _status_clause("g is lower semicontinuous", ctx._flag_or("lsc_g", HOLDS if ctx.numeric else fx.is_lsc(instance.g))),
-        ]
+        )
     if isinstance(instance, eng.LagrangeInstance):
-        return [
+        return (
             _status_clause("S is closed", ctx._flag_or("s_closed", HOLDS if ctx.numeric else se.attrs(normalize(instance.sset)).closed)),
             _status_clause("f is lower semicontinuous", ctx._flag_or("lsc_f", HOLDS if ctx.numeric else fx.is_lsc(instance.f))),
             _status_clause("the constraint map has a closed ordering epigraph", HOLDS if ctx.numeric else ctx._g_epiclosed()),
-        ]
-    return [_status_clause("the perturbation function is lower semicontinuous", HOLDS if ctx.numeric else fx.is_lsc(instance.phi))]
+        )
+    return (_status_clause("the perturbation function is lower semicontinuous", HOLDS if ctx.numeric else fx.is_lsc(instance.phi)),)
 
 
 def _pr_notion_clause(ctx: DiagnosisContext, notion: Notion, text: str) -> Clause:
@@ -495,7 +507,7 @@ def check_rc8(instance: eng.Instance, ctx: Optional[DiagnosisContext] = None) ->
         raise ApplicabilityError("no closedness condition for the perturbation family")
     ctx = ctx or DiagnosisContext(instance)
     cid = ConditionId(ctx.family, "8")
-    clauses = _lsc_clauses(ctx)
+    clauses = list(ctx.lsc_clauses)
     text = "the conjugate-epigraph sum is weak*-closed"
     declared = getattr(instance, "rc8_fact", None)
     if ctx.numeric:
@@ -538,7 +550,7 @@ def evaluate_condition(
     if index == "1":
         return ConditionVerdict(cid, (_continuity_clause(ctx),))
     if index in ("2", "3", "4", "5"):
-        clauses = [_frechet_clause(ctx)] + _lsc_clauses(ctx)
+        clauses = [_frechet_clause(ctx), *ctx.lsc_clauses]
         if index == "2":
             clauses.append(_pr_notion_clause(ctx, Notion.INT, "the origin is interior to the projected domain"))
         elif index == "3":
@@ -557,12 +569,12 @@ def evaluate_condition(
             first, text = _slater_qri_clause(ctx), "the cone spans a dense subspace: cl(C - C) is the whole space"
         else:
             raise ApplicabilityError("no primed condition for the perturbation family")
-        clauses = (first, _qi_diff_clause(ctx, text, ctx.view.sets[1]), _exclusion_clause(ctx))
+        clauses = (first, _qi_diff_clause(ctx, text, ctx.view.sets[1]), ctx.exclusion_clause)
         return ConditionVerdict(cid, clauses)
     if index == "6":
         clauses = [
             _pr_notion_clause(ctx, Notion.QI, "the origin is quasi-interior to the projected domain"),
-            _exclusion_clause(ctx),
+            ctx.exclusion_clause,
         ]
         return ConditionVerdict(cid, tuple(clauses))
     if index == "7":
@@ -573,7 +585,7 @@ def evaluate_condition(
                 ctx.view.pr_dom,
             ),
             _pr_notion_clause(ctx, Notion.QRI, "the origin is in the quasi-relative interior of the projected domain"),
-            _exclusion_clause(ctx),
+            ctx.exclusion_clause,
         ]
         return ConditionVerdict(cid, tuple(clauses))
     if index == "8":

@@ -1,8 +1,8 @@
 """Rendering of diagnoses: human-readable text and a stable structured form.
 
-The structured form is a JSON document with fixed key order, rationals as
-canonical ``p/q`` strings and infinities as ``+inf``/``-inf``; identical
-input produces byte-identical output.
+The structured form is a JSON document, written in one pass, with fixed key
+order, rationals as canonical ``p/q`` strings and infinities as
+``+inf``/``-inf``; identical input produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,22 +20,18 @@ from .setexpr import FactStatus
 
 
 def render_extreal(v: Optional[ExtReal]) -> str:
-    if v is None:
-        return "unknown"
-    return repr(v)
+    return "unknown" if v is None else repr(v)
 
 
 def _render_solution(sol) -> Optional[str]:
-    if sol is None:
-        return None
-    if isinstance(sol, str):
+    if sol is None or isinstance(sol, str):
         return sol
     if isinstance(sol, tuple):
         return "(" + ", ".join(rat_str(c) for c in sol) + ")"
     return str(sol)
 
 
-def _values_dict(v: ValueReport) -> dict:
+def values_to_structured(v: ValueReport) -> dict:
     return {
         "primal": render_extreal(v.vp),
         "primal_attained": v.vp_attained,
@@ -80,7 +76,7 @@ def diagnosis_to_structured(d: Diagnosis) -> dict:
         "problem": d.instance_id,
         "family": d.family,
         "conditions": conditions,
-        "values": _values_dict(d.values),
+        "values": values_to_structured(d.values),
         "strong_duality": {"verdict": d.strong_duality[0], "detail": d.strong_duality[1]},
         "consistency": {"ok": d.consistency[0], "violations": list(d.consistency[1])},
     }
@@ -92,44 +88,58 @@ def diagnosis_to_structured(d: Diagnosis) -> dict:
 
 _quote = json.encoder.encode_basestring_ascii
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NEWLINES = tuple("\n" + "  " * depth for depth in range(16))  # each depth's indent
 
 
 def dumps_structured(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` byte for byte,
-    without the pure-Python encoder that CPython runs whenever it indents."""
-    return _json(doc, "\n") + "\n"
+    """``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` byte for byte in
+    one walk that appends to a single list; CPython indents in pure Python.
+    Exact ``str`` leaves are quoted inline by the C ``encode_basestring_ascii``;
+    other leaves and containers take ``json``'s ``isinstance`` order."""
+    out = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _json(value, newline: str) -> str:
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or isinstance(value, bool):
-        return _JSON_CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _write(value, depth: int, out: list) -> None:
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple or isinstance(value, (dict, list, tuple)):
+        mapping = isinstance(value, dict)
+        if not value:
+            out.append("{}" if mapping else "[]")
+            return
+        depth += 1
+        inner = _NEWLINES[depth] if depth < len(_NEWLINES) else "\n" + "  " * depth
+        sep = ("{" if mapping else "[") + inner
+        for key, item in value.items() if mapping else enumerate(value):
+            head = f"{sep}{_quote(key)}: " if mapping else sep
+            if type(item) is str:
+                out.append(head + _quote(item))
+            else:
+                out.append(head)
+                _write(item, depth, out)
+            sep = "," + inner
+        out.append(inner[:-2] + ("}" if mapping else "]"))
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or isinstance(value, bool):
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def diagnosis_to_text(d: Diagnosis) -> str:
-    lines = []
-    lines.append(f"problem   {d.instance_id}")
-    lines.append(f"family    {d.family}")
-    lines.append("")
-    lines.append("condition  status   blocking clause")
-    lines.append("---------  -------  ---------------")
+    lines = [f"problem   {d.instance_id}", f"family    {d.family}", ""]
+    lines += ["condition  status   blocking clause", "---------  -------  ---------------"]
     for index, verdict in d.verdicts:
         blocking = verdict.blocking_clause()
         note = blocking.text if blocking is not None and verdict.status is not FactStatus.HOLDS else ""
         lines.append(f"{('RC' + index):<9}  {verdict.status.value:<7}  {note}")
     lines.append("")
-    vals = _values_dict(d.values)
+    vals = values_to_structured(d.values)
     lines.append(f"primal    {vals['primal']}" + ("  (attained)" if vals["primal_attained"] else ""))
     if vals["primal_solution"]:
         lines.append(f"          solution {vals['primal_solution']}")

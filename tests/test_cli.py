@@ -154,6 +154,26 @@ def test_solve_gap_entry(tmp_path, capsys):
     assert "gap     +inf" in out
 
 
+def test_solve_structured_output_is_pinned(tmp_path, capsys):
+    from dualcheck import corpus
+
+    text = (corpus._data_dir() / "ex-6.1-daniele-giuffre.prob").read_text()
+    assert main(["solve", _write(tmp_path, text), "--format", "json-like"]) == 0
+    assert capsys.readouterr().out == """{
+  "problem": "ex-6.1-daniele-giuffre",
+  "values": {
+    "primal": "0",
+    "primal_attained": true,
+    "primal_solution": "0",
+    "dual": "-inf",
+    "dual_attained": false,
+    "dual_solution": null,
+    "gap": "+inf"
+  }
+}
+"""
+
+
 def test_corpus_cli(tmp_path, capsys):
     assert main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualcheck import conditions
+from dualcheck import corpus
 from dualcheck import setexpr as se
 from dualcheck.conditions import (
     Clause,
@@ -11,11 +13,16 @@ from dualcheck.conditions import (
     ConditionVerdict,
     DiagnosisContext,
     FAMILY_FENCHEL,
+    _BASE_EDGES,
+    _implied_fails,
+    _implied_holds,
+    _refuted_by_gap,
     _slice_interior_point,
     check_rc8,
     consistency_check,
     diagnose,
     evaluate_condition,
+    family_indices,
 )
 from dualcheck.engine import (
     AffineMap,
@@ -24,7 +31,7 @@ from dualcheck.engine import (
     LagrangeInstance,
     NumericModel,
 )
-from dualcheck.errors import ApplicabilityError, MalformedInputError
+from dualcheck.errors import ApplicabilityError, DualcheckError, MalformedInputError
 from dualcheck.funcexpr import (
     Affine,
     ArgTranslate,
@@ -42,10 +49,13 @@ from dualcheck.funcexpr import (
     pf_domain,
 )
 from dualcheck.polyhedra import interval, orthant, poly
+from dualcheck.probfile import SetFactsInstance
 from dualcheck.setexpr import FAILS, HOLDS, UNKNOWN
 from dualcheck.spaces import finite, lp_space
 
 from oracles import fm_flatten, meets_ri_reference, slice_interior_point_reference
+
+import test_numeric_golden as golden
 
 F = Fraction
 
@@ -402,3 +412,73 @@ def test_numeric_zoo_pairs_diagnose_and_meet_qri_as_the_reference(inst):
     dom_f = pf_domain(lower(inst.f, inst.space.dim))
     dom_g = pf_domain(lower(inst.g, inst.yspace.dim))
     assert meets.status is (HOLDS if meets_ri_reference(dom_f, dom_g, inst.amap) else FAILS)
+
+
+STATUSES = st.sampled_from((HOLDS, FAILS, UNKNOWN))
+
+
+def _status_reference(clauses) -> se.FactStatus:
+    statuses = [c.status for c in clauses]
+    if FAILS in statuses:
+        return FAILS
+    return HOLDS if all(x is HOLDS for x in statuses) else UNKNOWN
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(STATUSES, max_size=6).map(tuple), st.sampled_from(_BASE_EDGES))
+def test_a_verdict_status_is_its_clauses_conjunction(statuses, edge):
+    v = ConditionVerdict(ConditionId(FAMILY_FENCHEL, edge.dst), tuple(Clause(f"c{i}", x) for i, x in enumerate(statuses)))
+    assert v.status is _status_reference(v.clauses)
+    assert v.status is v.status  # decided once, read again
+    # the verdicts the closure derives from one whose status was already read
+    for derived in (_implied_holds(v, edge), _implied_fails(v, edge), _refuted_by_gap(v)):
+        assert derived.status is _status_reference(derived.clauses)
+    assert _implied_holds(v, edge).status is HOLDS
+    assert _implied_fails(v, edge).status is FAILS and _refuted_by_gap(v).status is FAILS
+
+
+def _corpus_instances():
+    for entry in corpus.list_entries():
+        instance = corpus.load(entry).instance
+        if not isinstance(instance, SetFactsInstance):
+            yield instance
+
+
+def test_shared_clauses_are_built_once_per_context(monkeypatch):
+    # RC2-RC5, RC8 and the lsc hypothesis share the lsc clauses; RC6', RC6
+    # and RC7 share the exclusion clause
+    calls = []
+
+    def counted(name, build):
+        def wrapper(ctx):
+            calls.append((name, ctx))
+            return build(ctx)
+
+        return wrapper
+
+    monkeypatch.setattr(conditions, "_lsc_clauses", counted("lsc", conditions._lsc_clauses))
+    monkeypatch.setattr(conditions, "_exclusion_clause", counted("exclusion", conditions._exclusion_clause))
+    diagnosed = 0
+    for instance in (*_corpus_instances(), *golden._instances()):
+        calls.clear()
+        try:
+            ctx = DiagnosisContext(instance)
+            diagnose(instance, ctx)
+        except DualcheckError:
+            continue
+        assert sorted(name for name, _ in calls) == ["exclusion", "lsc"], instance.instance_id
+        assert all(seen is ctx for _, seen in calls)
+        diagnosed += 1
+    assert diagnosed > 100
+
+
+def test_a_condition_without_a_context_is_the_diagnosis_verdict():
+    for instance in _corpus_instances():
+        ctx = DiagnosisContext(instance)
+        diagnose(instance, ctx)
+        for index in family_indices(ctx.family):
+            alone = evaluate_condition(index, instance)
+            assert alone == evaluate_condition(index, instance, ctx), (instance.instance_id, index)
+            assert alone.status is evaluate_condition(index, instance, ctx).status
+        if ctx.family != conditions.FAMILY_PHI:
+            assert check_rc8(instance) == check_rc8(instance, ctx)

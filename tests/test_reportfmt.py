@@ -1,6 +1,7 @@
 """``reportfmt.dumps_structured`` writes what
 ``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` writes, byte for byte."""
 
+import enum
 import json
 
 import pytest
@@ -72,7 +73,38 @@ def test_the_writer_matches_json_on_random_trees(doc):
     assert dumps_structured(doc) == _reference(doc)
 
 
-@pytest.mark.parametrize("bad", [1.5, {1: "a"}, {"a": object()}])
+def _nested(depth: int, wrap):
+    doc = "leaf"
+    for level in range(depth):
+        doc = wrap(doc, level)
+    return doc
+
+
+class Kind(str, enum.Enum):
+    HOLDS = "holds"
+
+
+class Rank(enum.IntEnum):
+    TOP = 7
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _nested(150, lambda inner, level: [inner, level, []]),
+        _nested(150, lambda inner, level: {"inner": inner, "level": level, "empty": {}}),
+        {"kind": Kind.HOLDS, Kind.HOLDS: [Kind.HOLDS, Rank.TOP, True, False, None], "rank": Rank.TOP},
+        [True, False, None, Rank.TOP, (Kind.HOLDS, "holds")],
+    ],
+    ids=["deep-list", "deep-dict", "enum-dict", "enum-list"],
+)
+def test_deep_trees_and_subclassed_leaves_take_the_generic_path(doc):
+    # deeper than the indent table, and leaves that are str or int without
+    # being exactly str, so they must not be written as their own repr
+    assert dumps_structured(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize("bad", [1.5, {1: "a"}, {"a": object()}, _nested(150, lambda inner, level: [inner, 1.5])])
 def test_what_the_writer_cannot_write_is_a_type_error(bad):
     with pytest.raises(TypeError):
         dumps_structured(bad)

@@ -92,8 +92,8 @@ _NEWLINES = tuple("\n" + "  " * depth for depth in range(16))  # each depth's in
 
 
 def dumps_structured(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` byte for byte in
-    one walk that appends to a single list; CPython indents in pure Python.
+    """``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` byte for byte,
+    in one walk that appends to a single list (``json`` indents in pure Python).
     Exact ``str`` leaves are quoted inline by the C ``encode_basestring_ascii``;
     other leaves and containers take ``json``'s ``isinstance`` order."""
     out = []

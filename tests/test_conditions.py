@@ -429,7 +429,7 @@ def _status_reference(clauses) -> se.FactStatus:
 def test_a_verdict_status_is_its_clauses_conjunction(statuses, edge):
     v = ConditionVerdict(ConditionId(FAMILY_FENCHEL, edge.dst), tuple(Clause(f"c{i}", x) for i, x in enumerate(statuses)))
     assert v.status is _status_reference(v.clauses)
-    assert v.status is v.status  # decided once, read again
+    assert vars(v)["status"] is v.status  # stored by the first read
     # the verdicts the closure derives from one whose status was already read
     for derived in (_implied_holds(v, edge), _implied_fails(v, edge), _refuted_by_gap(v)):
         assert derived.status is _status_reference(derived.clauses)

@@ -366,12 +366,15 @@ class NumericModel:
     @cached_property
     def _primal_lp(self) -> tuple[LinearProgram, LpOutcome]:
         """The primal LP inf Phi(x, 0), on Phi's rows with the y columns
-        dropped, and its outcome."""
+        dropped, and its outcome at the optimum whose x and dual point
+        (see ``dual``) are lexicographically smallest."""
         b, y0, y1 = self._phi, self.nx, self.nx + self.ny
-        n = b.n - self.ny
+        n, full = b.n - self.ny, b.full_rows()
         obj = (ZERO,) * self.nx + (ONE,) * len(self.epis)
-        rows = tuple(Row(a[:y0] + a[y1:], rel, r) for a, rel, r in b.full_rows())
-        prog = LinearProgram(n, obj + (ZERO,) * (n - len(obj)), "min", rows)
+        rows = tuple(Row(a[:y0] + a[y1:], rel, r) for a, rel, r in full)
+        x = tuple(tuple(ONE if k == j else ZERO for k in range(n)) for j in range(y0))
+        y = tuple(tuple(self.pairing * a[k] for a, _, _ in full) for k in range(y0, y1))
+        prog = LinearProgram(n, obj + (ZERO,) * (n - len(obj)), "min", rows, lex=x, dual_lex=y)
         return prog, solve_lp(prog)
 
     @cached_property
@@ -551,7 +554,7 @@ def recover_dual_via_separation(instance: Instance, vp, model: Optional[NumericM
     model = model or NumericModel(instance)
     d = model.ny + 1
     rows, u = _boxed_polar(model.lifted_epi(vp), d)
-    out = solve_lp(LinearProgram(len(u[-1]), tuple(-c for c in u[-1]), "max", rows))
+    out = solve_lp(LinearProgram(len(u[-1]), tuple(-c for c in u[-1]), "max", rows, lex=u[:-1]))
     assert isinstance(out, Optimal)
     if out.value > 0:
         sep = tuple(dot(c, out.point) for c in u)

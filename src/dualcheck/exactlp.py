@@ -109,6 +109,11 @@ class LinearProgram:
     rows: tuple[Row, ...]
     # per-variable (lower, upper); None entries mean free in that direction
     bounds: Optional[tuple[tuple[Optional[Rat], Optional[Rat]], ...]] = None
+    # linear forms on the point, then on the multipliers (one entry per
+    # expanded row), whose images pick the reported optimum: the
+    # lexicographically smallest over the optimal face
+    lex: tuple[Vec, ...] = ()
+    dual_lex: tuple[Vec, ...] = ()
 
     def __post_init__(self):
         if self.sense not in (MIN, MAX):
@@ -120,6 +125,12 @@ class LinearProgram:
                 raise DimensionMismatchError("row length != n")
         if self.bounds is not None and len(self.bounds) != self.n:
             raise DimensionMismatchError("bounds length != n")
+        if any(len(f) != self.n for f in self.lex):
+            raise DimensionMismatchError("lex form length != n")
+        if self.dual_lex:
+            m = len(self.rows) + sum(b is not None for pair in self.bounds or () for b in pair)
+            if any(len(f) != m for f in self.dual_lex):
+                raise DimensionMismatchError("dual lex form length != number of expanded rows")
 
 
 def lp(
@@ -427,6 +438,53 @@ class _Simplex:
                 x[j] += Fraction(-sg * self.R[i].get(col, 0), self.R[i][j])
         return tuple(x)
 
+    # -- alternative optima -------------------------------------------------
+
+    def point_is_lex_min(self, forms: Sequence[Vec]) -> bool:
+        """After an optimum: are this point's images under ``forms`` the
+        lexicographically smallest over the optimal face?  Every direction
+        into the face is a nonnegative combination of the edges along the
+        nonbasic columns with a zero reduced cost, so it suffices that no
+        such edge has a lexicographically negative image.  The twin of a
+        basic split column is skipped: its edge is 0."""
+        n, basic = self.n, set(self.basis)
+        for w in range(self.N):
+            col, _ = self._column(w)
+            if self.Z[col] != 0 or w in basic or (w < 2 * n and (w + n) % (2 * n) in basic):
+                continue
+            edge = self._ray(w)
+            if _lex_negative(dot(f, edge) for f in forms):
+                return False
+        return True
+
+    def duals_are_lex_min(self, forms: Sequence[Vec]) -> bool:
+        """After an optimum: are these multipliers' images under ``forms``
+        the lexicographically smallest over the optimal multipliers?  Other
+        optimal multipliers shift the reduced costs by a combination of
+        tableau rows with weights w, and only rows whose basic variable is a
+        slack or an artificial at value 0 take part: a basic split column
+        pins its row's weight to 0 through its twin, and a positive
+        right-hand side through the value.  A basic slack's reduced cost
+        -w_r must stay >= 0, so w_r <= 0; an artificial's weight is free.
+        Row r moves multiplier i by w_r times its entry in column
+        ``own[i]``, signed as ``_duals`` reads it, so it suffices that no
+        slack row moves an image lexicographically down and no artificial
+        row moves one at all."""
+        K, n = self.K, self.n
+        down = 1 if self.lp.sense == MAX else -1  # the image of w_r = -1
+        for r, b in enumerate(self.basis):
+            row = self.R[r]
+            if b < 2 * n or K in row:
+                continue
+            move = []
+            for i, rel in enumerate(self.rels):
+                a = down * row.get(self.own[i], 0)
+                move.append(a if rel == LE else -a if rel == GE else self.sigma[i] * a)
+            image = [dot(f, move) for f in forms]
+            if _lex_negative(image) or (b >= self.N and any(image)):
+                return False
+        return True
+
     # -- driver -------------------------------------------------------------
 
     def solve(self) -> LpOutcome:
@@ -461,10 +519,70 @@ class _Simplex:
 
 
 def solve_lp(p: LinearProgram) -> LpOutcome:
-    """Solve exactly; deterministic for identical inputs."""
+    """Solve exactly; deterministic for identical inputs.
+
+    An optimum is reported at a canonical point: the images of its point
+    under ``p.lex`` and of its multipliers under ``p.dual_lex`` are the
+    lexicographically smallest over the optimal face (see ``_lex_min``), so
+    no pivot path can move them.  The walk is skipped where the final
+    tableau shows that no optimum has smaller images.
+    """
     if not isinstance(p, LinearProgram):
         raise MalformedInputError("solve_lp expects a LinearProgram")
-    return _Simplex(p).solve()
+    s = _Simplex(p)
+    out = s.solve()
+    if isinstance(out, Optimal):
+        if p.lex and not s.point_is_lex_min(p.lex):
+            face = p.rows + (Row(p.objective, EQ, out.value),)
+            out = Optimal(_lex_min(p.n, face, p.bounds, p.lex), out.value, out.dual)
+        if p.dual_lex and not s.duals_are_lex_min(p.dual_lex):
+            out = Optimal(out.point, out.value, _lex_min(*_dual_face(p, out.value), p.dual_lex))
+    return out
+
+
+def _lex_negative(image) -> bool:
+    """Is the first nonzero entry negative?"""
+    return next((v < 0 for v in image if v), False)
+
+
+def _dual_face(p: LinearProgram, value: Rat):
+    """The optimal multipliers of p, as (n, rows, bounds) over one variable
+    per expanded row: sum_i y_i a_i = c and y.b = value, with the signs of
+    the module's convention as bounds."""
+    exp = expanded_rows(p)
+    rows = tuple(Row(tuple(r.coeffs[j] for r in exp), EQ, c) for j, c in enumerate(p.objective))
+    rows += (Row(tuple(r.rhs for r in exp), EQ, value),)
+    up, down = (None, _ZERO), (_ZERO, None)
+    if p.sense == MAX:
+        up, down = down, up
+    bounds = tuple(up if r.rel == LE else down if r.rel == GE else (None, None) for r in exp)
+    return len(exp), rows, bounds
+
+
+def _lex_min(n: int, rows: tuple[Row, ...], bounds, forms: Sequence[Vec]) -> Vec:
+    """The point of the nonempty set {rows, bounds} whose images under
+    ``forms`` are lexicographically smallest.  Each form in turn is
+    minimized, or maximized where it is unbounded below, or set to 0 where
+    it is unbounded both ways (it then takes every value), and held at
+    that value from then on."""
+    point = None
+    for f in forms:
+        out = solve_lp(LinearProgram(n, f, MIN, rows, bounds))
+        if isinstance(out, Unbounded):
+            up = solve_lp(LinearProgram(n, f, MAX, rows, bounds))
+            if isinstance(up, Unbounded):
+                # walk from the point along a ray that moves f towards 0
+                x = out.point
+                ray = out.ray if dot(f, x) > 0 else up.ray
+                t = dot(f, x) / dot(f, ray)
+                point = tuple(a - t * b for a, b in zip(x, ray))
+                rows += (Row(f, EQ, _ZERO),)
+                continue
+            out = up
+        assert isinstance(out, Optimal), "the set is nonempty"
+        point = out.point
+        rows += (Row(f, EQ, out.value),)
+    return point
 
 
 def _row_holds(r: Row, x: Vec) -> bool:

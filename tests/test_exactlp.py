@@ -151,8 +151,11 @@ def test_random_lps_self_verify_and_permutation_invariant():
 def _matches_reference(p):
     out = solve_lp(p)
     assert verify_certificate(p, out)
+    # the reference follows the pivot path; a program with lex forms may
+    # leave its last vertex for the lex-smallest optimum afterwards
+    path = _Simplex(p).solve()
     ref = rational_bland_simplex(p.sense, p.objective, [(r.coeffs, r.rel, r.rhs) for r in expanded_rows(p)])
-    assert (type(out).__name__.lower(),) + astuple(out) == ref
+    assert (type(path).__name__.lower(),) + astuple(path) == ref
     return ref[0]
 
 

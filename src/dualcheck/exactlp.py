@@ -256,10 +256,12 @@ class _Simplex:
         self.sigma: list[int] = []
         self.own: list[int] = []  # the stored column that carries row i's multiplier
         self.R: list[dict[int, int]] = []
+        self.basis: list[int] = []
         slack, art = n, n + self.nslack
-        for a, rel, b in rows:
-            # clear denominators; flip so the right-hand side is >= 0
-            s = 1 if b >= 0 else -1
+        for i, (a, rel, b) in enumerate(rows):
+            # clear denominators; flip so the right-hand side is >= 0, and a
+            # >= row with b = 0 so that its slack is +1
+            s = -1 if b < 0 or (b == 0 and rel == GE) else 1
             scale = lcm(b.denominator, *(c.denominator for _, c in a))
             flip = s * scale
             row = {j: c.numerator * flip // c.denominator for j, c in a}
@@ -273,11 +275,14 @@ class _Simplex:
                 slack += 1
             if b:
                 row[K] = b.numerator * flip // b.denominator
-            row[K + 1] = scale  # the artificial, basic
+            if rel != EQ and row[slack - 1] > 0:
+                self.basis.append(slack - 1 + n)  # the slack starts basic
+            else:
+                row[K + 1] = scale  # the artificial, basic
+                self.basis.append(self.N + i)
             g = gcd(*row.values())
             self.sigma.append(s)
             self.R.append(row if g == 1 else {k: v // g for k, v in row.items()})
-        self.basis = [self.N + i for i in range(self.m)]
 
     def _column(self, w: int) -> tuple[int, int]:
         """The stored column and sign of the non-artificial wide column w."""
@@ -489,7 +494,7 @@ class _Simplex:
 
     def solve(self) -> LpOutcome:
         m, n, K = self.m, self.n, self.K
-        if m > 0:
+        if any(b >= self.N for b in self.basis):
             self._set_costs([_ZERO] * (n + self.nslack) + [_ONE] * (m - self.nslack), _ONE)
             unb = self._iterate()
             assert unb is None, "phase one is bounded below by zero"

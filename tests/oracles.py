@@ -108,7 +108,7 @@ def rational_bland_simplex(sense, objective, rows):
     n, m = len(objective), len(rows)
     nslack = sum(1 for _, rel, _ in rows if rel != "=")
     N = 2 * n + nslack
-    T, sigma, slack = [], [], 2 * n
+    T, sigma, basis, slack = [], [], [], 2 * n
     for i, (a, rel, b) in enumerate(rows):
         row = [ZERO] * (N + m + 1)
         for j, c in enumerate(a):
@@ -117,12 +117,12 @@ def rational_bland_simplex(sense, objective, rows):
             row[slack] = Fraction(1 if rel == "<=" else -1)
             slack += 1
         row[-1] = Fraction(b)
-        s = 1 if row[-1] >= 0 else -1
+        s = -1 if row[-1] < 0 or (row[-1] == 0 and rel == ">=") else 1
         row = [s * x for x in row]
         row[N + i] = Fraction(1)
         T.append(row)
         sigma.append(s)
-    basis = [N + i for i in range(m)]
+        basis.append(slack - 1 if rel != "=" and row[slack - 1] > 0 else N + i)
 
     def pivot(r, j):
         T[r] = [x / T[r][j] for x in T[r]]

@@ -4,11 +4,17 @@ Two-phase simplex with Bland's pivot rule (smallest eligible index
 enters, smallest-index basic variable leaves on ratio ties; Bland 1977),
 which makes every solve deterministic and cycle-free.  The indices are
 those of the textbook standard form: split free variables x+ and x-,
-one slack per inequality, one artificial per row.  The stored tableau is
-narrower than that form: one column per variable (the x- column is the
-negated x+ column), artificial columns for the equality rows only, and
-the entry of a basic artificial kept as one cell per row; the
-multipliers of inequality rows are read off their slacks' reduced costs.
+one slack per inequality, rows flipped so that the right-hand side is
+>= 0 (a >= row with right-hand side 0 is flipped too).  The starting
+basis takes a row's slack where its coefficient is +1 after the flip,
+and an artificial on every other row: the equality rows and the rows
+whose slack has the wrong sign (Chvatal, *Linear Programming*, 1983,
+ch. 8); phase one minimizes the sum of those artificials only.  The
+stored tableau is narrower than that form: one column per variable (the
+x- column is the negated x+ column), artificial columns for the equality
+rows only, and the entry of a basic artificial kept as one cell per row;
+the multipliers of inequality rows are read off their slacks' reduced
+costs.
 Inputs and outputs are ``fractions.Fraction``; inside the solver the
 tableau is fraction-free: each row is a primitive integer vector, built
 directly from the LP's rows and bounds and stored sparse (its nonzero
@@ -27,6 +33,13 @@ replay independently of the solver:
   optimal value exactly (LP strong duality),
 * ``Infeasible`` — a Farkas combination of the rows yielding 0 <= negative,
 * ``Unbounded`` — a feasible point plus an improving recession ray.
+
+An optimum is not always a single point.  A program may name linear
+forms on its point (``lex``) and on its multipliers (``dual_lex``); the
+reported optimum is then the one whose images under them are
+lexicographically smallest over the optimal face, which no pivot path
+can move.  The final tableau usually shows that its own vertex is that
+optimum; otherwise a walk of small LPs over the face finds it.
 
 Dual-multiplier sign convention, for ``min`` problems: y_i <= 0 on <=-rows,
 y_i >= 0 on >=-rows, free on =-rows, sum_i y_i a_i = c and y.b = value.
@@ -203,11 +216,15 @@ class _Simplex:
 
     Standard form (the *wide* layout, which fixes the pivot rule): free
     variables split x = x+ - x-, one slack per inequality row, rows
-    sign-flipped so the right-hand side is >= 0, one artificial per row as
-    the starting basis.  Columns are numbered x+ 0..n-1, x- 0..n-1, the
-    slacks in row order, then the artificials; Bland's rule enters the
-    smallest such index with a negative reduced cost and breaks ratio ties
-    by the smallest basic index.  Artificials never enter.
+    sign-flipped so the right-hand side is >= 0 and a >= row with
+    right-hand side 0 flipped so its slack is +1.  The starting basis is
+    that slack on every row where it is +1, and an artificial on every
+    other row (the equality rows and those whose slack is -1).  Columns
+    are numbered x+ 0..n-1, x- 0..n-1, the slacks in row order, then one
+    artificial per row (N + i for row i, used only where row i needs
+    one); Bland's rule enters the smallest such index with a negative
+    reduced cost and breaks ratio ties by the smallest basic index.
+    Artificials never enter.
 
     The tableau stores less than that layout:
 
@@ -217,7 +234,8 @@ class _Simplex:
     * artificial columns for the equality rows only.  Any basic column is
       a unit column, so while row i's own artificial is basic the row
       keeps that artificial's positive entry as one more cell ``d[i]``
-      (stored column K + 1, gone once the artificial has left);
+      (stored column K + 1, gone once the artificial has left, and never
+      there on a row whose slack starts basic);
     * the multiplier of an inequality row is read off its slack's reduced
       cost (-z_slack on a ``<=`` row, +z_slack on a ``>=`` row), since the
       slack column is plus or minus the artificial's; an equality row's is
@@ -295,7 +313,9 @@ class _Simplex:
 
     # -- tableau mechanics ------------------------------------------------
 
-    def _pivot(self, r: int, w: int):
+    def _pivot(self, r: int, w: int, rows: Optional[list[int]] = None):
+        """Pivot wide column w into row r's basis; ``rows``, when given,
+        are the rows with a nonzero entry in w's stored column."""
         self.pivots += 1
         if self.pivots > self.max_pivots:
             raise SolverLimitError(
@@ -310,9 +330,12 @@ class _Simplex:
             pr = R[r] = {k: -b for k, b in pr.items()}
         piv = sg * pr[col]
         # row_i - (t_ij / t_rj) row_r, scaled by piv times row i's basic entry
-        for i, row in enumerate(R):
-            f = row.get(col)
-            if f is not None and i != r:
+        if rows is None:
+            rows = [i for i, row in enumerate(R) if col in row]
+        for i in rows:
+            if i != r:
+                row = R[i]
+                f = row[col]
                 # dividing piv and f by their gcd changes the row only by a
                 # positive factor, which the division by the row's gcd removes
                 g = gcd(piv, f)
@@ -392,9 +415,13 @@ class _Simplex:
             if enter is None:
                 return None
             col, sg = self._column(enter)
-            leave = None
+            leave, hits = None, []
             for i, row in enumerate(R):
-                t = sg * row.get(col, 0)
+                t = row.get(col)
+                if t is None:
+                    continue
+                hits.append(i)
+                t *= sg
                 if t > 0:
                     rhs = row.get(K, 0)
                     if leave is None:
@@ -406,7 +433,7 @@ class _Simplex:
                         leave, best_rhs, best_t = i, rhs, t
             if leave is None:
                 return enter
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, hits)
 
     # -- certificate extraction -------------------------------------------
 

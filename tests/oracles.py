@@ -97,11 +97,14 @@ def rational_bland_simplex(sense, objective, rows):
     ``rows`` are ``(coeffs, rel, rhs)`` with every variable bound already
     written as a row.  The standard form and the pivot rules are the ones
     ``dualcheck.exactlp`` documents (split free variables, one slack per
-    inequality, right-hand sides made >= 0, artificial basis, Bland's rule
-    with ties to the smallest basic index), so the solver must return the
-    very same point, ray, value and multipliers.  This tableau stores that
-    wide layout whole: both halves of every split variable and one
-    artificial column per row.  Returns
+    inequality, right-hand sides made >= 0 and >= rows with right-hand
+    side 0 flipped, a starting basis of the slacks that are +1 and
+    artificials on the other rows, Bland's rule with ties to the smallest
+    basic index), so the solver's pivot path must return the very same
+    point, ray, value and multipliers.  This tableau stores that wide
+    layout whole: both halves of every split variable and one artificial
+    column per row; the artificial of a row whose slack starts basic is a
+    column like any nonbasic one, which never enters.  Returns
     ``("optimal", point, value, duals)``, ``("infeasible", farkas)`` or
     ``("unbounded", point, ray)``.
     """

@@ -1,5 +1,5 @@
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -18,6 +18,7 @@ from dualcheck.exactlp import (
     Optimal,
     Unbounded,
     _Simplex,
+    dot,
     expanded_rows,
     lp,
     rat_str,
@@ -160,11 +161,20 @@ def _matches_reference(p):
 
 
 def _note_paths(monkeypatch) -> set:
-    """Note the rarer tableau paths that later solves take: a virtual x- column
-    entering, and an artificial driven out after phase one."""
+    """Note the rarer tableau paths that later solves take: a slack in the
+    starting basis, a >= row with right-hand side 0 flipped, a virtual x-
+    column entering, and an artificial driven out after phase one."""
     seen = set()
     after_phase_one = [False]
-    real_costs, real_iterate, real_pivot = _Simplex._set_costs, _Simplex._iterate, _Simplex._pivot
+    real_init, real_costs = _Simplex.__init__, _Simplex._set_costs
+    real_iterate, real_pivot = _Simplex._iterate, _Simplex._pivot
+
+    def init(self, p):
+        real_init(self, p)
+        if any(b < self.N for b in self.basis):
+            seen.add("slack starts basic")
+        if any(rel == GE and s < 0 and self.K not in row for rel, s, row in zip(self.rels, self.sigma, self.R)):
+            seen.add(">= row with b = 0 flipped")
 
     def set_costs(self, cost, art):
         after_phase_one[0] = False
@@ -175,13 +185,14 @@ def _note_paths(monkeypatch) -> set:
         after_phase_one[0] = True
         return out
 
-    def pivot(self, r, w):
+    def pivot(self, r, w, *rows):
         if self.n <= w < 2 * self.n:
             seen.add("x- enters")
         if after_phase_one[0] and self.basis[r] >= self.N:
             seen.add("artificial driven out")
-        return real_pivot(self, r, w)
+        return real_pivot(self, r, w, *rows)
 
+    monkeypatch.setattr(_Simplex, "__init__", init)
     monkeypatch.setattr(_Simplex, "_set_costs", set_costs)
     monkeypatch.setattr(_Simplex, "_iterate", iterate)
     monkeypatch.setattr(_Simplex, "_pivot", pivot)
@@ -196,8 +207,8 @@ def _check_rows_after_pivots(monkeypatch) -> list:
     count = [0]
     real_pivot = _Simplex._pivot
 
-    def pivot(self, r, w):
-        real_pivot(self, r, w)
+    def pivot(self, r, w, *rows):
+        real_pivot(self, r, w, *rows)
         count[0] += 1
         for row, b in zip(self.R, self.basis):
             assert 0 not in row.values()
@@ -211,6 +222,82 @@ def _check_rows_after_pivots(monkeypatch) -> list:
 
     monkeypatch.setattr(_Simplex, "_pivot", pivot)
     return count
+
+
+ALL_PATHS = {"slack starts basic", ">= row with b = 0 flipped", "x- enters", "artificial driven out"}
+
+
+def _random_lp(rng, q):
+    """A seeded LP with bounds, all three relations and fractional data."""
+    n, m = rng.randint(1, 4), rng.randint(0, 6)
+    rows = [
+        ([q() if rng.random() < 0.7 else 0 for _ in range(n)], rng.choice([LE, LE, GE, "="]), q() if rng.random() < 0.8 else 0)
+        for _ in range(m)
+    ]
+    bounds = None
+    if rng.random() < 0.5:
+        bounds = [(rng.choice([None, q()]), rng.choice([None, q()])) for _ in range(n)]
+    return lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows, bounds)
+
+
+def test_4000_random_lps_keep_the_reference_outcome_and_a_valid_certificate(monkeypatch):
+    # the slack start takes another pivot path than an all-artificial one,
+    # but never another outcome class or value
+    rng = random.Random(18)
+
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7]))
+
+    seen = _note_paths(monkeypatch)
+    kinds = {}
+    for _ in range(4000):
+        p = _random_lp(rng, q)
+        out = solve_lp(p)
+        assert verify_certificate(p, out)
+        ref = rational_bland_simplex(p.sense, p.objective, [(r.coeffs, r.rel, r.rhs) for r in expanded_rows(p)])
+        assert type(out).__name__.lower() == ref[0]
+        if isinstance(out, Optimal):
+            assert out.value == ref[2]
+        kinds[ref[0]] = kinds.get(ref[0], 0) + 1
+    assert min(kinds.values()) > 400 and len(kinds) == 3
+    assert seen == ALL_PATHS
+
+
+def test_lex_forms_pick_the_lex_smallest_optimum(monkeypatch):
+    # the tableau's certificate that the images are already lex-smallest
+    # must agree with a walk that always runs, on point and multipliers
+    rng = random.Random(1977)
+
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+
+    def images(forms, v):
+        return tuple(dot(f, v) for f in forms)
+
+    walks = [0, 0]
+    for _ in range(1500):
+        p = _random_lp(rng, q)
+        m = len(expanded_rows(p))
+        lex = tuple(tuple(rng.choice([0, 0, q()]) for _ in range(p.n)) for _ in range(rng.randint(1, 3)))
+        dual_lex = tuple(tuple(rng.choice([0, 0, q()]) for _ in range(m)) for _ in range(rng.randint(1, 3)))
+        p = replace(p, lex=lex, dual_lex=dual_lex)
+        out = solve_lp(p)
+        assert verify_certificate(p, out)
+        if not isinstance(out, Optimal):
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(_Simplex, "point_is_lex_min", lambda self, forms: False)
+            patch.setattr(_Simplex, "duals_are_lex_min", lambda self, forms: False)
+            walked = solve_lp(p)
+        assert verify_certificate(p, walked)
+        assert images(lex, out.point) == images(lex, walked.point)
+        assert images(dual_lex, out.dual) == images(dual_lex, walked.dual)
+        s = _Simplex(p)
+        s.solve()
+        walks[0] += not s.point_is_lex_min(lex)
+        walks[1] += not s.duals_are_lex_min(dual_lex)
+    # both certificates are refused often enough that the walks are tested
+    assert min(walks) > 15
 
 
 def test_outcomes_match_rational_reference_tableau(monkeypatch):
@@ -235,7 +322,7 @@ def test_outcomes_match_rational_reference_tableau(monkeypatch):
             bounds = [(rng.choice([None, q()]), rng.choice([None, q()])) for _ in range(n)]
         kinds.add(_matches_reference(lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows, bounds)))
     assert kinds == {"optimal", "infeasible", "unbounded"}
-    assert seen == {"x- enters", "artificial driven out"}
+    assert seen == ALL_PATHS
 
     # free variables pushed below zero: only x- columns can improve
     seen.clear()

@@ -19,8 +19,11 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
+from dualcheck import exactlp
+from dualcheck import polyhedra as pg
 from dualcheck import setexpr as se
 from dualcheck.conditions import DiagnosisContext, diagnose
 from dualcheck.engine import (
@@ -29,17 +32,20 @@ from dualcheck.engine import (
     IdentityMap,
     LagrangeInstance,
     NegIdentityMap,
+    NumericModel,
     PerturbationInstance,
     ShiftMap,
     dual_objective_value,
     recover_dual_via_separation,
 )
 from dualcheck.errors import DualcheckError
-from dualcheck.exactlp import rat_str
+from dualcheck.exactlp import Infeasible, LinearProgram, Optimal, Row, Unbounded, rat_str
+from dualcheck.exactlp import _Simplex as exactlp_Simplex
 from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum, SupOfAffine
 from dualcheck.polyhedra import poly
 from dualcheck.reportfmt import diagnosis_to_structured, dumps_structured
 from dualcheck.spaces import finite
+from oracles import enumerate_vertices, fm_project
 
 F = Fraction
 FIXTURE = Path(__file__).resolve().parent / "numeric_golden.json"
@@ -187,6 +193,124 @@ def test_numeric_answers_match_the_golden_fixture():
     assert list(got) == list(expected)
     diffs = [(k, expected[k], got[k]) for k in expected if got[k] != expected[k]]
     assert not diffs, diffs[:3]
+
+
+class _PermutedSimplex:
+    """A test-only solver: the package's simplex on the LP with its columns
+    and rows in a seeded random order, its answers mapped back.  It takes
+    other pivot paths to other vertices of the same optimal faces."""
+
+    rng = random.Random(0)
+
+    def __init__(self, p):
+        cols, order = list(range(p.n)), list(range(len(p.rows)))
+        self.rng.shuffle(cols)
+        self.rng.shuffle(order)
+        self.cols = cols
+        rows = tuple(Row(self._perm(p.rows[i].coeffs), p.rows[i].rel, p.rows[i].rhs) for i in order)
+        bounds = None if p.bounds is None else self._perm(p.bounds)
+        q = LinearProgram(p.n, self._perm(p.objective), p.sense, rows, bounds)
+        self.inner = exactlp_Simplex(q)
+
+        def keys(row_order, col_order):
+            out = [("row", i) for i in row_order]
+            for j in col_order if p.bounds is not None else ():
+                out += [(side, j) for side in (0, 1) if p.bounds[j][side] is not None]
+            return out
+
+        at = {key: k for k, key in enumerate(keys(order, cols))}
+        self.back = [at[key] for key in keys(range(len(p.rows)), range(p.n))]
+
+    def _perm(self, v):
+        return tuple(v[j] for j in self.cols)
+
+    def _unperm(self, v):
+        x = [None] * len(v)
+        for k, j in enumerate(self.cols):
+            x[j] = v[k]
+        return tuple(x)
+
+    def _duals_back(self, y):
+        return tuple(y[k] for k in self.back)
+
+    def _dual_form(self, f):
+        g = [0] * len(f)
+        for i, k in enumerate(self.back):
+            g[k] = f[i]
+        return tuple(g)
+
+    def solve(self):
+        out = self.inner.solve()
+        if isinstance(out, Optimal):
+            return Optimal(self._unperm(out.point), out.value, self._duals_back(out.dual))
+        if isinstance(out, Infeasible):
+            return Infeasible(self._duals_back(out.farkas))
+        return Unbounded(self._unperm(out.point), self._unperm(out.ray))
+
+    def point_is_lex_min(self, forms):
+        return self.inner.point_is_lex_min([self._perm(f) for f in forms])
+
+    def duals_are_lex_min(self, forms):
+        return self.inner.duals_are_lex_min([self._dual_form(f) for f in forms])
+
+
+def _clear_memos():
+    pg._frt.cache_clear()
+    pg._in_projection.cache_clear()
+    se._ATTR_MEMO.clear()
+    se._NORM_MEMO.clear()
+
+
+def test_golden_answers_do_not_depend_on_the_pivot_path(monkeypatch):
+    # every printed point is the lex-smallest optimum, so a solver that
+    # permutes columns and rows reproduces the fixture byte for byte
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    moved = []
+    real_solve = exactlp_Simplex.solve
+    monkeypatch.setattr(exactlp_Simplex, "solve", lambda self: moved.append(1) or real_solve(self))
+    monkeypatch.setattr(exactlp, "_Simplex", _PermutedSimplex)
+    _clear_memos()
+    try:
+        for seed in (1, 2):
+            _PermutedSimplex.rng.seed(seed)
+            assert _answers() == expected
+            _clear_memos()
+    finally:
+        _clear_memos()
+    assert len(moved) > 1000
+
+
+def _bounded(ineqs, eqs, n) -> bool:
+    """No nonzero r with a.r <= 0 and e.r = 0: by brute force, no vertex of
+    that cone cut to s.r = 1 inside the orthant of any sign vector s."""
+    for signs in product((1, -1), repeat=n):
+        orthant = [(tuple(-s * int(k == j) for k in range(n)), 0) for j, s in enumerate(signs)]
+        cone = [(a, 0) for a, _ in ineqs] + orthant
+        if enumerate_vertices(cone, [(e, 0) for e, _ in eqs] + [(signs, 1)], n):
+            return False
+    return True
+
+
+def test_bounded_primal_faces_print_their_lex_smallest_vertex():
+    # the optimal face of the primal LP, written over x by Fourier-Motzkin
+    # elimination; where it is bounded its lex-smallest point is a vertex
+    checked = 0
+    for inst in _instances():
+        try:
+            model = NumericModel(inst)
+            vp, x = model.primal
+        except DualcheckError:
+            continue
+        if not vp.is_finite():
+            continue
+        prog, out = model._primal_lp
+        ineqs = [(r.coeffs, r.rhs) if r.rel == "<=" else (tuple(-c for c in r.coeffs), -r.rhs) for r in prog.rows if r.rel != "="]
+        eqs = [(r.coeffs, r.rhs) for r in prog.rows if r.rel == "="] + [(prog.objective, out.value)]
+        face = fm_project(poly(prog.n, ineqs, eqs), range(model.nx))
+        if face.n <= 3 and _bounded(face.ineqs, face.eqs, face.n):
+            assert x == min(enumerate_vertices(face.ineqs, face.eqs, face.n)), inst.instance_id
+            checked += 1
+    assert checked > 50
 
 
 def test_numeric_diagnoses_read_the_model_not_structural_domains(monkeypatch):

@@ -584,10 +584,10 @@ def _dual_face(p: LinearProgram, value: Rat):
     exp = expanded_rows(p)
     rows = tuple(Row(tuple(r.coeffs[j] for r in exp), EQ, c) for j, c in enumerate(p.objective))
     rows += (Row(tuple(r.rhs for r in exp), EQ, value),)
-    up, down = (None, _ZERO), (_ZERO, None)
+    on_le, on_ge = (None, _ZERO), (_ZERO, None)
     if p.sense == MAX:
-        up, down = down, up
-    bounds = tuple(up if r.rel == LE else down if r.rel == GE else (None, None) for r in exp)
+        on_le, on_ge = on_ge, on_le
+    bounds = tuple(on_le if r.rel == LE else on_ge if r.rel == GE else (None, None) for r in exp)
     return len(exp), rows, bounds
 
 

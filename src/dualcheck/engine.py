@@ -373,6 +373,7 @@ class NumericModel:
         obj = (ZERO,) * self.nx + (ONE,) * len(self.epis)
         rows = tuple(Row(a[:y0] + a[y1:], rel, r) for a, rel, r in full)
         x = tuple(tuple(ONE if k == j else ZERO for k in range(n)) for j in range(y0))
+        # the dual point's coordinates, pairing * mu (see ``dual``), as forms on the multipliers
         y = tuple(tuple(self.pairing * a[k] for a, _, _ in full) for k in range(y0, y1))
         prog = LinearProgram(n, obj + (ZERO,) * (n - len(obj)), "min", rows, lex=x, dual_lex=y)
         return prog, solve_lp(prog)
@@ -416,11 +417,9 @@ class NumericModel:
         improper functions are undefined, as in ``conjugate_polyfunc``;
         they occur only when the primal value is infinite.
         """
-        _, out = self._primal_lp
+        prog, out = self._primal_lp
         if isinstance(out, Optimal):
-            rows = self._phi.full_rows()
-            y = (dot(out.dual, [a[k] for a, _, _ in rows]) for k in range(self.nx, self.nx + self.ny))
-            return er(out.value), tuple(self.pairing * c for c in y)
+            return er(out.value), tuple(dot(out.dual, q) for q in prog.dual_lex)
         if any(fx.pf_is_improper(epi) for epi in self.lowered):
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         if isinstance(out, Unbounded):

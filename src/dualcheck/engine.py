@@ -522,23 +522,24 @@ def solve_dual(instance: Instance, model: Optional[NumericModel] = None) -> tupl
 # -- separation-based dual recovery ---------------------------------------------
 
 
-def _boxed_polar(p: Polyhedron, d: int) -> tuple[tuple[Row, ...], tuple[Vec, ...]]:
+def _boxed_polar(p: Polyhedron, d: int) -> tuple[tuple[Row, ...], tuple, tuple[Vec, ...]]:
     """The polar of p's projection onto its first d coordinates, cut to the
     box |u_i| <= 1, written over the LP-dual multipliers (lam, mu) of p's rows.
 
     For p = {Gz <= h, Ez = e} nonempty, LP duality puts u in that polar
     exactly when u = G_K^T lam + E_K^T mu for some lam >= 0 and mu with
     G_D^T lam + E_D^T mu = 0 and h.lam + e.mu <= 0, where K marks the first
-    d (kept) columns and D the rest.  Returns the rows and u as d linear
-    forms in (lam, mu).
+    d (kept) columns and D the rest.  Returns the rows, the variable bounds
+    and u as d linear forms in (lam, mu).  The signs lam >= 0 are bounds,
+    not rows, so each lam is one signed column of the exact simplex.
     """
     cg, ce = pg.columns(p.ineqs, p.n), pg.columns(p.eqs, p.n)
     b = pg.BlockRows(("lam", len(p.ineqs)), ("mu", len(p.eqs)))
-    b.pull(pg.orthant(len(p.ineqs)), (len(p.ineqs), {"lam": ONE}))
     b.pull(pg.singleton((ZERO,) * (p.n - d)), (p.n - d, {"lam": cg[d:], "mu": ce[d:]}))
     b.pull(pg.at_most(0), (1, {"lam": (tuple(h for _, h in p.ineqs),), "mu": (tuple(e for _, e in p.eqs),)}))
     b.pull(pg.cube(d), (d, {"lam": cg[:d], "mu": ce[:d]}))
-    return b.lp_rows(), tuple(g + e for g, e in zip(cg[:d], ce[:d]))
+    bounds = ((ZERO, None),) * len(p.ineqs) + ((None, None),) * len(p.eqs)
+    return b.lp_rows(), bounds, tuple(g + e for g, e in zip(cg[:d], ce[:d]))
 
 
 def recover_dual_via_separation(instance: Instance, vp, model: Optional[NumericModel] = None) -> tuple:
@@ -552,8 +553,8 @@ def recover_dual_via_separation(instance: Instance, vp, model: Optional[NumericM
         raise RegimeError("separation recovery runs in the numeric regime")
     model = model or NumericModel(instance)
     d = model.ny + 1
-    rows, u = _boxed_polar(model.lifted_epi(vp), d)
-    out = solve_lp(LinearProgram(len(u[-1]), tuple(-c for c in u[-1]), "max", rows, lex=u[:-1]))
+    rows, bounds, u = _boxed_polar(model.lifted_epi(vp), d)
+    out = solve_lp(LinearProgram(len(u[-1]), tuple(-c for c in u[-1]), "max", rows, bounds, lex=u[:-1]))
     assert isinstance(out, Optimal)
     if out.value > 0:
         sep = tuple(dot(c, out.point) for c in u)
@@ -565,11 +566,12 @@ def recover_dual_via_separation(instance: Instance, vp, model: Optional[NumericM
         if val != er(vp):
             raise InconsistencyError(f"recovered dual point misses the primal value: {val} != {vp}")
         return dual
-    # no separator with negative last component; classify the failure
+    # no separator with negative last component; classify the failure over
+    # the same polar, so with the same bounds
     flat = rows + (Row(u[-1], EQ, ZERO),)
     for i in range(d - 1):
         for sense in ("max", "min"):
-            probe = solve_lp(LinearProgram(len(u[i]), u[i], sense, flat))
+            probe = solve_lp(LinearProgram(len(u[i]), u[i], sense, flat, bounds))
             if isinstance(probe, Optimal) and probe.value != 0:
                 raise DegenerateSeparationError("only separators with vanishing value component exist")
     raise QriMembershipError("the origin admits no nonzero separator")

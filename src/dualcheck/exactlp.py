@@ -3,18 +3,21 @@
 Two-phase simplex with Bland's pivot rule (smallest eligible index
 enters, smallest-index basic variable leaves on ratio ties; Bland 1977),
 which makes every solve deterministic and cycle-free.  The indices are
-those of the textbook standard form: split free variables x+ and x-,
-one slack per inequality, rows flipped so that the right-hand side is
->= 0 (a >= row with right-hand side 0 is flipped too).  The starting
-basis takes a row's slack where its coefficient is +1 after the flip,
-and an artificial on every other row: the equality rows and the rows
-whose slack has the wrong sign (Chvatal, *Linear Programming*, 1983,
-ch. 8); phase one minimizes the sum of those artificials only.  The
-stored tableau is narrower than that form: one column per variable (the
-x- column is the negated x+ column), artificial columns for the equality
-rows only, and the entry of a basic artificial kept as one cell per row;
-the multipliers of inequality rows are read off their slacks' reduced
-costs.
+those of the textbook standard form: a variable whose lower bound is 0
+is a signed column, one nonnegative column whose bound is no row (the
+bounded-variable form of Dantzig 1955, for the bound 0 only), every
+other variable is split into x+ and x-, one slack per inequality, rows
+flipped so that the right-hand side is >= 0 (a >= row with right-hand
+side 0 is flipped too).  The starting basis takes a row's slack where
+its coefficient is +1 after the flip, and an artificial on every other
+row: the equality rows and the rows whose slack has the wrong sign
+(Chvatal, *Linear Programming*, 1983, ch. 8); phase one minimizes the
+sum of those artificials only.  The stored tableau is narrower than that
+form: one column per variable (the x- column is the negated x+ column),
+artificial columns for the equality rows only, and the entry of a basic
+artificial kept as one cell per row; the multipliers of inequality rows
+are read off their slacks' reduced costs, and the multiplier of a signed
+column's bound off that column's reduced cost.
 Inputs and outputs are ``fractions.Fraction``; inside the solver the
 tableau is fraction-free: each row is a primitive integer vector, built
 directly from the LP's rows and bounds and stored sparse (its nonzero
@@ -53,6 +56,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -214,17 +218,22 @@ def _max_pivots() -> int:
 class _Simplex:
     """Two-phase tableau simplex on the standard form derived from an LP.
 
-    Standard form (the *wide* layout, which fixes the pivot rule): free
-    variables split x = x+ - x-, one slack per inequality row, rows
+    Standard form (the *wide* layout, which fixes the pivot rule): a
+    variable with lower bound 0 is a signed column x = x+ >= 0, whose
+    bound gets no row; every other variable is split x = x+ - x-.  The
+    rows are the LP's rows, then one per other finite bound, in
+    ``expanded_rows`` order; one slack per inequality row, rows
     sign-flipped so the right-hand side is >= 0 and a >= row with
     right-hand side 0 flipped so its slack is +1.  The starting basis is
     that slack on every row where it is +1, and an artificial on every
     other row (the equality rows and those whose slack is -1).  Columns
     are numbered x+ 0..n-1, x- 0..n-1, the slacks in row order, then one
     artificial per row (N + i for row i, used only where row i needs
-    one); Bland's rule enters the smallest such index with a negative
-    reduced cost and breaks ratio ties by the smallest basic index.
-    Artificials never enter.
+    one); a signed column keeps its x- number, which never enters, so
+    the numbering does not depend on which columns are signed.  Bland's
+    rule enters the smallest such index with a negative reduced cost and
+    breaks ratio ties by the smallest basic index.  Artificials never
+    enter.
 
     The tableau stores less than that layout:
 
@@ -239,7 +248,10 @@ class _Simplex:
     * the multiplier of an inequality row is read off its slack's reduced
       cost (-z_slack on a ``<=`` row, +z_slack on a ``>=`` row), since the
       slack column is plus or minus the artificial's; an equality row's is
-      sigma_i (c_art - z_art) on its stored artificial.
+      sigma_i (c_art - z_art) on its stored artificial; and the multiplier
+      of a signed column's bound x_j >= 0 is +z_j, as for a ``>=`` row
+      whose slack is x_j itself.  ``rels``, ``sigma`` and ``own`` say how
+      to read each multiplier, in ``expanded_rows`` order.
 
     Row i is the sparse ``R[i] = {column: nonzero entry}`` over the x
     columns, slacks, equality artificials, the rhs K and ``d[i]`` K + 1, a
@@ -258,21 +270,30 @@ class _Simplex:
         n = self.n = p.n
         self.max_pivots = _max_pivots()
         self.pivots = 0
-        # the expanded rows as (nonzero (column, coefficient) pairs, rel, rhs)
+        # the tableau rows as (nonzero (column, coefficient) pairs, rel, rhs),
+        # and per multiplier its tableau row, or ~j for the bound of a signed
+        # column j
         rows = [([(j, a) for j, a in enumerate(r.coeffs) if a], r.rel, r.rhs) for r in p.rows]
+        at = list(range(len(rows)))
+        self.signed = [False] * n
         if p.bounds is not None:
             for j, (lo, hi) in enumerate(p.bounds):
-                if lo is not None:
+                if lo == 0:
+                    self.signed[j] = True
+                    at.append(~j)
+                elif lo is not None:
+                    at.append(len(rows))
                     rows.append(([(j, _ONE)], GE, lo))
                 if hi is not None:
+                    at.append(len(rows))
                     rows.append(([(j, _ONE)], LE, hi))
+        self.minus = [j for j in range(n) if not self.signed[j]]  # the x- columns that can enter
         self.m = len(rows)
         self.nslack = sum(1 for _, rel, _ in rows if rel != EQ)
         self.N = 2 * n + self.nslack  # wide structural columns
         self.K = K = n + len(rows)  # stored columns; the rhs cell is K, d[i] is K + 1
-        self.rels = [rel for _, rel, _ in rows]
-        self.sigma: list[int] = []
-        self.own: list[int] = []  # the stored column that carries row i's multiplier
+        sigma: list[int] = []
+        own: list[int] = []  # the stored column that carries row i's multiplier
         self.R: list[dict[int, int]] = []
         self.basis: list[int] = []
         slack, art = n, n + self.nslack
@@ -285,11 +306,11 @@ class _Simplex:
             row = {j: c.numerator * flip // c.denominator for j, c in a}
             if rel == EQ:
                 row[art] = scale
-                self.own.append(art)
+                own.append(art)
                 art += 1
             else:
                 row[slack] = flip if rel == LE else -flip
-                self.own.append(slack)
+                own.append(slack)
                 slack += 1
             if b:
                 row[K] = b.numerator * flip // b.denominator
@@ -299,8 +320,13 @@ class _Simplex:
                 row[K + 1] = scale  # the artificial, basic
                 self.basis.append(self.N + i)
             g = gcd(*row.values())
-            self.sigma.append(s)
+            sigma.append(s)
             self.R.append(row if g == 1 else {k: v // g for k, v in row.items()})
+        # per multiplier, in expanded_rows order: the relation, flip sign and
+        # stored column it is read by; a signed column's bound reads as a >= row
+        self.rels = [GE if i < 0 else rows[i][1] for i in at]
+        self.sigma = [1 if i < 0 else sigma[i] for i in at]
+        self.own = [~i if i < 0 else own[i] for i in at]
 
     def _column(self, w: int) -> tuple[int, int]:
         """The stored column and sign of the non-artificial wide column w."""
@@ -394,12 +420,12 @@ class _Simplex:
 
     def _entering(self) -> Optional[int]:
         """Bland's rule over the wide columns: x+ j has reduced cost z_j, x- j
-        has -z_j, and the slacks follow."""
+        (of an unsigned column only) has -z_j, and the slacks follow."""
         Z, n = self.Z, self.n
         for j in range(n):
             if Z[j] < 0:
                 return j
-        for j in range(n):
+        for j in self.minus:
             if Z[j] > 0:
                 return n + j
         for k in range(n, n + self.nslack):
@@ -478,9 +504,10 @@ class _Simplex:
         into the face is a nonnegative combination of the edges along the
         nonbasic columns with a zero reduced cost, so it suffices that no
         such edge has a lexicographically negative image.  The twin of a
-        basic split column is skipped: its edge is 0."""
+        basic split column is skipped, since its edge is 0, and so is the
+        x- column of a signed one, which has no edge."""
         n, basic = self.n, set(self.basis)
-        for w in range(self.N):
+        for w in chain(range(n), (n + j for j in self.minus), range(2 * n, self.N)):
             col, _ = self._column(w)
             if self.Z[col] != 0 or w in basic or (w < 2 * n and (w + n) % (2 * n) in basic):
                 continue
@@ -494,19 +521,20 @@ class _Simplex:
         the lexicographically smallest over the optimal multipliers?  Other
         optimal multipliers shift the reduced costs by a combination of
         tableau rows with weights w, and only rows whose basic variable is a
-        slack or an artificial at value 0 take part: a basic split column
-        pins its row's weight to 0 through its twin, and a positive
-        right-hand side through the value.  A basic slack's reduced cost
-        -w_r must stay >= 0, so w_r <= 0; an artificial's weight is free.
-        Row r moves multiplier i by w_r times its entry in column
-        ``own[i]``, signed as ``_duals`` reads it, so it suffices that no
-        slack row moves an image lexicographically down and no artificial
-        row moves one at all."""
+        slack, a signed column or an artificial at value 0 take part: a
+        basic split column pins its row's weight to 0 through its twin, and
+        a positive right-hand side through the value.  The reduced cost
+        -w_r of a basic slack or signed column must stay >= 0, so w_r <= 0;
+        an artificial's weight is free.  Row r moves multiplier i by w_r
+        times its entry in column ``own[i]``, signed as ``_duals`` reads it
+        (so the bound of a basic signed column moves with its row), and it
+        suffices that no row of the first kind moves an image
+        lexicographically down and no artificial row moves one at all."""
         K, n = self.K, self.n
         down = 1 if self.lp.sense == MAX else -1  # the image of w_r = -1
         for r, b in enumerate(self.basis):
             row = self.R[r]
-            if b < 2 * n or K in row:
+            if K in row or (b < 2 * n and (b >= n or not self.signed[b])):
                 continue
             move = []
             for i, rel in enumerate(self.rels):

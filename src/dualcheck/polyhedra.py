@@ -310,7 +310,10 @@ def _frt(p: Polyhedron) -> Optional[tuple[frozenset, Vec]]:
     Averaging points that satisfy each non-implicit row strictly and
     scaling up gives a solution with s_i = 1 on every such row, while an
     implicit row forces s_i = 0, so every optimum marks exactly the
-    implicit rows, and z / tau satisfies every other row strictly.
+    implicit rows, and z / tau satisfies every other row strictly.  Each
+    s_i is a signed column of the exact simplex: its bound s_i >= 0 is no
+    tableau row, so besides the system's rows the tableau has only the
+    rows s_i <= 1 and tau >= 1.
     """
     w, m, k = p.width, len(p.ineqs), len(p.eqs)
     b = BlockRows(("z", w), ("s", m), ("tau", 1))

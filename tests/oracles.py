@@ -91,31 +91,56 @@ def grid(lo, hi, step, dim):
     return pts
 
 
-def rational_bland_simplex(sense, objective, rows):
+def rational_bland_simplex(sense, objective, rows, bounds=None):
     """Reference two-phase simplex on a plain ``Fraction`` tableau.
 
-    ``rows`` are ``(coeffs, rel, rhs)`` with every variable bound already
-    written as a row.  The standard form and the pivot rules are the ones
-    ``dualcheck.exactlp`` documents (split free variables, one slack per
+    ``rows`` are ``(coeffs, rel, rhs)`` and ``bounds`` the per-variable
+    ``(lower, upper)`` pairs, as ``dualcheck.exactlp.lp`` takes them.  The
+    standard form and the pivot rules are the ones ``dualcheck.exactlp``
+    documents: a variable with lower bound 0 is a signed column, one
+    nonnegative column whose bound is no row, and every other variable is
+    split; each other bound is a row after the stored rows; one slack per
     inequality, right-hand sides made >= 0 and >= rows with right-hand
     side 0 flipped, a starting basis of the slacks that are +1 and
     artificials on the other rows, Bland's rule with ties to the smallest
-    basic index), so the solver's pivot path must return the very same
+    basic index.  So the solver's pivot path must return the very same
     point, ray, value and multipliers.  This tableau stores that wide
     layout whole: both halves of every split variable and one artificial
-    column per row; the artificial of a row whose slack starts basic is a
-    column like any nonbasic one, which never enters.  Returns
+    column per row; the x- column of a signed variable is all zeros with
+    cost 0, so it never enters, and the artificial of a row whose slack
+    starts basic is a column like any nonbasic one, which never enters.
+    A signed variable's bound multiplier is its x+ column's reduced cost.
+    Multipliers and Farkas coefficients follow ``expanded_rows``: the
+    stored rows, then each variable's lower and upper bound.  Returns
     ``("optimal", point, value, duals)``, ``("infeasible", farkas)`` or
     ``("unbounded", point, ray)``.
     """
-    n, m = len(objective), len(rows)
+    n = len(objective)
+    rows = list(rows)
+    at = list(range(len(rows)))  # per multiplier: its row, or ~j for a signed variable j
+    signed = set()
+    for j, (lo, hi) in enumerate(bounds or ()):
+        e = [ZERO] * n
+        e[j] = Fraction(1)
+        if lo == 0:
+            signed.add(j)
+            at.append(~j)
+        elif lo is not None:
+            at.append(len(rows))
+            rows.append((e, ">=", lo))
+        if hi is not None:
+            at.append(len(rows))
+            rows.append((e, "<=", hi))
+    m = len(rows)
     nslack = sum(1 for _, rel, _ in rows if rel != "=")
     N = 2 * n + nslack
     T, sigma, basis, slack = [], [], [], 2 * n
     for i, (a, rel, b) in enumerate(rows):
         row = [ZERO] * (N + m + 1)
         for j, c in enumerate(a):
-            row[j], row[n + j] = Fraction(c), -Fraction(c)
+            row[j] = Fraction(c)
+            if j not in signed:
+                row[n + j] = -Fraction(c)
         if rel != "=":
             row[slack] = Fraction(1 if rel == "<=" else -1)
             slack += 1
@@ -164,7 +189,7 @@ def rational_bland_simplex(sense, objective, rows):
         return tuple(v[j] - v[n + j] for j in range(n))
 
     def duals(cost, z):
-        return tuple(sigma[i] * (cost[N + i] - z[N + i]) for i in range(m))
+        return tuple(z[~i] if i < 0 else sigma[i] * (cost[N + i] - z[N + i]) for i in at)
 
     if m:
         cost1 = [ZERO] * N + [Fraction(1)] * m
@@ -178,7 +203,7 @@ def rational_bland_simplex(sense, objective, rows):
                     pivot(i, j)
     flip = -1 if sense == "max" else 1
     c = [flip * Fraction(x) for x in objective]
-    cost2 = c + [-x for x in c] + [ZERO] * (nslack + m)
+    cost2 = c + [ZERO if j in signed else -x for j, x in enumerate(c)] + [ZERO] * (nslack + m)
     z, enter = run(cost2)
     if enter is not None:
         return ("unbounded", point(), point(enter))

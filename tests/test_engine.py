@@ -493,6 +493,39 @@ def test_recovery_matches_the_projected_reference(family, seed, i, raise_vp):
     assert dual_objective_value(inst, got) == vp
 
 
+@pytest.mark.parametrize("family", sorted(golden.FAMILIES))
+def test_separation_lp_and_its_probes_read_lam_signs_as_bounds(monkeypatch, family):
+    """Every lam of the separation LP is a signed column: lower bound 0 and
+    no sign row.  At vp + 1 the failure is classified by probes over the
+    same polar, so they carry the same bounds; the outcome matches the
+    projected reference at vp and at vp + 1."""
+    probed = 0
+    for i in range(4):
+        inst = golden.FAMILIES[family][0](random.Random(i), i)
+        try:
+            vp, _ = solve_primal(inst)
+        except DualcheckError:
+            continue
+        if not vp.is_finite():
+            continue
+        for v in (vp.value, vp.value + 1):
+            with monkeypatch.context() as patch:
+                lps = _record_lps(patch)
+                got = _recovery_outcome(recover_dual_via_separation, inst, v)
+            sep = next(q for q in lps if q.lex)
+            probes = [q for q in lps if q.rows[:-1] == sep.rows]
+            model = NumericModel(inst)
+            p, d = model.lifted_epi(v), model.ny + 1
+            assert sep.bounds == ((0, None),) * len(p.ineqs) + ((None, None),) * len(p.eqs)
+            # the zero rows of the dropped columns, the value row and the box
+            assert len(sep.rows) == (p.n - d) + 1 + 2 * d
+            assert all(q.bounds == sep.bounds for q in probes)
+            probed += len(probes)
+            ref = _recovery_outcome(recover_dual_reference, inst, v)
+            assert isinstance(got, tuple) if isinstance(ref, tuple) else got is ref
+    assert probed
+
+
 def test_recovery_eliminates_nothing_and_solves_at_most_seven_lps(monkeypatch):
     f = Sum(Affine((F(2), F(0)), F(0)), ind(poly(2, [((1, 0), 1), ((-1, 0), 2), ((0, 1), 3), ((0, -1), 1)])))
     inst = fenchel(f, NormAtom("l1"), n=2)

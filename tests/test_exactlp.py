@@ -155,7 +155,7 @@ def _matches_reference(p):
     # the reference follows the pivot path; a program with lex forms may
     # leave its last vertex for the lex-smallest optimum afterwards
     path = _Simplex(p).solve()
-    ref = rational_bland_simplex(p.sense, p.objective, [(r.coeffs, r.rel, r.rhs) for r in expanded_rows(p)])
+    ref = rational_bland_simplex(p.sense, p.objective, [(r.coeffs, r.rel, r.rhs) for r in p.rows], p.bounds)
     assert (type(path).__name__.lower(),) + astuple(path) == ref
     return ref[0]
 
@@ -163,18 +163,22 @@ def _matches_reference(p):
 def _note_paths(monkeypatch) -> set:
     """Note the rarer tableau paths that later solves take: a slack in the
     starting basis, a >= row with right-hand side 0 flipped, a virtual x-
-    column entering, and an artificial driven out after phase one."""
+    column entering, a signed column entering, an artificial driven out
+    after phase one, and a nonzero bound multiplier read off a signed
+    column's reduced cost."""
     seen = set()
     after_phase_one = [False]
     real_init, real_costs = _Simplex.__init__, _Simplex._set_costs
-    real_iterate, real_pivot = _Simplex._iterate, _Simplex._pivot
+    real_iterate, real_pivot, real_duals = _Simplex._iterate, _Simplex._pivot, _Simplex._duals
 
     def init(self, p):
         real_init(self, p)
         if any(b < self.N for b in self.basis):
             seen.add("slack starts basic")
-        if any(rel == GE and s < 0 and self.K not in row for rel, s, row in zip(self.rels, self.sigma, self.R)):
-            seen.add(">= row with b = 0 flipped")
+        # a slack column meets only its own row before the first pivot
+        for rel, s, col in zip(self.rels, self.sigma, self.own):
+            if rel == GE and s < 0 and col >= self.n and self.K not in next(r for r in self.R if col in r):
+                seen.add(">= row with b = 0 flipped")
 
     def set_costs(self, cost, art):
         after_phase_one[0] = False
@@ -187,15 +191,25 @@ def _note_paths(monkeypatch) -> set:
 
     def pivot(self, r, w, *rows):
         if self.n <= w < 2 * self.n:
+            assert not self.signed[w - self.n]
             seen.add("x- enters")
+        if w < self.n and self.signed[w]:
+            seen.add("signed column enters")
         if after_phase_one[0] and self.basis[r] >= self.N:
             seen.add("artificial driven out")
         return real_pivot(self, r, w, *rows)
+
+    def duals(self, art):
+        out = real_duals(self, art)
+        if any(col < self.n and y for col, y in zip(self.own, out)):
+            seen.add("bound multiplier read off a reduced cost")
+        return out
 
     monkeypatch.setattr(_Simplex, "__init__", init)
     monkeypatch.setattr(_Simplex, "_set_costs", set_costs)
     monkeypatch.setattr(_Simplex, "_iterate", iterate)
     monkeypatch.setattr(_Simplex, "_pivot", pivot)
+    monkeypatch.setattr(_Simplex, "_duals", duals)
     return seen
 
 
@@ -224,7 +238,19 @@ def _check_rows_after_pivots(monkeypatch) -> list:
     return count
 
 
-ALL_PATHS = {"slack starts basic", ">= row with b = 0 flipped", "x- enters", "artificial driven out"}
+ALL_PATHS = {
+    "slack starts basic",
+    ">= row with b = 0 flipped",
+    "x- enters",
+    "signed column enters",
+    "artificial driven out",
+    "bound multiplier read off a reduced cost",
+}
+
+
+def _random_bounds(rng, q, n):
+    """Bounds for n variables; one in four has lower bound 0 (a signed column)."""
+    return [(0 if rng.random() < 0.25 else rng.choice([None, q()]), rng.choice([None, q()])) for _ in range(n)]
 
 
 def _random_lp(rng, q):
@@ -236,7 +262,7 @@ def _random_lp(rng, q):
     ]
     bounds = None
     if rng.random() < 0.5:
-        bounds = [(rng.choice([None, q()]), rng.choice([None, q()])) for _ in range(n)]
+        bounds = _random_bounds(rng, q, n)
     return lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows, bounds)
 
 
@@ -254,7 +280,7 @@ def test_4000_random_lps_keep_the_reference_outcome_and_a_valid_certificate(monk
         p = _random_lp(rng, q)
         out = solve_lp(p)
         assert verify_certificate(p, out)
-        ref = rational_bland_simplex(p.sense, p.objective, [(r.coeffs, r.rel, r.rhs) for r in expanded_rows(p)])
+        ref = rational_bland_simplex(p.sense, p.objective, [(r.coeffs, r.rel, r.rhs) for r in p.rows], p.bounds)
         assert type(out).__name__.lower() == ref[0]
         if isinstance(out, Optimal):
             assert out.value == ref[2]
@@ -274,9 +300,20 @@ def test_lex_forms_pick_the_lex_smallest_optimum(monkeypatch):
     def images(forms, v):
         return tuple(dot(f, v) for f in forms)
 
-    walks = [0, 0]
-    for _ in range(1500):
-        p = _random_lp(rng, q)
+    def signed_lp():
+        # every variable a signed column and half the right-hand sides 0, so
+        # that signed columns are often basic at 0
+        n = rng.randint(1, 4)
+        rows = [
+            ([q() if rng.random() < 0.7 else 0 for _ in range(n)], rng.choice([LE, GE, "="]), q() if rng.random() < 0.5 else 0)
+            for _ in range(rng.randint(1, 5))
+        ]
+        bounds = [(0, rng.choice([None, None, abs(q()) + 1])) for _ in range(n)]
+        return lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows, bounds)
+
+    walks, signed_at_zero = [0, 0], 0
+    for k in range(2800):
+        p = _random_lp(rng, q) if k < 2000 else signed_lp()
         m = len(expanded_rows(p))
         lex = tuple(tuple(rng.choice([0, 0, q()]) for _ in range(p.n)) for _ in range(rng.randint(1, 3)))
         dual_lex = tuple(tuple(rng.choice([0, 0, q()]) for _ in range(m)) for _ in range(rng.randint(1, 3)))
@@ -296,8 +333,12 @@ def test_lex_forms_pick_the_lex_smallest_optimum(monkeypatch):
         s.solve()
         walks[0] += not s.point_is_lex_min(lex)
         walks[1] += not s.duals_are_lex_min(dual_lex)
-    # both certificates are refused often enough that the walks are tested
+        signed_at_zero += any(b < s.n and s.signed[b] and s.K not in row for b, row in zip(s.basis, s.R))
+    # both certificates are refused often enough that the walks are tested,
+    # and a signed column basic at 0 often gives duals_are_lex_min a row
+    # whose weight moves a bound multiplier
     assert min(walks) > 15
+    assert signed_at_zero > 100
 
 
 def test_outcomes_match_rational_reference_tableau(monkeypatch):
@@ -319,7 +360,7 @@ def test_outcomes_match_rational_reference_tableau(monkeypatch):
         ]
         bounds = None
         if rng.random() < 0.5:
-            bounds = [(rng.choice([None, q()]), rng.choice([None, q()])) for _ in range(n)]
+            bounds = _random_bounds(rng, q, n)
         kinds.add(_matches_reference(lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows, bounds)))
     assert kinds == {"optimal", "infeasible", "unbounded"}
     assert seen == ALL_PATHS

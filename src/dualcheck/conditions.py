@@ -389,7 +389,7 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
     return _status_clause(
         "some x' with the slice y -> Phi(x', y) continuous at 0",
         HOLDS if hit else FAILS,
-        "box-vertex LP over the domain slices",
+        "Freund-Roundy-Todd implicit-row LP and a strict-feasibility LP at y = 0",
     )
 
 

@@ -44,7 +44,7 @@ from .errors import (
     RegimeError,
     UndecidableValueError,
 )
-from .exactlp import EQ, LinearProgram, LpOutcome, Optimal, Row, Unbounded, Vec, dot, solve_lp
+from .exactlp import EQ, LinearProgram, LpOutcome, Optimal, Row, Unbounded, Vec, dot, rat, solve_lp, vec
 from .funcexpr import (
     ExtReal,
     FunctionExpr,
@@ -297,7 +297,7 @@ class NumericModel:
             if instance.amap is not None and (len(instance.amap) != m or any(len(r) != n for r in instance.amap)):
                 raise DimensionMismatchError(f"A sends R^{n} to R^{m}, so it must be {m} x {n}")
             epi_f, epi_g = lower(instance.f, n), lower(instance.g, m)
-            self.amap = ONE if instance.amap is None else tuple(tuple(map(Fraction, r)) for r in instance.amap)
+            self.amap = ONE if instance.amap is None else tuple(map(vec, instance.amap))
             self.nx, self.ny, self.pairing = n, m, ONE
             self.pieces = (
                 (epi_f, ((n, {"x": ONE}),), "tf", None),
@@ -445,7 +445,7 @@ class NumericModel:
 
     def dual_value(self, q: Sequence[Fraction]) -> ExtReal:
         """The dual objective at q: one LP, inf Phi(x, y) + pairing * <q, y>."""
-        q = tuple(Fraction(c) for c in q)
+        q = vec(q)
         if self.cone is not None and not _in_dual_cone(self.cone, q):
             raise ConeMembershipError("multiplier outside the dual cone")
         if any(fx.pf_falls_forever(epi) for epi in self.lowered):
@@ -548,7 +548,7 @@ def recover_dual_via_separation(instance: Instance, vp, model: Optional[NumericM
     separator is an optimal point of one LP over the lifted polar (see
     ``_boxed_polar``), so the shifted epigraph is never projected.  A
     diagnosis passes its model, which saves lowering the functions again."""
-    vp = Fraction(vp)
+    vp = rat(vp)
     if not is_numeric(instance):
         raise RegimeError("separation recovery runs in the numeric regime")
     model = model or NumericModel(instance)

@@ -403,9 +403,10 @@ class _Simplex:
             if b >= self.N:
                 cb, entry = art, self.R[i][self.K + 1]
             else:
-                col, sg = self._column(b)
-                cb, entry = sg * cost[col], sg * self.R[i][col]
-            if cb != 0:
+                # the signs of a split column's cost and entry cancel
+                col, _ = self._column(b)
+                cb, entry = cost[col], self.R[i][col]
+            if cb:
                 terms.append((cb.numerator, cb.denominator * entry, self.R[i]))
         D = lcm(*(c.denominator for c in cost), *(q for _, q, _ in terms))
         Z = [c.numerator * (D // c.denominator) for c in cost] + [0, 0]

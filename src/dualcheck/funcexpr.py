@@ -29,7 +29,7 @@ from .errors import (
     RegimeError,
     UndecidableValueError,
 )
-from .exactlp import Optimal, Unbounded, dot
+from .exactlp import Optimal, Unbounded, dot, rat, vec
 from .setexpr import (
     FAILS,
     HOLDS,
@@ -284,7 +284,7 @@ def domain(f: FunctionExpr, space: Optional[SpaceTag] = None) -> SetExpr:
 def _as_point(v: VecOrSym) -> Point:
     if isinstance(v, SymVec):
         return se.SymPoint(v.name, v.attrs)
-    return se.VecPoint(tuple(Fraction(x) for x in v))
+    return se.VecPoint(vec(v))
 
 
 # -- symbolic conjugation -----------------------------------------------------
@@ -456,7 +456,7 @@ def _vec(what: str, v, n: int) -> tuple:
     """The entries of v, exact, refused unless there is one per coordinate of R^n."""
     if len(v) != n:
         raise DimensionMismatchError(f"{what} has {len(v)} entries, but the space is R^{n}")
-    return tuple(Fraction(x) for x in v)
+    return vec(v)
 
 
 def lower_set(s: SetExpr, n: int) -> pg.Polyhedron:
@@ -501,7 +501,7 @@ def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
     if isinstance(f, Affine):
         if isinstance(f.c, SymVec):
             raise RegimeError("symbolic pairing in the numeric regime")
-        row = (_vec("affine", f.c, n) + (Fraction(-1),), -f.alpha)
+        row = (_vec("affine", f.c, n) + (-ONE,), -rat(f.alpha))
         return pg.poly(n + 1, ineqs=[row])
     if isinstance(f, IndicatorOf):
         b = pg.BlockRows(("x", n), ("t", 1)).pull(lower_set(f.set_, n), (n, {"x": ONE}))
@@ -527,7 +527,7 @@ def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
     if isinstance(f, SupOfAffine):
         rows = []
         for c, alpha in f.pieces:
-            rows.append((_vec("maxaff", c, n) + (-ONE,), -Fraction(alpha)))
+            rows.append((_vec("maxaff", c, n) + (-ONE,), -rat(alpha)))
         return pg.poly(n + 1, rows)
     if isinstance(f, Sum):
         for ind, other in ((f.a, f.b), (f.b, f.a)):
@@ -555,7 +555,7 @@ def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
             raise RegimeError("symbolic shift in the numeric regime")
         return pg.translate(lower(f.f, n), _vec("argtranslate", f.shift, n) + (ZERO,))
     if isinstance(f, PlusConst):
-        return pg.translate(lower(f.f, n), (ZERO,) * n + (Fraction(f.const),))
+        return pg.translate(lower(f.f, n), (ZERO,) * n + (rat(f.const),))
     if isinstance(f, PrecomposeLinear):
         m = len(f.matrix)  # map R^n -> R^m, inner function on R^m
         base = lower(f.f, m)
@@ -573,7 +573,7 @@ def pf_domain(epi: pg.Polyhedron) -> pg.Polyhedron:
 
 def pf_value(epi: pg.Polyhedron, x: Sequence) -> ExtReal:
     """f(x), the bottom of the epigraph's fiber over x: one LP."""
-    out = pg.extremum(pg.fiber(epi, tuple(map(Fraction, x))), (ONE,), "min")
+    out = pg.extremum(pg.fiber(epi, vec(x)), (ONE,), "min")
     if isinstance(out, Optimal):
         return er(out.value)
     return MINF if isinstance(out, Unbounded) else PINF
@@ -734,7 +734,7 @@ def epi_diff_set(f: FunctionExpr, g: FunctionExpr, v, space: SpaceTag) -> SetExp
     """{(x - y, f(x) + g(y) - v + eps) : eps >= 0}: a ``PolyAtom`` in finite
     dimension, the product (dom f - dom g) x [-v, inf) for two indicators,
     otherwise the symbolic ``EpiDiffSet``."""
-    v = Fraction(v)
+    v = rat(v)
     if is_proper(f) is FAILS or is_proper(g) is FAILS:
         raise ImproperFunctionError("epigraph difference needs proper functions")
     if space.finite_dim:

@@ -62,7 +62,9 @@ from .exactlp import (
     Unbounded,
     Vec,
     dot,
+    rat,
     solve_lp,
+    vec,
 )
 from .frozen import frozen_node
 
@@ -85,10 +87,6 @@ class Notion(Enum):
     SQRI = "sqri"
     ICR = "icr"
     QRI = "qri"
-
-
-def _fvec(xs: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in xs)
 
 
 @frozen_node
@@ -117,14 +115,14 @@ def poly(n: int, ineqs: Iterable = (), eqs: Iterable = (), aux: int = 0) -> Poly
     """Canonicalizing constructor: drops vacuous rows, keeps contradictions."""
     cin = []
     for a, b in ineqs:
-        a, b = _fvec(a), Fraction(b)
-        if all(c == 0 for c in a) and b >= 0:
+        a, b = vec(a), rat(b)
+        if b >= 0 and not any(a):
             continue  # vacuous 0.x <= b
         cin.append((a, b))
     ceq = []
     for e, d in eqs:
-        e, d = _fvec(e), Fraction(d)
-        if all(c == 0 for c in e) and d == 0:
+        e, d = vec(e), rat(d)
+        if not d and not any(e):
             continue
         ceq.append((e, d))
     return Polyhedron(n, tuple(cin), tuple(ceq), aux)
@@ -135,7 +133,7 @@ def whole_space(n: int) -> Polyhedron:
 
 
 def interval(lo, hi) -> Polyhedron:
-    return poly(1, ineqs=[((1,), hi), ((-1,), -Fraction(lo))])
+    return poly(1, ineqs=[((1,), hi), ((-1,), -rat(lo))])
 
 
 def orthant(n: int) -> Polyhedron:
@@ -149,14 +147,14 @@ def cube(n: int) -> Polyhedron:
 
 
 def singleton(pt: Sequence) -> Polyhedron:
-    pt = _fvec(pt)
+    pt = vec(pt)
     n = len(pt)
     return poly(n, eqs=[(tuple(ONE if j == k else ZERO for j in range(n)), pt[k]) for k in range(n)])
 
 
 def contains(p: Polyhedron, x: Sequence) -> bool:
     """Is x in the projection?  Arithmetic without auxiliaries, else one LP."""
-    x = _fvec(x)
+    x = vec(x)
     if len(x) != p.n:
         raise DimensionMismatchError("point dimension mismatch")
     if p.aux:
@@ -186,7 +184,7 @@ def fiber(p: Polyhedron, x: Vec) -> Polyhedron:
 
 def at_most(b) -> Polyhedron:
     """The half-line {s : s <= b} of R^1."""
-    return Polyhedron(1, (((ONE,), Fraction(b)),), ())
+    return Polyhedron(1, (((ONE,), rat(b)),), ())
 
 
 def columns(rows: Sequence, n: int) -> tuple[Vec, ...]:
@@ -202,14 +200,21 @@ class BlockRows:
     then equalities) at ``z = (s_1, ..., s_k) + c``: the pullback of ``p``
     along that affine map.  A slice is ``(size, terms)``, where ``terms``
     maps a block name to its coefficient, a scalar (that multiple of the
-    identity) or a matrix with ``size`` rows, each as long as the block;
-    a matrix of another shape is refused.  The slices cover the kept
-    coordinates of ``p``; its auxiliaries get a fresh block of columns at
-    the end of the builder, so the rows pulled back are those of the
-    lifted set.  A block that this builder does not declare is pinned to
-    zero, so ``p`` restricted to ``y = 0`` is ``p`` pulled back by a
-    builder without ``y``.  Nothing is dropped: a row whose coefficients
-    all vanish stays as it is.
+    identity, so ``size`` must be the block's size) or a matrix with
+    ``size`` rows, each as long as the block; any other shape is refused.
+    The slices cover the kept coordinates of ``p``; its auxiliaries get a
+    fresh block of columns at the end of the builder, so the rows pulled
+    back are those of the lifted set.  A block that this builder does not
+    declare is pinned to zero, so ``p`` restricted to ``y = 0`` is ``p``
+    pulled back by a builder without ``y``.  Nothing is dropped: a row
+    whose coefficients all vanish stays as it is.
+
+    No rational is built that the row does not need: each term is
+    classified once per pull, zero products are skipped, a unit
+    coefficient multiplies nothing, and a cell's first contribution is
+    assigned, not added to zero.  So the rows of a polyhedron made by
+    ``poly``, whose entries are ``Fraction``, pull back to ``Fraction``
+    entries too.
     """
 
     def __init__(self, *blocks: tuple[str, int]):
@@ -222,42 +227,45 @@ class BlockRows:
         self.rows: list[tuple[Vec, str, Fraction]] = []
 
     def pull(self, p: Polyhedron, *slices, shift: Optional[Sequence] = None) -> "BlockRows":
-        parts = []
+        # (start in a row of p, size, first column, coefficient), the
+        # coefficient None for the identity
+        scalars, matrices = [], []
         start = 0
         for size, terms in slices:
             for k, c in terms.items():
                 if k not in self.at:
                     continue
-                if isinstance(c, tuple) and (len(c) != size or any(len(r) != self.size[k] for r in c)):
-                    raise DimensionMismatchError(f"a matrix on block {k!r} must be {size} x {self.size[k]}")
-                parts.append((start, size, self.at[k], c))
+                if isinstance(c, tuple):
+                    if len(c) != size or any(len(r) != self.size[k] for r in c):
+                        raise DimensionMismatchError(f"a matrix on block {k!r} must be {size} x {self.size[k]}")
+                    matrices.append((start, size, self.at[k], c))
+                elif size != self.size[k]:
+                    raise DimensionMismatchError(f"a scalar on block {k!r} needs a slice of size {self.size[k]}")
+                elif c:
+                    scalars.append((start, size, self.at[k], None if c == 1 else c))
             start += size
         if start != p.n:
             raise DimensionMismatchError("slices do not cover the polyhedron")
         if p.aux:
-            parts.append((p.n, p.aux, self.n, ONE))
+            scalars.append((p.n, p.aux, self.n, None))
             self.n += p.aux
         for rows, rel in ((p.ineqs, LE), (p.eqs, EQ)):
             for a, b in rows:
                 coeff = [ZERO] * self.n
-                for s, size, at, c in parts:
-                    # zero products add nothing and a unit coefficient
-                    # changes nothing, so neither is computed
-                    seg = a[s : s + size]
-                    if isinstance(c, tuple):  # a matrix
-                        for i, v in enumerate(seg):
-                            if v:
-                                for j, cij in enumerate(c[i]):
-                                    if cij:
-                                        coeff[at + j] += v * cij
-                    elif c == 1:
-                        for j, v in enumerate(seg):
-                            if v:
-                                coeff[at + j] += v
-                    elif c:
-                        for j, v in enumerate(seg):
-                            if v:
-                                coeff[at + j] += v * c
+                for s, size, at, c in scalars:
+                    for j, v in enumerate(a[s : s + size], at):
+                        if v:
+                            if c is not None:
+                                v = v * c
+                            x = coeff[j]
+                            coeff[j] = x + v if x else v
+                for s, size, at, c in matrices:
+                    for i, v in enumerate(a[s : s + size]):
+                        if v:
+                            for j, cij in enumerate(c[i], at):
+                                if cij:
+                                    x = coeff[j]
+                                    coeff[j] = x + v * cij if x else v * cij
                 self.rows.append((tuple(coeff), rel, b - dot(a, shift) if shift is not None else b))
         return self
 
@@ -298,7 +306,7 @@ def is_empty(p: Polyhedron) -> bool:
 
 def extremum(p: Polyhedron, obj: Sequence, sense: str):
     """LP outcome of optimizing obj, a linear form on the kept coordinates, over p."""
-    return _solve_over(p, _fvec(obj), sense)
+    return _solve_over(p, vec(obj), sense)
 
 
 @lru_cache(maxsize=LP_MEMO)
@@ -352,7 +360,7 @@ class AffineSubspace:
         return self.rank() == 0
 
     def contains(self, x: Sequence) -> bool:
-        x = _fvec(x)
+        x = vec(x)
         return all(dot(e, x) == d for e, d in self.eqs)
 
     def basis(self) -> tuple[Vec, ...]:
@@ -507,7 +515,7 @@ class FinitelyGeneratedCone:
 def normal_cone(p: Polyhedron, x: Sequence) -> FinitelyGeneratedCone:
     if p.aux:
         raise MalformedInputError("normal cones are read off systems without auxiliaries")
-    x = _fvec(x)
+    x = vec(x)
     if not contains(p, x):
         raise MembershipError("normal cone requested at a point outside the set")
     gens = tuple(a for a, b in p.ineqs if dot(a, x) == b)
@@ -517,7 +525,7 @@ def normal_cone(p: Polyhedron, x: Sequence) -> FinitelyGeneratedCone:
 
 def cone_member(k: FinitelyGeneratedCone, v: Sequence) -> bool:
     """Exact membership: does v = sum lambda g + sum mu l have a solution?"""
-    v = _fvec(v)
+    v = vec(v)
     gens, lin = k.generators, k.lineality
     m = len(gens) + len(lin)
     if m == 0:
@@ -590,7 +598,7 @@ def neg(p: Polyhedron) -> Polyhedron:
 
 
 def translate(p: Polyhedron, t: Sequence) -> Polyhedron:
-    t = _fvec(t)
+    t = vec(t)
     if len(t) != p.n:
         raise DimensionMismatchError(f"a shift of length {len(t)} cannot move a set of R^{p.n}")
     return poly(
@@ -603,7 +611,7 @@ def translate(p: Polyhedron, t: Sequence) -> Polyhedron:
 
 def scale(p: Polyhedron, lam) -> Polyhedron:
     """lam * pi(p): the auxiliaries scale with the kept coordinates."""
-    lam = Fraction(lam)
+    lam = rat(lam)
     if lam <= 0:
         raise MalformedInputError("scale expects a positive factor")
     return poly(

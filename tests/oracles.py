@@ -657,3 +657,38 @@ def _sup(out, k: int):
     if isinstance(out, Optimal):
         return er(out.value), out.point[:k]
     return (PINF if isinstance(out, Unbounded) else MINF), None
+
+
+def pull_reference(blocks, pulls):
+    """The rows ``polyhedra.BlockRows(*blocks)`` holds after each
+    ``pull(p, *slices, shift=shift)`` of ``pulls``, padded to the final width.
+
+    Each pull writes the rows of p at z = M s + shift, where the dense
+    matrix M has one row per kept coordinate of p and one column per
+    declared variable: a scalar term is that multiple of the identity, a
+    matrix term is copied, and a term on an undeclared block is dropped.
+    p's auxiliaries get new columns after every earlier column.
+    """
+    sizes, at, width = dict(blocks), {}, 0
+    for name, size in blocks:
+        at[name], width = width, width + size
+    out = []
+    for p, slices, shift in pulls:
+        m = [[ZERO] * width for _ in range(p.n)]
+        first = 0
+        for size, terms in slices:
+            for name, c in terms.items():
+                if name not in at:
+                    continue
+                for i in range(size):
+                    for j in range(sizes[name]):
+                        m[first + i][at[name] + j] += c[i][j] if isinstance(c, tuple) else (c if i == j else 0)
+            first += size
+        kept = width
+        width += p.aux
+        for rows, rel in ((p.ineqs, "<="), (p.eqs, "=")):
+            for a, b in rows:
+                coeff = [sum((a[i] * m[i][j] for i in range(p.n)), ZERO) for j in range(kept)]
+                rhs = b if shift is None else b - sum((a[i] * shift[i] for i in range(p.n)), ZERO)
+                out.append((coeff + list(a[p.n :]), rel, rhs))
+    return [(tuple(a + [ZERO] * (width - len(a))), rel, b) for a, rel, b in out]

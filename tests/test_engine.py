@@ -354,6 +354,17 @@ def test_dual_objective_keeps_its_typed_errors():
         dual_objective_value(inst, (F(-1),))
 
 
+def test_floats_are_refused_at_the_numeric_entry_points():
+    # a float is a binary fraction, not the decimal it prints as
+    inst = fenchel(ind(interval(-1, 1)), ind(interval(-1, 1)))
+    with pytest.raises(MalformedInputError):
+        dual_objective_value(inst, (0.1,))
+    with pytest.raises(MalformedInputError):
+        recover_dual_via_separation(inst, 0.0)
+    with pytest.raises(MalformedInputError):
+        NumericModel(fenchel(ind(interval(-1, 1)), ind(interval(-1, 1)), amap=((0.5,),)))
+
+
 def test_an_infeasible_primal_stops_the_diagnosis_before_any_dual_lp(monkeypatch):
     # the standing assumption is checked on the primal LP alone, so an
     # improper function in an infeasible pair is reported as the infeasible

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dualcheck import setexpr as se
-from dualcheck.errors import ImproperFunctionError, RegimeError
+from dualcheck.errors import ImproperFunctionError, MalformedInputError, RegimeError
 from dualcheck.funcexpr import (
     Affine,
     ArgTranslate,
@@ -293,3 +293,19 @@ def test_normalize_translate_merge():
 def test_normalize_subspace_self_difference():
     c = se.CatalogAtom(se.SUBSPACE_C, lp_space(), ())
     assert se.normalize(se.MinkSum((c, se.Neg(c)))) == c
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lower(Affine((0.5,), F(0)), 1),
+        lambda: lower(Affine((F(1),), 0.1), 1),
+        lambda: evaluate(Sum(Affine((0.1,), F(0)), NormAtom("l1")), (F(1),)),
+        lambda: lower(SupOfAffine((((F(1),), 0.5),)), 1),
+        lambda: lower(PlusConst(NormAtom("l1"), 0.5), 1),
+        lambda: pf_value(lower(NormAtom("l1"), 1), (0.1,)),
+    ],
+)
+def test_floats_are_refused_in_affine_data_and_points(call):
+    with pytest.raises(MalformedInputError):
+        call()

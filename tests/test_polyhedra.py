@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dualcheck import polyhedra as pg
 from dualcheck import setexpr as se
-from dualcheck.errors import DimensionMismatchError, EmptyPolyhedronError, MembershipError
+from dualcheck.errors import DimensionMismatchError, EmptyPolyhedronError, MalformedInputError, MembershipError
 from dualcheck.exactlp import Optimal, dot
 from dualcheck.polyhedra import (
     Notion,
@@ -38,7 +38,15 @@ from dualcheck.polyhedra import (
 )
 
 import oracles
-from oracles import enumerate_vertices, fm_flatten, fm_project, implicit_rows_reference, prune_lp_reference, zero_in_reference
+from oracles import (
+    enumerate_vertices,
+    fm_flatten,
+    fm_project,
+    implicit_rows_reference,
+    prune_lp_reference,
+    pull_reference,
+    zero_in_reference,
+)
 
 F = Fraction
 
@@ -139,6 +147,26 @@ def test_translate_and_pull_refuse_misshapen_vectors():
         b.pull(interval(-1, 1), (1, {"x": ((F(1), F(0), F(0)),)}))
     with pytest.raises(DimensionMismatchError):
         b.pull(interval(-1, 1), (1, {"x": ((F(1), F(0)), (F(0), F(1)))}))
+    with pytest.raises(DimensionMismatchError):  # a scalar is a square block
+        b.pull(interval(-1, 1), (1, {"x": 1}))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: poly(1, [((0.5,), 1)]),
+        lambda: poly(1, [((1,), 0.1)]),
+        lambda: poly(1, eqs=[((1,), 0.1)]),
+        lambda: contains(interval(0, 1), (0.1,)),
+        lambda: interval(0.1, 1),
+        lambda: pg.at_most(0.1),
+        lambda: pg.scale(interval(0, 1), 0.5),
+        lambda: extremum(interval(0, 1), (0.5,), "max"),
+    ],
+)
+def test_floats_are_refused_not_made_binary_fractions(call):
+    with pytest.raises(MalformedInputError):
+        call()
 
 
 def test_zero_in_monotone_chain():
@@ -507,3 +535,61 @@ def test_implicit_rows_take_one_lp_and_match_the_per_row_loop(system):
     x = relative_interior_point(p)
     if x is not None:
         assert all((dot(a, x) == b) == (i in got) for i, (a, b) in enumerate(p.ineqs))
+
+
+# scalars and matrix entries with 0 and +-1 among them, as ints and Fractions
+_SCALARS = st.sampled_from([1, -1, 0, F(1), F(-1), F(0), 2, F(2, 3), F(-5, 2)])
+_ENTRIES = st.sampled_from([0, 1, -1, F(0), F(1), F(-1), 3, F(-1, 2)])
+
+
+@st.composite
+def _pulls(draw):
+    """Blocks, then one or two pulls over them, each with its slices."""
+    blocks = tuple((name, draw(st.integers(1, 3))) for name in draw(st.sampled_from(["x", "xt", "xyt"])))
+    sizes = dict(blocks, w=draw(st.integers(1, 2)))  # w is never declared
+    pulls = []
+    for _ in range(draw(st.integers(1, 2))):
+        cut = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        n, aux = sum(cut), draw(st.integers(0, 2))
+        row = st.tuples(st.tuples(*[st.integers(-2, 2)] * (n + aux)), st.integers(-2, 2))
+        p = poly(n, draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=2)), aux)
+        slices = []
+        for size in cut:
+            terms = {}
+            for name in draw(st.lists(st.sampled_from(sorted(sizes)), max_size=3, unique=True)):
+                if sizes[name] == size and draw(st.booleans()):
+                    terms[name] = draw(_SCALARS)
+                else:
+                    terms[name] = tuple(tuple(draw(_ENTRIES) for _ in range(sizes[name])) for _ in range(size))
+            slices.append((size, terms))
+        shift = draw(st.none() | st.tuples(*[st.integers(-2, 2).map(F)] * n))
+        pulls.append((p, tuple(slices), shift))
+    return blocks, pulls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_pulls())
+# three scalar terms on one cell: 1 - 1 + 2, the cell emptied on the way
+@example(((("x", 1),), [(poly(3, [((1, 1, 1), 1)]), ((1, {"x": 1}), (1, {"x": -1}), (1, {"x": 2})), None)]))
+# a matrix onto a cell a scalar wrote, an undeclared block, auxiliaries and a shift
+@example((
+    (("x", 2), ("t", 1)),
+    [
+        (poly(2, [((1, 2, 1), 3)], [((0, 1, -1), 1)], aux=1), ((2, {"x": F(2, 3), "w": 1}),), None),
+        (poly(3, [((1, -1, 2), 0)]), ((2, {"x": -1, "t": ((1,), (-1,))}), (1, {"t": ((F(1, 2),),)})), (F(1), F(0), F(-2))),
+    ],
+))
+def test_pull_matches_the_dense_reference(case):
+    blocks, pulls = case
+    b = pg.BlockRows(*blocks)
+    for p, slices, shift in pulls:
+        b.pull(p, *slices, shift=shift)
+    rows = b.full_rows()
+    assert rows == pull_reference(blocks, pulls)
+    assert all(type(c) is Fraction for a, _, r in rows for c in a + (r,))
+    # poly drops exactly the vacuous rows, 0.z <= b with b >= 0 and 0.z = 0
+    ineqs = [(a, r) for a, rel, r in rows if rel == "<="]
+    eqs = [(a, r) for a, rel, r in rows if rel == "="]
+    q = poly(b.n, ineqs, eqs)
+    assert q.ineqs == tuple((a, r) for a, r in ineqs if any(c != 0 for c in a) or r < 0)
+    assert q.eqs == tuple((a, r) for a, r in eqs if any(c != 0 for c in a) or r != 0)

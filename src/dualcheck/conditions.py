@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional
 
 from . import engine as eng
@@ -39,9 +38,6 @@ from .setexpr import (
 FAMILY_PHI = "phi"
 FAMILY_FENCHEL = "fenchel"
 FAMILY_LAGRANGE = "lagrange"
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 INDEX_ORDER = ("1", "2", "3", "4", "5", "6'", "6", "7", "8")
 
@@ -244,7 +240,7 @@ class DiagnosisContext:
         for some x in dom f?  RC1 asks it first, and when it holds it also
         proves the meets-qri clause of RC6', since int lies in ri."""
         dom_f, dom_g = (s.poly for s in self.view.sets)
-        return _meets(dom_g, self.model.amap, dom_f, ONE, True)
+        return _meets(dom_g, self.model.amap, dom_f, 1, True)
 
     @cached_property
     def lsc_clauses(self) -> tuple[Clause, ...]:
@@ -367,7 +363,7 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
             # continuity of g at Ax', or of f at x', over the joint domain; f's
             # puts Ax' in int A(dom f) only when A maps onto the space of g
             amap = ctx.model.amap
-            hit = ctx.g_continuous or (_onto(amap) and _meets(dom_f.poly, ONE, dom_g.poly, amap, True))
+            hit = ctx.g_continuous or (_onto(amap) and _meets(dom_f.poly, 1, dom_g.poly, amap, True))
             return _status_clause(
                 text,
                 HOLDS if hit else FAILS,
@@ -394,11 +390,11 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
 
 
 def _onto(amap) -> bool:
-    """Does the operator, ONE or an m x n matrix, map onto R^m?  Exactly when
+    """Does the operator, 1 or an m x n matrix, map onto R^m?  Exactly when
     its kernel has codimension m."""
     if not isinstance(amap, tuple):
         return True
-    return pg.affine_hull(pg.poly(len(amap[0]), eqs=[(r, ZERO) for r in amap])).rank() == len(amap)
+    return pg.affine_hull(pg.poly(len(amap[0]), eqs=[(r, 0) for r in amap])).rank() == len(amap)
 
 
 def _meets(p: pg.Polyhedron, to_p, q: pg.Polyhedron, to_q, interior: bool) -> bool:
@@ -407,7 +403,7 @@ def _meets(p: pg.Polyhedron, to_p, q: pg.Polyhedron, to_q, interior: bool) -> bo
     ``polyhedra.BlockRows`` slices take them."""
     n = len(to_p[0]) if isinstance(to_p, tuple) else p.n
     b = pg.BlockRows(("u", p.n), ("w", p.aux), ("x", n))
-    b.pull(pg.singleton((ZERO,) * p.n), (p.n, {"u": -ONE, "x": to_p}))  # u = to_p x
+    b.pull(pg.singleton((0,) * p.n), (p.n, {"u": -1, "x": to_p}))  # u = to_p x
     b.pull(q, (q.n, {"x": to_q}))
     return pg.ri_point(p, b, range(p.n) if interior else ()) is not None
 
@@ -422,14 +418,14 @@ def _slice_interior_point(dom: pg.Polyhedron, nx: int, ny: int) -> bool:
     ri(dom) to (x', y') for a small y' against it crosses y = 0 inside
     ri(dom) (Rockafellar, *Convex Analysis*, Thm 6.1).
     """
-    pin = pg.BlockRows(("x", nx), ("y", ny)).pull(pg.singleton((ZERO,) * ny), (ny, {"y": ONE}))
+    pin = pg.BlockRows(("x", nx), ("y", ny)).pull(pg.singleton((0,) * ny), (ny, {"y": 1}))
     return pg.ri_point(dom, pin, range(nx, nx + ny)) is not None
 
 
 def _cone_meets(ctx: DiagnosisContext, interior: bool) -> bool:
     """Is there z in g(dom f ∩ S) with -z in int C (ri C unless interior)?"""
     image, c = (s.poly for s in ctx.view.sets)
-    return _meets(c, -ONE, image, ONE, interior)
+    return _meets(c, -1, image, 1, interior)
 
 
 def _slater_clause(ctx: DiagnosisContext) -> Clause:
@@ -476,7 +472,7 @@ def _meets_qri_clause(ctx: DiagnosisContext) -> Clause:
     dom_f, dom_g = ctx.view.sets
     if ctx.numeric:
         # in finite dimension qri is ri: some x in dom f with Ax in ri(dom g)
-        hit = ctx.g_continuous or _meets(dom_g.poly, ctx.model.amap, dom_f.poly, ONE, False)
+        hit = ctx.g_continuous or _meets(dom_g.poly, ctx.model.amap, dom_f.poly, 1, False)
         return _lp_clause(text, declared, HOLDS if hit else FAILS, "strict-feasibility LP: A(dom f) meets ri(dom g)")
     if declared is not None:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))

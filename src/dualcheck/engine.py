@@ -72,9 +72,6 @@ class AffineMap:
     shift: tuple[Fraction, ...]
     kind: ClassVar[str] = "affine"
 
-    def apply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(dot(r, x) + s for r, s in zip(self.rows, self.shift))
-
 
 @dataclass(frozen=True)
 class IdentityMap:
@@ -281,7 +278,7 @@ class NumericModel:
     that is -Phi*(0, -pairing * q).  ``lowered`` lists the epigraphs of the
     functions whose conjugates that objective is made of; a cone-constrained model
     has none and keeps C.  A sum model keeps its operator A as ``amap``,
-    a matrix, or ONE for the identity.
+    a matrix, or 1 for the identity.
     """
 
     def __init__(self, instance: Instance):
@@ -297,11 +294,11 @@ class NumericModel:
             if instance.amap is not None and (len(instance.amap) != m or any(len(r) != n for r in instance.amap)):
                 raise DimensionMismatchError(f"A sends R^{n} to R^{m}, so it must be {m} x {n}")
             epi_f, epi_g = lower(instance.f, n), lower(instance.g, m)
-            self.amap = ONE if instance.amap is None else tuple(map(vec, instance.amap))
-            self.nx, self.ny, self.pairing = n, m, ONE
+            self.amap = 1 if instance.amap is None else tuple(map(vec, instance.amap))
+            self.nx, self.ny, self.pairing = n, m, 1
             self.pieces = (
-                (epi_f, ((n, {"x": ONE}),), "tf", None),
-                (epi_g, ((m, {"x": self.amap, "y": -ONE}),), "tg", None),
+                (epi_f, ((n, {"x": 1}),), "tf", None),
+                (epi_g, ((m, {"x": self.amap, "y": -1}),), "tg", None),
             )
             self.lowered = (epi_f, epi_g)
         elif isinstance(instance, LagrangeInstance):
@@ -312,17 +309,17 @@ class NumericModel:
             _check_cone(self.cone)
             g = self.gmap = _as_affine(instance.gmap, nx, m)
             minus_g = tuple(tuple(-c for c in row) for row in g.rows)
-            self.nx, self.ny, self.pairing = nx, m, ONE
+            self.nx, self.ny, self.pairing = nx, m, 1
             self.pieces = (
-                (epi_f, ((nx, {"x": ONE}),), "t", None),
-                (s_poly, ((nx, {"x": ONE}),), None, None),
-                (self.cone, ((m, {"y": ONE, "x": minus_g}),), None, tuple(-c for c in g.shift)),
+                (epi_f, ((nx, {"x": 1}),), "t", None),
+                (s_poly, ((nx, {"x": 1}),), None, None),
+                (self.cone, ((m, {"y": 1, "x": minus_g}),), None, tuple(-c for c in g.shift)),
             )
         else:
             nx, ny = instance.nx, instance.ny
             epi = lower(instance.phi, nx + ny)
-            self.nx, self.ny, self.pairing = nx, ny, -ONE
-            self.pieces = ((epi, ((nx, {"x": ONE}), (ny, {"y": ONE})), "t", None),)
+            self.nx, self.ny, self.pairing = nx, ny, -1
+            self.pieces = ((epi, ((nx, {"x": 1}), (ny, {"y": 1})), "t", None),)
             self.lowered = (epi,)
         self.epis = tuple((t, 1) for _, _, t, _ in self.pieces if t is not None)
         self._domains: dict[int, Polyhedron] = {}
@@ -344,7 +341,7 @@ class NumericModel:
             elif domains:
                 b.pull(self.domain(i), *slices)
             else:
-                b.pull(p, *slices, (1, {t: ONE}))
+                b.pull(p, *slices, (1, {t: 1}))
         return b
 
     @cached_property
@@ -355,7 +352,7 @@ class NumericModel:
             return tuple(self.domain(i) for i in range(len(self.pieces)))
         b = self.system(("z", self.ny), ("x", self.nx), pieces=(0, 1), domains=True)
         g = self.gmap
-        b.pull(pg.singleton(tuple(-c for c in g.shift)), (self.ny, {"z": -ONE, "x": g.rows}))  # Gx - z = -h
+        b.pull(pg.singleton(tuple(-c for c in g.shift)), (self.ny, {"z": -1, "x": g.rows}))  # Gx - z = -h
         return pg.project(b.polyhedron(), range(self.ny)), self.cone
 
     @cached_property
@@ -370,12 +367,12 @@ class NumericModel:
         (see ``dual``) are lexicographically smallest."""
         b, y0, y1 = self._phi, self.nx, self.nx + self.ny
         n, full = b.n - self.ny, b.full_rows()
-        obj = (ZERO,) * self.nx + (ONE,) * len(self.epis)
+        obj = (0,) * self.nx + (1,) * len(self.epis)
         rows = tuple(Row(a[:y0] + a[y1:], rel, r) for a, rel, r in full)
-        x = tuple(tuple(ONE if k == j else ZERO for k in range(n)) for j in range(y0))
+        x = tuple(tuple(int(k == j) for k in range(n)) for j in range(y0))
         # the dual point's coordinates, pairing * mu (see ``dual``), as forms on the multipliers
         y = tuple(tuple(self.pairing * a[k] for a, _, _ in full) for k in range(y0, y1))
-        prog = LinearProgram(n, obj + (ZERO,) * (n - len(obj)), "min", rows, lex=x, dual_lex=y)
+        prog = LinearProgram(n, obj + (0,) * (n - len(obj)), "min", rows, lex=x, dual_lex=y)
         return prog, solve_lp(prog)
 
     @cached_property
@@ -396,7 +393,7 @@ class NumericModel:
         """The shifted epigraph over (y, r, x, t...), before projection:
         the rows of Phi's pieces and sum(t) - r <= v."""
         b = self.system(("y", self.ny), ("r", 1), ("x", self.nx), *self.epis)
-        b.pull(pg.at_most(v), (1, {"r": -ONE, **{t: ONE for t, _ in self.epis}}))
+        b.pull(pg.at_most(v), (1, {"r": -1, **{t: 1 for t, _ in self.epis}}))
         return b.polyhedron()
 
     def shifted_epi(self, v: Fraction) -> Polyhedron:
@@ -439,7 +436,7 @@ class NumericModel:
         prog, _ = self._primal_lp
         if pg.is_empty(self._phi.polyhedron()):
             return PINF
-        cone = tuple(Row(r.coeffs, r.rel, ZERO) for r in prog.rows)
+        cone = tuple(Row(r.coeffs, r.rel, 0) for r in prog.rows)
         out = solve_lp(LinearProgram(prog.n, prog.objective, "min", cone))
         return MINF if isinstance(out, Unbounded) else PINF
 
@@ -451,7 +448,7 @@ class NumericModel:
         if any(fx.pf_falls_forever(epi) for epi in self.lowered):
             raise ImproperFunctionError("conjugate of an improper polyhedral function")
         b = self._phi
-        obj = _padded((ZERO,) * self.nx + tuple(self.pairing * c for c in q) + (ONE,) * len(self.epis), b)
+        obj = _padded((0,) * self.nx + tuple(self.pairing * c for c in q) + (1,) * len(self.epis), b)
         out = solve_lp(LinearProgram(b.n, obj, "min", b.lp_rows()))
         if isinstance(out, Optimal):
             return er(out.value)
@@ -464,7 +461,7 @@ class NumericModel:
 
 def _padded(obj: tuple, b: pg.BlockRows) -> tuple:
     """An objective over the declared blocks, zero on the auxiliary columns."""
-    return obj + (ZERO,) * (b.n - len(obj))
+    return obj + (0,) * (b.n - len(obj))
 
 
 # -- perturbation views ------------------------------------------------------------
@@ -535,10 +532,10 @@ def _boxed_polar(p: Polyhedron, d: int) -> tuple[tuple[Row, ...], tuple, tuple[V
     """
     cg, ce = pg.columns(p.ineqs, p.n), pg.columns(p.eqs, p.n)
     b = pg.BlockRows(("lam", len(p.ineqs)), ("mu", len(p.eqs)))
-    b.pull(pg.singleton((ZERO,) * (p.n - d)), (p.n - d, {"lam": cg[d:], "mu": ce[d:]}))
+    b.pull(pg.singleton((0,) * (p.n - d)), (p.n - d, {"lam": cg[d:], "mu": ce[d:]}))
     b.pull(pg.at_most(0), (1, {"lam": (tuple(h for _, h in p.ineqs),), "mu": (tuple(e for _, e in p.eqs),)}))
     b.pull(pg.cube(d), (d, {"lam": cg[:d], "mu": ce[:d]}))
-    bounds = ((ZERO, None),) * len(p.ineqs) + ((None, None),) * len(p.eqs)
+    bounds = ((0, None),) * len(p.ineqs) + ((None, None),) * len(p.eqs)
     return b.lp_rows(), bounds, tuple(g + e for g, e in zip(cg[:d], ce[:d]))
 
 
@@ -568,7 +565,7 @@ def recover_dual_via_separation(instance: Instance, vp, model: Optional[NumericM
         return dual
     # no separator with negative last component; classify the failure over
     # the same polar, so with the same bounds
-    flat = rows + (Row(u[-1], EQ, ZERO),)
+    flat = rows + (Row(u[-1], EQ, 0),)
     for i in range(d - 1):
         for sense in ("max", "min"):
             probe = solve_lp(LinearProgram(len(u[i]), u[i], sense, flat, bounds))

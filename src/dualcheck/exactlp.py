@@ -18,12 +18,16 @@ artificial columns for the equality rows only, and the entry of a basic
 artificial kept as one cell per row; the multipliers of inequality rows
 are read off their slacks' reduced costs, and the multiplier of a signed
 column's bound off that column's reduced cost.
-Inputs and outputs are ``fractions.Fraction``; inside the solver the
-tableau is fraction-free: each row is a primitive integer vector, built
-directly from the LP's rows and bounds and stored sparse (its nonzero
-cells only, so a pivot works on the pivot row's support), and the cost
-row is integer over one common denominator (fraction-free elimination in
-the sense of Edmonds 1967 and Bareiss 1968).  Pivot choices depend only
+Row entries are ``int``s or ``fractions.Fraction``s; points, values and
+multipliers come out as ``Fraction``s.  Inside the solver the tableau is
+fraction-free: each row is a primitive integer vector, stored sparse (its
+nonzero cells only, so a pivot works on the pivot row's support), and
+the cost row is integer over one common denominator (fraction-free
+elimination in the sense of Edmonds 1967 and Bareiss 1968).  An LP row
+of ints, the form every ``polyhedra`` row takes, is a tableau row as it
+stands: its slack or artificial cell is +-1, so it needs no common
+denominator and no gcd; a ``Fraction`` row is first multiplied by the
+least common multiple of its denominators.  Pivot choices depend only
 on signs and on ratio comparisons, which cross-multiplication decides
 exactly, so the pivot sequence is the one a rational tableau in the
 textbook form would take (``tests/oracles.rational_bland_simplex`` is
@@ -104,7 +108,8 @@ def vec(xs: Sequence) -> Vec:
 
 
 def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
+    """The inner product, a Fraction; zero terms build none."""
+    return sum((x * y for x, y in zip(a, b) if x and y), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,7 @@ def expanded_rows(p: LinearProgram) -> tuple[Row, ...]:
     out = list(p.rows)
     if p.bounds is not None:
         for j, (lo, hi) in enumerate(p.bounds):
-            e = tuple(_ONE if k == j else _ZERO for k in range(p.n))
+            e = tuple(int(k == j) for k in range(p.n))
             if lo is not None:
                 out.append(Row(e, GE, lo))
             if hi is not None:
@@ -283,10 +288,10 @@ class _Simplex:
                     at.append(~j)
                 elif lo is not None:
                     at.append(len(rows))
-                    rows.append(([(j, _ONE)], GE, lo))
+                    rows.append(([(j, 1)], GE, lo))
                 if hi is not None:
                     at.append(len(rows))
-                    rows.append(([(j, _ONE)], LE, hi))
+                    rows.append(([(j, 1)], LE, hi))
         self.minus = [j for j in range(n) if not self.signed[j]]  # the x- columns that can enter
         self.m = len(rows)
         self.nslack = sum(1 for _, rel, _ in rows if rel != EQ)
@@ -298,28 +303,33 @@ class _Simplex:
         self.basis: list[int] = []
         slack, art = n, n + self.nslack
         for i, (a, rel, b) in enumerate(rows):
-            # clear denominators; flip so the right-hand side is >= 0, and a
-            # >= row with b = 0 so that its slack is +1
+            # a row with a Fraction is multiplied by the lcm d of its
+            # denominators, and so are its slack and artificial cells
+            d = 1
+            if type(b) is not int or not all(type(c) is int for _, c in a):
+                d = lcm(b.denominator, *(c.denominator for _, c in a))
+                a, b = [(j, c.numerator * (d // c.denominator)) for j, c in a], b.numerator * (d // b.denominator)
+            # flip so the right-hand side is >= 0, and a >= row with b = 0 so
+            # that its slack is +1
             s = -1 if b < 0 or (b == 0 and rel == GE) else 1
-            scale = lcm(b.denominator, *(c.denominator for _, c in a))
-            flip = s * scale
-            row = {j: c.numerator * flip // c.denominator for j, c in a}
+            row = dict(a) if s == 1 else {j: -c for j, c in a}
             if rel == EQ:
-                row[art] = scale
+                row[art] = d
                 own.append(art)
                 art += 1
             else:
-                row[slack] = flip if rel == LE else -flip
+                row[slack] = s * d if rel == LE else -s * d
                 own.append(slack)
                 slack += 1
             if b:
-                row[K] = b.numerator * flip // b.denominator
+                row[K] = s * b
             if rel != EQ and row[slack - 1] > 0:
                 self.basis.append(slack - 1 + n)  # the slack starts basic
             else:
-                row[K + 1] = scale  # the artificial, basic
+                row[K + 1] = d  # the artificial, basic
                 self.basis.append(self.N + i)
-            g = gcd(*row.values())
+            # with d = 1 the slack or artificial cell is +-1, so the gcd is 1
+            g = gcd(*row.values()) if d != 1 else 1
             sigma.append(s)
             self.R.append(row if g == 1 else {k: v // g for k, v in row.items()})
         # per multiplier, in expanded_rows order: the relation, flip sign and
@@ -464,16 +474,13 @@ class _Simplex:
 
     # -- certificate extraction -------------------------------------------
 
-    def _z(self, col: int) -> Rat:
-        return Fraction(self.Z[col], self.D)
-
-    def _duals(self, art: Rat) -> Vec:
+    def _duals(self, art: int) -> Vec:
         # flipped system: y_i = sigma_i (c_art_i - z_art_i), which an
         # inequality row's slack, +-sigma_i times its artificial, gives as -+z_slack
-        out = []
+        Z, D, out = self.Z, self.D, []
         for i, rel in enumerate(self.rels):
-            z = self._z(self.own[i])
-            out.append(-z if rel == LE else z if rel == GE else self.sigma[i] * (art - z))
+            z = Z[self.own[i]]
+            out.append(Fraction(-z if rel == LE else z if rel == GE else self.sigma[i] * (art * D - z), D))
         return tuple(out)
 
     def _point(self) -> Vec:
@@ -551,11 +558,11 @@ class _Simplex:
     def solve(self) -> LpOutcome:
         m, n, K = self.m, self.n, self.K
         if any(b >= self.N for b in self.basis):
-            self._set_costs([_ZERO] * (n + self.nslack) + [_ONE] * (m - self.nslack), _ONE)
+            self._set_costs([0] * (n + self.nslack) + [1] * (m - self.nslack), 1)
             unb = self._iterate()
             assert unb is None, "phase one is bounded below by zero"
             if self.Z[K] < 0:  # objective = -last cell of cost row
-                return Infeasible(tuple(-y for y in self._duals(_ONE)))
+                return Infeasible(tuple(-y for y in self._duals(1)))
             # drive surviving artificials out of the basis where possible;
             # x+ j comes before x- j, so the first nonzero stored column decides
             for i in range(m):
@@ -567,16 +574,16 @@ class _Simplex:
         c = self.lp.objective
         if self.lp.sense == MAX:
             c = tuple(-x for x in c)
-        self._set_costs(list(c) + [_ZERO] * (K - n), _ZERO)
+        self._set_costs(list(c) + [0] * (K - n), 0)
         enter = self._iterate()
         if enter is not None:
             return Unbounded(self._point(), self._ray(enter))
-        point = self._point()
-        value_min = -self._z(K)
-        y = self._duals(_ZERO)
+        # the last cost cell is minus the value of the min problem; a max
+        # problem negates that value and the multipliers
+        y = self._duals(0)
         if self.lp.sense == MAX:
-            return Optimal(point, -value_min, tuple(-v for v in y))
-        return Optimal(point, value_min, y)
+            return Optimal(self._point(), Fraction(self.Z[K], self.D), tuple(-v for v in y))
+        return Optimal(self._point(), Fraction(-self.Z[K], self.D), y)
 
 
 def solve_lp(p: LinearProgram) -> LpOutcome:
@@ -613,7 +620,7 @@ def _dual_face(p: LinearProgram, value: Rat):
     exp = expanded_rows(p)
     rows = tuple(Row(tuple(r.coeffs[j] for r in exp), EQ, c) for j, c in enumerate(p.objective))
     rows += (Row(tuple(r.rhs for r in exp), EQ, value),)
-    on_le, on_ge = (None, _ZERO), (_ZERO, None)
+    on_le, on_ge = (None, 0), (0, None)
     if p.sense == MAX:
         on_le, on_ge = on_ge, on_le
     bounds = tuple(on_le if r.rel == LE else on_ge if r.rel == GE else (None, None) for r in exp)
@@ -637,7 +644,7 @@ def _lex_min(n: int, rows: tuple[Row, ...], bounds, forms: Sequence[Vec]) -> Vec
                 ray = out.ray if dot(f, x) > 0 else up.ray
                 t = dot(f, x) / dot(f, ray)
                 point = tuple(a - t * b for a, b in zip(x, ray))
-                rows += (Row(f, EQ, _ZERO),)
+                rows += (Row(f, EQ, 0),)
                 continue
             out = up
         assert isinstance(out, Optimal), "the set is nonempty"
@@ -660,62 +667,34 @@ def verify_certificate(p: LinearProgram, out: LpOutcome) -> bool:
     exp = expanded_rows(p)
     n = p.n
 
+    def signed(ys, flip):  # flip * y <= 0 on <= rows and >= 0 on >= rows
+        return all(not (r.rel == LE and flip * y > 0 or r.rel == GE and flip * y < 0) for r, y in zip(exp, ys))
+
+    def combination(ys):  # sum_i y_i a_i and sum_i y_i b_i
+        return tuple(dot(ys, [r.coeffs[j] for r in exp]) for j in range(n)), dot(ys, [r.rhs for r in exp])
+
     if isinstance(out, Optimal):
         if len(out.point) != n or len(out.dual) != len(exp):
             return False
-        if not all(_row_holds(r, out.point) for r in exp):
-            return False
-        if dot(p.objective, out.point) != out.value:
+        if not all(_row_holds(r, out.point) for r in exp) or dot(p.objective, out.point) != out.value:
             return False
         # sign conditions (min: y<=0 on <=, y>=0 on >=; max: flipped)
-        flip = -1 if p.sense == MAX else 1
-        for r, y in zip(exp, out.dual):
-            s = flip * y
-            if r.rel == LE and s > 0:
-                return False
-            if r.rel == GE and s < 0:
-                return False
-        combo = [_ZERO] * n
-        ybr = _ZERO
-        for r, y in zip(exp, out.dual):
-            for j, a in enumerate(r.coeffs):
-                combo[j] += y * a
-            ybr += y * r.rhs
-        if tuple(combo) != tuple(p.objective):
-            return False
-        return ybr == out.value
+        return signed(out.dual, -1 if p.sense == MAX else 1) and combination(out.dual) == (tuple(p.objective), out.value)
 
     if isinstance(out, Infeasible):
-        if len(out.farkas) != len(exp):
+        if len(out.farkas) != len(exp) or not signed(out.farkas, -1):
             return False
-        for r, lam in zip(exp, out.farkas):
-            if r.rel == LE and lam < 0:
-                return False
-            if r.rel == GE and lam > 0:
-                return False
-        combo = [_ZERO] * n
-        lb = _ZERO
-        for r, lam in zip(exp, out.farkas):
-            for j, a in enumerate(r.coeffs):
-                combo[j] += lam * a
-            lb += lam * r.rhs
-        return all(c == 0 for c in combo) and lb < 0
+        combo, lb = combination(out.farkas)
+        return not any(combo) and lb < 0
 
     if isinstance(out, Unbounded):
         if len(out.point) != n or len(out.ray) != n:
             return False
         if not all(_row_holds(r, out.point) for r in exp):
             return False
-        if all(x == 0 for x in out.ray):
+        # a nonzero ray of the recession cone: the rows with right-hand side 0 hold
+        if not any(out.ray) or not all(_row_holds(Row(r.coeffs, r.rel, 0), out.ray) for r in exp):
             return False
-        for r in exp:
-            d = dot(r.coeffs, out.ray)
-            if r.rel == LE and d > 0:
-                return False
-            if r.rel == GE and d < 0:
-                return False
-            if r.rel == EQ and d != 0:
-                return False
         drift = dot(p.objective, out.ray)
         return drift < 0 if p.sense == MIN else drift > 0
 

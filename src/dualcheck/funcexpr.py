@@ -44,7 +44,6 @@ from .setexpr import (
 from .spaces import SpaceTag, banach
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # -- extended reals -----------------------------------------------------------
@@ -75,7 +74,7 @@ MINF = ExtReal("minf")
 def er(x) -> ExtReal:
     if isinstance(x, ExtReal):
         return x
-    return ExtReal("num", Fraction(x))
+    return ExtReal("num", rat(x))
 
 
 def er_add(a: ExtReal, b: ExtReal) -> ExtReal:
@@ -501,33 +500,28 @@ def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
     if isinstance(f, Affine):
         if isinstance(f.c, SymVec):
             raise RegimeError("symbolic pairing in the numeric regime")
-        row = (_vec("affine", f.c, n) + (-ONE,), -rat(f.alpha))
+        row = (_vec("affine", f.c, n) + (-1,), -rat(f.alpha))
         return pg.poly(n + 1, ineqs=[row])
     if isinstance(f, IndicatorOf):
-        b = pg.BlockRows(("x", n), ("t", 1)).pull(lower_set(f.set_, n), (n, {"x": ONE}))
-        out = b.pull(pg.at_most(0), (1, {"t": -ONE})).polyhedron()  # t >= 0
+        b = pg.BlockRows(("x", n), ("t", 1)).pull(lower_set(f.set_, n), (n, {"x": 1}))
+        out = b.pull(pg.at_most(0), (1, {"t": -1})).polyhedron()  # t >= 0
         return pg.poly(n + 1, out.ineqs, out.eqs, out.n - n - 1)
     if isinstance(f, NormAtom):
         if f.kind == "l1":
             # -s <= x <= s and sum(s) <= t: 2n + 1 rows over the auxiliaries s
             b = pg.BlockRows(("x", n), ("t", 1), ("s", n))
-            b.pull(pg.neg(pg.orthant(n)), (n, {"x": -ONE, "s": -ONE}))
-            b.pull(pg.neg(pg.orthant(n)), (n, {"x": ONE, "s": -ONE}))
-            b.pull(pg.at_most(0), (1, {"s": ((ONE,) * n,), "t": -ONE}))
+            b.pull(pg.neg(pg.orthant(n)), (n, {"x": -1, "s": -1}))
+            b.pull(pg.neg(pg.orthant(n)), (n, {"x": 1, "s": -1}))
+            b.pull(pg.at_most(0), (1, {"s": ((1,) * n,), "t": -1}))
             return pg.project(b.polyhedron(), range(n + 1))
         if f.kind == "linf":
-            rows = []
-            for j in range(n):
-                for s_ in (ONE, -ONE):
-                    a = [ZERO] * n
-                    a[j] = s_
-                    rows.append((tuple(a) + (-ONE,), ZERO))
+            rows = [(tuple(s_ * (k == j) for k in range(n)) + (-1,), 0) for j in range(n) for s_ in (1, -1)]
             return pg.poly(n + 1, rows)
         raise RegimeError("the l2 norm lives in the symbolic regime only")
     if isinstance(f, SupOfAffine):
         rows = []
         for c, alpha in f.pieces:
-            rows.append((_vec("maxaff", c, n) + (-ONE,), -rat(alpha)))
+            rows.append((_vec("maxaff", c, n) + (-1,), -rat(alpha)))
         return pg.poly(n + 1, rows)
     if isinstance(f, Sum):
         for ind, other in ((f.a, f.b), (f.b, f.a)):
@@ -541,7 +535,7 @@ def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
                 # (x, t) in epi(other + <c, .> + alpha) iff (x, t - c.x - alpha) in epi other
                 c = tuple(-v for v in _vec("affine", tilt.c, n))
                 big = pg.BlockRows(("x", n), ("t", 1))
-                big.pull(lower(other, n), (n, {"x": 1}), (1, {"t": 1, "x": (c,)}), shift=(ZERO,) * n + (-tilt.alpha,))
+                big.pull(lower(other, n), (n, {"x": 1}), (1, {"t": 1, "x": (c,)}), shift=(0,) * n + (-tilt.alpha,))
                 return pg.project(big.polyhedron(), range(n + 1))
         # (x, t, u): (x, u) in epi a, (x, t - u) in epi b; u stays auxiliary
         big = pg.BlockRows(("x", n), ("t", 1), ("u", 1))
@@ -553,9 +547,9 @@ def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
     if isinstance(f, ArgTranslate):
         if isinstance(f.shift, SymVec):
             raise RegimeError("symbolic shift in the numeric regime")
-        return pg.translate(lower(f.f, n), _vec("argtranslate", f.shift, n) + (ZERO,))
+        return pg.translate(lower(f.f, n), _vec("argtranslate", f.shift, n) + (0,))
     if isinstance(f, PlusConst):
-        return pg.translate(lower(f.f, n), (ZERO,) * n + (rat(f.const),))
+        return pg.translate(lower(f.f, n), (0,) * n + (rat(f.const),))
     if isinstance(f, PrecomposeLinear):
         m = len(f.matrix)  # map R^n -> R^m, inner function on R^m
         base = lower(f.f, m)
@@ -573,7 +567,7 @@ def pf_domain(epi: pg.Polyhedron) -> pg.Polyhedron:
 
 def pf_value(epi: pg.Polyhedron, x: Sequence) -> ExtReal:
     """f(x), the bottom of the epigraph's fiber over x: one LP."""
-    out = pg.extremum(pg.fiber(epi, vec(x)), (ONE,), "min")
+    out = pg.extremum(pg.fiber(epi, vec(x)), (1,), "min")
     if isinstance(out, Optimal):
         return er(out.value)
     return MINF if isinstance(out, Unbounded) else PINF
@@ -582,7 +576,7 @@ def pf_value(epi: pg.Polyhedron, x: Sequence) -> ExtReal:
 def pf_falls_forever(epi: pg.Polyhedron) -> bool:
     """(0, ..., 0, -1) is a recession direction of the epigraph: the value
     is -inf wherever it is finite."""
-    return pg.contains(pg.recession_cone(epi), (ZERO,) * (epi.n - 1) + (-ONE,))
+    return pg.contains(pg.recession_cone(epi), (0,) * (epi.n - 1) + (-1,))
 
 
 def pf_is_improper(epi: pg.Polyhedron) -> bool:
@@ -604,7 +598,7 @@ def conjugate_polyfunc(epi: pg.Polyhedron) -> pg.Polyhedron:
     big = pg.BlockRows(("y", n), ("s", 1), ("lam", len(G)), ("mu", len(E)))
     gt, et = pg.columns(G, epi.width), pg.columns(E, epi.width)
     big.pull(  # lam^T G + mu^T E = (y, -1, 0)
-        pg.singleton((ZERO,) * n + (-ONE,) + (ZERO,) * aux),
+        pg.singleton((0,) * n + (-1,) + (0,) * aux),
         (n, {"y": -1, "lam": gt[:n], "mu": et[:n]}),
         (1, {"lam": gt[n : n + 1], "mu": et[n : n + 1]}),
         (aux, {"lam": gt[n + 1 :], "mu": et[n + 1 :]}),
@@ -681,7 +675,7 @@ def domain_lower_bound(f: FunctionExpr, space: Optional[SpaceTag] = None) -> Opt
             epi = lower(f, space.dim)
         except RegimeError:
             return None
-        out = pg.extremum(epi, (ZERO,) * space.dim + (ONE,), "min")
+        out = pg.extremum(epi, (0,) * space.dim + (1,), "min")
         return out.value if isinstance(out, Optimal) else None
     if isinstance(f, IndicatorOf):
         return ZERO
@@ -691,17 +685,17 @@ def domain_lower_bound(f: FunctionExpr, space: Optional[SpaceTag] = None) -> Opt
         base = domain_lower_bound(f.f, space)
         return None if base is None else base + f.const
     if isinstance(f, Affine):
-        if not isinstance(f.c, SymVec) and all(Fraction(x) == 0 for x in f.c):
-            return Fraction(f.alpha)
+        if not isinstance(f.c, SymVec) and not any(vec(f.c)):
+            return rat(f.alpha)
         if isinstance(f.c, SymVec) and "zero" in f.c.attrs:
-            return Fraction(f.alpha)
+            return rat(f.alpha)
         return None
     if isinstance(f, Sum):
         for fn, other in ((f.a, f.b), (f.b, f.a)):
             if isinstance(fn, Affine) and isinstance(other, IndicatorOf):
                 pl = _pairing_lb(fn.c, other.set_)
                 if pl is not None:
-                    return pl + Fraction(fn.alpha)
+                    return pl + rat(fn.alpha)
         la = domain_lower_bound(f.a, space)
         lb_ = domain_lower_bound(f.b, space)
         if la is not None and lb_ is not None:
@@ -744,7 +738,7 @@ def epi_diff_set(f: FunctionExpr, g: FunctionExpr, v, space: SpaceTag) -> SetExp
     if pair is not None:
         a, b = pair
         base = normalize(se.MinkSum((a, se.Neg(b))))
-        ray = se.PolyAtom(pg.poly(1, ineqs=[((-ONE,), v)]))  # r >= -v
+        ray = se.PolyAtom(pg.poly(1, ineqs=[((-1,), v)]))  # r >= -v
         return se.Product(base, ray)
     return se.EpiDiffSet(f, g, v, space)
 
@@ -765,7 +759,7 @@ def biconjugate_check(f: FunctionExpr, samples: Sequence[Sequence]) -> bool:
     for x, fx in zip(samples, values):
         for y, fy in zip(samples, star_values):
             lhs = er_add(fx, fy)
-            rhs = er(dot(tuple(Fraction(v) for v in x), tuple(Fraction(v) for v in y)))
+            rhs = er(dot(vec(x), vec(y)))
             if not er_le(rhs, lhs):
                 return False
     return True

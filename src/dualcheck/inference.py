@@ -34,6 +34,7 @@ from typing import Callable, Optional, Sequence
 from . import funcexpr as fx
 from . import polyhedra as pg
 from . import setexpr as se
+from .exactlp import rat
 from .polyhedra import Notion
 from .setexpr import (
     FAILS,
@@ -486,7 +487,7 @@ def _r_vertical_ray(e: Engine, kind, point, s):
     for a, b in right.poly.ineqs:
         if a[0] > 0:
             return None  # bounded above: not a ray
-        lo = b / a[0] if lo is None else max(lo, b / a[0])
+        lo = Fraction(b, a[0]) if lo is None else max(lo, Fraction(b, a[0]))
     if lo is None or lo < 0:
         return None
     if attrs(s.left).nonempty is not HOLDS:
@@ -610,7 +611,7 @@ def catalog_fact(cid: str, notion: Notion, space=None, params=()) -> FactStatus:
 def nonneg_certificate(f, g, v) -> tuple[FactStatus, Provenance]:
     """Certifies (0,0) outside qri(co(E u {(0,0)})) for the epigraph
     difference set E of (f, g, v) via the decoupled lower bound."""
-    v = Fraction(v)
+    v = rat(v)
     lf = fx.domain_lower_bound(f)
     lg = fx.domain_lower_bound(g)
     if lf is None or lg is None:
@@ -628,7 +629,7 @@ def nonneg_certificate(f, g, v) -> tuple[FactStatus, Provenance]:
 
 def conic_nonneg_certificate(f, sset: SetExpr, v) -> tuple[FactStatus, Provenance]:
     """Same certificate for the cone-constrained projected epigraph."""
-    v = Fraction(v)
+    v = rat(v)
     restricted = fx.Sum(f, fx.IndicatorOf(sset))
     lb = fx.domain_lower_bound(restricted)
     if lb is None:

@@ -8,8 +8,16 @@ sums and conjugates are therefore written by stacking rows (the calculus
 of polyhedral representations, Ben-Tal and Nemirovski, *Lectures on Modern
 Convex Optimization*, ch. 1): :func:`project` only reorders columns and
 marks the dropped ones auxiliary.  Emptiness is always computed, never
-stored.  Every question is answered on the lifted rows with a handful of
-exact LPs:
+stored.
+
+Every row has one form, made by :func:`int_row`: a dense tuple of ``int``s
+and an ``int`` right-hand side with gcd 1, the positive multiple of the
+row it stands for (so an equality row keeps its sign; a zero row stays
+zero).  Rows are built, compared, hashed and pulled back in integer
+arithmetic and go to the exact LP as they stand.  ``Fraction`` is kept for
+what is read off the rows: points, values, multipliers and the affine
+hull's echelon form, and every division of row entries builds one.  Every
+question is answered on the lifted rows with a handful of exact LPs:
 
 * emptiness and membership in the projection: one feasibility LP each;
 * implicit equalities: the single LP of Freund, Roundy and Todd (1985),
@@ -45,6 +53,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -71,6 +82,8 @@ from .frozen import frozen_node
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+IntRow = tuple[tuple[int, ...], int]
+
 # One diagnosis asks the same lifted system some questions twice: the
 # membership rule and the attributes both ask for membership, and the
 # interior and relative-interior tests both need the implicit rows.  Those
@@ -91,41 +104,50 @@ class Notion(Enum):
 
 @frozen_node
 class Polyhedron:
-    """The projection onto the first n coordinates of the rows over n + aux."""
+    """The projection onto the first n coordinates of the rows over n + aux.
+
+    The rows are primitive int rows (see :func:`int_row`); the constructor
+    takes them as given, and :func:`poly` makes them from any exact rows."""
 
     n: int
-    ineqs: tuple[tuple[Vec, Fraction], ...]
-    eqs: tuple[tuple[Vec, Fraction], ...]
+    ineqs: tuple[IntRow, ...]
+    eqs: tuple[IntRow, ...]
     aux: int = 0
 
     def __post_init__(self):
-        for a, _ in self.ineqs:
-            if len(a) != self.width:
-                raise DimensionMismatchError("inequality row length != n + aux")
-        for e, _ in self.eqs:
-            if len(e) != self.width:
-                raise DimensionMismatchError("equality row length != n + aux")
+        w = self.n + self.aux
+        for a, _ in chain(self.ineqs, self.eqs):
+            if len(a) != w:
+                raise DimensionMismatchError("row length != n + aux")
 
     @property
     def width(self) -> int:
         return self.n + self.aux
 
 
+def _reduced(a: Sequence[int], b: int) -> IntRow:
+    """The int row (a, b) divided by its gcd."""
+    g = gcd(b, *a)
+    return (tuple(a), b) if g < 2 else (tuple(c // g for c in a), b // g)
+
+
+def int_row(a: Sequence, b) -> IntRow:
+    """The row (a, b) in primitive int form: its positive multiple whose
+    entries are ints with gcd 1.  Entries go through ``rat``, so a float
+    is refused."""
+    if not {int}.issuperset(map(type, (*a, b))):
+        a, b = [c if type(c) is int else rat(c) for c in a], rat(b)
+        d = lcm(b.denominator, *(c.denominator for c in a))
+        a, b = [c.numerator * (d // c.denominator) for c in a], b.numerator * (d // b.denominator)
+    return _reduced(a, b)
+
+
 def poly(n: int, ineqs: Iterable = (), eqs: Iterable = (), aux: int = 0) -> Polyhedron:
-    """Canonicalizing constructor: drops vacuous rows, keeps contradictions."""
-    cin = []
-    for a, b in ineqs:
-        a, b = vec(a), rat(b)
-        if b >= 0 and not any(a):
-            continue  # vacuous 0.x <= b
-        cin.append((a, b))
-    ceq = []
-    for e, d in eqs:
-        e, d = vec(e), rat(d)
-        if not d and not any(e):
-            continue
-        ceq.append((e, d))
-    return Polyhedron(n, tuple(cin), tuple(ceq), aux)
+    """Canonicalizing constructor: writes every row as an ``int_row``,
+    drops vacuous rows, keeps contradictions."""
+    cin = tuple(r for r in (int_row(a, b) for a, b in ineqs) if r[1] < 0 or any(r[0]))  # not 0.x <= b >= 0
+    ceq = tuple(r for r in (int_row(e, d) for e, d in eqs) if r[1] or any(r[0]))  # not 0.x = 0
+    return Polyhedron(n, cin, ceq, aux)
 
 
 def whole_space(n: int) -> Polyhedron:
@@ -136,20 +158,22 @@ def interval(lo, hi) -> Polyhedron:
     return poly(1, ineqs=[((1,), hi), ((-1,), -rat(lo))])
 
 
+def _unit(n: int, k: int, c: int = 1) -> tuple[int, ...]:
+    return tuple(c if j == k else 0 for j in range(n))
+
+
 def orthant(n: int) -> Polyhedron:
-    return poly(n, ineqs=[(tuple(-ONE if j == k else ZERO for j in range(n)), ZERO) for k in range(n)])
+    return Polyhedron(n, tuple((_unit(n, k, -1), 0) for k in range(n)), ())
 
 
 def cube(n: int) -> Polyhedron:
     """The box {x : |x_k| <= 1}: the rows x_k <= 1, then the rows -x_k <= 1."""
-    unit = [tuple(ONE if j == k else ZERO for j in range(n)) for k in range(n)]
-    return poly(n, ineqs=[(e, ONE) for e in unit] + [(tuple(-c for c in e), ONE) for e in unit])
+    return Polyhedron(n, tuple((_unit(n, k, c), 1) for c in (1, -1) for k in range(n)), ())
 
 
 def singleton(pt: Sequence) -> Polyhedron:
-    pt = vec(pt)
     n = len(pt)
-    return poly(n, eqs=[(tuple(ONE if j == k else ZERO for j in range(n)), pt[k]) for k in range(n)])
+    return poly(n, eqs=[(_unit(n, k), c) for k, c in enumerate(pt)])
 
 
 def contains(p: Polyhedron, x: Sequence) -> bool:
@@ -172,19 +196,17 @@ def _in_projection(p: Polyhedron, x: Vec) -> bool:
 
 def fiber(p: Polyhedron, x: Vec) -> Polyhedron:
     """The lifted rows with the first len(x) kept coordinates fixed at x,
-    over the other kept coordinates and the auxiliaries."""
-    k = len(x)
-    return Polyhedron(
-        p.n - k,
-        tuple((a[k:], b - dot(a[:k], x)) for a, b in p.ineqs),
-        tuple((e[k:], d - dot(e[:k], x)) for e, d in p.eqs),
-        p.aux,
-    )
+    over the other kept coordinates and the auxiliaries: each row times
+    the lcm d of x's denominators, so x enters as the ints d x."""
+    k, d = len(x), lcm(*(c.denominator for c in x))
+    dx = [c.numerator * (d // c.denominator) for c in x]
+    rows = (tuple(_reduced([d * c for c in a[k:]], d * b - sum(map(mul, a, dx))) for a, b in rs) for rs in (p.ineqs, p.eqs))
+    return Polyhedron(p.n - k, *rows, p.aux)
 
 
 def at_most(b) -> Polyhedron:
     """The half-line {s : s <= b} of R^1."""
-    return Polyhedron(1, (((ONE,), rat(b)),), ())
+    return Polyhedron(1, (int_row((1,), b),), ())
 
 
 def columns(rows: Sequence, n: int) -> tuple[Vec, ...]:
@@ -207,14 +229,14 @@ class BlockRows:
     back are those of the lifted set.  A block that this builder does not
     declare is pinned to zero, so ``p`` restricted to ``y = 0`` is ``p``
     pulled back by a builder without ``y``.  Nothing is dropped: a row
-    whose coefficients all vanish stays as it is.
+    whose coefficients all vanish stays a row.
 
-    No rational is built that the row does not need: each term is
-    classified once per pull, zero products are skipped, a unit
-    coefficient multiplies nothing, and a cell's first contribution is
-    assigned, not added to zero.  So the rows of a polyhedron made by
-    ``poly``, whose entries are ``Fraction``, pull back to ``Fraction``
-    entries too.
+    The rows are written in ints.  One positive factor d per pull, the
+    lcm of the denominators of every coefficient and of the shift, turns
+    them into ints once; each row of ``p`` then pulls back by int products
+    to d times its rational pullback, which is divided by its gcd (see
+    ``int_row``).  A matrix is kept as the nonzero cells of its rows, and
+    a zero scalar is dropped.
     """
 
     def __init__(self, *blocks: tuple[str, int]):
@@ -224,12 +246,12 @@ class BlockRows:
         for name, size in blocks:
             self.at[name] = self.n
             self.n += size
-        self.rows: list[tuple[Vec, str, Fraction]] = []
+        self.rows: list[tuple[tuple[int, ...], str, int]] = []
 
     def pull(self, p: Polyhedron, *slices, shift: Optional[Sequence] = None) -> "BlockRows":
-        # (start in a row of p, size, first column, coefficient), the
-        # coefficient None for the identity
-        scalars, matrices = [], []
+        # (start in a row of p, size, first column, coefficient), a matrix as its
+        # rows' nonzero (column, entry) cells; ints: no coefficient or shift is a Fraction
+        scalars, matrices, ints = [], [], shift is None or {int}.issuperset(map(type, shift))
         start = 0
         for size, terms in slices:
             for k, c in terms.items():
@@ -238,41 +260,50 @@ class BlockRows:
                 if isinstance(c, tuple):
                     if len(c) != size or any(len(r) != self.size[k] for r in c):
                         raise DimensionMismatchError(f"a matrix on block {k!r} must be {size} x {self.size[k]}")
-                    matrices.append((start, size, self.at[k], c))
+                    matrices.append((start, size, [[(j, x) for j, x in enumerate(r, self.at[k]) if x] for r in c]))
+                    ints = ints and {int}.issuperset(map(type, chain.from_iterable(c)))
                 elif size != self.size[k]:
                     raise DimensionMismatchError(f"a scalar on block {k!r} needs a slice of size {self.size[k]}")
                 elif c:
-                    scalars.append((start, size, self.at[k], None if c == 1 else c))
+                    scalars.append((start, size, self.at[k], c))
+                    ints = ints and type(c) is int
             start += size
         if start != p.n:
             raise DimensionMismatchError("slices do not cover the polyhedron")
+        shift, d = shift or (), 1
+        if not ints:  # one factor d > 0 clears every denominator
+            values = [t[3] for t in scalars] + [x for t in matrices for r in t[2] for _, x in r] + list(shift)
+            d = lcm(*(x.denominator for x in values))
+
+            def scaled(x):
+                return x.numerator * (d // x.denominator)
+
+            scalars = [(s, size, at, scaled(c)) for s, size, at, c in scalars]
+            matrices = [(s, size, [[(j, scaled(x)) for j, x in r] for r in m]) for s, size, m in matrices]
+            shift = [scaled(x) for x in shift]
         if p.aux:
-            scalars.append((p.n, p.aux, self.n, None))
+            scalars.append((p.n, p.aux, self.n, d))
             self.n += p.aux
         for rows, rel in ((p.ineqs, LE), (p.eqs, EQ)):
             for a, b in rows:
-                coeff = [ZERO] * self.n
+                coeff = [0] * self.n
                 for s, size, at, c in scalars:
                     for j, v in enumerate(a[s : s + size], at):
                         if v:
-                            if c is not None:
-                                v = v * c
-                            x = coeff[j]
-                            coeff[j] = x + v if x else v
-                for s, size, at, c in matrices:
+                            coeff[j] += v * c
+                for s, size, m in matrices:
                     for i, v in enumerate(a[s : s + size]):
                         if v:
-                            for j, cij in enumerate(c[i], at):
-                                if cij:
-                                    x = coeff[j]
-                                    coeff[j] = x + v * cij if x else v * cij
-                self.rows.append((tuple(coeff), rel, b - dot(a, shift) if shift is not None else b))
+                            for j, cij in m[i]:
+                                coeff[j] += v * cij
+                coeff, r = _reduced(coeff, d * b - sum(map(mul, a, shift)) if shift else d * b)
+                self.rows.append((coeff, rel, r))
         return self
 
-    def full_rows(self) -> list[tuple[Vec, str, Fraction]]:
+    def full_rows(self) -> list[tuple[tuple[int, ...], str, int]]:
         """The rows in insertion order, those written before a later
         auxiliary block padded with zeros to the final width."""
-        return [(a + (ZERO,) * (self.n - len(a)), rel, b) for a, rel, b in self.rows]
+        return [(a + (0,) * (self.n - len(a)), rel, b) for a, rel, b in self.rows]
 
     def lp_rows(self) -> tuple[Row, ...]:
         return tuple(Row(a, rel, b) for a, rel, b in self.full_rows())
@@ -286,17 +317,11 @@ class BlockRows:
         )
 
 
-def _rows(p: Polyhedron) -> list[tuple[Vec, str, Fraction]]:
-    out = [(a, LE, b) for a, b in p.ineqs]
-    out += [(e, EQ, d) for e, d in p.eqs]
-    return out
-
-
 def _solve_over(p: Polyhedron, obj: Vec, sense: str):
     """Optimize obj, over the kept coordinates or all columns, on p's rows."""
-    obj = tuple(obj) + (ZERO,) * (p.width - len(obj))
-    prog = LinearProgram(p.width, obj, sense, tuple(Row(a, rel, b) for a, rel, b in _rows(p)))
-    return solve_lp(prog)
+    obj = tuple(obj) + (0,) * (p.width - len(obj))
+    rows = tuple(Row(a, LE, b) for a, b in p.ineqs) + tuple(Row(e, EQ, d) for e, d in p.eqs)
+    return solve_lp(LinearProgram(p.width, obj, sense, rows))
 
 
 def is_empty(p: Polyhedron) -> bool:
@@ -325,11 +350,11 @@ def _frt(p: Polyhedron) -> Optional[tuple[frozenset, Vec]]:
     """
     w, m, k = p.width, len(p.ineqs), len(p.eqs)
     b = BlockRows(("z", w), ("s", m), ("tau", 1))
-    a_z = {"z": tuple(a for a, _ in p.ineqs), "s": ONE, "tau": tuple((-r,) for _, r in p.ineqs)}
+    a_z = {"z": tuple(a for a, _ in p.ineqs), "s": 1, "tau": tuple((-r,) for _, r in p.ineqs)}
     b.pull(neg(orthant(m)), (m, a_z))
-    b.pull(singleton((ZERO,) * k), (k, {"z": tuple(e for e, _ in p.eqs), "tau": tuple((-d,) for _, d in p.eqs)}))
-    bounds = ((None, None),) * w + ((ZERO, ONE),) * m + ((ONE, None),)
-    out = solve_lp(LinearProgram(b.n, (ZERO,) * w + (ONE,) * m + (ZERO,), "max", b.lp_rows(), bounds))
+    b.pull(singleton((0,) * k), (k, {"z": tuple(e for e, _ in p.eqs), "tau": tuple((-d,) for _, d in p.eqs)}))
+    bounds = ((None, None),) * w + ((0, 1),) * m + ((1, None),)
+    out = solve_lp(LinearProgram(b.n, (0,) * w + (1,) * m + (0,), "max", b.lp_rows(), bounds))
     if not isinstance(out, Optimal):
         return None
     z, s, tau = out.point[:w], out.point[w : w + m], out.point[-1]
@@ -394,7 +419,7 @@ def _echelon(eqs: Sequence[tuple[Vec, Fraction]], n: int) -> tuple[tuple[Vec, Fr
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
+        pv = Fraction(rows[r][col])  # so that an int row divides into Fractions
         rows[r] = [x / pv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col] != 0:
@@ -457,21 +482,21 @@ def ri_point(p: Polyhedron, extra: Optional[BlockRows] = None, free: Iterable[in
         return z
     w = max(p.width, extra.n)
 
-    def row(a, rel, r, t=ZERO):
-        return Row(a + (ZERO,) * (w - len(a)) + (t,), rel, r)
+    def row(a, rel, r, t=0):
+        return Row(a + (0,) * (w - len(a)) + (t,), rel, r)
 
-    rows = [row(a, EQ, r) if i in implicit else row(a, LE, r, ONE) for i, (a, r) in enumerate(p.ineqs)]
+    rows = [row(a, EQ, r) if i in implicit else row(a, LE, r, 1) for i, (a, r) in enumerate(p.ineqs)]
     rows += [row(e, EQ, d) for e, d in p.eqs]
     rows += [row(x.coeffs, x.rel, x.rhs) for x in extra.lp_rows()]
-    t_up = (ZERO,) * w + (ONE,)
-    rows.append(Row(t_up, LE, ONE))
+    t_up = (0,) * w + (1,)
+    rows.append(Row(t_up, LE, 1))
     out = solve_lp(LinearProgram(w + 1, t_up, "max", tuple(rows)))
     return out.point[:w] if isinstance(out, Optimal) and out.value > 0 else None
 
 
 def recession_cone(p: Polyhedron) -> Polyhedron:
     """The lifted rows with zero right-hand sides: rec pi(p) = pi(rec p) when p is nonempty."""
-    return poly(p.n, [(a, ZERO) for a, _ in p.ineqs], [(e, ZERO) for e, _ in p.eqs], p.aux)
+    return poly(p.n, [(a, 0) for a, _ in p.ineqs], [(e, 0) for e, _ in p.eqs], p.aux)
 
 
 def relative_interior_point(p: Polyhedron) -> Optional[Vec]:
@@ -497,7 +522,7 @@ def zero_in(notion: Notion, p: Polyhedron) -> bool:
         return False
     inside = p.__dict__.get("_zero_in_ri")
     if inside is None:
-        pin = BlockRows(("x", p.n)).pull(singleton((ZERO,) * p.n), (p.n, {"x": ONE}))
+        pin = BlockRows(("x", p.n)).pull(singleton((0,) * p.n), (p.n, {"x": 1}))
         inside = ri_point(p, pin) is not None
         object.__setattr__(p, "_zero_in_ri", inside)
     return inside
@@ -534,8 +559,8 @@ def cone_member(k: FinitelyGeneratedCone, v: Sequence) -> bool:
     for coord in range(k.n):
         coeffs = tuple(g[coord] for g in gens) + tuple(l[coord] for l in lin)
         rows.append(Row(coeffs, EQ, v[coord]))
-    bounds = tuple((ZERO, None) for _ in gens) + tuple((None, None) for _ in lin)
-    prog = LinearProgram(m, tuple(ZERO for _ in range(m)), "min", tuple(rows), bounds)
+    bounds = ((0, None),) * len(gens) + ((None, None),) * len(lin)
+    prog = LinearProgram(m, (0,) * m, "min", tuple(rows), bounds)
     return isinstance(solve_lp(prog), (Optimal, Unbounded))
 
 
@@ -555,8 +580,8 @@ def dual_cone(k: FinitelyGeneratedCone) -> Polyhedron:
     """{y : <y,g> >= 0 for generators, <y,l> = 0 for lineality}."""
     return poly(
         k.n,
-        ineqs=[(tuple(-c for c in g), ZERO) for g in k.generators],
-        eqs=[(l, ZERO) for l in k.lineality],
+        ineqs=[(tuple(-c for c in g), 0) for g in k.generators],
+        eqs=[(l, 0) for l in k.lineality],
     )
 
 
@@ -572,7 +597,7 @@ def project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:
     order = keep + [k for k in range(p.width) if k not in keep]
 
     def moved(rows):
-        return tuple((tuple(a[k] for k in order), b) for a, b in rows)
+        return tuple((tuple(map(a.__getitem__, order)), b) for a, b in rows)
 
     return Polyhedron(len(keep), moved(p.ineqs), moved(p.eqs), p.width - len(keep))
 
@@ -583,7 +608,7 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
         raise DimensionMismatchError("Minkowski sum needs equal dimensions")
     n = p.n
     b = BlockRows(("z", n), ("v", n))
-    b.pull(p, (n, {"z": ONE, "v": -ONE})).pull(q, (n, {"v": ONE}))
+    b.pull(p, (n, {"z": 1, "v": -1})).pull(q, (n, {"v": 1}))
     return project(b.polyhedron(), range(n))
 
 
@@ -625,7 +650,7 @@ def scale(p: Polyhedron, lam) -> Polyhedron:
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     if p.n != q.n:
         raise DimensionMismatchError("intersection needs equal dimensions")
-    b = BlockRows(("x", p.n)).pull(p, (p.n, {"x": ONE})).pull(q, (q.n, {"x": ONE}))
+    b = BlockRows(("x", p.n)).pull(p, (p.n, {"x": 1})).pull(q, (q.n, {"x": 1}))
     both = b.polyhedron()
     return poly(p.n, both.ineqs, both.eqs, p.aux + q.aux)
 

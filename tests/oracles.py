@@ -40,7 +40,7 @@ def solve_square(rows, rhs):
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
+        pv = Fraction(a[col][col])  # int rows divide into Fractions
         a[col] = [x / pv for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
@@ -453,14 +453,14 @@ def _eliminate(rows, eqs, k):
             new_eqs = []
             for e2, d2 in rest:
                 if e2[k] != 0:
-                    f = e2[k] / piv[k]
+                    f = Fraction(e2[k], piv[k])
                     e2 = tuple(x - f * y for x, y in zip(e2, piv))
                     d2 = d2 - f * pd
                 new_eqs.append((e2, d2))
             new_rows = []
             for a, b, w in rows:
                 if a[k] != 0:
-                    f = a[k] / piv[k]
+                    f = Fraction(a[k], piv[k])
                     a = tuple(x - f * y for x, y in zip(a, piv))
                     b = b - f * pd
                 new_rows.append((a, b, w))
@@ -638,7 +638,7 @@ def _cone_dual_reference(model):
     # the inner multipliers: y <= 0 on <=-rows (min sense), lam >= 0
     sign = tuple((tuple(ONE if k == i else ZERO for k in range(len(inner))), ZERO)
                  for i, (_, rel, _) in enumerate(inner) if rel == LE)
-    b.pull(Polyhedron(len(inner), sign, ()), (len(inner), {"y": ONE}))
+    b.pull(poly(len(inner), sign), (len(inner), {"y": ONE}))
     b.pull(pg.orthant(len(c.ineqs)), (len(c.ineqs), {"lam": ONE}))
     # sum_i y_i row_i = (G^T z, 1, 0)
     b.pull(pg.singleton((ZERO,) * nx + (ONE,) + (ZERO,) * w),

@@ -612,3 +612,23 @@ DUAL_FAMILIES = {
 @given(st.sampled_from(sorted(DUAL_FAMILIES)), st.integers(0, 2**32), st.integers(0, 11))
 def test_dual_read_off_the_primal_matches_the_conjugate_dual_lp(family, seed, i):
     _check_dual_against_the_reference(DUAL_FAMILIES[family](random.Random(seed), i))
+
+
+def test_every_golden_point_and_value_leaves_the_model_as_fractions():
+    # the model's rows are ints, but its values and points are Fractions
+    def fractions(*vectors):
+        return all(type(c) is Fraction for v in vectors if v is not None for c in v)
+
+    finite = 0
+    for inst in golden._instances():
+        try:
+            model = NumericModel(inst)
+            (vp, x), (vd, y) = model.primal, model.dual
+        except DualcheckError:
+            continue
+        assert fractions(x, y)
+        if vp.is_finite():
+            finite += 1
+            assert fractions((vp.value, vd.value))
+            assert fractions(recover_dual_via_separation(inst, vp.value, model), (model.dual_value(y).value,))
+    assert finite > 50

@@ -488,3 +488,44 @@ def test_coefficients_up_to_2_to_the_64_replay_on_the_reference_tableau(monkeypa
         progs = _solved_lps(monkeypatch, lambda: _diagnose_and_recover(_box_l1(lo, hi, c)))
         assert progs
         assert "optimal" in {_matches_reference(p) for p in progs}
+
+
+def test_row_factors_leave_the_slack_start_path_and_scale_only_the_multipliers():
+    # Multiplying row i by c_i > 0 multiplies its slack column by 1 / c_i
+    # in the tableau: Bland's signs and ratio order stay, so from a slack
+    # start the pivots, the point and the value stay and multiplier i is
+    # divided by c_i.  Phase one weighs each artificial in its own row's
+    # units, so a start with an artificial may take another path; its
+    # outcome class and value still stay.
+    rng = random.Random(21)
+
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+
+    starts = {True: 0, False: 0}
+    for _ in range(700):
+        p = _random_lp(rng, q)
+        if rng.random() < 0.5:  # rows a slack can start on: b >= 0 on <= rows, b <= 0 on >= rows
+            rels = [rng.choice([LE, GE]) for _ in p.rows]
+            p = replace(p, rows=tuple(replace(r, rel=rel, rhs=abs(r.rhs) if rel == LE else -abs(r.rhs)) for r, rel in zip(p.rows, rels)))
+        factors = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in p.rows]
+        scaled = replace(p, rows=tuple(replace(r, coeffs=tuple(c * x for x in r.coeffs), rhs=c * r.rhs) for c, r in zip(factors, p.rows)))
+        s, t = _Simplex(p), _Simplex(scaled)
+        slack_start = all(b < s.N for b in s.basis)
+        out, got = s.solve(), t.solve()
+        assert verify_certificate(scaled, got)
+        assert type(got) is type(out)
+        if isinstance(out, Optimal):
+            assert got.value == out.value
+        starts[slack_start] += 1
+        if not slack_start:
+            continue
+        assert t.pivots == s.pivots and got.point == out.point
+        # the multipliers of the bound rows keep their scale
+        factors += [1] * (len(expanded_rows(p)) - len(p.rows))
+        if isinstance(out, Optimal):
+            assert got.dual == tuple(y / c for y, c in zip(out.dual, factors))
+        else:  # a slack start is feasible, so unbounded: the ray keeps its direction
+            mu = next(b / a for a, b in zip(out.ray, got.ray) if a)
+            assert mu > 0 and got.ray == tuple(mu * a for a in out.ray)
+    assert min(starts.values()) > 200

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualcheck import inference
 from dualcheck import setexpr as se
 from dualcheck.errors import ImproperFunctionError, MalformedInputError, RegimeError
 from dualcheck.funcexpr import (
@@ -307,5 +308,28 @@ def test_normalize_subspace_self_difference():
     ],
 )
 def test_floats_are_refused_in_affine_data_and_points(call):
+    with pytest.raises(MalformedInputError):
+        call()
+
+
+NONNEG = SymVec("v", frozenset({"nonneg"}))
+LP_PLUS = IndicatorOf(se.CatalogAtom(se.LP_PLUS, lp_space(), ()))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: er(0.1),
+        lambda: domain_lower_bound(Affine((0.0,), F(1))),
+        lambda: domain_lower_bound(Affine((F(0),), 0.5)),
+        lambda: domain_lower_bound(Affine(SymVec("z", frozenset({"zero"})), 0.5)),
+        lambda: domain_lower_bound(Sum(Affine(NONNEG, 0.5), LP_PLUS)),
+        lambda: biconjugate_check(NormAtom("l1"), [(0.5,)]),
+        lambda: inference.nonneg_certificate(LP_PLUS, LP_PLUS, 0.1),
+        lambda: inference.conic_nonneg_certificate(NormAtom("l2"), se.CatalogAtom(se.LP_PLUS, lp_space(), ()), 0.1),
+    ],
+)
+def test_floats_are_refused_in_values_and_bounds(call):
+    # a float would become a binary fraction: er(0.1) was 3602879701896397/36028797018963968
     with pytest.raises(MalformedInputError):
         call()

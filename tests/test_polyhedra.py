@@ -537,6 +537,19 @@ def test_implicit_rows_take_one_lp_and_match_the_per_row_loop(system):
         assert all((dot(a, x) == b) == (i in got) for i, (a, b) in enumerate(p.ineqs))
 
 
+def _int_row_form(a, b):
+    """The primitive int form of the row (a, b): the only row of ints with
+    gcd 1 that is a positive multiple of it (the zero row stays zero)."""
+    *a, b = oracles._primitive((*map(Fraction, a), Fraction(b)))
+    return tuple(a), b
+
+
+def _assert_int_rows(got, ref):
+    """The rows ``got`` are made of ints and are the int forms of ``ref``."""
+    assert all(type(c) is int for a, b in got for c in (*a, b))
+    assert list(got) == [_int_row_form(a, b) for a, b in ref]
+
+
 # scalars and matrix entries with 0 and +-1 among them, as ints and Fractions
 _SCALARS = st.sampled_from([1, -1, 0, F(1), F(-1), F(0), 2, F(2, 3), F(-5, 2)])
 _ENTRIES = st.sampled_from([0, 1, -1, F(0), F(1), F(-1), 3, F(-1, 2)])
@@ -585,11 +598,97 @@ def test_pull_matches_the_dense_reference(case):
     for p, slices, shift in pulls:
         b.pull(p, *slices, shift=shift)
     rows = b.full_rows()
-    assert rows == pull_reference(blocks, pulls)
-    assert all(type(c) is Fraction for a, _, r in rows for c in a + (r,))
+    ref = pull_reference(blocks, pulls)
+    assert [rel for _, rel, _ in rows] == [rel for _, rel, _ in ref]
+    _assert_int_rows([(a, r) for a, _, r in rows], [(a, r) for a, _, r in ref])
     # poly drops exactly the vacuous rows, 0.z <= b with b >= 0 and 0.z = 0
     ineqs = [(a, r) for a, rel, r in rows if rel == "<="]
     eqs = [(a, r) for a, rel, r in rows if rel == "="]
     q = poly(b.n, ineqs, eqs)
     assert q.ineqs == tuple((a, r) for a, r in ineqs if any(c != 0 for c in a) or r < 0)
     assert q.eqs == tuple((a, r) for a, r in eqs if any(c != 0 for c in a) or r != 0)
+
+
+_RATS = st.sampled_from([0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(3, 4), F(-5, 6)])
+
+
+@st.composite
+def _rat_rows(draw, n, aux):
+    """Rows over n + aux columns with int and Fraction entries, a few of them vacuous."""
+    row = st.tuples(st.tuples(*[_RATS] * (n + aux)), _RATS)
+    return draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=2))
+
+
+def _kept(ineqs, eqs):
+    """The reference rows without the vacuous ones, which ``poly`` drops."""
+    return (
+        [(a, b) for a, b in ineqs if any(a) or b < 0],
+        [(e, d) for e, d in eqs if any(e) or d],
+    )
+
+
+def _assert_system(p, ineqs, eqs):
+    _assert_int_rows(p.ineqs, ineqs)
+    _assert_int_rows(p.eqs, eqs)
+
+
+def _split(rows):
+    return [(a, r) for a, rel, r in rows if rel == "<="], [(a, r) for a, rel, r in rows if rel == "="]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_operation_writes_primitive_int_rows(data):
+    # each operation's rows, against the Fraction rows it stands for
+    n, aux = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    ineqs, eqs = data.draw(_rat_rows(n, aux))
+    p = poly(n, ineqs, eqs, aux)
+    _assert_system(p, *_kept(ineqs, eqs))
+    q_aux = data.draw(st.integers(0, 2))
+    q = poly(n, *data.draw(_rat_rows(n, q_aux)), aux=q_aux)
+    x = data.draw(st.tuples(*[_RATS.map(F)] * n))
+    k = data.draw(st.integers(0, n))
+    lam = data.draw(st.sampled_from([1, 2, F(2, 3), F(7, 2)]))
+
+    def each(f):
+        return [f(a, b) for a, b in p.ineqs], [f(e, d) for e, d in p.eqs]
+
+    _assert_system(pg.fiber(p, x[:k]), *each(lambda a, b: (a[k:], b - dot(a[:k], x[:k]))))
+    _assert_system(translate(p, x), *_kept(*each(lambda a, b: (a, b + dot(a, x)))))
+    _assert_system(pg.scale(p, lam), *_kept(*each(lambda a, b: (a, lam * b))))
+    _assert_system(neg(p), *_kept(*each(lambda a, b: (tuple(-c for c in a[:n]) + a[n:], b))))
+    _assert_system(pg.recession_cone(p), *_kept(*each(lambda a, b: (a, 0))))
+    keep = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    order = keep + [j for j in range(p.width) if j not in keep]
+    _assert_system(project(p, keep), *each(lambda a, b: (tuple(a[j] for j in order), b)))
+    both = pull_reference((("x", n),), [(p, ((n, {"x": 1}),), None), (q, ((n, {"x": 1}),), None)])
+    _assert_system(intersect(p, q), *_kept(*_split(both)))
+    summed = pull_reference((("z", n), ("v", n)), [(p, ((n, {"z": 1, "v": -1}),), None), (q, ((n, {"v": 1}),), None)])
+    _assert_system(minkowski_sum(p, q), *_split(summed))
+
+
+def _fractions(*vectors) -> bool:
+    return all(type(c) is Fraction for v in vectors for c in v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_lifted_systems())
+def test_points_values_and_multipliers_leave_as_fractions(system):
+    # rows are ints inside, but what is read off them is a Fraction
+    p, points = system
+    z = relative_interior_point(p)
+    assert z is None or _fractions(z)
+    if z is not None:
+        hull = affine_hull(p)
+        assert _fractions(*(e + (d,) for e, d in hull.eqs), *hull.basis())
+        extra = pg.BlockRows(("x", p.n)).pull(pg.singleton(points[0]), (p.n, {"x": 1}))
+        pt = ri_point(p, extra)
+        assert pt is None or _fractions(pt)
+    for sense in ("min", "max"):
+        out = extremum(p, (1,) * p.n, sense)
+        if isinstance(out, Optimal):
+            assert _fractions(out.point, (out.value,), out.dual)
+        elif isinstance(out, pg.Unbounded):
+            assert _fractions(out.point, out.ray)
+        else:
+            assert _fractions(out.farkas)

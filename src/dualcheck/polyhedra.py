@@ -145,8 +145,8 @@ def int_row(a: Sequence, b) -> IntRow:
 def poly(n: int, ineqs: Iterable = (), eqs: Iterable = (), aux: int = 0) -> Polyhedron:
     """Canonicalizing constructor: writes every row as an ``int_row``,
     drops vacuous rows, keeps contradictions."""
-    cin = tuple(r for r in (int_row(a, b) for a, b in ineqs) if r[1] < 0 or any(r[0]))  # not 0.x <= b >= 0
-    ceq = tuple(r for r in (int_row(e, d) for e, d in eqs) if r[1] or any(r[0]))  # not 0.x = 0
+    cin = tuple(r for r in (int_row(a, b) for a, b in ineqs) if r[1] < 0 or any(r[0]))  # vacuous: 0.x <= b >= 0
+    ceq = tuple(r for r in (int_row(e, d) for e, d in eqs) if r[1] or any(r[0]))  # vacuous: 0.x = 0
     return Polyhedron(n, cin, ceq, aux)
 
 

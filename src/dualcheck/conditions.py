@@ -400,11 +400,9 @@ def _onto(amap) -> bool:
 def _meets(p: pg.Polyhedron, to_p, q: pg.Polyhedron, to_q, interior: bool) -> bool:
     """Is there x with to_p x in int pi(p) (ri pi(p) unless interior) and
     to_q x in pi(q)?  The maps are a scalar or a matrix, as
-    ``polyhedra.BlockRows`` slices take them."""
+    ``polyhedra.BlockRows`` slices take them; p is pulled back along to_p."""
     n = len(to_p[0]) if isinstance(to_p, tuple) else p.n
-    b = pg.BlockRows(("u", p.n), ("w", p.aux), ("x", n))
-    b.pull(pg.singleton((0,) * p.n), (p.n, {"u": -1, "x": to_p}))  # u = to_p x
-    b.pull(q, (q.n, {"x": to_q}))
+    b = pg.BlockRows(("x", n)).pull(p, (p.n, {"x": to_p})).pull(q, (q.n, {"x": to_q}))
     return pg.ri_point(p, b, range(p.n) if interior else ()) is not None
 
 
@@ -416,10 +414,11 @@ def _slice_interior_point(dom: pg.Polyhedron, nx: int, ny: int) -> bool:
     dom, extends in every y direction; conversely, a slice interior at x'
     puts those directions in the hull, and the segment from a point of
     ri(dom) to (x', y') for a small y' against it crosses y = 0 inside
-    ri(dom) (Rockafellar, *Convex Analysis*, Thm 6.1).
+    ri(dom) (Rockafellar, *Convex Analysis*, Thm 6.1).  With no block y
+    declared, the strict LP substitutes y = 0.
     """
-    pin = pg.BlockRows(("x", nx), ("y", ny)).pull(pg.singleton((0,) * ny), (ny, {"y": 1}))
-    return pg.ri_point(dom, pin, range(nx, nx + ny)) is not None
+    at_y0 = pg.BlockRows(("x", nx)).pull(dom, (nx, {"x": 1}), (ny, {"y": 1}))
+    return pg.ri_point(dom, at_y0, range(nx, nx + ny)) is not None
 
 
 def _cone_meets(ctx: DiagnosisContext, interior: bool) -> bool:

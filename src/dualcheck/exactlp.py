@@ -11,8 +11,8 @@ flipped so that the right-hand side is >= 0 (a >= row with right-hand
 side 0 is flipped too).  The starting basis takes a row's slack where
 its coefficient is +1 after the flip, and an artificial on every other
 row: the equality rows and the rows whose slack has the wrong sign
-(Chvatal, *Linear Programming*, 1983, ch. 8); phase one minimizes the
-sum of those artificials only.  The stored tableau is narrower than that
+(Chvatal, *Linear Programming*, 1983, ch. 8); phase one minimizes their
+sum and stops once it is 0.  The stored tableau is narrower than that
 form: one column per variable (the x- column is the negated x+ column),
 artificial columns for the equality rows only, and the entry of a basic
 artificial kept as one cell per row; the multipliers of inequality rows
@@ -238,7 +238,8 @@ class _Simplex:
     the numbering does not depend on which columns are signed.  Bland's
     rule enters the smallest such index with a negative reduced cost and
     breaks ratio ties by the smallest basic index.  Artificials never
-    enter.
+    enter.  Phase one stops once the artificial sum (the last cost cell)
+    is 0; the zero artificials left basic are then driven out if they can.
 
     The tableau stores less than that layout:
 
@@ -269,6 +270,7 @@ class _Simplex:
     rebuilt only when a point, ray, dual vector or value is read out, and
     they are exact.  ``basis`` holds wide indices.
     """
+    phase_one = False  # set while phase one runs: _iterate stops at a zero artificial sum
 
     def __init__(self, p: LinearProgram):
         self.lp = p
@@ -445,10 +447,11 @@ class _Simplex:
         return None
 
     def _iterate(self) -> Optional[int]:
-        """Run simplex to optimality; return entering column on unboundedness."""
+        """Run simplex to optimality, phase one only to a zero artificial sum;
+        return the entering column on unboundedness."""
         R, basis, K = self.R, self.basis, self.K
         while True:
-            enter = self._entering()
+            enter = None if self.phase_one and not self.Z[K] else self._entering()
             if enter is None:
                 return None
             col, sg = self._column(enter)
@@ -558,8 +561,10 @@ class _Simplex:
     def solve(self) -> LpOutcome:
         m, n, K = self.m, self.n, self.K
         if any(b >= self.N for b in self.basis):
+            self.phase_one = True
             self._set_costs([0] * (n + self.nslack) + [1] * (m - self.nslack), 1)
             unb = self._iterate()
+            self.phase_one = False
             assert unb is None, "phase one is bounded below by zero"
             if self.Z[K] < 0:  # objective = -last cell of cost row
                 return Infeasible(tuple(-y for y in self._duals(1)))

@@ -29,7 +29,8 @@ question is answered on the lifted rows with a handful of exact LPs:
   rows with the auxiliary coordinates removed by exact Gaussian
   elimination, no LP;
 * relative-interior points meeting further rows, by :func:`ri_point`: one
-  strict-feasibility LP over ri P after the implicit rows are known.  It
+  strict-feasibility LP over ri P, pulled back along the caller's map,
+  after the implicit rows are known.  It
   decides the six interiority notions, which collapse in finite dimension
   to the relative interior (Sqri, Icr, Qri) and the interior (Int, Core,
   Qi): ri pi(P) = pi(ri P) (Rockafellar, *Convex Analysis*, Thm 6.6), and
@@ -458,16 +459,17 @@ def affine_hull(p: Polyhedron) -> AffineSubspace:
     return _hull(p, frt[0])
 
 
-def ri_point(p: Polyhedron, extra: Optional[BlockRows] = None, free: Iterable[int] = ()) -> Optional[Vec]:
-    """A point z of ri p that satisfies the extra rows, or None.
+def ri_point(p: Polyhedron, pulled: Optional[BlockRows] = None, free: Iterable[int] = ()) -> Optional[Vec]:
+    """A point of ri p, or of ``pulled``'s columns mapped into ri p; or None.
 
-    ``extra`` holds rows over p's columns followed by any further columns.
-    ``free`` lists kept coordinates j whose unit direction must lie in the
-    linear part of the affine hull of pi(p), else the answer is None; with
-    every kept coordinate free, pi(z) lies in int pi(p).  One LP finds the
-    implicit rows and a relative-interior point (``_frt``); with extra
-    rows, one more LP maximizes the common slack t <= 1 of the other rows,
-    the implicit ones held as equalities.  Every point of
+    ``pulled`` is a builder that pulled p first, along the caller's map,
+    then any further rows: p's coordinates are substituted, not pinned by
+    rows.  ``free`` lists kept coordinates j whose unit direction must lie
+    in the linear part of the affine hull of pi(p), else the answer is
+    None; with every kept coordinate free, pi(z) lies in int pi(p).  One
+    LP finds the implicit rows and a relative-interior point (``_frt``);
+    with ``pulled``, one more LP maximizes the common slack t <= 1 of p's
+    other rows, the implicit ones held as equalities.  Every point of
     pi(ri p) = ri pi(p) comes this way (Rockafellar, *Convex Analysis*,
     Thm 6.6).
     """
@@ -478,20 +480,14 @@ def ri_point(p: Polyhedron, extra: Optional[BlockRows] = None, free: Iterable[in
     free = tuple(free)
     if free and any(e[j] for e, _ in _hull(p, implicit).eqs for j in free):
         return None
-    if extra is None:
+    if pulled is None:
         return z
-    w = max(p.width, extra.n)
-
-    def row(a, rel, r, t=0):
-        return Row(a + (0,) * (w - len(a)) + (t,), rel, r)
-
-    rows = [row(a, EQ, r) if i in implicit else row(a, LE, r, 1) for i, (a, r) in enumerate(p.ineqs)]
-    rows += [row(e, EQ, d) for e, d in p.eqs]
-    rows += [row(x.coeffs, x.rel, x.rhs) for x in extra.lp_rows()]
-    t_up = (0,) * w + (1,)
+    m = len(p.ineqs)
+    rows = [Row(a + (int(i < m and i not in implicit),), EQ if i in implicit else rel, r) for i, (a, rel, r) in enumerate(pulled.full_rows())]
+    t_up = (0,) * pulled.n + (1,)
     rows.append(Row(t_up, LE, 1))
-    out = solve_lp(LinearProgram(w + 1, t_up, "max", tuple(rows)))
-    return out.point[:w] if isinstance(out, Optimal) and out.value > 0 else None
+    out = solve_lp(LinearProgram(pulled.n + 1, t_up, "max", tuple(rows)))
+    return out.point[:-1] if isinstance(out, Optimal) and out.value > 0 else None
 
 
 def recession_cone(p: Polyhedron) -> Polyhedron:
@@ -511,7 +507,8 @@ def zero_in(notion: Notion, p: Polyhedron) -> bool:
     In finite dimension Int, Core and Qi coincide with the interior and
     Sqri, Icr, Qri with the relative interior, so exactly two tests exist.
     The relative-interior test is one strict LP, "some z in ri p with
-    pi z = 0" (see ``ri_point``), and the interior test is the same LP
+    pi z = 0" (see ``ri_point``) over the auxiliaries alone, with x = 0
+    substituted, and the interior test is the same LP
     behind the gate "aff pi(p) is everything", which the memoised implicit
     rows decide without another LP.  That LP does not depend on the
     notion, so its answer is kept on ``p`` itself, the way the hash is:
@@ -522,8 +519,7 @@ def zero_in(notion: Notion, p: Polyhedron) -> bool:
         return False
     inside = p.__dict__.get("_zero_in_ri")
     if inside is None:
-        pin = BlockRows(("x", p.n)).pull(singleton((0,) * p.n), (p.n, {"x": 1}))
-        inside = ri_point(p, pin) is not None
+        inside = ri_point(p, BlockRows().pull(p, (p.n, {}))) is not None
         object.__setattr__(p, "_zero_in_ri", inside)
     return inside
 

@@ -1,4 +1,4 @@
-"""One sha256 over every exact LP that a fixed workload solves.
+"""Two sha256s over every exact LP that a fixed workload solves.
 
     PYTHONPATH=src python tests/lp_digest.py [--each]
 
@@ -17,9 +17,11 @@ does not depend on the scale its rows were written in:
 * the pivot count of the simplex run.
 
 So two trees that solve the same LPs the same way print the same digest,
-whatever form their rows take.  ``--each`` prints one line per LP instead:
-its index, its outcome class and its own digest, for a diff.  The module
-is not a test; pytest does not collect it.
+whatever form their rows take.  The second digest hashes the same records
+with the pivot count left out, so a change that moves only pivot paths
+keeps it and changes the first.  ``--each`` prints one line per LP
+instead: its index, its outcome class and its own two digests, for a
+diff.  The module is not a test; pytest does not collect it.
 """
 
 import hashlib
@@ -48,7 +50,8 @@ def _text(v) -> str:
     return "-" if v is None else ",".join(exactlp.rat_str(Fraction(x)) for x in v)
 
 
-def _record(prog, out, pivots) -> str:
+def _record(prog, out) -> str:
+    """The LP and its outcome as text, without the pivot count."""
     rows = [_primitive(r.coeffs, r.rhs) + (r.rel,) for r in exactlp.expanded_rows(prog)]
     parts = [prog.sense, _text(prog.objective), type(out).__name__]
     parts += [f"{','.join(map(str, form))}{rel}" for form, _, rel in rows]
@@ -58,8 +61,11 @@ def _record(prog, out, pivots) -> str:
         parts.append(_text(y * c for y, (_, c, _) in zip(out.farkas, rows)))
     else:
         parts += [_text(out.point), _text(_primitive(out.ray, 0)[0][:-1])]
-    parts.append(str(pivots))
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+    return "|".join(parts)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _random_lps(count: int):
@@ -90,7 +96,8 @@ def main() -> None:
 
     def solve(self):
         out = real_solve(self)
-        seen.append(_record(self.lp, out, self.pivots) + " " + type(out).__name__)
+        text = _record(self.lp, out)
+        seen.append((type(out).__name__, _sha(f"{text}|{self.pivots}"), _sha(text)))
         return out
 
     exactlp._Simplex.solve = solve
@@ -101,12 +108,11 @@ def main() -> None:
     finally:
         exactlp._Simplex.solve = real_solve
     if sys.argv[1:] == ["--each"]:
-        for i, line in enumerate(seen):
-            digest, kind = line.split()
-            print(i, kind, digest)
+        for i, record in enumerate(seen):
+            print(i, *record)
         return
-    total = hashlib.sha256("\n".join(line.split()[0] for line in seen).encode()).hexdigest()
-    print(f"{len(seen)} LPs  sha256 {total}")
+    total, path_free = (_sha("\n".join(record[k] for record in seen)) for k in (1, 2))
+    print(f"{len(seen)} LPs  sha256 {total}  without pivots {path_free}")
 
 
 if __name__ == "__main__":

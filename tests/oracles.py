@@ -103,7 +103,9 @@ def rational_bland_simplex(sense, objective, rows, bounds=None):
     inequality, right-hand sides made >= 0 and >= rows with right-hand
     side 0 flipped, a starting basis of the slacks that are +1 and
     artificials on the other rows, Bland's rule with ties to the smallest
-    basic index.  So the solver's pivot path must return the very same
+    basic index, and a phase one that ends as soon as the artificial sum
+    is 0, then drives each zero artificial out on its row's first nonzero
+    column where the row has one.  So the solver's pivot path must return the very same
     point, ray, value and multipliers.  This tableau stores that wide
     layout whole: both halves of every split variable and one artificial
     column per row; the x- column of a signed variable is all zeros with
@@ -168,11 +170,11 @@ def rational_bland_simplex(sense, objective, rows, bounds=None):
                 z = [x - cb * y if y else x for x, y in zip(z, T[i])]
         return z
 
-    def run(cost):
+    def run(cost, phase_one=False):
         while True:
             z = reduced(cost)
             enter = next((j for j in range(N) if z[j] < 0), None)
-            if enter is None:
+            if enter is None or phase_one and z[-1] == 0:
                 return z, None
             rows_in = [i for i in range(m) if T[i][enter] > 0]
             if not rows_in:
@@ -193,7 +195,7 @@ def rational_bland_simplex(sense, objective, rows, bounds=None):
 
     if m:
         cost1 = [ZERO] * N + [Fraction(1)] * m
-        z, _ = run(cost1)
+        z, _ = run(cost1, phase_one=True)
         if z[-1] < 0:
             return ("infeasible", tuple(-y for y in duals(cost1, z)))
         for i in range(m):
@@ -556,14 +558,16 @@ def fm_flatten(p: Polyhedron) -> Polyhedron:
     return fm_project(p, range(p.n))
 
 
-def meets_ri_reference(dom_f: Polyhedron, dom_g: Polyhedron, amap=None) -> bool:
-    """Is there x in dom f with Ax in ri(dom g)?  (A is the identity when None.)
+def meets_ri_reference(dom_f: Polyhedron, dom_g: Polyhedron, amap=None, interior: bool = False) -> bool:
+    """Is there x in dom f with Ax in ri(dom g), or in int(dom g) when
+    ``interior``?  (A is the identity when None.)
 
     Both domains are written without auxiliaries by ``fm_flatten``.  The
     implicit rows of dom g (``implicit_rows_reference``) are held as
     equalities at Ax, and one LP over (x, t) maximizes the common slack
     t <= 1 of its other rows there, with x in dom f: ri(dom g) is dom g
-    with every other row strict.
+    with every other row strict.  int(dom g) is ri(dom g) when no implicit
+    row or equality of dom g has a nonzero normal, and empty otherwise.
     """
     from dualcheck.exactlp import EQ, LE, LinearProgram, Row, solve_lp
 
@@ -575,6 +579,8 @@ def meets_ri_reference(dom_f: Polyhedron, dom_g: Polyhedron, amap=None) -> bool:
         return tuple(sum((c[i] * a[i][j] for i in range(g.n)), ZERO) for j in range(n))
 
     implicit = set(implicit_rows_reference(g))
+    if interior and any(any(c) for c, _ in list(g.eqs) + [g.ineqs[i] for i in implicit]):
+        return False
     rows = [Row(c + (ZERO,), LE, b) for c, b in f.ineqs] + [Row(e + (ZERO,), EQ, d) for e, d in f.eqs]
     for idx, (c, b) in enumerate(g.ineqs):
         rows.append(Row(pulled(c) + (ZERO,), EQ, b) if idx in implicit else Row(pulled(c) + (ONE,), LE, b))

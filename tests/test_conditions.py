@@ -396,11 +396,18 @@ def _zoo_pairs(draw):
 @example(FenchelInstance("conj", finite(1), ConjugateOf(NormAtom("l1")), Affine((F(1, 2),), F(0))))
 @example(FenchelInstance("neg", finite(1), ind(interval(1, 2)), ind(interval(-2, 1)), amap=((F(-1),),), gspace=finite(1)))
 @example(FenchelInstance("zero-map", finite(1), NormAtom("l1"), ind(interval(0, 1)), amap=((F(0),),), gspace=finite(1)))
+@example(  # A(dom f) meets ri(dom g) but dom g, a segment in R^2, has no interior
+    FenchelInstance(
+        "flat-g", finite(1), NormAtom("l1"), ind(poly(2, [((1, 0), 1), ((-1, 0), 0)], [((0, 1), 0)])),
+        amap=((F(1),), (F(0),)), gspace=finite(2),
+    )
+)
 def test_numeric_zoo_pairs_diagnose_and_meet_qri_as_the_reference(inst):
     # every form diagnoses (conjugates and precompositions included); the
-    # meets-qri clause is A(dom f) against ri(dom g), operator included; with
-    # A = 0 the continuity of f at x' puts no point of A(dom f) - dom g
-    # in its interior, so it no longer makes RC1 hold against RC2-RC7
+    # meets-qri clause is A(dom f) against ri(dom g), operator included, and
+    # RC1's continuity clause is A(dom f) against int(dom g); with A = 0 the
+    # continuity of f at x' puts no point of A(dom f) - dom g in its
+    # interior, so it no longer makes RC1 hold against RC2-RC7
     try:
         ctx = DiagnosisContext(inst)
     except MalformedInputError:  # the standing assumption: a feasible primal
@@ -412,6 +419,7 @@ def test_numeric_zoo_pairs_diagnose_and_meet_qri_as_the_reference(inst):
     dom_f = pf_domain(lower(inst.f, inst.space.dim))
     dom_g = pf_domain(lower(inst.g, inst.yspace.dim))
     assert meets.status is (HOLDS if meets_ri_reference(dom_f, dom_g, inst.amap) else FAILS)
+    assert ctx.g_continuous == meets_ri_reference(dom_f, dom_g, inst.amap, interior=True)
 
 
 STATUSES = st.sampled_from((HOLDS, FAILS, UNKNOWN))

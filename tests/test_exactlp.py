@@ -375,19 +375,31 @@ def test_outcomes_match_rational_reference_tableau(monkeypatch):
     assert "x- enters" in seen
 
     # all-equality systems; in half of them every right-hand side is 0 and
-    # the last row is minus the sum of the others, so phase one starts
-    # optimal and ends on degenerate artificials to drive out
+    # the last row is minus the sum of the others, so phase one starts at
+    # an artificial sum of 0, takes no pivot, and leaves degenerate
+    # artificials to drive out
     seen.clear()
     kinds = set()
+    early = []  # the pivots taken in phase one on systems whose right-hand sides are all 0
+    checked_pivot = _Simplex._pivot
+
+    def pivot(self, r, w, *rows):
+        if zero and self.phase_one:
+            early.append(w)
+        return checked_pivot(self, r, w, *rows)
+
+    monkeypatch.setattr(_Simplex, "_pivot", pivot)
     for _ in range(120):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         rows = [([q() for _ in range(n)], "=", q()) for _ in range(m)]
-        if rng.random() < 0.5:
+        zero = rng.random() < 0.5
+        if zero:
             rows = [(a, "=", 0) for a, _, _ in rows]
             rows.append(([-sum(col) for col in zip(*(a for a, _, _ in rows))], "=", 0))
         kinds.add(_matches_reference(lp(rng.choice(["min", "max"]), [q() for _ in range(n)], rows)))
     assert kinds == {"optimal", "infeasible", "unbounded"}
     assert seen == {"x- enters", "artificial driven out"}
+    assert early == []
     assert checked[0] > 1000
 
 
@@ -494,38 +506,54 @@ def test_row_factors_leave_the_slack_start_path_and_scale_only_the_multipliers()
     # Multiplying row i by c_i > 0 multiplies its slack column by 1 / c_i
     # in the tableau: Bland's signs and ratio order stay, so from a slack
     # start the pivots, the point and the value stay and multiplier i is
-    # divided by c_i.  Phase one weighs each artificial in its own row's
-    # units, so a start with an artificial may take another path; its
-    # outcome class and value still stay.
+    # divided by c_i.  A start whose artificials all sit on rows with
+    # right-hand side 0 takes no phase-one pivot, since its artificial sum
+    # is 0 already, and drives each artificial out on the first nonzero
+    # column of its row, which no factor moves: it is held to the same
+    # standard.  Phase one weighs each artificial in its own row's units,
+    # so a start with an artificial at a positive level may take another
+    # path; its outcome class and value still stay.
     rng = random.Random(21)
 
     def q():
         return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
 
-    starts = {True: 0, False: 0}
-    for _ in range(700):
-        p = _random_lp(rng, q)
-        if rng.random() < 0.5:  # rows a slack can start on: b >= 0 on <= rows, b <= 0 on >= rows
-            rels = [rng.choice([LE, GE]) for _ in p.rows]
-            p = replace(p, rows=tuple(replace(r, rel=rel, rhs=abs(r.rhs) if rel == LE else -abs(r.rhs)) for r, rel in zip(p.rows, rels)))
+    def check(p):
         factors = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in p.rows]
         scaled = replace(p, rows=tuple(replace(r, coeffs=tuple(c * x for x in r.coeffs), rhs=c * r.rhs) for c, r in zip(factors, p.rows)))
         s, t = _Simplex(p), _Simplex(scaled)
-        slack_start = all(b < s.N for b in s.basis)
+        if all(b < s.N for b in s.basis):
+            start = "slack"
+        elif all(b < s.N or s.K not in row for b, row in zip(s.basis, s.R)):
+            start = "artificials at 0"
+        else:
+            start = "an artificial above 0"
         out, got = s.solve(), t.solve()
         assert verify_certificate(scaled, got)
         assert type(got) is type(out)
         if isinstance(out, Optimal):
             assert got.value == out.value
-        starts[slack_start] += 1
-        if not slack_start:
-            continue
+        starts[start] += 1
+        if start == "an artificial above 0":
+            return
         assert t.pivots == s.pivots and got.point == out.point
         # the multipliers of the bound rows keep their scale
         factors += [1] * (len(expanded_rows(p)) - len(p.rows))
         if isinstance(out, Optimal):
             assert got.dual == tuple(y / c for y, c in zip(out.dual, factors))
-        else:  # a slack start is feasible, so unbounded: the ray keeps its direction
+        else:  # such a start is feasible, so unbounded: the ray keeps its direction
             mu = next(b / a for a, b in zip(out.ray, got.ray) if a)
             assert mu > 0 and got.ray == tuple(mu * a for a in out.ray)
+
+    starts = {"slack": 0, "artificials at 0": 0, "an artificial above 0": 0}
+    for _ in range(700):
+        p = _random_lp(rng, q)
+        if rng.random() < 0.5:  # rows a slack can start on: b >= 0 on <= rows, b <= 0 on >= rows
+            rels = [rng.choice([LE, GE]) for _ in p.rows]
+            p = replace(p, rows=tuple(replace(r, rel=rel, rhs=abs(r.rhs) if rel == LE else -abs(r.rhs)) for r, rel in zip(p.rows, rels)))
+        check(p)
+    # every right-hand side 0: the equality rows start on artificials at 0
+    for _ in range(700):
+        p = _random_lp(rng, q)
+        check(replace(p, rows=tuple(replace(r, rhs=0) for r in p.rows)))
     assert min(starts.values()) > 200

@@ -126,10 +126,11 @@ def test_zero_in_qi_box_examples():
 
 VACUOUS_ROWS = [
     # [-1, 1] with a vacuous 0 = 0 equation, then a vacuous 0 <= 0 inequality
-    pg.Polyhedron(1, (((F(1),), F(1)), ((F(-1),), F(1))), (((F(0),), F(0)),)),
-    pg.Polyhedron(1, (((F(1),), F(1)), ((F(-1),), F(1)), ((F(0),), F(0))), ()),
+    # (int rows written raw: ``poly`` would drop the vacuous ones)
+    pg.Polyhedron(1, (((1,), 1), ((-1,), 1)), (((0,), 0),)),
+    pg.Polyhedron(1, (((1,), 1), ((-1,), 1), ((0,), 0)), ()),
     # the same interval lifted over a free auxiliary, with 0 = 0
-    pg.Polyhedron(1, (((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1))), (((F(0), F(0)), F(0)),), 1),
+    pg.Polyhedron(1, (((1, 0), 1), ((-1, 0), 1)), (((0, 0), 0),), 1),
 ]
 
 
@@ -433,12 +434,12 @@ def test_strictly_feasible_point():
     flat = poly(2, ineqs=[((1, 0), 1)], eqs=[((0, 1), 0)])
     assert ri_point(flat, free=range(2)) is None
     assert ri_point(flat, free=[0]) is not None  # flat only along x2
-    # strict rows against a weak ambient set
-    weak = pg.BlockRows(("x", 2)).pull(interval_box(), (2, {"x": 1}))
+    # strict rows against a weak ambient set, pulled after sq
+    weak = pg.BlockRows(("x", 2)).pull(sq, (2, {"x": 1})).pull(interval_box(), (2, {"x": 1}))
     y = ri_point(sq, weak, range(2))
     assert y is not None and contains(interval_box(), y) and all(dot(a, y) < b for a, b in sq.ineqs)
     # ...and an ambient set that only touches the boundary
-    edge = pg.BlockRows(("x", 2)).pull(poly(2, eqs=[((1, 0), 1)]), (2, {"x": 1}))
+    edge = pg.BlockRows(("x", 2)).pull(sq, (2, {"x": 1})).pull(poly(2, eqs=[((1, 0), 1)]), (2, {"x": 1}))
     assert ri_point(sq, edge, range(2)) is None
 
 

@@ -105,17 +105,17 @@ def rational_bland_simplex(sense, objective, rows, bounds=None):
     artificials on the other rows, Bland's rule with ties to the smallest
     basic index, and a phase one that ends as soon as the artificial sum
     is 0, then drives each zero artificial out on its row's first nonzero
-    column where the row has one.  So the solver's pivot path must return the very same
-    point, ray, value and multipliers.  This tableau stores that wide
-    layout whole: both halves of every split variable and one artificial
-    column per row; the x- column of a signed variable is all zeros with
-    cost 0, so it never enters, and the artificial of a row whose slack
-    starts basic is a column like any nonbasic one, which never enters.
-    A signed variable's bound multiplier is its x+ column's reduced cost.
-    Multipliers and Farkas coefficients follow ``expanded_rows``: the
-    stored rows, then each variable's lower and upper bound.  Returns
-    ``("optimal", point, value, duals)``, ``("infeasible", farkas)`` or
-    ``("unbounded", point, ray)``.
+    column where the row has one.  So the solver's pivot path must
+    return the very same point, ray, value and multipliers.  This tableau
+    stores that wide layout whole: both halves of every split variable and
+    one artificial column per row; the x- column of a signed variable is
+    all zeros with cost 0, so it never enters, and the artificial of a row
+    whose slack starts basic is a column like any nonbasic one, which
+    never enters.  A signed variable's bound multiplier is its x+ column's
+    reduced cost.  Multipliers and Farkas coefficients follow
+    ``expanded_rows``: the stored rows, then each variable's lower and
+    upper bound.  Returns ``("optimal", point, value, duals)``,
+    ``("infeasible", farkas)`` or ``("unbounded", point, ray)``.
     """
     n = len(objective)
     rows = list(rows)

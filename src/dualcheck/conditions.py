@@ -55,10 +55,6 @@ class ConditionId:
                 "the perturbation family carries neither the primed nor the closedness condition"
             )
 
-    @property
-    def label(self) -> str:
-        return f"RC{self.index}"
-
 
 def family_indices(family: str) -> tuple[str, ...]:
     if family == FAMILY_PHI:

@@ -16,7 +16,6 @@ from .engine import is_numeric
 from .errors import NotFoundError
 from .probfile import ProblemFile, SetFactsInstance, parse_problem
 from .reportfmt import render_extreal, setfacts_to_results
-from .setexpr import UNKNOWN
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ side 0 is flipped too).  The starting basis takes a row's slack where
 its coefficient is +1 after the flip, and an artificial on every other
 row: the equality rows and the rows whose slack has the wrong sign
 (Chvatal, *Linear Programming*, 1983, ch. 8); phase one minimizes their
-sum and stops once it is 0.  The stored tableau is narrower than that
-form: one column per variable (the x- column is the negated x+ column),
-artificial columns for the equality rows only, and the entry of a basic
-artificial kept as one cell per row; the multipliers of inequality rows
-are read off their slacks' reduced costs, and the multiplier of a signed
-column's bound off that column's reduced cost.
+sum and stops once it is 0, and does not run when it starts at 0.  The
+stored tableau is narrower than that form: one column per variable (the
+x- column is the negated x+ column), artificial columns for the equality
+rows only, and the entry of a basic artificial kept as one cell per row;
+the multipliers of inequality rows are read off their slacks' reduced
+costs, and the multiplier of a signed column's bound off that column's
+reduced cost.
 Row entries are ``int``s or ``fractions.Fraction``s; points, values and
 multipliers come out as ``Fraction``s.  Inside the solver the tableau is
 fraction-free: each row is a primitive integer vector, stored sparse (its
@@ -155,24 +156,6 @@ class LinearProgram:
                 raise DimensionMismatchError("dual lex form length != number of expanded rows")
 
 
-def lp(
-    sense: str,
-    objective: Sequence,
-    rows: Sequence[tuple[Sequence, str, object]],
-    bounds: Optional[Sequence[tuple[Optional[object], Optional[object]]]] = None,
-) -> LinearProgram:
-    """Convenience constructor coercing entries to rationals."""
-    n = len(objective)
-    rws = tuple(Row(vec(a), rel, rat(b)) for a, rel, b in rows)
-    bds = None
-    if bounds is not None:
-        bds = tuple(
-            (None if lo is None else rat(lo), None if hi is None else rat(hi))
-            for lo, hi in bounds
-        )
-    return LinearProgram(n, vec(objective), sense, rws, bds)
-
-
 def expanded_rows(p: LinearProgram) -> tuple[Row, ...]:
     """Stored rows followed by bound rows, in the order the dual multipliers use."""
     out = list(p.rows)
@@ -239,7 +222,8 @@ class _Simplex:
     rule enters the smallest such index with a negative reduced cost and
     breaks ratio ties by the smallest basic index.  Artificials never
     enter.  Phase one stops once the artificial sum (the last cost cell)
-    is 0; the zero artificials left basic are then driven out if they can.
+    is 0, and is skipped when every artificial starts at 0; the zero
+    artificials left basic are then driven out if they can.
 
     The tableau stores less than that layout:
 
@@ -560,7 +544,11 @@ class _Simplex:
 
     def solve(self) -> LpOutcome:
         m, n, K = self.m, self.n, self.K
-        if any(b >= self.N for b in self.basis):
+        # phase one runs only when an artificial starts positive, on a row
+        # with a right-hand side; at a zero artificial sum it would stop
+        # before its first pivot, so the drive-outs then carry a zero cost row
+        self.Z = [0] * (K + 1)
+        if any(b >= self.N and K in self.R[i] for i, b in enumerate(self.basis)):
             self.phase_one = True
             self._set_costs([0] * (n + self.nslack) + [1] * (m - self.nslack), 1)
             unb = self._iterate()
@@ -568,14 +556,14 @@ class _Simplex:
             assert unb is None, "phase one is bounded below by zero"
             if self.Z[K] < 0:  # objective = -last cell of cost row
                 return Infeasible(tuple(-y for y in self._duals(1)))
-            # drive surviving artificials out of the basis where possible;
-            # x+ j comes before x- j, so the first nonzero stored column decides
-            for i in range(m):
-                if self.basis[i] >= self.N and K not in self.R[i]:
-                    for col in range(n + self.nslack):
-                        if col in self.R[i]:
-                            self._pivot(i, col if col < n else col + n)
-                            break
+        # drive surviving artificials out of the basis where possible;
+        # x+ j comes before x- j, so the first nonzero stored column decides
+        for i in range(m):
+            if self.basis[i] >= self.N and K not in self.R[i]:
+                for col in range(n + self.nslack):
+                    if col in self.R[i]:
+                        self._pivot(i, col if col < n else col + n)
+                        break
         c = self.lp.objective
         if self.lp.sense == MAX:
             c = tuple(-x for x in c)

@@ -6,10 +6,9 @@ coordinates are (x, t): sums, infimal convolutions and the l1 norm stack
 rows over auxiliary columns, an affine summand tilts the other epigraph,
 and the conjugate is the LP-dual multiplier system of the epigraph with
 the multipliers kept as auxiliaries, so epi f* is again a lifted
-polyhedron and nothing is eliminated.  A value is the bottom of the
-epigraph's fiber over x, one LP.  In the symbolic regime conjugation is a
-rule table (indicators of subspaces and cones, norms, tilts,
-translations) and values are decided structurally or not at all.
+polyhedron and nothing is eliminated.  In the symbolic regime
+conjugation is a rule table (indicators of subspaces and cones, norms,
+tilts, translations).
 
 Extended-real arithmetic uses the convex-analysis conventions
 (+inf) + (-inf) = +inf and 0 * (+inf) = +inf, 0 * (-inf) = 0.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import polyhedra as pg
 from . import setexpr as se
@@ -29,7 +28,7 @@ from .errors import (
     RegimeError,
     UndecidableValueError,
 )
-from .exactlp import Optimal, Unbounded, dot, rat, vec
+from .exactlp import rat, rat_str, vec
 from .setexpr import (
     FAILS,
     HOLDS,
@@ -62,8 +61,6 @@ class ExtReal:
             return "+inf"
         if self.kind == "minf":
             return "-inf"
-        from .exactlp import rat_str
-
         return rat_str(self.value)
 
 
@@ -210,9 +207,7 @@ def is_convex(f: FunctionExpr) -> FactStatus:
         return attrs(normalize(f.set_)).convex
     if isinstance(f, (Sum, InfConv)):
         return and3(is_convex(f.a), is_convex(f.b))
-    if isinstance(f, (ArgTranslate, PlusConst)):
-        return is_convex(f.f)
-    if isinstance(f, PrecomposeLinear):
+    if isinstance(f, (ArgTranslate, PlusConst, PrecomposeLinear)):
         return is_convex(f.f)
     return UNKNOWN
 
@@ -224,9 +219,7 @@ def is_lsc(f: FunctionExpr) -> FactStatus:
         return attrs(normalize(f.set_)).closed
     if isinstance(f, Sum):
         return and3(is_lsc(f.a), is_lsc(f.b))
-    if isinstance(f, (ArgTranslate, PlusConst)):
-        return is_lsc(f.f)
-    if isinstance(f, PrecomposeLinear):
+    if isinstance(f, (ArgTranslate, PlusConst, PrecomposeLinear)):
         return is_lsc(f.f)
     return UNKNOWN
 
@@ -239,12 +232,7 @@ def continuous_everywhere(f: FunctionExpr) -> FactStatus:
             return HOLDS if "continuous" in f.c.attrs else UNKNOWN
         return HOLDS
     if isinstance(f, IndicatorOf):
-        w = attrs(normalize(f.set_)).whole
-        if w is HOLDS:
-            return HOLDS
-        if w is FAILS:
-            return FAILS
-        return UNKNOWN
+        return attrs(normalize(f.set_)).whole
     if isinstance(f, Sum):
         return and3(continuous_everywhere(f.a), continuous_everywhere(f.b))
     if isinstance(f, (ArgTranslate, PlusConst)):
@@ -261,15 +249,11 @@ def domain(f: FunctionExpr, space: Optional[SpaceTag] = None) -> SetExpr:
     if isinstance(f, IndicatorOf):
         return normalize(f.set_)
     if isinstance(f, Sum):
-        da = domain(f.a, space)
-        db = domain(f.b, space)
-        return normalize(se.Intersect(da, db))
+        return normalize(se.Intersect(domain(f.a, space), domain(f.b, space)))
     if isinstance(f, InfConv):
         return normalize(se.MinkSum((domain(f.a, space), domain(f.b, space))))
     if isinstance(f, ArgTranslate):
-        base = domain(f.f, space)
-        off = _as_point(f.shift)
-        return normalize(se.Translate(base, off))
+        return normalize(se.Translate(domain(f.f, space), _as_point(f.shift)))
     if isinstance(f, PlusConst):
         return domain(f.f, space)
     if isinstance(f, ConjugateOf):
@@ -329,7 +313,7 @@ def conjugate(f: FunctionExpr) -> FunctionExpr:
 
     if isinstance(f, Affine):
         if isinstance(f.c, SymVec):
-            target: SetExpr = se.Singleton(se.SymPoint(f.c.name, f.c.attrs), _sym_space(f))
+            target: SetExpr = se.Singleton(se.SymPoint(f.c.name, f.c.attrs), banach("X*"))
         else:
             target = se.PolyAtom(pg.singleton(f.c))
         out: FunctionExpr = IndicatorOf(target)
@@ -386,8 +370,7 @@ def conjugate(f: FunctionExpr) -> FunctionExpr:
         return Sum(conjugate(f.a), conjugate(f.b))
 
     if isinstance(f, ArgTranslate):
-        shift_vec = f.shift if not isinstance(f.shift, SymVec) else f.shift
-        return Sum(conjugate(f.f), Affine(shift_vec, ZERO))
+        return Sum(conjugate(f.f), Affine(f.shift, ZERO))
 
     if isinstance(f, PlusConst):
         return PlusConst(conjugate(f.f), -f.const)
@@ -403,11 +386,6 @@ def conjugate(f: FunctionExpr) -> FunctionExpr:
         return ConjugateOf(f)
 
     return ConjugateOf(f)
-
-
-def _sym_space(f: Affine) -> SpaceTag:
-    # symbolic affine atoms keep no space of their own; the instance does
-    return banach("X*")
 
 
 def _point_as_vec(p: Point) -> Optional[VecOrSym]:
@@ -434,8 +412,7 @@ def is_proper(f: FunctionExpr) -> FactStatus:
     if isinstance(f, (Affine, NormAtom, SupOfAffine)):
         return HOLDS
     if isinstance(f, IndicatorOf):
-        ne = attrs(normalize(f.set_)).nonempty
-        return ne
+        return attrs(normalize(f.set_)).nonempty
     if isinstance(f, Sum):
         # proper unless a domain is empty; conservative
         if is_proper(f.a) is FAILS or is_proper(f.b) is FAILS:
@@ -443,8 +420,6 @@ def is_proper(f: FunctionExpr) -> FactStatus:
         return UNKNOWN
     if isinstance(f, (ArgTranslate, PlusConst)):
         return is_proper(f.f)
-    if isinstance(f, (InfConv, PrecomposeLinear, ConjugateOf)):
-        return UNKNOWN
     return UNKNOWN
 
 
@@ -519,10 +494,7 @@ def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
             return pg.poly(n + 1, rows)
         raise RegimeError("the l2 norm lives in the symbolic regime only")
     if isinstance(f, SupOfAffine):
-        rows = []
-        for c, alpha in f.pieces:
-            rows.append((_vec("maxaff", c, n) + (-1,), -rat(alpha)))
-        return pg.poly(n + 1, rows)
+        return pg.poly(n + 1, [(_vec("maxaff", c, n) + (-1,), -rat(alpha)) for c, alpha in f.pieces])
     if isinstance(f, Sum):
         for ind, other in ((f.a, f.b), (f.b, f.a)):
             if isinstance(ind, IndicatorOf):
@@ -565,14 +537,6 @@ def pf_domain(epi: pg.Polyhedron) -> pg.Polyhedron:
     return pg.project(epi, range(epi.n - 1))
 
 
-def pf_value(epi: pg.Polyhedron, x: Sequence) -> ExtReal:
-    """f(x), the bottom of the epigraph's fiber over x: one LP."""
-    out = pg.extremum(pg.fiber(epi, vec(x)), (1,), "min")
-    if isinstance(out, Optimal):
-        return er(out.value)
-    return MINF if isinstance(out, Unbounded) else PINF
-
-
 def pf_falls_forever(epi: pg.Polyhedron) -> bool:
     """(0, ..., 0, -1) is a recession direction of the epigraph: the value
     is -inf wherever it is finite."""
@@ -608,43 +572,6 @@ def conjugate_polyfunc(epi: pg.Polyhedron) -> pg.Polyhedron:
     return pg.project(big.polyhedron(), range(n + 1))
 
 
-def evaluate(f: FunctionExpr, x, space: Optional[SpaceTag] = None) -> ExtReal:
-    """Exact value of f at x (numeric vector or symbolic point)."""
-    if isinstance(x, (tuple, list)):
-        return pf_value(lower(f, len(x)), x)
-    return _sym_value(f, x)
-
-
-def _sym_value(f: FunctionExpr, p: Point) -> ExtReal:
-    if isinstance(f, Affine):
-        if se.is_origin(p):
-            return er(f.alpha)
-        raise UndecidableValueError("no pairing rule for this point")
-    if isinstance(f, NormAtom):
-        if se.is_origin(p):
-            return er(0)
-        raise UndecidableValueError("no norm rule for this point")
-    if isinstance(f, IndicatorOf):
-        s = normalize(f.set_)
-        if se.is_origin(p):
-            c = attrs(s).contains_origin
-            if c is HOLDS:
-                return er(0)
-            if c is FAILS:
-                return PINF
-        raise UndecidableValueError("membership undecided for this point")
-    if isinstance(f, Sum):
-        return er_add(_sym_value(f.a, p), _sym_value(f.b, p))
-    if isinstance(f, PlusConst):
-        return er_add(_sym_value(f.f, p), er(f.const))
-    if isinstance(f, ArgTranslate):
-        shifted = se.padd(p, se.pneg(_as_point(f.shift)))
-        if shifted is None:
-            raise UndecidableValueError("point algebra cannot shift this point")
-        return _sym_value(f.f, shifted)
-    raise UndecidableValueError(f"no symbolic value rule for {type(f).__name__}")
-
-
 # -- lower bounds for the nonnegativity certificate --------------------------
 
 # inner products known to be bounded below on specific catalog sets
@@ -668,49 +595,28 @@ def _pairing_lb(c: VecOrSym, s: SetExpr) -> Optional[Fraction]:
     return None
 
 
-def domain_lower_bound(f: FunctionExpr, space: Optional[SpaceTag] = None) -> Optional[Fraction]:
+def domain_lower_bound(f: FunctionExpr) -> Optional[Fraction]:
     """A proved lower bound for inf f over dom f, or None."""
-    if space is not None and space.finite_dim:
-        try:
-            epi = lower(f, space.dim)
-        except RegimeError:
-            return None
-        out = pg.extremum(epi, (0,) * space.dim + (1,), "min")
-        return out.value if isinstance(out, Optimal) else None
-    if isinstance(f, IndicatorOf):
-        return ZERO
-    if isinstance(f, NormAtom):
+    if isinstance(f, (IndicatorOf, NormAtom)):
         return ZERO
     if isinstance(f, PlusConst):
-        base = domain_lower_bound(f.f, space)
+        base = domain_lower_bound(f.f)
         return None if base is None else base + f.const
     if isinstance(f, Affine):
-        if not isinstance(f.c, SymVec) and not any(vec(f.c)):
-            return rat(f.alpha)
-        if isinstance(f.c, SymVec) and "zero" in f.c.attrs:
-            return rat(f.alpha)
-        return None
+        zero = "zero" in f.c.attrs if isinstance(f.c, SymVec) else not any(vec(f.c))
+        return rat(f.alpha) if zero else None
     if isinstance(f, Sum):
         for fn, other in ((f.a, f.b), (f.b, f.a)):
             if isinstance(fn, Affine) and isinstance(other, IndicatorOf):
                 pl = _pairing_lb(fn.c, other.set_)
                 if pl is not None:
                     return pl + rat(fn.alpha)
-        la = domain_lower_bound(f.a, space)
-        lb_ = domain_lower_bound(f.b, space)
-        if la is not None and lb_ is not None:
-            return la + lb_
-        return None
+        la, lb_ = domain_lower_bound(f.a), domain_lower_bound(f.b)
+        return None if la is None or lb_ is None else la + lb_
     return None
 
 
 # -- epigraph difference sets -------------------------------------------------
-
-
-def _both_indicators(f: FunctionExpr, g: FunctionExpr):
-    if isinstance(f, IndicatorOf) and isinstance(g, IndicatorOf):
-        return normalize(f.set_), normalize(g.set_)
-    return None
 
 
 def epi_diff_poly(epi_f: pg.Polyhedron, epi_g: pg.Polyhedron, v: Fraction) -> pg.Polyhedron:
@@ -734,32 +640,8 @@ def epi_diff_set(f: FunctionExpr, g: FunctionExpr, v, space: SpaceTag) -> SetExp
     if space.finite_dim:
         n = space.dim
         return se.PolyAtom(epi_diff_poly(lower(f, n), lower(g, n), v))
-    pair = _both_indicators(f, g)
-    if pair is not None:
-        a, b = pair
-        base = normalize(se.MinkSum((a, se.Neg(b))))
+    if isinstance(f, IndicatorOf) and isinstance(g, IndicatorOf):
+        base = normalize(se.MinkSum((normalize(f.set_), se.Neg(normalize(g.set_)))))
         ray = se.PolyAtom(pg.poly(1, ineqs=[((-1,), v)]))  # r >= -v
         return se.Product(base, ray)
     return se.EpiDiffSet(f, g, v, space)
-
-
-def biconjugate_check(f: FunctionExpr, samples: Sequence[Sequence]) -> bool:
-    """f** = f at every sample and Young-Fenchel on all sample pairs."""
-    if not samples:
-        return True
-    n = len(samples[0])
-    epi = lower(f, n)
-    star = conjugate_polyfunc(epi)
-    star2 = conjugate_polyfunc(star)
-    values = [pf_value(epi, x) for x in samples]
-    for x, fx in zip(samples, values):
-        if pf_value(star2, x) != fx:
-            return False
-    star_values = [pf_value(star, y) for y in samples]
-    for x, fx in zip(samples, values):
-        for y, fy in zip(samples, star_values):
-            lhs = er_add(fx, fy)
-            rhs = er(dot(vec(x), vec(y)))
-            if not er_le(rhs, lhs):
-                return False
-    return True

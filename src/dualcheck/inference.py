@@ -1,6 +1,6 @@
 """Rule engine for interiority queries on set expressions.
 
-``infer(notion, point, set)`` answers "does the point belong to
+``Engine.infer(notion, point, set)`` answers "does the point belong to
 notion(set)?" with a three-valued status and a replayable provenance
 chain.  A query splits into plain membership plus a test on the cone
 generated by the set minus the point:
@@ -150,14 +150,6 @@ class Engine:
         does: the kind holds if a stronger kind holds directly and fails if
         a weaker kind fails directly, reached through undecided kinds."""
         return self._closed(kind, point, normalize(s))
-
-    def cone_test_all_rules(self, kind: str, point: Point, s: SetExpr) -> list[tuple[str, Fact]]:
-        """Every decided rule, and last the inclusion scheme's verdicts from
-        the other kinds (for the never-both and confluence checks)."""
-        s = normalize(s)
-        outs = [(name, rule(self, kind, point, s)) for name, rule in self._rules]
-        outs += [("inclusion-scheme", self._implied(kind, point, s, st)) for st in (HOLDS, FAILS)]
-        return [(name, got) for name, got in outs if got is not None and got.status is not UNKNOWN]
 
     # -- direct statuses and their closure ----------------------------------
 
@@ -588,24 +580,6 @@ _RULE_NAMES = tuple(_RULES)
 
 
 # -- public operations ----------------------------------------------------------
-
-
-def infer(
-    notion: Notion,
-    point: Point,
-    s: SetExpr,
-    declared: Sequence[DeclaredFact] = (),
-    rule_order: Optional[Sequence[str]] = None,
-) -> Fact:
-    return Engine(declared, rule_order).infer(notion, point, s)
-
-
-def catalog_fact(cid: str, notion: Notion, space=None, params=()) -> FactStatus:
-    """Zero-membership status for a catalog atom, straight from the tables."""
-    from .spaces import lp_space
-
-    atom = se.CatalogAtom(cid, space or lp_space(), tuple(params))
-    return Engine().infer(notion, ORIGIN, atom).status
 
 
 def nonneg_certificate(f, g, v) -> tuple[FactStatus, Provenance]:

@@ -34,9 +34,7 @@ question is answered on the lifted rows with a handful of exact LPs:
   decides the six interiority notions, which collapse in finite dimension
   to the relative interior (Sqri, Icr, Qri) and the interior (Int, Core,
   Qi): ri pi(P) = pi(ri P) (Rockafellar, *Convex Analysis*, Thm 6.6), and
-  int pi(P) is ri pi(P) when the affine hull of pi(P) is everything;
-* normal cones from active rows and duals of finitely generated cones, on
-  systems without auxiliaries.
+  int pi(P) is ri pi(P) when the affine hull of pi(P) is everything.
 
 Lifted systems are written with :class:`BlockRows`, which lays out named
 blocks of variables and pulls a polyhedron back along an affine map of
@@ -63,7 +61,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyPolyhedronError,
     MalformedInputError,
-    MembershipError,
 )
 from .exactlp import (
     EQ,
@@ -79,9 +76,6 @@ from .exactlp import (
     vec,
 )
 from .frozen import frozen_node
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 IntRow = tuple[tuple[int, ...], int]
 
@@ -379,32 +373,8 @@ class AffineSubspace:
     def rank(self) -> int:
         return len(self.eqs)
 
-    def dim(self) -> int:
-        return self.n - self.rank()
-
     def is_whole(self) -> bool:
         return self.rank() == 0
-
-    def contains(self, x: Sequence) -> bool:
-        x = vec(x)
-        return all(dot(e, x) == d for e, d in self.eqs)
-
-    def basis(self) -> tuple[Vec, ...]:
-        """Spanning directions of the subspace (null space of the rows)."""
-        leads = set()
-        for e, _ in self.eqs:
-            leads.add(next(j for j, c in enumerate(e) if c != 0))
-        out = []
-        for j in range(self.n):
-            if j in leads:
-                continue
-            v = [ZERO] * self.n
-            v[j] = ONE
-            for e, _ in self.eqs:
-                lead = next(k for k, c in enumerate(e) if c != 0)
-                v[lead] = -e[j]
-            out.append(tuple(v))
-        return tuple(out)
 
 
 def _echelon(eqs: Sequence[tuple[Vec, Fraction]], n: int) -> tuple[tuple[Vec, Fraction], ...]:
@@ -495,12 +465,6 @@ def recession_cone(p: Polyhedron) -> Polyhedron:
     return poly(p.n, [(a, 0) for a, _ in p.ineqs], [(e, 0) for e, _ in p.eqs], p.aux)
 
 
-def relative_interior_point(p: Polyhedron) -> Optional[Vec]:
-    """A point of ri pi(p), the projection of a point of ri p, or None if p is empty."""
-    z = ri_point(p)
-    return None if z is None else z[: p.n]
-
-
 def zero_in(notion: Notion, p: Polyhedron) -> bool:
     """Does the origin belong to notion(pi(p))?
 
@@ -522,63 +486,6 @@ def zero_in(notion: Notion, p: Polyhedron) -> bool:
         inside = ri_point(p, BlockRows().pull(p, (p.n, {}))) is not None
         object.__setattr__(p, "_zero_in_ri", inside)
     return inside
-
-
-@dataclass(frozen=True)
-class FinitelyGeneratedCone:
-    """cone = {sum lambda_i g_i + sum mu_j l_j : lambda >= 0, mu free}."""
-
-    n: int
-    generators: tuple[Vec, ...]
-    lineality: tuple[Vec, ...]
-
-
-def normal_cone(p: Polyhedron, x: Sequence) -> FinitelyGeneratedCone:
-    if p.aux:
-        raise MalformedInputError("normal cones are read off systems without auxiliaries")
-    x = vec(x)
-    if not contains(p, x):
-        raise MembershipError("normal cone requested at a point outside the set")
-    gens = tuple(a for a, b in p.ineqs if dot(a, x) == b)
-    lin = tuple(e for e, _ in p.eqs)
-    return FinitelyGeneratedCone(p.n, gens, lin)
-
-
-def cone_member(k: FinitelyGeneratedCone, v: Sequence) -> bool:
-    """Exact membership: does v = sum lambda g + sum mu l have a solution?"""
-    v = vec(v)
-    gens, lin = k.generators, k.lineality
-    m = len(gens) + len(lin)
-    if m == 0:
-        return all(c == 0 for c in v)
-    rows = []
-    for coord in range(k.n):
-        coeffs = tuple(g[coord] for g in gens) + tuple(l[coord] for l in lin)
-        rows.append(Row(coeffs, EQ, v[coord]))
-    bounds = ((0, None),) * len(gens) + ((None, None),) * len(lin)
-    prog = LinearProgram(m, (0,) * m, "min", tuple(rows), bounds)
-    return isinstance(solve_lp(prog), (Optimal, Unbounded))
-
-
-def is_linear_subspace(k: FinitelyGeneratedCone) -> bool:
-    """True iff -g lies back in the cone for every generator."""
-    return all(cone_member(k, tuple(-c for c in g)) for g in k.generators)
-
-
-def is_trivial_cone(k: FinitelyGeneratedCone) -> bool:
-    """True iff the cone is exactly {0}."""
-    return all(all(c == 0 for c in g) for g in k.generators) and all(
-        all(c == 0 for c in l) for l in k.lineality
-    )
-
-
-def dual_cone(k: FinitelyGeneratedCone) -> Polyhedron:
-    """{y : <y,g> >= 0 for generators, <y,l> = 0 for lineality}."""
-    return poly(
-        k.n,
-        ineqs=[(tuple(-c for c in g), 0) for g in k.generators],
-        eqs=[(l, 0) for l in k.lineality],
-    )
 
 
 # -- lifted set operations -------------------------------------------------

@@ -8,7 +8,6 @@ order, rationals as canonical ``p/q`` strings and infinities as
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from .conditions import Diagnosis

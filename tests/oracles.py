@@ -12,16 +12,23 @@ after ``fm_flatten``, ``recover_dual_reference``, which projects with
 LP, and the Fourier-Motzkin projection ``fm_project`` with the queries
 built on it, which eliminates with ``eliminate`` below.  They check the
 logic around the LP, not the LP: the lifted queries, which eliminate
-nothing, and the dual point read off the primal LP.
+nothing, and the dual point read off the primal LP.  So do the normal
+cone route of ``normal_cone``, whose ``cone_member`` asks the LP for a
+conic combination, and ``biconjugate_check``, which lowers and conjugates
+through the package and reads each value off one LP (``pf_value``).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
-from dualcheck.exactlp import Optimal, Unbounded, dot
-from dualcheck.polyhedra import Notion, Polyhedron, _solve_over, contains, poly, project
+from dualcheck.errors import MalformedInputError, MembershipError
+from dualcheck.exactlp import EQ, LinearProgram, Optimal, Row, Unbounded, dot, solve_lp, vec
+from dualcheck.funcexpr import MINF, PINF, conjugate_polyfunc, er, er_add, er_le, lower
+from dualcheck.polyhedra import Notion, Polyhedron, _solve_over, contains, extremum, fiber, poly, project
+from dualcheck.setexpr import FAILS, HOLDS, UNKNOWN, normalize
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -658,8 +665,6 @@ def _cone_dual_reference(model):
 
 
 def _sup(out, k: int):
-    from dualcheck.funcexpr import MINF, PINF, er
-
     if isinstance(out, Optimal):
         return er(out.value), out.point[:k]
     return (PINF if isinstance(out, Unbounded) else MINF), None
@@ -698,3 +703,112 @@ def pull_reference(blocks, pulls):
                 rhs = b if shift is None else b - sum((a[i] * shift[i] for i in range(p.n)), ZERO)
                 out.append((coeff + list(a[p.n :]), rel, rhs))
     return [(tuple(a + [ZERO] * (width - len(a))), rel, b) for a, rel, b in out]
+
+
+@dataclass(frozen=True)
+class FinitelyGeneratedCone:
+    """cone = {sum lambda_i g_i + sum mu_j l_j : lambda >= 0, mu free}."""
+
+    n: int
+    generators: tuple
+    lineality: tuple
+
+
+def normal_cone(p: Polyhedron, x: Sequence) -> FinitelyGeneratedCone:
+    """The normal cone of p at x, generated by the active rows of a
+    system without auxiliaries."""
+    if p.aux:
+        raise MalformedInputError("normal cones are read off systems without auxiliaries")
+    x = vec(x)
+    if not contains(p, x):
+        raise MembershipError("normal cone requested at a point outside the set")
+    gens = tuple(a for a, b in p.ineqs if dot(a, x) == b)
+    return FinitelyGeneratedCone(p.n, gens, tuple(e for e, _ in p.eqs))
+
+
+def cone_member(k: FinitelyGeneratedCone, v: Sequence) -> bool:
+    """Exact membership: does v = sum lambda g + sum mu l have a solution?"""
+    v = vec(v)
+    gens, lin = k.generators, k.lineality
+    m = len(gens) + len(lin)
+    if m == 0:
+        return all(c == 0 for c in v)
+    rows = tuple(Row(tuple(g[c] for g in gens) + tuple(l[c] for l in lin), EQ, v[c]) for c in range(k.n))
+    bounds = ((0, None),) * len(gens) + ((None, None),) * len(lin)
+    return isinstance(solve_lp(LinearProgram(m, (0,) * m, "min", rows, bounds)), (Optimal, Unbounded))
+
+
+def is_linear_subspace(k: FinitelyGeneratedCone) -> bool:
+    """True iff -g lies back in the cone for every generator."""
+    return all(cone_member(k, tuple(-c for c in g)) for g in k.generators)
+
+
+def is_trivial_cone(k: FinitelyGeneratedCone) -> bool:
+    """True iff the cone is exactly {0}."""
+    return not any(any(g) for g in k.generators + k.lineality)
+
+
+def dual_cone(k: FinitelyGeneratedCone) -> Polyhedron:
+    """{y : <y,g> >= 0 for generators, <y,l> = 0 for lineality}."""
+    return poly(k.n, [(tuple(-c for c in g), 0) for g in k.generators], [(l, 0) for l in k.lineality])
+
+
+def hull_dim(h) -> int:
+    """The dimension of an ``AffineSubspace``."""
+    return h.n - h.rank()
+
+
+def hull_contains(h, x: Sequence) -> bool:
+    return all(dot(e, vec(x)) == d for e, d in h.eqs)
+
+
+def hull_basis(h) -> tuple:
+    """Spanning directions of an ``AffineSubspace`` (the null space of its
+    reduced row-echelon rows)."""
+    leads = [next(j for j, c in enumerate(e) if c != 0) for e, _ in h.eqs]
+    out = []
+    for j in range(h.n):
+        if j in leads:
+            continue
+        v = [ZERO] * h.n
+        v[j] = ONE
+        for (e, _), lead in zip(h.eqs, leads):
+            v[lead] = -e[j]
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def pf_value(epi: Polyhedron, x: Sequence):
+    """f(x), the bottom of the epigraph's fiber over x: one LP."""
+    out = extremum(fiber(epi, vec(x)), (1,), "min")
+    if isinstance(out, Optimal):
+        return er(out.value)
+    return MINF if isinstance(out, Unbounded) else PINF
+
+
+def biconjugate_check(f, samples: Sequence[Sequence]) -> bool:
+    """f** = f at every sample and Young-Fenchel on all sample pairs."""
+    if not samples:
+        return True
+    epi = lower(f, len(samples[0]))
+    star = conjugate_polyfunc(epi)
+    star2 = conjugate_polyfunc(star)
+    values = [pf_value(epi, x) for x in samples]
+    if any(pf_value(star2, x) != fx for x, fx in zip(samples, values)):
+        return False
+    star_values = [pf_value(star, y) for y in samples]
+    return all(
+        er_le(er(dot(vec(x), vec(y))), er_add(fx, fy))
+        for x, fx in zip(samples, values)
+        for y, fy in zip(samples, star_values)
+    )
+
+
+def cone_test_all_rules(engine, kind: str, point, s) -> list:
+    """Every rule of ``inference._RULES`` that decides ``kind`` at (point, s),
+    in the engine's rule order, and last the inclusion scheme's verdicts
+    from the other kinds (for the never-both and confluence checks)."""
+    s = normalize(s)
+    outs = [(name, rule(engine, kind, point, s)) for name, rule in engine._rules]
+    outs += [("inclusion-scheme", engine._implied(kind, point, s, st)) for st in (HOLDS, FAILS)]
+    return [(name, got) for name, got in outs if got is not None and got.status is not UNKNOWN]

@@ -1,7 +1,7 @@
 """Generators for the randomized property suites.
 
 Everything draws from an explicit ``random.Random`` so runs are
-reproducible; the test suites seed from DUALCHECK_SEED (default 0).
+reproducible; the suites seed it from DUALCHECK_SEED (default 0).
 """
 
 from __future__ import annotations
@@ -10,11 +10,11 @@ import os
 import random
 from fractions import Fraction
 
-from . import setexpr as se
-from .engine import AffineMap, FenchelInstance, LagrangeInstance
-from .funcexpr import Affine, IndicatorOf, Sum
-from .polyhedra import Polyhedron, poly
-from .spaces import finite
+from dualcheck import setexpr as se
+from dualcheck.engine import AffineMap, FenchelInstance, LagrangeInstance
+from dualcheck.funcexpr import Affine, IndicatorOf, Sum
+from dualcheck.polyhedra import Polyhedron, poly
+from dualcheck.spaces import finite
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,16 +41,21 @@ def random_polyhedron_with_origin(rng: random.Random, n: int) -> Polyhedron:
     return poly(n, rows, eqs)
 
 
-def random_box(rng: random.Random, n: int, around_zero: bool = False) -> Polyhedron:
+def _box(ends) -> Polyhedron:
+    """The box with bounds (lo, hi) on each coordinate."""
+    n = len(ends)
     rows = []
-    for j in range(n):
-        lo = rng.randint(-3, -1) if around_zero else rng.randint(-3, 0)
-        hi = rng.randint(1, 3) if around_zero else rng.randint(0, 3)
+    for j, (lo, hi) in enumerate(ends):
         e = [ZERO] * n
         e[j] = ONE
         rows.append((tuple(e), Fraction(hi)))
         rows.append((tuple(-c for c in e), Fraction(-lo)))
     return poly(n, rows)
+
+
+def random_box(rng: random.Random, n: int) -> Polyhedron:
+    """A random box with the origin in its interior."""
+    return _box([(rng.randint(-3, -1), rng.randint(1, 3)) for _ in range(n)])
 
 
 def random_fenchel_core_instance(rng: random.Random, tag: str) -> FenchelInstance:
@@ -58,23 +63,15 @@ def random_fenchel_core_instance(rng: random.Random, tag: str) -> FenchelInstanc
     origin is interior to the domain difference."""
     n = rng.randint(1, 2)
     center = [rng.randint(-2, 2) for _ in range(n)]
-    f_box = _box_around(rng, center, n)
-    g_box = _box_around(rng, center, n)
+    f_box = _box_around(rng, center)
+    g_box = _box_around(rng, center)
     f = Sum(Affine(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)), ZERO), IndicatorOf(se.PolyAtom(f_box)))
     g = Sum(Affine(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)), ZERO), IndicatorOf(se.PolyAtom(g_box)))
     return FenchelInstance(instance_id=tag, space=finite(n), f=f, g=g)
 
 
-def _box_around(rng: random.Random, center, n: int) -> Polyhedron:
-    rows = []
-    for j in range(n):
-        lo = center[j] - rng.randint(1, 2)
-        hi = center[j] + rng.randint(1, 2)
-        e = [ZERO] * n
-        e[j] = ONE
-        rows.append((tuple(e), Fraction(hi)))
-        rows.append((tuple(-c for c in e), Fraction(-lo)))
-    return poly(n, rows)
+def _box_around(rng: random.Random, center) -> Polyhedron:
+    return _box([(c - rng.randint(1, 2), c + rng.randint(1, 2)) for c in center])
 
 
 def random_lagrange_slater_instance(rng: random.Random, tag: str) -> LagrangeInstance:
@@ -82,7 +79,7 @@ def random_lagrange_slater_instance(rng: random.Random, tag: str) -> LagrangeIns
     origin sits inside S and maps strictly into -C."""
     n = rng.randint(1, 2)
     m = rng.randint(1, 2)
-    s_box = random_box(rng, n, around_zero=True)
+    s_box = random_box(rng, n)
     rows = tuple(
         tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)) for _ in range(m)
     )
@@ -91,7 +88,7 @@ def random_lagrange_slater_instance(rng: random.Random, tag: str) -> LagrangeIns
     cone_rows = [(tuple(-ONE if j == k else ZERO for j in range(m)), ZERO) for k in range(m)]
     cone = se.PolyAtom(poly(m, cone_rows))  # the nonnegative orthant
     f = Affine(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)), ZERO)
-    fobj = Sum(f, IndicatorOf(se.PolyAtom(random_box(rng, n, around_zero=True))))
+    fobj = Sum(f, IndicatorOf(se.PolyAtom(random_box(rng, n))))
     return LagrangeInstance(
         instance_id=tag,
         xspace=finite(n),

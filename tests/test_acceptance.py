@@ -27,28 +27,24 @@ from dualcheck.funcexpr import (
     PlusConst,
     Sum,
     SupOfAffine,
-    biconjugate_check,
     er,
 )
 from dualcheck.inference import Engine
 from dualcheck.polyhedra import (
     Notion,
     interval,
-    is_linear_subspace,
-    is_trivial_cone,
-    normal_cone,
     poly,
     zero_in,
 )
-from dualcheck.randgen import (
+from dualcheck.setexpr import FAILS, HOLDS, PolyAtom
+
+from oracles import biconjugate_check, grid, is_linear_subspace, is_trivial_cone, normal_cone
+from randgen import (
     random_fenchel_core_instance,
     random_lagrange_slater_instance,
     random_polyhedron_with_origin,
     suite_seed,
 )
-from dualcheck.setexpr import FAILS, HOLDS, PolyAtom
-
-from oracles import grid
 
 F = Fraction
 SEED = suite_seed()

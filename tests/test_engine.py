@@ -45,11 +45,11 @@ from dualcheck.funcexpr import (
 )
 from dualcheck.exactlp import verify_certificate
 from dualcheck.polyhedra import contains, interval, orthant, poly, singleton
-from dualcheck.randgen import random_fenchel_core_instance, random_lagrange_slater_instance
 from dualcheck.spaces import finite, lp_space
 
 import test_numeric_golden as golden
 from oracles import dual_reference, enumerate_vertices, recover_dual_reference
+from randgen import random_fenchel_core_instance, random_lagrange_slater_instance
 
 F = Fraction
 

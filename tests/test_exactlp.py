@@ -15,20 +15,33 @@ from dualcheck.exactlp import (
     GE,
     LE,
     Infeasible,
+    LinearProgram,
     Optimal,
+    Row,
     Unbounded,
     _Simplex,
     dot,
     expanded_rows,
-    lp,
+    rat,
     rat_str,
     solve_lp,
+    vec,
     verify_certificate,
 )
 from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum
 from dualcheck.spaces import finite
 
 from oracles import brute_min_over_vertices, rational_bland_simplex
+
+
+def lp(sense, objective, rows, bounds=None) -> LinearProgram:
+    """A ``LinearProgram`` from plain rows ``(coefficients, relation, rhs)``,
+    every entry coerced to a rational."""
+    rws = tuple(Row(vec(a), rel, rat(b)) for a, rel, b in rows)
+    bds = None
+    if bounds is not None:
+        bds = tuple((None if lo is None else rat(lo), None if hi is None else rat(hi)) for lo, hi in bounds)
+    return LinearProgram(len(objective), vec(objective), sense, rws, bds)
 
 
 def test_single_bound_maximum():
@@ -401,6 +414,24 @@ def test_outcomes_match_rational_reference_tableau(monkeypatch):
     assert seen == {"x- enters", "artificial driven out"}
     assert early == []
     assert checked[0] > 1000
+
+
+def test_a_zero_artificial_start_builds_only_the_phase_two_cost_row(monkeypatch):
+    # the one artificial sits on x1 - x2 = 0, so phase one would stop before
+    # its first pivot: its cost row is never built, the artificial is still
+    # driven out, and the pivots are the reference tableau's
+    costs = []
+    real = _Simplex._set_costs
+    monkeypatch.setattr(_Simplex, "_set_costs", lambda self, cost, art: costs.append(art) or real(self, cost, art))
+    p = lp("max", [1, 2], [([1, -1], "=", 0), ([1, 1], LE, 2), ([-1, 1], GE, 0)])
+    s = _Simplex(p)
+    starts = [s.K in s.R[i] for i, b in enumerate(s.basis) if b >= s.N]
+    assert starts == [False]
+    out = s.solve()
+    assert costs == [0]
+    assert all(b < s.N for b in s.basis)
+    assert out.point == (1, 1) and out.value == 3 and verify_certificate(p, out)
+    assert _matches_reference(p) == "optimal"
 
 
 def test_malformed_pivot_budget_is_malformed_input(monkeypatch):

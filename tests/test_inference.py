@@ -8,8 +8,6 @@ from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum, SymVec
 from dualcheck.inference import (
     DeclaredFact,
     Engine,
-    catalog_fact,
-    infer,
     interior_is_empty,
     meets_qri,
     nonneg_certificate,
@@ -18,6 +16,8 @@ from dualcheck.inference import (
 from dualcheck.polyhedra import Notion, interval, orthant, poly
 from dualcheck.setexpr import FAILS, HOLDS, UNKNOWN, ORIGIN
 from dualcheck.spaces import banach, lp_space, lp_uncountable
+
+from oracles import cone_test_all_rules
 
 F = Fraction
 L2 = lp_space()
@@ -34,71 +34,70 @@ KINDS = ("int", "whole_alg", "whole_cl", "sub_closed", "sub_alg", "sub_cl")
 
 def test_positive_cone_catalog_facts():
     # strictly positive sequences sit in the quasi-relative interior
-    assert infer(Notion.QRI, POS_SEQ, PLUS).status is HOLDS
-    assert infer(Notion.QI, POS_SEQ, PLUS).status is HOLDS
+    assert Engine().infer(Notion.QRI, POS_SEQ, PLUS).status is HOLDS
+    assert Engine().infer(Notion.QI, POS_SEQ, PLUS).status is HOLDS
     # but every stronger notion set is empty
     for notion in (Notion.INT, Notion.CORE, Notion.SQRI, Notion.ICR):
-        assert infer(notion, POS_SEQ, PLUS).status is FAILS
-        assert catalog_fact(se.LP_PLUS, notion) is FAILS
-    assert infer(Notion.QRI, ORIGIN, PLUS).status is FAILS
+        assert Engine().infer(notion, POS_SEQ, PLUS).status is FAILS
+        assert Engine().infer(notion, ORIGIN, se.CatalogAtom(se.LP_PLUS, L2, ())).status is FAILS
+    assert Engine().infer(Notion.QRI, ORIGIN, PLUS).status is FAILS
 
 
 def test_uncountable_positive_cone_everything_empty():
-    assert catalog_fact(se.LP_PLUS_UNC, Notion.QRI, L2R) is FAILS
-    assert infer(Notion.QRI, POS_SEQ, PLUS_UNC).status is FAILS
-    assert infer(Notion.QI, ORIGIN, PLUS_UNC).status is FAILS
+    assert Engine().infer(Notion.QRI, ORIGIN, se.CatalogAtom(se.LP_PLUS_UNC, L2R, ())).status is FAILS
+    assert Engine().infer(Notion.QRI, POS_SEQ, PLUS_UNC).status is FAILS
+    assert Engine().infer(Notion.QI, ORIGIN, PLUS_UNC).status is FAILS
 
 
 def test_cone_difference_is_whole_space():
     diff = se.MinkSum((PLUS, se.Neg(PLUS)))
-    out = infer(Notion.QI, ORIGIN, diff)
+    out = Engine().infer(Notion.QI, ORIGIN, diff)
     assert out.status is HOLDS
-    assert infer(Notion.INT, ORIGIN, diff).status is HOLDS
+    assert Engine().infer(Notion.INT, ORIGIN, diff).status is HOLDS
 
 
 def test_closed_subspace_facts():
-    assert infer(Notion.SQRI, ORIGIN, KER).status is HOLDS
-    assert infer(Notion.ICR, ORIGIN, KER).status is HOLDS
-    assert infer(Notion.QRI, ORIGIN, KER).status is HOLDS
-    assert infer(Notion.QI, ORIGIN, KER).status is FAILS
-    assert infer(Notion.CORE, ORIGIN, KER).status is FAILS
-    assert catalog_fact(
-        se.CLOSED_SUBSPACE, Notion.QI, banach("X"), (("dense", False), ("whole", False))
-    ) is FAILS
+    assert Engine().infer(Notion.SQRI, ORIGIN, KER).status is HOLDS
+    assert Engine().infer(Notion.ICR, ORIGIN, KER).status is HOLDS
+    assert Engine().infer(Notion.QRI, ORIGIN, KER).status is HOLDS
+    assert Engine().infer(Notion.QI, ORIGIN, KER).status is FAILS
+    assert Engine().infer(Notion.CORE, ORIGIN, KER).status is FAILS
+    closed = se.CatalogAtom(se.CLOSED_SUBSPACE, banach("X"), (("dense", False), ("whole", False)))
+    assert Engine().infer(Notion.QI, ORIGIN, closed).status is FAILS
 
 
 def test_dense_nonclosed_subspace_difference():
     # C - S for the two interleaved subspaces: dense proper subspace
     d = se.MinkSum((SUB_C, se.Neg(SUB_S)))
-    assert infer(Notion.QI, ORIGIN, d).status is HOLDS
-    assert infer(Notion.SQRI, ORIGIN, d).status is FAILS
-    assert infer(Notion.CORE, ORIGIN, d).status is FAILS
-    assert infer(Notion.ICR, ORIGIN, d).status is HOLDS
+    assert Engine().infer(Notion.QI, ORIGIN, d).status is HOLDS
+    assert Engine().infer(Notion.SQRI, ORIGIN, d).status is FAILS
+    assert Engine().infer(Notion.CORE, ORIGIN, d).status is FAILS
+    assert Engine().infer(Notion.ICR, ORIGIN, d).status is HOLDS
 
 
 def test_polyatom_fallback_matches_zero_in():
     box = se.PolyAtom(poly(2, ineqs=[((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1)]))
-    assert infer(Notion.QI, ORIGIN, box).status is HOLDS
+    assert Engine().infer(Notion.QI, ORIGIN, box).status is HOLDS
     corner = se.PolyAtom(orthant(2))
-    assert infer(Notion.QI, ORIGIN, corner).status is FAILS
-    assert infer(Notion.QRI, ORIGIN, corner).status is FAILS
+    assert Engine().infer(Notion.QI, ORIGIN, corner).status is FAILS
+    assert Engine().infer(Notion.QRI, ORIGIN, corner).status is FAILS
     seg = se.PolyAtom(poly(1, ineqs=[((1,), 1), ((-1,), 1)]))
-    assert infer(Notion.QRI, ORIGIN, seg).status is HOLDS
+    assert Engine().infer(Notion.QRI, ORIGIN, seg).status is HOLDS
 
 
 def test_singleton_facts():
     s0 = se.Singleton(ORIGIN, banach("Z"))
-    assert infer(Notion.QRI, ORIGIN, s0).status is HOLDS
-    assert infer(Notion.SQRI, ORIGIN, s0).status is HOLDS
-    assert infer(Notion.QI, ORIGIN, s0).status is FAILS
+    assert Engine().infer(Notion.QRI, ORIGIN, s0).status is HOLDS
+    assert Engine().infer(Notion.SQRI, ORIGIN, s0).status is HOLDS
+    assert Engine().infer(Notion.QI, ORIGIN, s0).status is FAILS
 
 
 def test_product_rule_kills_vertical_ray():
     ray = se.PolyAtom(poly(1, ineqs=[((-1,), 0)]))
     d = se.MinkSum((SUB_C, se.Neg(SUB_S)))
     e = se.Product(d, ray)
-    assert infer(Notion.QRI, ORIGIN, e).status is FAILS
-    assert infer(Notion.QI, ORIGIN, e).status is FAILS
+    assert Engine().infer(Notion.QRI, ORIGIN, e).status is FAILS
+    assert Engine().infer(Notion.QI, ORIGIN, e).status is FAILS
 
 
 def test_declared_facts_are_terminal():
@@ -224,7 +223,7 @@ def test_confluence_under_rule_shuffles():
     base = {}
     for s in sets:
         for notion in Notion:
-            base[(s, notion)] = infer(notion, ORIGIN, s).status
+            base[(s, notion)] = Engine().infer(notion, ORIGIN, s).status
     for _ in range(6):
         order = list(_RULE_NAMES)
         rng.shuffle(order)
@@ -250,7 +249,7 @@ def test_never_both_holds_and_fails():
     for facts, point, s in cases:
         eng = Engine(facts)
         for kind in KINDS:
-            outs = eng.cone_test_all_rules(kind, point, se.normalize(s))
+            outs = cone_test_all_rules(eng, kind, point, se.normalize(s))
             statuses = {f.status for _, f in outs}
             assert not (HOLDS in statuses and FAILS in statuses), (s, kind, outs)
             # a fact the closure decides is among the facts reported

@@ -234,9 +234,17 @@ class DiagnosisContext:
     def g_continuous(self) -> bool:
         """Numeric sum instance: is Ax in int(dom g), where g is continuous,
         for some x in dom f?  RC1 asks it first, and when it holds it also
-        proves the meets-qri clause of RC6', since int lies in ri."""
+        proves the meets-qri clause of RC6', since int lies in ri.  A dom g
+        without rows is the whole space, so the feasible x that the standing
+        assumption gives will do, with no LP."""
         dom_f, dom_g = (s.poly for s in self.view.sets)
-        return _meets(dom_g, self.model.amap, dom_f, 1, True)
+        return self.g_everywhere or _meets(dom_g, self.model.amap, dom_f, 1, True)
+
+    @cached_property
+    def g_everywhere(self) -> bool:
+        """Numeric sum instance: is g finite, and so continuous, everywhere?"""
+        dom_g = self.view.sets[1].poly
+        return not dom_g.ineqs and not dom_g.eqs
 
     @cached_property
     def lsc_clauses(self) -> tuple[Clause, ...]:

@@ -6,9 +6,9 @@ coordinates are (x, t): sums, infimal convolutions and the l1 norm stack
 rows over auxiliary columns, an affine summand tilts the other epigraph,
 and the conjugate is the LP-dual multiplier system of the epigraph with
 the multipliers kept as auxiliaries, so epi f* is again a lifted
-polyhedron and nothing is eliminated.  In the symbolic regime
-conjugation is a rule table (indicators of subspaces and cones, norms,
-tilts, translations).
+polyhedron and nothing is eliminated; only ``pf_domain`` drops the
+auxiliaries of one sign.  In the symbolic regime conjugation is a rule
+table (indicators of subspaces and cones, norms, tilts, translations).
 
 Extended-real arithmetic uses the convex-analysis conventions
 (+inf) + (-inf) = +inf and 0 * (+inf) = +inf, 0 * (-inf) = 0.
@@ -534,7 +534,11 @@ def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:
 
 
 def pf_domain(epi: pg.Polyhedron) -> pg.Polyhedron:
-    return pg.project(epi, range(epi.n - 1))
+    """The domain: the epigraph with t made auxiliary, then trimmed
+    (``polyhedra.trim``).  t has one sign in every lowered epigraph, and so
+    has each l1 auxiliary once t's row is gone, so the domain of a norm,
+    an affine or a max-affine function has no rows."""
+    return pg.trim(pg.project(epi, range(epi.n - 1)))
 
 
 def pf_falls_forever(epi: pg.Polyhedron) -> bool:

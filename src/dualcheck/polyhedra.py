@@ -27,7 +27,7 @@ question is answered on the lifted rows with a handful of exact LPs:
   interior;
 * the affine hull of the projection: the equalities plus the implicit
   rows with the auxiliary coordinates removed by exact Gaussian
-  elimination, no LP;
+  elimination, no LP, and the whole space at once when there are none;
 * relative-interior points meeting further rows, by :func:`ri_point`: one
   strict-feasibility LP over ri P, pulled back along the caller's map,
   after the implicit rows are known.  It
@@ -42,8 +42,9 @@ them, keeping rows in insertion order, pinning undeclared blocks to zero
 and giving each pulled polyhedron's auxiliaries fresh columns at the end.
 The Minkowski sums, intersections and products here, the lowering and
 conjugation in ``funcexpr`` and every LP of the numeric model in
-``engine`` are built that way.  Nothing here runs Fourier-Motzkin
-elimination.
+``engine`` are built that way.  The only elimination is :func:`trim`,
+the one-sided step of Fourier-Motzkin elimination, which deletes an
+auxiliary column with the rows that use it and never combines rows.
 """
 
 from __future__ import annotations
@@ -414,7 +415,10 @@ def _echelon(eqs: Sequence[tuple[Vec, Fraction]], n: int) -> tuple[tuple[Vec, Fr
 def _hull(p: Polyhedron, implicit) -> AffineSubspace:
     """The affine hull of the projection from the equalities and the implicit
     rows: reduce with the auxiliary columns first, so the rows whose leading
-    entry is a kept column are free of auxiliaries and cut out pi(aff p)."""
+    entry is a kept column are free of auxiliaries and cut out pi(aff p).
+    With no equality and no implicit row, that is the whole space."""
+    if not p.eqs and not implicit:
+        return AffineSubspace(p.n, ())
     eqs = list(p.eqs) + [p.ineqs[i] for i in sorted(implicit)]
     moved = [(e[p.n :] + e[: p.n], d) for e, d in eqs]
     kept = [(e[p.aux :], d) for e, d in _echelon(moved, p.width) if not any(e[: p.aux])]
@@ -503,6 +507,26 @@ def project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:
         return tuple((tuple(map(a.__getitem__, order)), b) for a, b in rows)
 
     return Polyhedron(len(keep), moved(p.ineqs), moved(p.eqs), p.width - len(keep))
+
+
+def trim(p: Polyhedron) -> Polyhedron:
+    """p without its one-sided auxiliary columns, the one-sided step of
+    Fourier-Motzkin elimination: an auxiliary that no equality uses and
+    whose inequality entries share one sign (or all vanish) can always be
+    sent far enough to meet every row that uses it, so it goes with those
+    rows, repeated to a fixed point.  No rows are combined, so the system
+    never grows, and pi(p) does not change."""
+    ineqs, gone = p.ineqs, set()
+    free = [j for j in range(p.n, p.width) if not any(e[j] for e, _ in p.eqs)]
+    while dead := {j for j in free if j not in gone and len({a[j] > 0 for a, _ in ineqs if a[j]}) < 2}:
+        gone |= dead
+        ineqs = tuple(r for r in ineqs if not any(r[0][j] for j in dead))
+    cols = [j for j in range(p.width) if j not in gone]
+
+    def cut(rows):
+        return tuple((tuple(map(a.__getitem__, cols)), b) for a, b in rows)
+
+    return Polyhedron(p.n, cut(ineqs), cut(p.eqs), p.aux - len(gone)) if gone else p
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:

@@ -120,6 +120,21 @@ def test_rc1_numeric_continuity():
     assert evaluate_condition("1", inst2).status is FAILS
 
 
+def test_rc1_for_a_finite_everywhere_g_solves_no_strict_lp(monkeypatch):
+    # inf c.x + indicator_B(x) + ||x||_1: dom g has no rows once trimmed, so
+    # the feasible x of the standing assumption has Ax interior to dom g
+    box = poly(2, [((1, 0), 1), ((-1, 0), 2), ((0, 1), 3), ((0, -1), 1)])
+    inst = _numeric_pair(Sum(Affine((F(2), F(0)), F(0)), ind(box)), NormAtom("l1"), 2)
+
+    def refuse(*args):
+        raise AssertionError("a strict-feasibility LP was asked for")
+
+    monkeypatch.setattr(conditions, "_meets", refuse)
+    assert evaluate_condition("1", inst).status is HOLDS
+    d = diagnose(inst)
+    assert d.verdict("1").status is HOLDS and d.consistency == (True, ())
+
+
 def test_rc6_numeric_and_separation_consistency():
     inst = _numeric_pair(ind(interval(-1, 1)), ind(interval(-1, 1)))
     v6 = evaluate_condition("6", inst)

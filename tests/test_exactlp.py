@@ -180,9 +180,7 @@ def _note_paths(monkeypatch) -> set:
     after phase one, and a nonzero bound multiplier read off a signed
     column's reduced cost."""
     seen = set()
-    after_phase_one = [False]
-    real_init, real_costs = _Simplex.__init__, _Simplex._set_costs
-    real_iterate, real_pivot, real_duals = _Simplex._iterate, _Simplex._pivot, _Simplex._duals
+    real_init, real_pivot, real_duals = _Simplex.__init__, _Simplex._pivot, _Simplex._duals
 
     def init(self, p):
         real_init(self, p)
@@ -193,22 +191,13 @@ def _note_paths(monkeypatch) -> set:
             if rel == GE and s < 0 and col >= self.n and self.K not in next(r for r in self.R if col in r):
                 seen.add(">= row with b = 0 flipped")
 
-    def set_costs(self, cost, art):
-        after_phase_one[0] = False
-        return real_costs(self, cost, art)
-
-    def iterate(self):
-        out = real_iterate(self)
-        after_phase_one[0] = True
-        return out
-
     def pivot(self, r, w, *rows):
         if self.n <= w < 2 * self.n:
             assert not self.signed[w - self.n]
             seen.add("x- enters")
         if w < self.n and self.signed[w]:
             seen.add("signed column enters")
-        if after_phase_one[0] and self.basis[r] >= self.N:
+        if not self.phase_one and self.basis[r] >= self.N:  # outside phase one only a drive-out does
             seen.add("artificial driven out")
         return real_pivot(self, r, w, *rows)
 
@@ -219,8 +208,6 @@ def _note_paths(monkeypatch) -> set:
         return out
 
     monkeypatch.setattr(_Simplex, "__init__", init)
-    monkeypatch.setattr(_Simplex, "_set_costs", set_costs)
-    monkeypatch.setattr(_Simplex, "_iterate", iterate)
     monkeypatch.setattr(_Simplex, "_pivot", pivot)
     monkeypatch.setattr(_Simplex, "_duals", duals)
     return seen
@@ -432,6 +419,20 @@ def test_a_zero_artificial_start_builds_only_the_phase_two_cost_row(monkeypatch)
     assert all(b < s.N for b in s.basis)
     assert out.point == (1, 1) and out.value == 3 and verify_certificate(p, out)
     assert _matches_reference(p) == "optimal"
+
+
+def test_noted_paths_do_not_depend_on_the_solve_order(monkeypatch):
+    # the zero-artificial-start LP above drives its artificial out with no
+    # phase one, and is noted so whether it is solved first or after another
+    zero_start = lp("max", [1, 2], [([1, -1], "=", 0), ([1, 1], LE, 2), ([-1, 1], GE, 0)])
+    other = lp("min", [1, 1], [([1, 1], GE, 1), ([1, -1], "=", 1)])
+    seen = _note_paths(monkeypatch)
+    solve_lp(zero_start)
+    first = set(seen)
+    solve_lp(other)
+    seen.clear()
+    solve_lp(zero_start)
+    assert seen == first and "artificial driven out" in first
 
 
 def test_malformed_pivot_budget_is_malformed_input(monkeypatch):

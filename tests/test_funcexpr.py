@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcheck import inference
+from dualcheck import polyhedra as pg
 from dualcheck import setexpr as se
 from dualcheck.errors import ImproperFunctionError, MalformedInputError, RegimeError
 from dualcheck.funcexpr import (
@@ -114,6 +115,46 @@ def test_lowered_product_of_boxes_matches_grid_membership(left, right):
     corners = [tuple(b[k] for b in bounds) for k in (0, 1)]
     for x in corners + [tuple(c + 1 for c in corners[1]), tuple(c - 1 for c in corners[0])]:
         assert contains(prod, x) == contains(flat, x)
+
+
+@pytest.mark.parametrize("kind", ["l1", "linf"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_trimmed_domain_of_a_norm_has_no_rows(kind, n):
+    dom = pf_domain(lower(NormAtom(kind), n))
+    assert (dom.n, dom.ineqs, dom.eqs) == (n, (), ())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_tilted_box_keeps_exactly_its_box_rows(n):
+    box = poly(n, [(tuple(s * (k == j) for k in range(n)), j + 1 + (s > 0)) for s in (1, -1) for j in range(n)])
+    dom = pf_domain(lower(Sum(Affine((F(2),) * n, F(1)), IndicatorOf(se.PolyAtom(box))), n))
+    assert (dom.ineqs, dom.eqs, dom.aux) == (box.ineqs, (), 0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tilted_and_shared_u_sums_lower_to_their_closed_forms(n):
+    # an affine summand without an indicator tilts the other epigraph, and
+    # two norms share one auxiliary u; both domains are the whole space
+    c, alpha = (F(1, 2), F(-1))[:n], F(1, 2)
+
+    def l1(x):
+        return sum(map(abs, x))
+
+    cases = (
+        (Sum(Affine(c, alpha), NormAtom("l1")), lambda x: sum(a * b for a, b in zip(c, x)) + alpha + l1(x)),
+        (Sum(NormAtom("l1"), NormAtom("linf")), lambda x: l1(x) + max(map(abs, x))),
+    )
+    for f, value in cases:
+        epi = lower(f, n)
+        assert epi.n == n + 1
+        for x in grid(-1, 1, F(1, 2), n):
+            v = value(x)
+            for (t,) in grid(-1, 3, F(1, 2), 1) + [(v,), (v - F(1, 4),)]:
+                assert contains(epi, x + (t,)) == (t >= v), (f, x, t)
+        dom = pf_domain(epi)
+        assert (dom.ineqs, dom.eqs) == ((), ())
+        for q in (fm_flatten(dom), fm_flatten(pg.project(epi, range(n)))):
+            assert (q.ineqs, q.eqs) == ((), ())
 
 
 def test_domain_rules():

@@ -695,3 +695,60 @@ def test_points_values_and_multipliers_leave_as_fractions(system):
             assert _fractions(out.point, out.ray)
         else:
             assert _fractions(out.farkas)
+
+
+# each auxiliary column of a trimming case: one sign, both signs, used by
+# the equality, or only zeros
+_AUX_ENTRIES = {"+": st.integers(0, 2), "-": st.integers(-2, 0), "+-": st.integers(-2, 2), "=": st.integers(-2, 2), "0": st.just(0)}
+
+
+@st.composite
+def _trimming_cases(draw):
+    """A small lifted system and the kind of each of its auxiliary columns."""
+    n = draw(st.integers(1, 2))
+    kinds = draw(st.lists(st.sampled_from(sorted(_AUX_ENTRIES)), min_size=1, max_size=4))
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n, *map(_AUX_ENTRIES.get, kinds)), st.integers(-1, 3))
+    ineqs = draw(st.lists(row, max_size=6))
+    eqs = []
+    if "=" in kinds:
+        cells = (st.sampled_from([-1, 1]) if k == "=" else st.just(0) for k in kinds)
+        eqs.append(draw(st.tuples(st.tuples(*[st.integers(-1, 1)] * n, *cells), st.integers(-1, 1))))
+    return poly(n, ineqs, eqs, len(kinds)), kinds
+
+
+def _within(p, q) -> bool:
+    """Is the nonempty unlifted p inside q?  One LP per direction of a row of q."""
+    def at_most(a, b):
+        out = extremum(p, a, "max")
+        return isinstance(out, Optimal) and out.value <= b
+
+    return all(at_most(a, b) for a, b in q.ineqs) and all(
+        at_most(e, d) and at_most(tuple(-c for c in e), -d) for e, d in q.eqs
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_trimming_cases())
+@example((poly(1, [((1, 1, 0), 1), ((-1, 1, 1), 0), ((0, 0, -1), 2)], aux=2), ["+", "+-"]))  # a column freed by the first
+@example((poly(1, [((1, -1), 0), ((-1, 1), 0)], [((0, 1), 1)], aux=1), ["="]))  # the equality keeps it
+def test_trim_keeps_the_projection_and_never_grows_the_system(case):
+    p, kinds = case
+    t = pg.trim(p)
+    assert t.n == p.n
+    assert len(t.ineqs) <= len(p.ineqs) and len(t.eqs) == len(p.eqs)
+    assert kinds.count("=") <= t.aux <= kinds.count("=") + kinds.count("+-")
+    for a, b in t.ineqs + t.eqs:  # primitive int rows
+        assert all(type(c) is int for c in (*a, b)) and pg.int_row(a, b) == (a, b)
+    # nothing one-sided is left: a second trim is the identity
+    assert pg.trim(t) is t
+    q, r = fm_flatten(p), fm_flatten(t)
+    assert is_empty(q) == is_empty(r)
+    if not is_empty(q):
+        assert _within(q, r) and _within(r, q)
+
+
+def test_trim_frees_a_column_once_the_row_of_another_is_gone():
+    # s has both signs until the one-sided t takes its row s - t <= 0 along
+    p = poly(1, [((1, -1, 0), 0), ((-1, -1, 0), 0), ((0, 1, -1), 0)], aux=2)
+    t = pg.trim(p)
+    assert (t.ineqs, t.eqs, t.aux) == ((), (), 0)

@@ -149,6 +149,9 @@ _AFFINE_MAPS = (eng.AffineMap, eng.IdentityMap, eng.NegIdentityMap, eng.ShiftMap
 # the ambient hypotheses that edges and sufficiency results may require
 HYPOTHESES = ("frechet", "finite_dim", "lsc", "convex")
 
+# a summand finite everywhere is continuous (Rockafellar, Convex Analysis, Cor. 10.1.1)
+EVERYWHERE = "one summand is finite and continuous everywhere"
+
 
 # -- context -----------------------------------------------------------------------
 
@@ -368,13 +371,10 @@ def _continuity_clause(ctx: DiagnosisContext) -> Clause:
             # puts Ax' in int A(dom f) only when A maps onto the space of g
             amap = ctx.model.amap
             hit = ctx.g_continuous or (_onto(amap) and _meets(dom_f.poly, 1, dom_g.poly, amap, True))
-            return _status_clause(
-                text,
-                HOLDS if hit else FAILS,
-                "strict-feasibility LP over the joint domain",
-            )
+            detail = EVERYWHERE if ctx.g_everywhere else "strict-feasibility LP over the joint domain"
+            return _status_clause(text, HOLDS if hit else FAILS, detail)
         if fx.continuous_everywhere(instance.f) is HOLDS or fx.continuous_everywhere(instance.g) is HOLDS:
-            return _status_clause(text, HOLDS, "one summand is finite and continuous everywhere")
+            return _status_clause(text, HOLDS, EVERYWHERE)
         f_thin = inf.interior_is_empty(dom_f)
         g_thin = inf.interior_is_empty(dom_g)
         if f_thin is HOLDS and g_thin is HOLDS:
@@ -476,7 +476,8 @@ def _meets_qri_clause(ctx: DiagnosisContext) -> Clause:
     if ctx.numeric:
         # in finite dimension qri is ri: some x in dom f with Ax in ri(dom g)
         hit = ctx.g_continuous or _meets(dom_g.poly, ctx.model.amap, dom_f.poly, 1, False)
-        return _lp_clause(text, declared, HOLDS if hit else FAILS, "strict-feasibility LP: A(dom f) meets ri(dom g)")
+        detail = EVERYWHERE if ctx.g_everywhere else "strict-feasibility LP: A(dom f) meets ri(dom g)"
+        return _lp_clause(text, declared, HOLDS if hit else FAILS, detail)
     if declared is not None:
         return _status_clause(text, declared.status, declared.note or "declared certificate", (declared.cite,))
     return _fact_clause(text, inf.meets_qri(ctx.engine, dom_f, dom_g))

@@ -133,6 +133,10 @@ def test_rc1_for_a_finite_everywhere_g_solves_no_strict_lp(monkeypatch):
     assert evaluate_condition("1", inst).status is HOLDS
     d = diagnose(inst)
     assert d.verdict("1").status is HOLDS and d.consistency == (True, ())
+    # the continuity clause and RC6''s meets-qri clause name the no-LP route
+    for index in ("1", "6'"):
+        details = [s.detail for c in d.verdict(index).clauses for s in c.prov if s.rule == "clause"]
+        assert conditions.EVERYWHERE in details, index
 
 
 def test_rc6_numeric_and_separation_consistency():

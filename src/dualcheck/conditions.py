@@ -149,7 +149,7 @@ _AFFINE_MAPS = (eng.AffineMap, eng.IdentityMap, eng.NegIdentityMap, eng.ShiftMap
 # the ambient hypotheses that edges and sufficiency results may require
 HYPOTHESES = ("frechet", "finite_dim", "lsc", "convex")
 
-# a summand finite everywhere is continuous (Rockafellar, Convex Analysis, Cor. 10.1.1)
+# a convex function finite on all of R^n is continuous (Rockafellar, Convex Analysis, Cor. 10.1.1)
 EVERYWHERE = "one summand is finite and continuous everywhere"
 
 

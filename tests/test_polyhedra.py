@@ -729,8 +729,8 @@ def _within(p, q) -> bool:
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_trimming_cases())
-@example((poly(1, [((1, 1, 0), 1), ((-1, 1, 1), 0), ((0, 0, -1), 2)], aux=2), ["+", "+-"]))  # a column freed by the first
-@example((poly(1, [((1, -1), 0), ((-1, 1), 0)], [((0, 1), 1)], aux=1), ["="]))  # the equality keeps it
+@example((poly(1, [((1, 1, 0), 1), ((-1, 1, 1), 0), ((0, 0, -1), 2)], aux=2), ["+", "+-"]))  # the first frees the second
+@example((poly(1, [((1, -1), 0), ((-1, -1), 0)], [((0, 1), 1)], aux=1), ["="]))  # one sign, kept by the equality
 def test_trim_keeps_the_projection_and_never_grows_the_system(case):
     p, kinds = case
     t = pg.trim(p)
@@ -745,10 +745,3 @@ def test_trim_keeps_the_projection_and_never_grows_the_system(case):
     assert is_empty(q) == is_empty(r)
     if not is_empty(q):
         assert _within(q, r) and _within(r, q)
-
-
-def test_trim_frees_a_column_once_the_row_of_another_is_gone():
-    # s has both signs until the one-sided t takes its row s - t <= 0 along
-    p = poly(1, [((1, -1, 0), 0), ((-1, -1, 0), 0), ((0, 1, -1), 0)], aux=2)
-    t = pg.trim(p)
-    assert (t.ineqs, t.eqs, t.aux) == ((), (), 0)

@@ -243,7 +243,7 @@ class DiagnosisContext:
         dom_f, dom_g = (s.poly for s in self.view.sets)
         return self.g_everywhere or _meets(dom_g, self.model.amap, dom_f, 1, True)
 
-    @cached_property
+    @property
     def g_everywhere(self) -> bool:
         """Numeric sum instance: is g finite, and so continuous, everywhere?"""
         dom_g = self.view.sets[1].poly

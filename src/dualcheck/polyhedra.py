@@ -27,7 +27,7 @@ question is answered on the lifted rows with a handful of exact LPs:
   interior;
 * the affine hull of the projection: the equalities plus the implicit
   rows with the auxiliary coordinates removed by exact Gaussian
-  elimination, no LP, and the whole space at once when there are none;
+  elimination, no LP;
 * relative-interior points meeting further rows, by :func:`ri_point`: one
   strict-feasibility LP over ri P, pulled back along the caller's map,
   after the implicit rows are known.  It
@@ -415,10 +415,7 @@ def _echelon(eqs: Sequence[tuple[Vec, Fraction]], n: int) -> tuple[tuple[Vec, Fr
 def _hull(p: Polyhedron, implicit) -> AffineSubspace:
     """The affine hull of the projection from the equalities and the implicit
     rows: reduce with the auxiliary columns first, so the rows whose leading
-    entry is a kept column are free of auxiliaries and cut out pi(aff p).
-    With no equality and no implicit row, that is the whole space."""
-    if not p.eqs and not implicit:
-        return AffineSubspace(p.n, ())
+    entry is a kept column are free of auxiliaries and cut out pi(aff p)."""
     eqs = list(p.eqs) + [p.ineqs[i] for i in sorted(implicit)]
     moved = [(e[p.n :] + e[: p.n], d) for e, d in eqs]
     kept = [(e[p.aux :], d) for e, d in _echelon(moved, p.width) if not any(e[: p.aux])]

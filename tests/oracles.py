@@ -19,10 +19,11 @@ through the package and reads each value off one LP (``pf_value``).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
 from dualcheck.errors import MalformedInputError, MembershipError
 from dualcheck.exactlp import EQ, LinearProgram, Optimal, Row, Unbounded, dot, solve_lp, vec
@@ -812,3 +813,153 @@ def cone_test_all_rules(engine, kind: str, point, s) -> list:
     outs = [(name, rule(engine, kind, point, s)) for name, rule in engine._rules]
     outs += [("inclusion-scheme", engine._implied(kind, point, s, st)) for st in (HOLDS, FAILS)]
     return [(name, got) for name, got in outs if got is not None and got.status is not UNKNOWN]
+
+
+# -- closures of set terms of R^n --------------------------------------------
+#
+# A set term is ``(name, n, *args)``: a constructor of
+# ``dualcheck.probfile._SETS``, the dimension of the set it denotes, and the
+# constructor's arguments (subterms, rationals, dimensions, and points as
+# coordinate tuples).  ``set_closure`` writes the lifted rows of the closure
+# of the term's set straight from each constructor's definition, without
+# ``dualcheck.setexpr``.  In R^n a convex set and its closure have the same
+# interior and relative interior (Rockafellar 1970, Thm 6.3), and int = core
+# = qi, sqri = icr = qri = ri there, so ``set_notions`` reads the six notions
+# at the origin off the closure: ``fm_flatten``, then the implicit rows of
+# ``zero_in_reference``.
+
+
+@dataclass(frozen=True)
+class SetClosure:
+    rows: Polyhedron  # lifted rows whose projection is the closure
+    exact: bool  # the set is the projection itself, not only its closure
+
+
+def _placed(p: Polyhedron, width: int, cols, shift=()) -> tuple[list, list]:
+    """p's rows over ``width`` columns, column j of p being the combination
+    ``cols[j]`` ({column: coefficient}) plus ``shift[j]``."""
+
+    def put(rows):
+        out = []
+        for a, b in rows:
+            row = [ZERO] * width
+            for j, c in enumerate(a):
+                for k, m in cols[j].items():
+                    row[k] += c * m
+            out.append((tuple(row), b - sum((c * s for c, s in zip(a, shift)), ZERO)))
+        return out
+
+    return put(p.ineqs), put(p.eqs)
+
+
+def _stacked(n: int, width: int, *placed) -> Polyhedron:
+    return poly(n, [r for i, _ in placed for r in i], [r for _, e in placed for r in e], width - n)
+
+
+def _own(p: Polyhedron, at: int) -> list:
+    """p's auxiliary columns, moved to the columns from ``at`` on."""
+    return [{at + k: 1} for k in range(p.aux)]
+
+
+def _unit_rows(n: int, c) -> list:
+    return [(tuple(c if j == k else 0 for j in range(n)), 0) for k in range(n)]
+
+
+def _is_empty_reference(p: Polyhedron) -> bool:
+    rows = [(a, "<=", b) for a, b in p.ineqs] + [(e, "=", d) for e, d in p.eqs]
+    return rational_bland_simplex("min", [ZERO] * p.width, rows)[0] == "infeasible"
+
+
+def _homogenized(p: Polyhedron, top) -> Polyhedron:
+    """{(x, w, tau) : (x, w) in tau p, 0 <= tau (<= top)}: its projection is
+    cl cone p (``top`` None) or cl co(p u {0}) (``top`` 1), for p nonempty."""
+    w = p.width + 1
+    ineqs = [(a + (-b,), 0) for a, b in p.ineqs] + [((0,) * p.width + (-1,), 0)]
+    if top is not None:
+        ineqs.append(((0,) * p.width + (1,), top))
+    return poly(p.n, ineqs, [(e + (-d,), 0) for e, d in p.eqs], w - p.n)
+
+
+@lru_cache(maxsize=None)
+def set_closure(term) -> Optional[SetClosure]:
+    """The closure of the set of a term, or None when the closures of the
+    operands do not tell it: an intersection of operands that are not
+    closed, whose relative interiors do not meet (Rockafellar 1970, Thm 6.5)."""
+    name, n, *args = term
+    if name in ("whole", "rn"):
+        return SetClosure(poly(n), True)
+    if name == "origin_set":
+        return SetClosure(poly(n, eqs=_unit_rows(n, 1)), True)
+    if name == "interval":
+        return SetClosure(poly(1, [((1,), args[1]), ((-1,), -args[0])]), True)
+    if name == "orthant":
+        return SetClosure(poly(n, _unit_rows(n, -1)), True)
+    subs = [set_closure(a) for a in args if isinstance(a, tuple) and isinstance(a[0], str)]
+    if any(s is None for s in subs):
+        return None
+    p = subs[0].rows
+    exact = all(s.exact for s in subs)
+    ident = [{j: 1} for j in range(p.width)]
+    if name == "neg":
+        return SetClosure(_stacked(n, p.width, _placed(p, p.width, [{j: -1 if j < n else 1} for j in range(p.width)])), exact)
+    if name == "scale":
+        q = args[0]
+        return SetClosure(_stacked(n, p.width, _placed(p, p.width, [{j: 1 / q if j < n else 1} for j in range(p.width)])), exact)
+    if name == "translate":
+        return SetClosure(_stacked(n, p.width, _placed(p, p.width, ident, tuple(-c for c in args[1]))), exact)
+    if name in ("minksum", "diff"):
+        # x = z + v: z in the first set, v in the second (or -v, for diff)
+        q, sign = subs[1].rows, (1 if name == "minksum" else -1)
+        v = n + p.aux
+        w = v + n + q.aux
+        first = [{j: 1, v + j: -sign} for j in range(n)] + _own(p, n)
+        second = [{v + j: 1} for j in range(n)] + _own(q, v + n)
+        return SetClosure(_stacked(n, w, _placed(p, w, first), _placed(q, w, second)), exact)
+    if name in ("product", "intersect"):
+        q = subs[1].rows
+        w = n + p.aux + q.aux
+        right = [{(p.n if name == "product" else 0) + j: 1} for j in range(q.n)]
+        out = _stacked(n, w, _placed(p, w, [{j: 1} for j in range(p.n)] + _own(p, n)), _placed(q, w, right + _own(q, n + p.aux)))
+        if name == "intersect" and not exact:
+            # cl(A n B) = cl A n cl B when ri A meets ri B, that is when 0 is
+            # in ri(cl A - cl B) (Rockafellar 1970, Cor. 6.6.2)
+            gap = set_closure(("diff", n, *args))
+            if not zero_in_reference(Notion.QRI, fm_flatten(gap.rows)):
+                return None
+        return SetClosure(out, exact)
+    if name == "closure":
+        return SetClosure(p, True)
+    # cone_hull and co0: cone(empty) is empty, co(empty u {0}) = {0}
+    if _is_empty_reference(p):
+        return SetClosure(p if name == "cone_hull" else poly(n, eqs=_unit_rows(n, 1)), exact)
+    # over a closed set that holds 0, or any closed set of R^1, cone and co0 stay closed
+    exact = exact and (n == 1 or contains(fm_flatten(p), (ZERO,) * n))
+    return SetClosure(_homogenized(p, None if name == "cone_hull" else 1), exact)
+
+
+def set_has_origin(term) -> Optional[bool]:
+    """Does the set of a term hold the origin?  None when its closure does
+    not tell: the origin on the boundary of a set that may not be closed."""
+    name, n, *args = term
+    if name == "co0":
+        return True
+    if name == "cone_hull":
+        return not _is_empty_reference(set_closure(args[0]).rows)
+    if name in ("neg", "scale"):
+        return set_has_origin(args[-1])
+    c = set_closure(term)
+    flat = fm_flatten(c.rows)
+    zero = (ZERO,) * n
+    if c.exact or not contains(flat, zero):
+        return contains(flat, zero)
+    return True if zero_in_reference(Notion.QRI, flat) else None
+
+
+def set_notions(term) -> Optional[dict]:
+    """Notion -> does the origin lie in notion(S), for the set S of a term;
+    None when ``set_closure`` cannot tell."""
+    c = set_closure(term)
+    if c is None:
+        return None
+    flat = fm_flatten(c.rows)
+    return {notion: zero_in_reference(notion, flat) for notion in Notion}

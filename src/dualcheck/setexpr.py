@@ -615,7 +615,7 @@ def _attrs(s: SetExpr) -> SetAttrs:
         return attrs(s.inner)
     if isinstance(s, Translate):
         a = attrs(s.inner)
-        back = and3(a.contains_origin, HOLDS if is_origin(s.offset) else UNKNOWN)
+        back = a.contains_origin if is_origin(s.offset) else UNKNOWN
         return SetAttrs(
             nonempty=a.nonempty,
             contains_origin=back,
@@ -643,7 +643,8 @@ def _attrs(s: SetExpr) -> SetAttrs:
         affw = UNKNOWN
         if any(a.aff_whole is HOLDS for a in ops) and nonempty is HOLDS:
             affw = HOLDS
-        has0 = and3(*(a.contains_origin for a in ops))
+        # a sum holds 0 when every operand does, or as x - x; else it may or may not
+        has0 = HOLDS if all(a.contains_origin is HOLDS for a in ops) else UNKNOWN
         if has0 is UNKNOWN and len(s.operands) == 2 and nonempty is HOLDS:
             u, w = s.operands
             if normalize(Neg(u)) == normalize(w):
@@ -682,32 +683,15 @@ def _attrs(s: SetExpr) -> SetAttrs:
             subspace=and3(a.subspace, b.subspace),
             closed=and3(a.closed, b.closed),
         )
-    if isinstance(s, ConeHull):
+    if isinstance(s, (ConeHull, ConvexHullWithOrigin)):
+        # both hulls hold C, so they are dense, whole or affinely whole when
+        # C is; a proper C can still have a whole hull
         a = attrs(s.inner)
-        return SetAttrs(
-            nonempty=a.nonempty,
-            contains_origin=HOLDS if a.nonempty is HOLDS else UNKNOWN,
-            convex=a.convex,
-            cone=HOLDS,
-            subspace=UNKNOWN,
-            closed=UNKNOWN,
-            dense=a.dense,
-            whole=UNKNOWN,
-            aff_whole=a.aff_whole,
-        )
-    if isinstance(s, ConvexHullWithOrigin):
-        a = attrs(s.inner)
-        return SetAttrs(
-            nonempty=HOLDS,
-            contains_origin=HOLDS,
-            convex=HOLDS,
-            cone=UNKNOWN,
-            subspace=UNKNOWN,
-            closed=UNKNOWN,
-            dense=a.dense,
-            whole=UNKNOWN,
-            aff_whole=a.aff_whole,
-        )
+        wide = dict(dense=_held(a.dense), whole=_held(a.whole), aff_whole=_held(a.aff_whole))
+        if isinstance(s, ConvexHullWithOrigin):
+            return SetAttrs(nonempty=HOLDS, contains_origin=HOLDS, convex=HOLDS, **wide)
+        has0 = HOLDS if a.nonempty is HOLDS else UNKNOWN
+        return SetAttrs(nonempty=a.nonempty, contains_origin=has0, convex=a.convex, cone=HOLDS, **wide)
     if isinstance(s, Closure):
         a = attrs(s.inner)
         return SetAttrs(
@@ -727,6 +711,11 @@ def _attrs(s: SetExpr) -> SetAttrs:
         a = attrs(s.inner)
         return SetAttrs(nonempty=a.nonempty, convex=UNKNOWN)
     return SetAttrs()
+
+
+def _held(x: FactStatus) -> FactStatus:
+    """HOLDS carried to a superset; anything else is unknown there."""
+    return HOLDS if x is HOLDS else UNKNOWN
 
 
 def _pair_key(s: MinkSum):

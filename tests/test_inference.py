@@ -354,3 +354,9 @@ def test_each_rule_runs_once_per_query_key(monkeypatch):
         monkeypatch.setitem(inf._RULES, name, counted)
     _ex57_queries()
     assert evaluated and len(evaluated) == len(set(evaluated))
+
+
+def test_a_cone_hull_is_not_proper_for_a_proper_generator():
+    # cone(B) = l2 for the unit ball B, though B itself is not dense
+    hull = se.ConeHull(se.CatalogAtom(se.DUAL_BALL, L2, ()))
+    assert {Engine().infer(notion, ORIGIN, hull).status for notion in Notion} == {UNKNOWN}

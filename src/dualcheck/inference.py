@@ -380,9 +380,10 @@ def _r_catalog_table(e: Engine, kind, point, s):
 
 def _r_subspace(e: Engine, kind, point, s):
     a = attrs(s)
-    if a.subspace is not HOLDS:
+    # at a member point the generated cone is the subspace itself; at any
+    # other point it is a half-space of a larger one
+    if a.subspace is not HOLDS or e.member(point, s).status is not HOLDS:
         return None
-    # at a member point the generated cone is the subspace itself
     cites = (se.catalog_cite(s.cid),) if isinstance(s, se.CatalogAtom) and se.catalog_cite(s.cid) else ()
     sub_cites = tuple(c for c in cites if c)
     if kind == "sub_alg" or kind == "sub_cl":

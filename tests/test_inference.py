@@ -360,3 +360,12 @@ def test_a_cone_hull_is_not_proper_for_a_proper_generator():
     # cone(B) = l2 for the unit ball B, though B itself is not dense
     hull = se.ConeHull(se.CatalogAtom(se.DUAL_BALL, L2, ()))
     assert {Engine().infer(notion, ORIGIN, hull).status for notion in Notion} == {UNKNOWN}
+
+
+def test_subspace_rule_answers_only_at_points_of_the_subspace():
+    # co(U u {0}) at 0 asks for the cone of U = w + C at 0, the cone of C at
+    # -w; for w outside C that cone closes to a half-space of span(C, w)
+    w = se.SymPoint("w")
+    assert Engine().cone_test("sub_cl", se.pneg(w), SUB_C).status is UNKNOWN
+    assert Engine().infer(Notion.QRI, ORIGIN, se.ConvexHullWithOrigin(se.Translate(SUB_C, w))).status is UNKNOWN
+    assert Engine().infer(Notion.QRI, ORIGIN, se.ConvexHullWithOrigin(SUB_C)).status is HOLDS

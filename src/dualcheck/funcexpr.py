@@ -434,39 +434,14 @@ def _vec(what: str, v, n: int) -> tuple:
 
 
 def lower_set(s: SetExpr, n: int) -> pg.Polyhedron:
-    s = normalize(s)
-    if isinstance(s, se.PolyAtom):
-        if s.poly.n != n:
-            what = "orthant, interval, rn or poly"
-            raise DimensionMismatchError(f"{what} gives a set of R^{s.poly.n}, but the space is R^{n}")
-        return s.poly
-    if isinstance(s, se.WholeSpace):
-        return pg.whole_space(n)
-    if isinstance(s, se.Singleton) and isinstance(s.point, se.VecPoint):
-        return pg.singleton(_vec("a point", s.point.coords, n))
-    if isinstance(s, se.Neg):
-        return pg.neg(lower_set(s.inner, n))
-    if isinstance(s, se.Translate) and isinstance(s.offset, se.VecPoint):
-        return pg.translate(lower_set(s.inner, n), _vec("translate", s.offset.coords, n))
-    if isinstance(s, se.Scale):
-        return pg.scale(lower_set(s.inner, n), s.factor)
-    if isinstance(s, se.MinkSum):
-        polys = [lower_set(o, n) for o in s.operands]
-        acc = polys[0]
-        for q in polys[1:]:
-            acc = pg.minkowski_sum(acc, q)
-        return acc
-    if isinstance(s, se.Intersect):
-        return pg.intersect(lower_set(s.left, n), lower_set(s.right, n))
-    if isinstance(s, se.Product):
-        ln = s.left.space.dim
-        rn = s.right.space.dim
-        if ln is None or rn is None:
-            raise RegimeError("product factors are not finite-dimensional")
-        if ln + rn != n:
-            raise DimensionMismatchError(f"product gives a set of R^{ln + rn}, but the space is R^{n}")
-        return pg.product(lower_set(s.left, ln), lower_set(s.right, rn))
-    raise RegimeError(f"set has no finite-dimensional realization: {type(s).__name__}")
+    """The polyhedron of a set of R^n: its normal form, a ``PolyAtom``."""
+    atom = normalize(s)
+    if not isinstance(atom, se.PolyAtom):
+        raise RegimeError(f"set has no finite-dimensional realization: {type(atom).__name__}")
+    if atom.poly.n != n:
+        what = "product" if isinstance(s, se.Product) else "orthant, interval, rn or poly"
+        raise DimensionMismatchError(f"{what} gives a set of R^{atom.poly.n}, but the space is R^{n}")
+    return atom.poly
 
 
 def lower(f: FunctionExpr, n: int) -> pg.Polyhedron:

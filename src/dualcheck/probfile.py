@@ -183,6 +183,12 @@ def _parse_linear_row(text: str, dim: int):
 # first.
 
 
+def _scale(_, q: Fraction, s: se.SetExpr) -> se.Scale:
+    if q == 0:
+        raise ParseError("scale needs a nonzero factor")
+    return se.Scale(q, s)
+
+
 def _catalog(cid: str):
     return lambda space: se.CatalogAtom(cid, space, ())
 
@@ -200,7 +206,7 @@ _SETS = {
     "orthant": (("dim",), lambda _, n: se.PolyAtom(orthant(n))),
     "rn": (("dim",), lambda _, n: se.PolyAtom(whole_space(n))),
     "neg": (("set",), lambda _, s: se.Neg(s)),
-    "scale": (("rat", "set"), lambda _, q, s: se.Scale(q, s)),
+    "scale": (("rat", "set"), _scale),
     "translate": (("set", "point"), lambda _, s, p: se.Translate(s, p)),
     "minksum": (("set", "set"), lambda _, a, b: se.MinkSum((a, b))),
     "diff": (("set", "set"), lambda _, a, b: se.MinkSum((a, se.Neg(b)))),

@@ -4,8 +4,10 @@ Sets are immutable trees.  Finite-dimensional leaves are exact
 H-representation polyhedra; infinite-dimensional leaves are catalog atoms
 whose analytic facts (closed, dense, subspace, interiority sets) are
 curated with literature citations.  ``normalize`` rewrites a tree to a
-canonical form; ``attrs`` derives conservative three-valued structural
-facts used by the inference rules.
+canonical form: in R^n, an expression without ``cone_hull``, ``co0`` or
+``closure`` whose points are exact normalizes to one ``PolyAtom``, the only
+polyhedron ``funcexpr.lower_set`` reads.  ``attrs`` derives conservative
+three-valued structural facts used by the inference rules.
 """
 
 from __future__ import annotations
@@ -744,6 +746,9 @@ def skey(s) -> str:
 
 
 def normalize(s: SetExpr) -> SetExpr:
+    """The canonical form of s.  A set of R^n without ``ConeHull``,
+    ``ConvexHullWithOrigin`` or ``Closure`` whose points are exact folds to
+    one ``PolyAtom``; a negative scaling becomes a negation."""
     cached = _NORM_MEMO.get(s)
     if cached is not None:
         return cached
@@ -754,6 +759,13 @@ def normalize(s: SetExpr) -> SetExpr:
 
 
 def _normalize(s: SetExpr) -> SetExpr:
+    # R^n and its exact points are polyhedra
+    n = s.space.dim if isinstance(s, (WholeSpace, Singleton)) else None
+    if n is not None and isinstance(s, WholeSpace):
+        return PolyAtom(pg.whole_space(n))
+    if n is not None and isinstance(s.point, (_Origin, VecPoint)):
+        return PolyAtom(pg.singleton(s.point.coords if isinstance(s.point, VecPoint) else (0,) * n))
+
     if isinstance(s, Neg):
         inner = normalize(s.inner)
         if isinstance(inner, Neg):
@@ -775,6 +787,8 @@ def _normalize(s: SetExpr) -> SetExpr:
         return Neg(inner)
 
     if isinstance(s, Scale):
+        if s.factor < 0:
+            return normalize(Neg(Scale(-s.factor, s.inner)))
         inner = normalize(s.inner)
         if s.factor == 1:
             return inner
@@ -871,7 +885,10 @@ def _normalize(s: SetExpr) -> SetExpr:
         return out
 
     if isinstance(s, Product):
-        return Product(normalize(s.left), normalize(s.right))
+        left, right = normalize(s.left), normalize(s.right)
+        if isinstance(left, PolyAtom) and isinstance(right, PolyAtom):
+            return PolyAtom(pg.product(left.poly, right.poly))
+        return Product(left, right)
 
     if isinstance(s, Intersect):
         left, right = normalize(s.left), normalize(s.right)
@@ -907,7 +924,7 @@ def _normalize(s: SetExpr) -> SetExpr:
         if a.closed is HOLDS:
             return inner
         if a.dense is HOLDS:
-            return WholeSpace(inner.space)
+            return normalize(WholeSpace(inner.space))
         return Closure(inner)
 
     if isinstance(s, ImageSet):

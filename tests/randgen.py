@@ -14,6 +14,7 @@ from dualcheck import setexpr as se
 from dualcheck.engine import AffineMap, FenchelInstance, LagrangeInstance
 from dualcheck.funcexpr import Affine, IndicatorOf, Sum
 from dualcheck.polyhedra import Polyhedron, poly
+from dualcheck.probfile import _SETS
 from dualcheck.spaces import finite
 
 ZERO = Fraction(0)
@@ -98,3 +99,38 @@ def random_lagrange_slater_instance(rng: random.Random, tag: str) -> LagrangeIns
         gmap=gmap,
         cone=cone,
     )
+
+
+# set terms, in the form ``oracles.set_closure`` documents
+ENDS = tuple(map(Fraction, (-2, -1, 0, 1, 2)))
+FACTORS = tuple(map(Fraction, (-2, -1, Fraction(-1, 2), Fraction(1, 2), 2)))
+COORDS = tuple(map(Fraction, (-1, 0, 1)))
+LEAVES = ("whole", "origin_set", "orthant", "rn", "interval")
+UNARY = ("neg", "scale", "translate", "cone_hull", "co0", "closure")
+BINARY = ("minksum", "diff", "intersect", "product")
+
+
+def random_term(rng: random.Random, n: int, depth: int, top: tuple = LEAVES + UNARY + BINARY):
+    """A term ``(name, n, *args)`` of a set of R^n, nested at most ``depth``
+    deep, with a constructor of ``top`` on top, each as likely."""
+    name = rng.choice([k for k in top if (k, n) not in (("interval", 2), ("product", 1)) and (depth or k in LEAVES)])
+    if name in ("whole", "origin_set"):
+        return (name, n)
+    if name in ("orthant", "rn"):
+        return (name, n, n)
+    if name == "interval":
+        return ("interval", 1, rng.choice(ENDS), rng.choice(ENDS))
+    args = [random_term(rng, 1 if name == "product" else n, depth - 1) for _ in range(1 + (name in BINARY))]
+    if name == "scale":
+        args.insert(0, rng.choice(FACTORS))
+    if name == "translate":
+        args.append(tuple(rng.choice(COORDS) for _ in range(n)))
+    return (name, n, *args)
+
+
+def build_term(term) -> se.SetExpr:
+    """The set expression of a term, through the constructors of ``probfile._SETS``."""
+    name, n, *args = term
+    kinds, make = _SETS[name]
+    vals = [build_term(a) if k == "set" else se.VecPoint(a) if k == "point" else a for k, a in zip(kinds, args)]
+    return make(finite(n), *vals)

@@ -1,11 +1,14 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from dualcheck.cli import main
 from dualcheck.probfile import parse_problem
-from dualcheck.errors import ParseError
+from dualcheck.errors import MalformedInputError, ParseError
+
+from oracles import rational_bland_simplex
 
 
 NUMERIC_FILE = """
@@ -371,3 +374,36 @@ MISSHAPEN_TERMS = {
 def test_misshapen_vectors_inside_terms_exit_2(text, message, tmp_path, capsys):
     assert main(["analyze", _write(tmp_path, text)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_numeric_lagrange_over_the_zero_cone(tmp_path, capsys):
+    # C = {0} makes g(x) = x1 + x2 - 2 an equality: min |x1| + |x2| on that line
+    text = NUMERIC_CONE + "cone-space dim 1\nC origin_set\nmap affine_map([[1, 1]], [-2])\n"
+    code, doc = _analyze_structured(tmp_path, capsys, text)
+    assert code == 0
+    values = doc["values"]
+    # over (x1, x2, t1, t2): -t <= x <= t, then x1 + x2 = 2
+    rows = [(r, "<=", 0) for r in ((1, 0, -1, 0), (-1, 0, -1, 0), (0, 1, 0, -1), (0, -1, 0, -1))]
+    primal = rational_bland_simplex("min", (0, 0, 1, 1), rows + [((1, 1, 0, 0), "=", 2)])
+    # the dual function at the printed multiplier z: inf |x|_1 + z (x1 + x2 - 2)
+    z = Fraction(values["dual_solution"].strip("()"))
+    dual = rational_bland_simplex("min", (z, z, 1, 1), rows)
+    assert (Fraction(values["primal"]), Fraction(values["dual"])) == (primal[2], dual[2] - 2 * z) == (2, 2)
+    assert doc["strong_duality"] == {"verdict": "guaranteed-by", "detail": "RC2"}
+    assert doc["consistency"]["ok"]
+
+
+@pytest.mark.parametrize("space", ["l2", "dim 1"])
+def test_scale_by_zero_is_refused(space, tmp_path, capsys):
+    # 0 X = {0} has no interior, whatever X is
+    text = f"kind sets\nspace {space}\nquery int zero scale(0, whole)\n"
+    with pytest.raises(MalformedInputError, match="scale needs a nonzero factor"):
+        parse_problem(text)
+    assert main(["analyze", _write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == "error: scale needs a nonzero factor\n"
+
+
+def test_negative_scale_in_rn(tmp_path, capsys):
+    text = "kind sets\nspace dim 1\nquery int zero scale(-1, interval(-1, 2))\n"
+    assert main(["analyze", _write(tmp_path, text)]) == 0
+    assert "holds    int zero scale(-1, interval(-1, 2))" in capsys.readouterr().out

@@ -39,7 +39,8 @@ from dualcheck.polyhedra import contains, interval, minkowski_sum, poly, whole_s
 from dualcheck.spaces import finite, lp_space
 from dualcheck.setexpr import HOLDS, FAILS
 
-from oracles import biconjugate_check, fm_flatten, grid, pf_value
+from oracles import biconjugate_check, fm_flatten, grid, pf_value, rational_bland_simplex, set_closure
+from randgen import build_term
 
 F = Fraction
 
@@ -400,3 +401,41 @@ def test_floats_are_refused_in_values_and_bounds(call):
     # a float would become a binary fraction: er(0.1) was 3602879701896397/36028797018963968
     with pytest.raises(MalformedInputError):
         call()
+
+
+def _inside(p, q) -> bool:
+    """pi(p) inside pi(q), for systems without auxiliaries: the reference
+    simplex bounds each row of q over p."""
+    rows = [(a, "<=", b) for a, b in p.ineqs] + [(e, "=", d) for e, d in p.eqs]
+    checks = [(a, "max", b) for a, b in q.ineqs] + [(e, s, d) for e, d in q.eqs for s in ("max", "min")]
+    for a, sense, b in checks:
+        out = rational_bland_simplex(sense, a, rows)
+        if out[0] == "infeasible":
+            return True
+        if out[0] == "unbounded" or (out[2] > b if sense == "max" else out[2] < b):
+            return False
+    return True
+
+
+_BOX = ("product", 2, ("interval", 1, F(-1), F(2)), ("interval", 1, F(0), F(1)))
+
+# one set for each constructor that had its own lowering branch, as the
+# terms whose rows oracles.set_closure writes by hand
+_HAND_BUILT = {
+    "whole": ("whole", 2),
+    "origin_set": ("origin_set", 2),
+    "neg": ("neg", 2, _BOX),
+    "translate": ("translate", 2, _BOX, (F(1), F(-2))),
+    "scale": ("scale", 2, F(3), _BOX),
+    "negative scale": ("scale", 2, F(-1, 2), _BOX),
+    "minksum": ("minksum", 2, _BOX, ("orthant", 2, 2)),
+    "diff": ("diff", 2, _BOX, ("translate", 2, ("orthant", 2, 2), (F(1), F(1)))),
+    "intersect": ("intersect", 2, ("orthant", 2, 2), ("translate", 2, _BOX, (F(-1), F(0)))),
+    "product": ("product", 2, ("neg", 1, ("orthant", 1, 1)), ("origin_set", 1)),
+}
+
+
+@pytest.mark.parametrize("term", _HAND_BUILT.values(), ids=_HAND_BUILT.keys())
+def test_lower_set_is_the_hand_built_set(term):
+    got, want = fm_flatten(lower_set(build_term(term), 2)), fm_flatten(set_closure(term).rows)
+    assert _inside(got, want) and _inside(want, got)

@@ -6,8 +6,6 @@ it.  The truth comes from ``oracles.set_notions``, which writes the rows of
 each constructor itself and never normalizes.
 """
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +14,11 @@ from dualcheck.inference import Engine
 from dualcheck.polyhedra import Notion
 from dualcheck.probfile import _SETS
 from dualcheck.setexpr import HOLDS, ORIGIN, UNKNOWN
-from dualcheck.spaces import finite, lp_space
+from dualcheck.spaces import lp_space
 
 from oracles import cone_test_all_rules, set_has_origin, set_notions
+from randgen import BINARY, LEAVES, UNARY, build_term, random_term
 
-F = Fraction
 KIND = {
     Notion.INT: "int",
     Notion.CORE: "whole_alg",
@@ -29,39 +27,6 @@ KIND = {
     Notion.ICR: "sub_alg",
     Notion.QRI: "sub_cl",
 }
-ENDS = tuple(map(F, (-2, -1, 0, 1, 2)))
-FACTORS = (F(-2), F(-1), F(-1, 2), F(1, 2), F(2))
-COORDS = tuple(map(F, (-1, 0, 1)))
-LEAVES = ("whole", "origin_set", "orthant", "rn", "interval")
-UNARY = ("neg", "scale", "translate", "cone_hull", "co0", "closure")
-BINARY = ("minksum", "diff", "intersect", "product")
-
-
-def random_term(rng, n: int, depth: int, top: tuple = LEAVES + UNARY + BINARY):
-    """A term ``(name, n, *args)`` of a set of R^n, nested at most ``depth``
-    deep, with a constructor of ``top`` on top, each as likely."""
-    name = rng.choice([k for k in top if (k, n) not in (("interval", 2), ("product", 1)) and (depth or k in LEAVES)])
-    if name in ("whole", "origin_set"):
-        return (name, n)
-    if name in ("orthant", "rn"):
-        return (name, n, n)
-    if name == "interval":
-        return ("interval", 1, rng.choice(ENDS), rng.choice(ENDS))
-    args = [random_term(rng, 1 if name == "product" else n, depth - 1) for _ in range(1 + (name in BINARY))]
-    if name == "scale":
-        args.insert(0, rng.choice(FACTORS))
-    if name == "translate":
-        args.append(tuple(rng.choice(COORDS) for _ in range(n)))
-    return (name, n, *args)
-
-
-def build(term) -> se.SetExpr:
-    name, n, *args = term
-    kinds, make = _SETS[name]
-    vals = [build(a) if k == "set" else se.VecPoint(a) if k == "point" else a for k, a in zip(kinds, args)]
-    return make(finite(n), *vals)
-
-
 def answers(term) -> list:
     """(source, notion, status, truth) for each answer about the origin and
     the set of ``term``: ``Engine.infer`` for every notion, and where the
@@ -70,7 +35,7 @@ def answers(term) -> list:
     truth = set_notions(term)
     if truth is None:
         return []
-    s = build(term)
+    s = build_term(term)
     eng = Engine()
     out = [("infer", nt, eng.infer(nt, ORIGIN, s).status, truth[nt]) for nt in Notion]
     if set_has_origin(term):

@@ -880,7 +880,7 @@ def _homogenized(p: Polyhedron, top) -> Polyhedron:
     return poly(p.n, ineqs, [(e + (-d,), 0) for e, d in p.eqs], w - p.n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def set_closure(term) -> Optional[SetClosure]:
     """The closure of the set of a term, or None when the closures of the
     operands do not tell it: an intersection of operands that are not
@@ -899,14 +899,13 @@ def set_closure(term) -> Optional[SetClosure]:
         return None
     p = subs[0].rows
     exact = all(s.exact for s in subs)
-    ident = [{j: 1} for j in range(p.width)]
     if name == "neg":
         return SetClosure(_stacked(n, p.width, _placed(p, p.width, [{j: -1 if j < n else 1} for j in range(p.width)])), exact)
     if name == "scale":
         q = args[0]
         return SetClosure(_stacked(n, p.width, _placed(p, p.width, [{j: 1 / q if j < n else 1} for j in range(p.width)])), exact)
     if name == "translate":
-        return SetClosure(_stacked(n, p.width, _placed(p, p.width, ident, tuple(-c for c in args[1]))), exact)
+        return SetClosure(_stacked(n, p.width, _placed(p, p.width, [{j: 1} for j in range(p.width)], tuple(-c for c in args[1]))), exact)
     if name in ("minksum", "diff"):
         # x = z + v: z in the first set, v in the second (or -v, for diff)
         q, sign = subs[1].rows, (1 if name == "minksum" else -1)
@@ -949,9 +948,9 @@ def set_has_origin(term) -> Optional[bool]:
         return set_has_origin(args[-1])
     c = set_closure(term)
     flat = fm_flatten(c.rows)
-    zero = (ZERO,) * n
-    if c.exact or not contains(flat, zero):
-        return contains(flat, zero)
+    inside = contains(flat, (ZERO,) * n)
+    if c.exact or not inside:
+        return inside
     return True if zero_in_reference(Notion.QRI, flat) else None
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcheck import setexpr as se
-from dualcheck.inference import Engine
+from dualcheck.inference import Engine, _KIND_OF_NOTION
 from dualcheck.polyhedra import Notion
 from dualcheck.probfile import _SETS
 from dualcheck.setexpr import HOLDS, ORIGIN, UNKNOWN
@@ -19,14 +19,7 @@ from dualcheck.spaces import lp_space
 from oracles import cone_test_all_rules, set_has_origin, set_notions
 from randgen import BINARY, LEAVES, UNARY, build_term, random_term
 
-KIND = {
-    Notion.INT: "int",
-    Notion.CORE: "whole_alg",
-    Notion.QI: "whole_cl",
-    Notion.SQRI: "sub_closed",
-    Notion.ICR: "sub_alg",
-    Notion.QRI: "sub_cl",
-}
+
 def answers(term) -> list:
     """(source, notion, status, truth) for each answer about the origin and
     the set of ``term``: ``Engine.infer`` for every notion, and where the
@@ -39,7 +32,7 @@ def answers(term) -> list:
     eng = Engine()
     out = [("infer", nt, eng.infer(nt, ORIGIN, s).status, truth[nt]) for nt in Notion]
     if set_has_origin(term):
-        out += [(rule, nt, f.status, truth[nt]) for nt in Notion for rule, f in cone_test_all_rules(eng, KIND[nt], ORIGIN, s)]
+        out += [(rule, nt, f.status, truth[nt]) for nt in Notion for rule, f in cone_test_all_rules(eng, _KIND_OF_NOTION[nt], ORIGIN, s)]
     return out
 
 
@@ -52,7 +45,8 @@ def test_terms_cover_every_finite_dimensional_constructor():
     assert set(LEAVES + UNARY + BINARY) == set(_SETS) - catalog
 
 
-# 2,400 draws, 12 for each of 200 seeds
+# 2,400 draws, 12 for each of 200 seeds; the top constructor is never a
+# leaf, since the leaves of R^1 and R^2 are few and checked inside the terms
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=True))
 def test_rn_answers_match_the_closure_oracle(rng):

@@ -152,6 +152,11 @@ HYPOTHESES = ("frechet", "finite_dim", "lsc", "convex")
 # a convex function finite on all of R^n is continuous (Rockafellar, Convex Analysis, Cor. 10.1.1)
 EVERYWHERE = "one summand is finite and continuous everywhere"
 
+# the cites of the two facts on the shifted epigraph projection (``DiagnosisContext._build_engine``)
+ATTAINED = ("", "the primal optimum is attained, so the origin pair lies in the set")
+CERTIFIED = ("Rockafellar, Convex Analysis, Thm 6.4", "the primal LP's multipliers prove inf Phi(., 0) >= v(0), "
+             "so (0, -eps) is outside the set for every eps > 0 while (0, 1) is in it: the origin pair is not relatively interior")
+
 
 # -- context -----------------------------------------------------------------------
 
@@ -183,27 +188,20 @@ class DiagnosisContext:
             )
 
     def _build_engine(self) -> Engine:
+        """The engine, with the declared facts and, for a finite attained
+        primal value, the origin pair in E.  Primal multipliers that replay
+        prove inf Phi(., 0) >= v(0) besides: with (0, 1) in E and no (0, -eps),
+        the origin pair is not in ri E (Rockafellar 1970, Thm 6.4)."""
         facts = []
-        instance = self.instance
-        specs = getattr(instance, "fact_specs", ())
-        for spec in specs:
+        for spec in getattr(self.instance, "fact_specs", ()):
             target = self._resolve_ref(spec.ref)
-            if target is None:
-                continue
-            facts.append(
-                DeclaredFact(spec.notion, spec.point, target, spec.status, spec.cite)
-            )
-        vp = self.values.vp
-        if self.view.epi_pr is not None and vp is not None and vp.is_finite() and self.values.vp_attained:
-            facts.append(
-                DeclaredFact(
-                    None,
-                    ORIGIN,
-                    self.view.epi_pr,
-                    HOLDS,
-                    ("", "the primal optimum is attained, so the origin pair lies in the set"),
-                )
-            )
+            if target is not None:
+                facts.append(DeclaredFact(spec.notion, spec.point, target, spec.status, spec.cite))
+        vp, epi = self.values.vp, self.view.epi_pr
+        if epi is not None and vp is not None and vp.is_finite() and self.values.vp_attained:
+            facts.append(DeclaredFact(None, ORIGIN, epi, HOLDS, ATTAINED))
+            if self.numeric and self.model.certified:
+                facts.append(DeclaredFact(Notion.QRI, ORIGIN, epi, FAILS, CERTIFIED))
         return Engine(facts)
 
     def _resolve_ref(self, ref):
@@ -353,6 +351,9 @@ def _aff_closed_clause(ctx: DiagnosisContext) -> Clause:
 
 
 def _exclusion_clause(ctx: DiagnosisContext) -> Clause:
+    """(0, 0) avoids qri co(E ∪ {(0, 0)}).  A numeric hull normalizes to E,
+    where the fact of a replayed primal certificate decides with no LP
+    (see ``DiagnosisContext._build_engine``), else the strict LP on E."""
     text = "the origin pair avoids the quasi-relative interior of the shifted epigraph projection"
     if ctx.view.epi_pr is None:
         return _status_clause(text, UNKNOWN, "no finite primal value to shift by")
@@ -710,7 +711,8 @@ def _strong_duality_verdict(ctx: DiagnosisContext, verdicts: dict) -> tuple[str,
 
 def _reverse_check(ctx: DiagnosisContext) -> Optional[tuple[bool, str]]:
     """With certified strong duality and dual attainment the origin pair
-    cannot be quasi-interior to the hull of the shifted epigraph projection."""
+    cannot be quasi-interior to the hull of the shifted epigraph projection:
+    the replayed primal multipliers keep it out of ri E, so out of int E."""
     values = ctx.values
     if not ctx.numeric or values.vp is None or not values.vp.is_finite():
         return None
@@ -718,9 +720,8 @@ def _reverse_check(ctx: DiagnosisContext) -> Optional[tuple[bool, str]]:
         return None
     if ctx.view.epi_pr is None:
         return None
-    inside = pg.zero_in(Notion.QI, ctx.view.epi_pr.poly)
-    if inside:
-        return (False, "strong duality holds yet the origin pair is quasi-interior to the projection")
+    if not ctx.model.certified:
+        return (False, "the primal multipliers did not replay, so nothing keeps the origin pair from the quasi-interior")
     return (True, "the origin pair avoids the quasi-interior, as strong duality demands")
 
 

@@ -44,7 +44,7 @@ from .errors import (
     RegimeError,
     UndecidableValueError,
 )
-from .exactlp import EQ, LinearProgram, LpOutcome, Optimal, Row, Unbounded, Vec, dot, rat, solve_lp, vec
+from .exactlp import EQ, LinearProgram, LpOutcome, Optimal, Row, Unbounded, Vec, dot, rat, solve_lp, vec, verify_certificate
 from .funcexpr import (
     ExtReal,
     FunctionExpr,
@@ -382,6 +382,14 @@ class NumericModel:
         if isinstance(out, Optimal):
             return er(out.value), out.point[: self.nx]
         return (MINF if isinstance(out, Unbounded) else PINF), None
+
+    @cached_property
+    def certified(self) -> bool:
+        """Does the primal LP's optimum replay under ``verify_certificate``?
+        Its multipliers then prove inf Phi(., 0) >= v(0) (see
+        ``conditions.DiagnosisContext._build_engine``)."""
+        prog, out = self._primal_lp
+        return isinstance(out, Optimal) and verify_certificate(prog, out)
 
     @cached_property
     def pr_dom(self) -> Polyhedron:

@@ -646,39 +646,53 @@ def _lex_min(n: int, rows: tuple[Row, ...], bounds, forms: Sequence[Vec]) -> Vec
     return point
 
 
-def _row_holds(r: Row, x: Vec) -> bool:
-    lhs = dot(r.coeffs, x)
-    if r.rel == LE:
-        return lhs <= r.rhs
-    if r.rel == GE:
-        return lhs >= r.rhs
-    return lhs == r.rhs
+def _row_holds(r: Row, x: Sequence, scale: Rat = 1) -> bool:
+    """a.x against scale * b in r's relation: x over the denominator scale, or a direction for 0."""
+    lhs, rhs = sum(c * v for c, v in zip(r.coeffs, x) if c), r.rhs * scale
+    return lhs <= rhs if r.rel == LE else lhs >= rhs if r.rel == GE else lhs == rhs
+
+
+def _scaled(xs: Sequence[Rat]) -> tuple[list[int], int]:
+    """The entries of xs as integers over their least common denominator d, and d."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _combination(exp: Sequence[Row], n: int, ys: Vec, flip: int) -> Optional[tuple[list, Rat, int]]:
+    """d * sum_i y_i a_i, d * sum_i y_i b_i and d, d the denominator of the y_i, over the
+    nonzero y_i; None if a sign is wrong: flip * y_i <= 0 on <= rows, >= 0 on >= rows."""
+    ys, d = _scaled(ys)
+    combo, rhs = [0] * n, 0
+    for r, y in zip(exp, ys):
+        if not y:
+            continue
+        if r.rel == LE and flip * y > 0 or r.rel == GE and flip * y < 0:
+            return None
+        for j, c in enumerate(r.coeffs):
+            if c:
+                combo[j] += y * c
+        rhs += y * r.rhs
+    return combo, rhs, d
 
 
 def verify_certificate(p: LinearProgram, out: LpOutcome) -> bool:
-    """Replay the certificate in ``out`` with independent exact arithmetic."""
+    """Replay the certificate in ``out`` with independent exact arithmetic, on integers
+    over one denominator.  Signs and combinations take one pass over the nonzero
+    multipliers (min: y <= 0 on <= rows, y >= 0 on >= rows; max and Farkas: flipped)."""
     exp = expanded_rows(p)
     n = p.n
-
-    def signed(ys, flip):  # flip * y <= 0 on <= rows and >= 0 on >= rows
-        return all(not (r.rel == LE and flip * y > 0 or r.rel == GE and flip * y < 0) for r, y in zip(exp, ys))
-
-    def combination(ys):  # sum_i y_i a_i and sum_i y_i b_i
-        return tuple(dot(ys, [r.coeffs[j] for r in exp]) for j in range(n)), dot(ys, [r.rhs for r in exp])
-
     if isinstance(out, Optimal):
         if len(out.point) != n or len(out.dual) != len(exp):
             return False
-        if not all(_row_holds(r, out.point) for r in exp) or dot(p.objective, out.point) != out.value:
+        x, d = _scaled(out.point)
+        if not all(_row_holds(r, x, d) for r in exp) or sum(c * v for c, v in zip(p.objective, x)) != out.value * d:
             return False
-        # sign conditions (min: y<=0 on <=, y>=0 on >=; max: flipped)
-        return signed(out.dual, -1 if p.sense == MAX else 1) and combination(out.dual) == (tuple(p.objective), out.value)
+        got = _combination(exp, n, out.dual, -1 if p.sense == MAX else 1)
+        return got is not None and got[:2] == ([c * got[2] for c in p.objective], out.value * got[2])
 
     if isinstance(out, Infeasible):
-        if len(out.farkas) != len(exp) or not signed(out.farkas, -1):
-            return False
-        combo, lb = combination(out.farkas)
-        return not any(combo) and lb < 0
+        got = _combination(exp, n, out.farkas, -1) if len(out.farkas) == len(exp) else None
+        return got is not None and not any(got[0]) and got[1] < 0
 
     if isinstance(out, Unbounded):
         if len(out.point) != n or len(out.ray) != n:
@@ -686,7 +700,7 @@ def verify_certificate(p: LinearProgram, out: LpOutcome) -> bool:
         if not all(_row_holds(r, out.point) for r in exp):
             return False
         # a nonzero ray of the recession cone: the rows with right-hand side 0 hold
-        if not any(out.ray) or not all(_row_holds(Row(r.coeffs, r.rel, 0), out.ray) for r in exp):
+        if not any(out.ray) or not all(_row_holds(r, out.ray, 0) for r in exp):
             return False
         drift = dot(p.objective, out.ray)
         return drift < 0 if p.sense == MIN else drift > 0

@@ -433,14 +433,21 @@ def _vec(what: str, v, n: int) -> tuple:
     return vec(v)
 
 
+def check_dim(s: SetExpr, n: int, error: type = DimensionMismatchError) -> None:
+    """Refuse with ``error`` a set whose normal form is a ``PolyAtom`` of
+    another R^m than R^n."""
+    atom = normalize(s)
+    if isinstance(atom, se.PolyAtom) and atom.poly.n != n:
+        what = "product" if isinstance(s, se.Product) else "orthant, interval, rn or poly"
+        raise error(f"{what} gives a set of R^{atom.poly.n}, but the space is R^{n}")
+
+
 def lower_set(s: SetExpr, n: int) -> pg.Polyhedron:
     """The polyhedron of a set of R^n: its normal form, a ``PolyAtom``."""
     atom = normalize(s)
     if not isinstance(atom, se.PolyAtom):
         raise RegimeError(f"set has no finite-dimensional realization: {type(atom).__name__}")
-    if atom.poly.n != n:
-        what = "product" if isinstance(s, se.Product) else "orthant, interval, rn or poly"
-        raise DimensionMismatchError(f"{what} gives a set of R^{atom.poly.n}, but the space is R^{n}")
+    check_dim(s, n)
     return atom.poly
 
 

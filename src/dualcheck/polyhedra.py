@@ -342,9 +342,12 @@ def _frt(p: Polyhedron) -> Optional[tuple[frozenset, Vec]]:
     implicit rows, and z / tau satisfies every other row strictly.  Each
     s_i is a signed column of the exact simplex: its bound s_i >= 0 is no
     tableau row, so besides the system's rows the tableau has only the
-    rows s_i <= 1 and tau >= 1.
+    rows s_i <= 1 and tau >= 1.  A system without rows is all of R^w: it
+    has no implicit rows, and 0 is in its relative interior, with no LP.
     """
     w, m, k = p.width, len(p.ineqs), len(p.eqs)
+    if not m and not k:
+        return frozenset(), (Fraction(0),) * w
     b = BlockRows(("z", w), ("s", m), ("tau", 1))
     a_z = {"z": tuple(a for a, _ in p.ineqs), "s": 1, "tau": tuple((-r,) for _, r in p.ineqs)}
     b.pull(neg(orthant(m)), (m, a_z))

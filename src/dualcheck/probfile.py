@@ -652,9 +652,12 @@ def parse_problem(text: str) -> ProblemFile:
     f_expr, g_expr, phi_expr, s_expr, cone_expr, gmap, amap, nx, ny = map(terms.get, _TERM_LINES)
 
     if kind == "sets":
+        space = parser.space or lp_space()
+        for q in queries if space.finite_dim else ():
+            fx.check_dim(q.sexpr, space.dim, ParseError)
         inst: Union[eng.Instance, SetFactsInstance] = SetFactsInstance(
             instance_id=problem_id,
-            space=parser.space or lp_space(),
+            space=space,
             queries=tuple(queries),
         )
         return ProblemFile(kind, inst, expectations, tuple(notes), tuple(cites))

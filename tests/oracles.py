@@ -26,7 +26,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from dualcheck.errors import MalformedInputError, MembershipError
-from dualcheck.exactlp import EQ, LinearProgram, Optimal, Row, Unbounded, dot, solve_lp, vec
+from dualcheck.exactlp import EQ, GE, LE, LinearProgram, Optimal, Row, Unbounded, dot, expanded_rows, solve_lp, vec
 from dualcheck.funcexpr import MINF, PINF, conjugate_polyfunc, er, er_add, er_le, lower
 from dualcheck.polyhedra import Notion, Polyhedron, _solve_over, contains, extremum, fiber, poly, project
 from dualcheck.setexpr import FAILS, HOLDS, UNKNOWN, normalize
@@ -219,6 +219,27 @@ def rational_bland_simplex(sense, objective, rows, bounds=None):
         return ("unbounded", point(), point(enter))
     y = duals(cost2, z)
     return ("optimal", point(), -flip * z[-1], tuple(flip * v for v in y))
+
+
+def optimal_certificate_reference(p: LinearProgram, out: Optimal) -> bool:
+    """The dense replay of an optimum: a point that keeps every expanded row
+    and has the stated value, multipliers of the right signs (min: y <= 0
+    on <= rows and y >= 0 on >= rows; max: flipped), and sum_i y_i a_i = c
+    and sum_i y_i b_i = value, each column summed over every row."""
+    exp = expanded_rows(p)
+    if len(out.point) != p.n or len(out.dual) != len(exp):
+        return False
+    for r in exp:
+        lhs = dot(r.coeffs, out.point)
+        if not (lhs <= r.rhs if r.rel == LE else lhs >= r.rhs if r.rel == GE else lhs == r.rhs):
+            return False
+    if dot(p.objective, out.point) != out.value:
+        return False
+    flip = -1 if p.sense == "max" else 1
+    if any(r.rel == LE and flip * y > 0 or r.rel == GE and flip * y < 0 for r, y in zip(exp, out.dual)):
+        return False
+    combo = tuple(dot(out.dual, [r.coeffs[j] for r in exp]) for j in range(p.n))
+    return combo == tuple(p.objective) and dot(out.dual, [r.rhs for r in exp]) == out.value
 
 
 def prune_lp_reference(ineqs, eqs, n):

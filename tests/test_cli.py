@@ -407,3 +407,20 @@ def test_negative_scale_in_rn(tmp_path, capsys):
     text = "kind sets\nspace dim 1\nquery int zero scale(-1, interval(-1, 2))\n"
     assert main(["analyze", _write(tmp_path, text)]) == 0
     assert "holds    int zero scale(-1, interval(-1, 2))" in capsys.readouterr().out
+
+
+# sets queries whose set belongs to another R^m than the declared space
+MISPLACED_QUERIES = {
+    "orthant": ("orthant(3)", "orthant, interval, rn or poly gives a set of R^3, but the space is R^1"),
+    "product": ("product(interval(-1, 1), interval(-1, 1))", "product gives a set of R^2, but the space is R^1"),
+}
+
+
+@pytest.mark.parametrize("query, message", MISPLACED_QUERIES.values(), ids=MISPLACED_QUERIES.keys())
+def test_a_sets_query_must_fit_the_declared_dimension(query, message, tmp_path, capsys):
+    text = f"kind sets\nspace dim 1\nquery int zero {query}\n"
+    with pytest.raises(ParseError) as caught:
+        parse_problem(text)
+    assert str(caught.value) == message
+    assert main(["analyze", _write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

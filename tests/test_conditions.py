@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,12 +49,12 @@ from dualcheck.funcexpr import (
     lower,
     pf_domain,
 )
-from dualcheck.polyhedra import interval, orthant, poly
+from dualcheck.polyhedra import Notion, contains, interval, orthant, poly
 from dualcheck.probfile import SetFactsInstance
 from dualcheck.setexpr import FAILS, HOLDS, UNKNOWN
 from dualcheck.spaces import finite, lp_space
 
-from oracles import fm_flatten, meets_ri_reference, slice_interior_point_reference
+from oracles import fm_flatten, meets_ri_reference, slice_interior_point_reference, zero_in_reference
 
 import test_numeric_golden as golden
 
@@ -509,3 +510,81 @@ def test_a_condition_without_a_context_is_the_diagnosis_verdict():
             assert alone.status is evaluate_condition(index, instance, ctx).status
         if ctx.family != conditions.FAMILY_PHI:
             assert check_rc8(instance) == check_rc8(instance, ctx)
+
+
+# -- the shifted epigraph, decided by the primal certificate ---------------------
+
+
+EXCLUSION = "the origin pair avoids the quasi-relative interior of the shifted epigraph projection"
+
+
+def _exclusion(d):
+    return next(c for c in d.verdict("6").clauses if c.text == EXCLUSION)
+
+
+def test_a_primal_certificate_that_does_not_replay_declares_nothing(monkeypatch):
+    # one primal multiplier moved: no qri fact on E, the reverse check fails
+    # and says why, and the strict LP on E decides the exclusion clause, as
+    # it did before the certificate did
+    from dataclasses import replace
+    from functools import cached_property
+
+    from test_exactlp import _box_l1
+
+    inst = _box_l1([-2, -1], [1, 3], [2, 0])
+    sound = diagnose(inst)
+    real = NumericModel._primal_lp.func
+
+    def corrupted(model):
+        prog, out = real(model)
+        k = next(i for i, y in enumerate(out.dual) if y)
+        return prog, replace(out, dual=out.dual[:k] + (out.dual[k] + 1,) + out.dual[k + 1 :])
+
+    prop = cached_property(corrupted)
+    prop.__set_name__(NumericModel, "_primal_lp")
+    monkeypatch.setattr(NumericModel, "_primal_lp", prop)
+    ctx = DiagnosisContext(inst)
+    d = diagnose(inst, ctx)
+    assert not ctx.model.certified
+    assert not any(notion is Notion.QRI for notion, _, _ in ctx.engine.declared)
+    assert d.reverse_check == (False, "the primal multipliers did not replay, so nothing keeps the origin pair from the quasi-interior")
+    assert sound.reverse_check == (True, "the origin pair avoids the quasi-interior, as strong duality demands")
+    clause, before = _exclusion(d), _exclusion(sound)
+    assert clause.status is before.status is HOLDS
+    assert [s.rule for s in clause.prov] == ["declared", "finite-dim"]
+    assert [s.rule for s in before.prov] == ["declared", "declared"]
+    assert [(i, v.status) for i, v in d.verdicts] == [(i, v.status) for i, v in sound.verdicts]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(golden.FAMILIES)), st.integers(0, 2**16), st.integers(0, 11))
+def test_the_certified_qri_fact_agrees_with_the_flattened_epigraph(family, seed, i):
+    # for every finite v(0) the origin pair lies in E but in neither ri E nor
+    # int E, read off E written without auxiliaries
+    inst = golden.FAMILIES[family][0](random.Random(seed), i)
+    try:
+        ctx = DiagnosisContext(inst)
+    except DualcheckError:
+        return
+    if not ctx.values.vp.is_finite():
+        return
+    epi = ctx.view.epi_pr
+    assert ctx.model.certified
+    assert ctx.engine.declared[(Notion.QRI, se.ORIGIN, epi)].status is FAILS
+    flat = fm_flatten(epi.poly)
+    assert contains(flat, (0,) * flat.n)
+    assert not zero_in_reference(Notion.QRI, flat) and not zero_in_reference(Notion.INT, flat)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_cold_box_l1_diagnosis_solves_no_lp_on_the_shifted_epigraph(n, monkeypatch):
+    from dualcheck import polyhedra as pg
+    from test_exactlp import _box_l1
+
+    def refuse(notion, p):
+        raise AssertionError("an interiority LP")
+
+    monkeypatch.setattr(pg, "zero_in", refuse)
+    golden._clear_memos()
+    d = diagnose(_box_l1([-1 - j for j in range(n)], [2 + j for j in range(n)], [2 * (1 - j % 2) for j in range(n)]))
+    assert d.reverse_check[0] and _exclusion(d).status is HOLDS

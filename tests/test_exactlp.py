@@ -31,7 +31,7 @@ from dualcheck.exactlp import (
 from dualcheck.funcexpr import Affine, IndicatorOf, NormAtom, Sum
 from dualcheck.spaces import finite
 
-from oracles import brute_min_over_vertices, rational_bland_simplex
+from oracles import brute_min_over_vertices, optimal_certificate_reference, rational_bland_simplex
 
 
 def lp(sense, objective, rows, bounds=None) -> LinearProgram:
@@ -493,31 +493,58 @@ def _diagnose_and_recover(instance):
         engine.recover_dual_via_separation(instance, d.values.vp.value)
 
 
-def test_bench_and_golden_lps_replay_on_the_reference_tableau(monkeypatch):
-    # the LPs the package really solves: a cold diagnosis, report and
-    # recovery of both l1-ladder rungs on two seeds, a cold box+l1 diagnosis
-    # and recovery at n = 3 and 4 (wider and sparser lifted systems), and a
-    # seeded sample of the golden instances' LPs
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import workloads
-    from test_numeric_golden import _answer, _instances
+@pytest.fixture(scope="module")
+def real_lps():
+    """The LPs the package really solves: a cold diagnosis, report and
+    recovery of both l1-ladder rungs on two seeds, a cold box+l1 diagnosis
+    and recovery at n = 5 and 6 (wider and sparser lifted systems), and a
+    seeded sample of the golden instances' LPs; as (ladder, {n: box}, golden)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        from test_numeric_golden import _answer, _instances
 
-    progs = []
-    for seed in (1, 2718):
-        ladder = workloads.L1Ladder(seed)
-        progs += _solved_lps(monkeypatch, lambda: [ladder.run(item) for item in ladder.items])
-    assert len(progs) >= 40
-    for n in (3, 4):
-        # the box [-(1 + j), 2 + j], with cost 2 on the even coordinates
-        box = _box_l1([-1 - j for j in range(n)], [2 + j for j in range(n)], [2 * (1 - j % 2) for j in range(n)])
-        wide = _solved_lps(monkeypatch, lambda: _diagnose_and_recover(box))
-        assert max(p.n for p in wide) > 20
-        progs += wide
-    rng = random.Random(10)
-    golden = _solved_lps(monkeypatch, lambda: [_answer(inst) for inst in rng.sample(_instances(), 12)])
-    progs += rng.sample(golden, 60)
-    kinds = {_matches_reference(p) for p in progs}
+        ladder = []
+        for seed in (1, 2718):
+            rungs = workloads.L1Ladder(seed)
+            ladder += _solved_lps(mp, lambda: [rungs.run(item) for item in rungs.items])
+        boxes = {}
+        for n in (5, 6):
+            # the box [-(1 + j), 2 + j], with cost 2 on the even coordinates
+            box = _box_l1([-1 - j for j in range(n)], [2 + j for j in range(n)], [2 * (1 - j % 2) for j in range(n)])
+            boxes[n] = _solved_lps(mp, lambda: _diagnose_and_recover(box))
+        rng = random.Random(10)
+        golden = _solved_lps(mp, lambda: [_answer(inst) for inst in rng.sample(_instances(), 12)])
+        return ladder, boxes, rng.sample(golden, 60)
+
+
+def test_bench_and_golden_lps_replay_on_the_reference_tableau(real_lps):
+    ladder, boxes, golden = real_lps
+    assert len(ladder) >= 40
+    assert all(max(p.n for p in wide) > 20 for wide in boxes.values())
+    kinds = {_matches_reference(p) for p in ladder + sum(boxes.values(), []) + golden}
     assert {"optimal", "infeasible"} <= kinds
+
+
+def test_the_sparse_replay_of_an_optimum_is_the_dense_one(real_lps):
+    # the one pass over the nonzero multipliers accepts what the dense
+    # replay accepts, and still rejects a certificate with one multiplier
+    # moved, zero or not
+    ladder, boxes, golden = real_lps
+    rng = random.Random(28)
+    checked = 0
+    for p in ladder + sum(boxes.values(), []) + golden:
+        out = solve_lp(p)
+        if not isinstance(out, Optimal):
+            continue
+        assert verify_certificate(p, out) and optimal_certificate_reference(p, out)
+        if not out.dual:  # no rows: nothing to move
+            continue
+        k = rng.randrange(len(out.dual))
+        moved = replace(out, dual=out.dual[:k] + (out.dual[k] + rng.choice((-1, 1)),) + out.dual[k + 1 :])
+        assert not verify_certificate(p, moved) and not optimal_certificate_reference(p, moved)
+        checked += 1
+    assert checked > 100
 
 
 def test_coefficients_up_to_2_to_the_64_replay_on_the_reference_tableau(monkeypatch):

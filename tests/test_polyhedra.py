@@ -533,11 +533,34 @@ def test_implicit_rows_take_one_lp_and_match_the_per_row_loop(system):
         got = implicit_rows(p)
     finally:
         pg.solve_lp = real
-    assert len(calls) == 1
+    # a system without rows is the whole space, answered with no LP
+    assert len(calls) == (1 if p.ineqs or p.eqs else 0)
     assert got == implicit_rows_reference(p)
     x = ri_point(p)
     if x is not None:
         assert all((dot(a, x) == b) == (i in got) for i, (a, b) in enumerate(p.ineqs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_system_without_rows_needs_no_lp(n, monkeypatch):
+    # dom ||.||_1 keeps no row: it is all of R^n, with no implicit row and
+    # 0 in its relative interior, and no LP is asked
+    from dualcheck import exactlp
+    from dualcheck.funcexpr import NormAtom, lower, pf_domain
+
+    dom = pf_domain(lower(NormAtom("l1"), n))
+    assert not dom.ineqs and not dom.eqs
+
+    def refuse(prog):
+        raise AssertionError("an LP over a system without rows")
+
+    monkeypatch.setattr(exactlp, "solve_lp", refuse)
+    monkeypatch.setattr(pg, "solve_lp", refuse)
+    pg._frt.cache_clear()
+    assert implicit_rows(dom) == oracles.implicit_rows_reference(dom) == ()
+    assert pg.affine_hull(dom).is_whole()
+    assert ri_point(dom) == (0,) * dom.width
+    assert ri_point(dom, free=range(dom.n)) == (0,) * dom.width
 
 
 def _int_row_form(a, b):

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from dualcheck import conditions
 from dualcheck import corpus
+from dualcheck import polyhedra as pg
 from dualcheck import setexpr as se
 from dualcheck.conditions import (
     Clause,
@@ -57,6 +60,7 @@ from dualcheck.spaces import finite, lp_space
 from oracles import fm_flatten, meets_ri_reference, slice_interior_point_reference, zero_in_reference
 
 import test_numeric_golden as golden
+from test_exactlp import _box_l1
 
 F = Fraction
 
@@ -526,11 +530,6 @@ def test_a_primal_certificate_that_does_not_replay_declares_nothing(monkeypatch)
     # one primal multiplier moved: no qri fact on E, the reverse check fails
     # and says why, and the strict LP on E decides the exclusion clause, as
     # it did before the certificate did
-    from dataclasses import replace
-    from functools import cached_property
-
-    from test_exactlp import _box_l1
-
     inst = _box_l1([-2, -1], [1, 3], [2, 0])
     sound = diagnose(inst)
     real = NumericModel._primal_lp.func
@@ -578,9 +577,6 @@ def test_the_certified_qri_fact_agrees_with_the_flattened_epigraph(family, seed,
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_cold_box_l1_diagnosis_solves_no_lp_on_the_shifted_epigraph(n, monkeypatch):
-    from dualcheck import polyhedra as pg
-    from test_exactlp import _box_l1
-
     def refuse(notion, p):
         raise AssertionError("an interiority LP")
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualcheck import exactlp
 from dualcheck import polyhedra as pg
 from dualcheck import setexpr as se
 from dualcheck.errors import DimensionMismatchError, EmptyPolyhedronError, MalformedInputError, MembershipError
 from dualcheck.exactlp import Optimal, dot
+from dualcheck.funcexpr import NormAtom, lower, pf_domain
 from dualcheck.polyhedra import (
     Notion,
     affine_hull,
@@ -545,9 +547,6 @@ def test_implicit_rows_take_one_lp_and_match_the_per_row_loop(system):
 def test_a_system_without_rows_needs_no_lp(n, monkeypatch):
     # dom ||.||_1 keeps no row: it is all of R^n, with no implicit row and
     # 0 in its relative interior, and no LP is asked
-    from dualcheck import exactlp
-    from dualcheck.funcexpr import NormAtom, lower, pf_domain
-
     dom = pf_domain(lower(NormAtom("l1"), n))
     assert not dom.ineqs and not dom.eqs
 
